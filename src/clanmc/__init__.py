@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 from .env_model import (EnvironmentPath, EnvironmentSpec, ValidationReport,
                         offspring_params, pgf_eval, sample_path, validate_spec)
 from .assoc_walk import (WalkFunctionals, build_walk, estimate_u, estimate_u_table,
-                         estimate_v, estimate_v_table, harmonicity_residual,
-                         log_b_range, reflect, truncated_functionals)
-from .exact_fl import (MobiusMap, compose_mobius, compose_pgf_bruteforce,
-                       cond_event_prob, extinction_step, h_functional,
-                       survival_closed, v_functional, yaglom_integrand)
+                         estimate_v, estimate_v_table, harmonicity_residual, reflect)
+from .exact_fl import (compose_pgf_bruteforce, cond_event_prob, extinction_step,
+                       h_functional, survival_bruteforce, survival_closed, v_functional,
+                       yaglom_integrand)
 from .clan_sim import (ClanOutcome, PopulationState, initial_state, simulate,
                        simulate_ensemble, step)
 from .estimators import (DualityResult, EventProbResult, LambdaResult, MCEstimate,

@@ -15,22 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .env_model import EnvironmentSpec, EnvironmentPath, draw_increments
 from .errors import DomainError
-from .logdomain import LogValue
 from .mcstats import MCEstimate
 from .parallel import block_sizes, map_blocks
 from .streams import RngStream
-
-# Prefix-difference cancellation guard for log_b_range.  When the window
-# contributes less than this fraction (in log units) of the prefix, the
-# subtraction of accumulated prefixes has too few significant digits left,
-# so the window is re-summed directly.  The direct sum is exact and O(n-i);
-# the threshold is deliberately generous because accumulated prefix error
-# grows with n while the 1e-10 closed-form tolerances do not.
-_PREFIX_DIFF_GUARD = 1e-3
 
 _WALK_BLOCK = 4096
 _WALK_CHUNK = 128
@@ -82,47 +72,6 @@ def build_walk(path: EnvironmentPath) -> WalkFunctionals:
 def reflect(w: WalkFunctionals) -> WalkFunctionals:
     """The sign-flipped walk with all functionals rebuilt.  An involution."""
     return _from_s(-w.s)
-
-
-def log_window_sum(w: WalkFunctionals, lo: int, hi: int) -> float:
-    """log sum_{k=lo}^{hi-1} e^{-S_k}, summed directly (exact, O(hi-lo))."""
-    return float(logsumexp(-w.s[lo:hi]))
-
-
-def log_b_range(w: WalkFunctionals, i: int, n: int) -> LogValue:
-    """The window functional sum_{k=i}^{n-1} e^{S_i - S_k}.
-
-    Evaluated as e^{S_i} (b_n - b_i) from the stored prefixes; when the
-    prefixes nearly cancel the window is re-summed directly.
-    """
-    if not 0 <= i < n <= w.n:
-        raise DomainError(f"need 0 <= i < n <= walk length, got i={i}, n={n}")
-    s_i = float(w.s[i])
-    if i == 0:
-        return LogValue.from_log(s_i + float(w.log_b[n]))
-    d = float(w.log_b[n] - w.log_b[i])
-    if d < _PREFIX_DIFF_GUARD:
-        return LogValue.from_log(s_i + log_window_sum(w, i, n))
-    return LogValue.from_log(s_i + float(w.log_b[n]) + math.log(-math.expm1(-d)))
-
-
-def truncated_functionals(w: WalkFunctionals, t: int, j: int, n: int) -> tuple[LogValue, LogValue, LogValue]:
-    """Head, middle and tail exponential sums around a split point j.
-
-    G = sum_{r=0}^{t} e^{-S_r};  H = sum_{r=t+1}^{j-1} e^{S_j - S_r};
-    T = sum_{r=j}^{n} e^{S_j - S_r}.  Typically evaluated on the reflected
-    walk when decomposing the dual clan functional by first-minimum time.
-    """
-    if not 0 <= t < j <= n <= w.n:
-        raise DomainError(f"need 0 <= t < j <= n <= walk length, got t={t}, j={j}, n={n}")
-    g = LogValue.from_log(float(logsumexp(-w.s[0:t + 1])))
-    s_j = float(w.s[j])
-    if j == t + 1:
-        h = LogValue.zero()
-    else:
-        h = LogValue.from_log(s_j + float(logsumexp(-w.s[t + 1:j])))
-    t_val = LogValue.from_log(s_j + float(logsumexp(-w.s[j:n + 1])))
-    return g, h, t_val
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +308,9 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int = 10_000,
         raise DomainError("u-harmonicity grid must be nonnegative")
     if side == "v" and np.any(x_grid > -1e-12):
         raise DomainError("v-harmonicity grid must be strictly negative")
+    if m_samples <= _WALK_BLOCK:  # one persistence block leaves nothing to jackknife against
+        raise DomainError(f"harmonicity jackknife needs at least 2 persistence blocks: "
+                          f"m_samples must be >= {_WALK_BLOCK + 1}, got {m_samples}")
 
     pad = _x_padding(spec)
     if side == "u":

@@ -36,8 +36,6 @@ _DEFAULTS = {
     "s_grid": "0,0.25,0.5,0.75,1",
     "beta_grid": "1e-4,1e-2,1,1e2,inf",
     "strata_N": "20",
-    "horizon": "10000",
-    "x_grid": "0,0.5,1,1.5,2,2.5,3",
     "shards": "1",
     "out": "",
     "format": "json",
@@ -108,8 +106,6 @@ class RunConfig:
     s_grid: tuple[float, ...]
     beta_grid: tuple[float, ...]
     strata_N: int
-    horizon: int
-    x_grid: tuple[float, ...]
     seed: int
     shards: int
     out: str | None
@@ -123,9 +119,7 @@ class RunConfig:
             raise ConfigurationError("m_samples must be positive")
         if self.shards < 1:
             raise ConfigurationError("shards must be positive")
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be positive")
-        if not self.n_grid or not self.s_grid or not self.beta_grid or not self.x_grid:
+        if not self.n_grid or not self.s_grid or not self.beta_grid:
             raise ConfigurationError("grids must be nonempty")
 
     @staticmethod
@@ -151,8 +145,6 @@ class RunConfig:
             s_grid=_parse_float_list(str(merged["s_grid"])),
             beta_grid=_parse_float_list(str(merged["beta_grid"])),
             strata_N=_parse_int(str(merged["strata_N"]), "strata_N"),
-            horizon=_parse_int(str(merged["horizon"]), "horizon"),
-            x_grid=_parse_float_list(str(merged["x_grid"])),
             seed=_parse_int(str(merged["seed"]), "seed"),
             shards=_parse_int(str(merged["shards"]), "shards"),
             out=str(merged["out"]).strip() or None,
@@ -195,8 +187,6 @@ class RunConfig:
             "s_grid": ",".join(fmt_float(v) for v in self.s_grid),
             "beta_grid": ",".join(fmt_float(v) for v in self.beta_grid),
             "strata_N": str(self.strata_N),
-            "horizon": str(self.horizon),
-            "x_grid": ",".join(fmt_float(v) for v in self.x_grid),
             "seed": str(self.seed),
             "shards": str(self.shards),
             "out": self.out or "",
@@ -414,8 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--family": "family", "--sigma": "sigma", "--halfwidth": "halfwidth", "--step": "step",
         "--regime": "regime", "--regime-param": "regime_param", "--n": "n",
         "--n-grid": "n_grid", "--m-samples": "m_samples", "--s-grid": "s_grid",
-        "--beta-grid": "beta_grid", "--strata-N": "strata_N", "--horizon": "horizon",
-        "--x-grid": "x_grid",
+        "--beta-grid": "beta_grid", "--strata-N": "strata_N",
         "--allow-assumption-violations": "allow_assumption_violations",
     }
     for flag, dest in keys.items():

@@ -42,7 +42,7 @@ def mobius_equivalence_check(stream: RngStream, tuples: int = 1000, max_n: int =
         path = EnvironmentPath(gen.normal(0.0, 1.0, n))
         w = assoc_walk.build_walk(path)
         s = s_grid[int(gen.integers(0, len(s_grid)))]
-        direct = 1.0 - exact_fl.compose_pgf_bruteforce(path, i, n, s)
+        direct = exact_fl.survival_bruteforce(path, i, n, s)
         closed = exact_fl.survival_closed(w, i, n, s).value
         worst = max(worst, abs(closed - direct) / max(abs(direct), 1e-300))
     return CheckResult(
@@ -66,7 +66,7 @@ def definitional_h_check(stream: RngStream, max_n: int = 12, trials: int = 60,
             path = EnvironmentPath(gen.normal(0.0, 1.0, n))
         w = assoc_walk.build_walk(path)
         for s in s_grid:
-            direct = 1.0 - exact_fl.compose_pgf_bruteforce(path, i, n, s)
+            direct = exact_fl.survival_bruteforce(path, i, n, s)
             for jj in range(n):
                 if jj != i:
                     direct *= exact_fl.compose_pgf_bruteforce(path, jj, n, 0.0)

@@ -124,6 +124,14 @@ class ValidationReport:
         }
 
 
+def _or_inf(fn, x: float) -> float:
+    """fn(x), or inf where the value is too large for a double."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+
+
 def validate_spec(spec: EnvironmentSpec) -> ValidationReport:
     """Check the criticality, moment, continuity and nonlattice assumptions.
 
@@ -135,13 +143,13 @@ def validate_spec(spec: EnvironmentSpec) -> ValidationReport:
     if spec.family == GAUSSIAN:
         return ValidationReport(
             spec.family, c, True, True, True, True, True,
-            exp_moment_value=2.0 * math.exp(0.5 * c * c),
+            exp_moment_value=2.0 * _or_inf(math.exp, 0.5 * c * c),
             notes=(),
         )
     if spec.family == UNIFORM:
         return ValidationReport(
             spec.family, c, True, True, True, True, True,
-            exp_moment_value=2.0 * math.sinh(c) / c,
+            exp_moment_value=2.0 * _or_inf(math.sinh, c) / c,
             notes=(),
         )
     notes = ["two-point support is a lattice and carries atoms"]
@@ -149,7 +157,7 @@ def validate_spec(spec: EnvironmentSpec) -> ValidationReport:
         notes.append("step 0: degenerate constant environment")
     return ValidationReport(
         spec.family, c, True, False, True, True, False,
-        exp_moment_value=2.0 * math.cosh(c),
+        exp_moment_value=2.0 * _or_inf(math.cosh, c),
         notes=tuple(notes),
     )
 

@@ -26,6 +26,7 @@ from .parallel import block_sizes, map_blocks
 from .streams import RngStream
 
 _SWEEP_BLOCK = 256
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 TAG_OK = "ok"
 TAG_VIOLATED = "assumptions-violated"
@@ -123,39 +124,55 @@ class _ExpRows:
     """Shared max-shifted exponentials of one sign of the walk matrix.
 
     One exp pass serves every slice log-sum, instead of one full
-    max/exp/sum/log cycle per slice.  Desk-scale walks stay hundreds of log
-    units wide, far from the ~745 span where a slice could underflow to an
-    all-zero sum; the slow path covers the residual case anyway.
+    max/exp/sum/log cycle per slice, and each slice is summed at most once.
+    A slice more than ~708 log units below its row maximum sums to a
+    subnormal (or zero) shifted total that keeps too few digits, so such
+    rows are re-summed with their own shift.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.shift = a.max(axis=1)
         self.e = np.exp(a - self.shift[:, None])
+        self._sums: dict[tuple[int, int], np.ndarray] = {}
 
     def lse(self, lo: int, hi: int) -> np.ndarray:
-        total = self.e[:, lo:hi].sum(axis=1)
-        out = np.empty_like(total)
-        ok = total > 0.0
-        out[ok] = np.log(total[ok]) + self.shift[ok]
-        if not ok.all():
-            out[~ok] = logsumexp(self.a[~ok, lo:hi], axis=1)
+        out = self._sums.get((lo, hi))
+        if out is None:
+            total = self.e[:, lo:hi].sum(axis=1)
+            out = np.empty_like(total)
+            ok = total >= _TINY
+            out[ok] = np.log(total[ok]) + self.shift[ok]
+            if not ok.all():
+                out[~ok] = logsumexp(self.a[~ok, lo:hi], axis=1)
+            self._sums[(lo, hi)] = out
         return out
 
 
-def _log_event_prob_cols(s: np.ndarray, i: int, n: int) -> np.ndarray:
-    neg = _ExpRows(-s)
+# The clan formulas, one column per (i, n) over the rows of a walk matrix.
+# exact_fl evaluates its scalar closed forms as one-row calls of these.
+
+
+def _log_event_prob_cols(neg: _ExpRows, i: int, n: int) -> np.ndarray:
+    """log P(only the clan of generation i survives at n | environment)."""
     return neg.a[:, i] - neg.lse(i + 1, n + 1) + neg.a[:, n] - neg.lse(0, n + 1)
+
+
+def _log_extinction_cols(neg: _ExpRows, i: int, n: int) -> np.ndarray:
+    """log F_{i,n}(0), the ratio of adjacent tail sums."""
+    return neg.lse(i + 1, n + 1) - neg.lse(i, n + 1)
+
+
+def _log_survival_cols(neg: _ExpRows, i: int, n: int, log1ms) -> np.ndarray:
+    """log(1 - F_{i,n}(s)); log1ms is log(1-s), scalar or per-row."""
+    window = neg.lse(i, n)          # log(b_n - b_i)
+    return neg.a[:, i] - np.logaddexp(neg.a[:, n] - log1ms, window)
 
 
 def _log_h_cols_from(neg: _ExpRows, i: int, n: int, log1ms) -> np.ndarray:
     """Generic-argument only-surviving-clan values; log1ms is log(1-s), scalar or per-row."""
-    window = neg.lse(i, n)          # log(b_n - b_i)
-    tail_i = neg.lse(i, n + 1)
-    tail_ip1 = neg.lse(i + 1, n + 1)
-    prefix = neg.lse(0, n + 1)
-    f1 = neg.a[:, i] - np.logaddexp(neg.a[:, n] - log1ms, window)
-    return f1 + (tail_i - tail_ip1) + (neg.a[:, n] - prefix)
+    return (_log_survival_cols(neg, i, n, log1ms) - _log_extinction_cols(neg, i, n)
+            + (neg.a[:, n] - neg.lse(0, n + 1)))
 
 
 def _log_yaglom_cols_from(neg: _ExpRows, s: np.ndarray, i: int, n: int, beta: float) -> np.ndarray:
@@ -206,7 +223,7 @@ def estimate_event_prob(spec: EnvironmentSpec, rule: RegimeRule, n: int, m_sampl
     i = rule.clan_index(n)
     purpose = f"prob:{rule.describe()}:n={n}"
     cols = _sweep(spec, n, m_samples, stream, purpose,
-                  lambda s: {"p": np.exp(_log_event_prob_cols(s, i, n))}, shards)
+                  lambda s: {"p": np.exp(_log_event_prob_cols(_ExpRows(-s), i, n))}, shards)
     return EventProbResult(n=n, i=i, estimate=MCEstimate.from_values(cols["p"]),
                            tag=_conformity_tag(spec))
 
@@ -248,8 +265,7 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
 
     def kernel(s_mat: np.ndarray) -> dict[str, np.ndarray]:
         neg = _ExpRows(-s_mat)
-        den = neg.a[:, i] - neg.lse(i + 1, n + 1) + neg.a[:, n] - neg.lse(0, n + 1)
-        out = {"den": np.exp(den)}
+        out = {"den": np.exp(_log_event_prob_cols(neg, i, n))}
         for idx, sv in enumerate(s_values):
             if sv == 0.0:
                 out[f"num{idx}"] = out["den"]
@@ -304,8 +320,7 @@ def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, 
 
     def kernel(s_mat: np.ndarray) -> dict[str, np.ndarray]:
         neg = _ExpRows(-s_mat)
-        den = neg.a[:, i] - neg.lse(i + 1, n + 1) + neg.a[:, n] - neg.lse(0, n + 1)
-        out = {"den": np.exp(den)}
+        out = {"den": np.exp(_log_event_prob_cols(neg, i, n))}
         for idx, b in enumerate(betas):
             if math.isinf(b):
                 out[f"num{idx}"] = out["den"]
@@ -436,9 +451,9 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta: float, m_samples:
     j = n - i
 
     def kernel_h(s_mat):
-        if math.isinf(beta):
-            return {"h": np.exp(_log_event_prob_cols(s_mat, i, n))}
         neg = _ExpRows(-s_mat)
+        if math.isinf(beta):
+            return {"h": np.exp(_log_event_prob_cols(neg, i, n))}
         return {"h": np.exp(_log_yaglom_cols_from(neg, s_mat, i, n, beta))}
 
     def kernel_v(s_mat):

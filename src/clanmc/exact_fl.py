@@ -3,8 +3,10 @@
 Geometric offspring laws compose as fractional-linear maps, so the
 composition of a whole stretch of generations collapses to a ratio of
 exponential prefix sums of the associated walk.  This module carries both
-routes: a brute-force fold over the per-generation generating functions
-(the oracle) and the closed forms in log domain (the production path).
+routes: brute-force folds over the per-generation generating functions
+(the oracles) and the closed forms in log domain (the production path).
+The closed forms are written once, as the batched kernels of
+`estimators`; the scalar functions here evaluate them on one walk.
 
 Conventions, for a walk S built from the environment X_1..X_n:
   survival complement   1 - F_{i,n}(s) = e^{-S_i} / (e^{-S_n}/(1-s) + sum_{k=i}^{n-1} e^{-S_k})
@@ -18,73 +20,16 @@ with j = n - i playing the role of i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .assoc_walk import WalkFunctionals, log_b_range
+from .assoc_walk import WalkFunctionals
 from .env_model import EnvironmentPath, pgf_eval
-from .errors import DomainError, NumericalFailureError
-from .logdomain import LogValue, log1m_exp_neg
-
-# When enabled, extinction_step re-derives the telescoped product and
-# asserts agreement to 1e-10; costs O(n) per call, so off by default.
-debug_checks = False
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """The map s -> (a s + b) / (c s + d); closed under composition."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def from_mean(m: float) -> "MobiusMap":
-        """The geometric generating function with mean m as a fractional-linear map."""
-        if not m > 0:
-            raise DomainError(f"mean offspring must be positive, got {m}")
-        return MobiusMap(0.0, 1.0, -m, 1.0 + m)
-
-    def __call__(self, s: float) -> float:
-        return (self.a * s + self.b) / (self.c * s + self.d)
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def compose(self, inner: "MobiusMap") -> "MobiusMap":
-        """self after inner, i.e. s -> self(inner(s)); the usual 2x2 product."""
-        return MobiusMap(
-            self.a * inner.a + self.b * inner.c,
-            self.a * inner.b + self.b * inner.d,
-            self.c * inner.a + self.d * inner.c,
-            self.c * inner.b + self.d * inner.d,
-        )
-
-    def normalized(self) -> "MobiusMap":
-        """Divide all coefficients by the largest magnitude; same map."""
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        if scale == 0.0:
-            raise NumericalFailureError("degenerate fractional-linear map")
-        return MobiusMap(self.a / scale, self.b / scale, self.c / scale, self.d / scale)
-
-
-def compose_mobius(path: EnvironmentPath, i: int, n: int) -> MobiusMap:
-    """The composed map of generations i+1..n, normalized after every step."""
-    _check_window(path.n, i, n)
-    acc = MobiusMap.identity()
-    for k in range(i + 1, n + 1):
-        acc = acc.compose(MobiusMap.from_mean(math.exp(path.x[k - 1]))).normalized()
-        if abs(acc.det()) < 1e-300:
-            raise NumericalFailureError(f"composed map determinant vanished at generation {k}")
-    return acc
+from .errors import DomainError
+from .estimators import (_ExpRows, _log_event_prob_cols, _log_extinction_cols,
+                         _log_h_cols_from, _log_survival_cols, _log_v_cols_from,
+                         _log_yaglom_cols_from)
+from .logdomain import LogValue
 
 
 def compose_pgf_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> float:
@@ -102,6 +47,23 @@ def compose_pgf_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> f
     return t
 
 
+def survival_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> float:
+    """1 - F_{i,n}(s) by folding the complement u -> m u / (1 + m u) from u = 1 - s.
+
+    The same geometric generating functions as compose_pgf_bruteforce,
+    written without forming 1 - F, so a tiny survival keeps full relative
+    precision.
+    """
+    _check_window(path.n, i, n)
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"argument must lie in [0, 1], got {s}")
+    u = 1.0 - s
+    for k in range(n, i, -1):
+        mu = math.exp(path.x[k - 1]) * u
+        u = mu / (1.0 + mu)
+    return u
+
+
 def _check_window(length: int, i: int, n: int) -> None:
     if not 0 <= i <= n <= length:
         raise DomainError(f"need 0 <= i <= n <= path length, got i={i}, n={n}, length={length}")
@@ -110,11 +72,6 @@ def _check_window(length: int, i: int, n: int) -> None:
 def _check_clan_indices(w: WalkFunctionals, i: int, n: int) -> None:
     if not 0 <= i < n <= w.n:
         raise DomainError(f"need 0 <= i < n <= walk length, got i={i}, n={n}, length={w.n}")
-
-
-def _log_tail(w: WalkFunctionals, a: int, n: int) -> float:
-    """log sum_{k=a}^{n} e^{-S_k}; direct summation, no cancellation."""
-    return float(logsumexp(-w.s[a:n + 1]))
 
 
 def _resolve_log1ms(s: float | None, one_minus_s: float | None) -> float | None:
@@ -132,6 +89,15 @@ def _resolve_log1ms(s: float | None, one_minus_s: float | None) -> float | None:
     return math.log(one_minus_s)
 
 
+def _row(w: WalkFunctionals, n: int) -> np.ndarray:
+    """S_0..S_n as a one-row walk matrix."""
+    return w.s[None, :n + 1]
+
+
+def _first(cols: np.ndarray) -> LogValue:
+    return LogValue.from_log(float(cols[0]))
+
+
 def survival_closed(w: WalkFunctionals, i: int, n: int, s: float | None = None, *,
                     one_minus_s: float | None = None) -> LogValue:
     """Closed form of 1 - F_{i,n}(s) in log domain.
@@ -144,35 +110,18 @@ def survival_closed(w: WalkFunctionals, i: int, n: int, s: float | None = None, 
     log1ms = _resolve_log1ms(s, one_minus_s)
     if log1ms is None:
         return LogValue.zero()
-    log_window = log_b_range(w, i, n).log - float(w.s[i])  # log(b_n - b_i)
-    denom = np.logaddexp(-float(w.s[n]) - log1ms, log_window)
-    return LogValue.from_log(-float(w.s[i]) - float(denom))
+    return _first(_log_survival_cols(_ExpRows(-_row(w, n)), i, n, log1ms))
 
 
 def extinction_step(w: WalkFunctionals, i: int, n: int) -> LogValue:
     """F_{i,n}(0) as the log-domain ratio of adjacent tail sums."""
-    _check_clan_indices(w, i, n)
-    value = LogValue.from_log(_log_tail(w, i + 1, n) - _log_tail(w, i, n))
-    if debug_checks:
-        total = math.fsum(extinction_step_log(w, j, n) for j in range(n))
-        direct = -float(w.s[n]) - float(w.log_b[n + 1])
-        if abs(total - direct) > 1e-10 * max(1.0, abs(direct)):
-            raise NumericalFailureError("telescoped extinction product failed self-check")
-    return value
+    return LogValue.from_log(extinction_step_log(w, i, n))
 
 
 def extinction_step_log(w: WalkFunctionals, i: int, n: int) -> float:
-    """log F_{i,n}(0) without the debug recursion."""
-    return _log_tail(w, i + 1, n) - _log_tail(w, i, n)
-
-
-def _h_from_log1ms(w: WalkFunctionals, i: int, n: int, log1ms: float) -> LogValue:
-    s_i, s_n = float(w.s[i]), float(w.s[n])
-    log_window = log_b_range(w, i, n).log - s_i  # log(b_n - b_i)
-    f1 = -s_i - float(np.logaddexp(-s_n - log1ms, log_window))
-    f2 = _log_tail(w, i, n) - _log_tail(w, i + 1, n)
-    f3 = -s_n - float(w.log_b[n + 1])
-    return LogValue.from_log(f1 + f2 + f3)
+    """log F_{i,n}(0)."""
+    _check_clan_indices(w, i, n)
+    return float(_log_extinction_cols(_ExpRows(-_row(w, n)), i, n)[0])
 
 
 def h_functional(w: WalkFunctionals, i: int, n: int, s: float | None = None, *,
@@ -188,40 +137,13 @@ def h_functional(w: WalkFunctionals, i: int, n: int, s: float | None = None, *,
         return LogValue.zero()
     if log1ms == 0.0:  # s = 0: the (1-s)^{-1} weight drops out
         return cond_event_prob(w, i, n)
-    return _h_from_log1ms(w, i, n, log1ms)
+    return _first(_log_h_cols_from(_ExpRows(-_row(w, n)), i, n, log1ms))
 
 
 def cond_event_prob(w: WalkFunctionals, i: int, n: int) -> LogValue:
     """P(only the clan of generation i survives at n | environment)."""
     _check_clan_indices(w, i, n)
-    log_p = (-float(w.s[i]) - _log_tail(w, i + 1, n)) + (-float(w.s[n]) - float(w.log_b[n + 1]))
-    return LogValue.from_log(log_p)
-
-
-def h_functional_window(w: WalkFunctionals, i: int, n: int, s: float | None = None, *,
-                        one_minus_s: float | None = None) -> LogValue:
-    """The alternative evaluation of the clan functional from window sums.
-
-    Uses the relative functionals a_{i,n} = e^{S_i - S_n} and b_{i,n} (the
-    window sum anchored at i) instead of the prefix differences.  Kept as a
-    cross-check of the prefix form; the "- 1" in its middle factor sheds the
-    window's leading unit term analytically rather than by subtraction.
-    """
-    _check_clan_indices(w, i, n)
-    log1ms = _resolve_log1ms(s, one_minus_s)
-    if log1ms is None:
-        return LogValue.zero()
-    s_i, s_n = float(w.s[i]), float(w.s[n])
-    log_a_in = s_i - s_n
-    log_b_in = log_b_range(w, i, n).log
-    f1 = -float(np.logaddexp(log_a_in - log1ms, log_b_in))
-    top = float(np.logaddexp(log_a_in, log_b_in))
-    if i + 1 == n:  # window holds only its unit term; a + b - 1 is just a
-        bottom = log_a_in
-    else:
-        bottom = float(np.logaddexp(log_a_in, s_i + float(logsumexp(-w.s[i + 1:n]))))
-    f3 = -s_n - float(np.logaddexp(-s_n, float(w.log_b[n])))
-    return LogValue.from_log(f1 + (top - bottom) + f3)
+    return _first(_log_event_prob_cols(_ExpRows(-_row(w, n)), i, n))
 
 
 def v_functional(w_reflected: WalkFunctionals, j: int, n: int, beta: float) -> LogValue:
@@ -236,18 +158,8 @@ def v_functional(w_reflected: WalkFunctionals, j: int, n: int, beta: float) -> L
         raise DomainError(f"need 1 <= j <= n <= walk length, got j={j}, n={n}")
     if not beta > 0:
         raise DomainError(f"beta must be positive (inf allowed), got {beta}")
-    s = w_reflected.s
-    log_b = w_reflected.log_b
-    if math.isinf(beta):
-        return LogValue.from_log(-float(s[j]) - float(log_b[j]) - float(log_b[n + 1]))
-    # sum_{k=1}^{j} e^{-S_k} on the given walk; nonempty since j >= 1
-    log_head = float(logsumexp(-s[1:j + 1]))
-    log_t = math.log(beta) + float(s[j])  # beta / a_j with a_j = e^{-S_j}
-    inv_weight = -log1m_exp_neg(log_t)    # log (1 - e^{-t})^{-1}
-    denom = float(np.logaddexp(inv_weight, log_head))
-    return LogValue.from_log(
-        -float(s[j]) - denom + (float(log_b[j + 1]) - float(log_b[j])) - float(log_b[n + 1])
-    )
+    s = -_row(w_reflected, n)  # the kernel takes the walk before reflection
+    return _first(_log_v_cols_from(_ExpRows(s), s, j, n, beta))
 
 
 def yaglom_integrand(w: WalkFunctionals, i: int, n: int, beta: float) -> LogValue:
@@ -265,8 +177,8 @@ def yaglom_integrand(w: WalkFunctionals, i: int, n: int, beta: float) -> LogValu
         return LogValue.zero()
     if math.isinf(beta):
         return cond_event_prob(w, i, n)
-    log_t = math.log(beta) + float(w.s[i]) - float(w.s[n])
-    return _h_from_log1ms(w, i, n, log1m_exp_neg(log_t))
+    s = _row(w, n)
+    return _first(_log_yaglom_cols_from(_ExpRows(-s), s, i, n, beta))
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,11 @@ _LOG_TINY = -700.0  # below this, exp underflows and 1 - e^{-t} ~ t to full prec
 _LOG2 = math.log(2.0)
 
 
-def log1m_exp_neg(log_t: float) -> float:
-    """log(1 - exp(-t)) for t = exp(log_t) > 0, stable over the whole range.
+def log1m_exp_neg_vec(log_t: np.ndarray) -> np.ndarray:
+    """log(1 - exp(-t)) for t = exp(log_t) > 0, elementwise and stable over the whole range.
 
     For tiny t the result is ~ log_t; for large t it approaches 0 from below.
     """
-    if log_t < _LOG_TINY:
-        return log_t
-    t = math.exp(log_t)
-    if t > _LOG2:
-        return math.log1p(-math.exp(-t))
-    return math.log(-math.expm1(-t))
-
-
-def log1m_exp_neg_vec(log_t: np.ndarray) -> np.ndarray:
-    """Vectorized log1m_exp_neg."""
     log_t = np.asarray(log_t, dtype=float)
     out = np.empty_like(log_t)
     tiny = log_t < _LOG_TINY

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream,
-                    build_walk, estimate_u, estimate_v, log_b_range, reflect,
-                    truncated_functionals)
+                    build_walk, estimate_u, estimate_v, reflect)
 from clanmc.assoc_walk import estimate_u_table, harmonicity_residual, survival_scaling_scan
 
 
@@ -69,42 +68,6 @@ class TestBuildWalk:
         assert w.tau == 1
 
 
-class TestLogBRange:
-    def test_flat_window(self):
-        w = build_walk(EnvironmentPath(np.zeros(6)))
-        assert log_b_range(w, 2, 6).value == pytest.approx(4.0, rel=1e-14)
-
-    def test_i_zero_equals_prefix(self):
-        _, w = random_walk(13, 20)
-        assert log_b_range(w, 0, 20).log == pytest.approx(w.log_b[20], abs=1e-14)
-
-    def test_all_pairs_match_direct_sum(self):
-        _, w = random_walk(14, 30)
-        for i in range(30):
-            for n in range(i + 1, 31):
-                direct = math.fsum(math.exp(w.s[i] - w.s[k]) for k in range(i, n))
-                got = log_b_range(w, i, n).value
-                assert got == pytest.approx(direct, rel=1e-10)
-
-    def test_cancellation_guard_on_drifting_walk(self):
-        # heavily rising walk: late windows are tiny fractions of the prefix
-        x = np.full(400, 0.5)
-        x[:5] = -3.0
-        w = build_walk(EnvironmentPath(x))
-        for i, n in ((396, 400), (398, 399), (390, 400)):
-            with mpmath.workdps(60):
-                ref = mpmath.fsum(mpmath.exp(mpmath.mpf(w.s[i]) - mpmath.mpf(w.s[k]))
-                                  for k in range(i, n))
-                assert log_b_range(w, i, n).log == pytest.approx(float(mpmath.log(ref)), abs=1e-10)
-
-    def test_domain(self):
-        _, w = random_walk(15, 10)
-        with pytest.raises(DomainError):
-            log_b_range(w, 5, 5)
-        with pytest.raises(DomainError):
-            log_b_range(w, 0, 11)
-
-
 class TestReflect:
     def test_involution_bitwise(self):
         _, w = random_walk(16, 25)
@@ -122,33 +85,6 @@ class TestReflect:
         _, w = random_walk(17, 40)
         r = reflect(w)
         assert r.l_min[-1] == pytest.approx(-float(np.max(w.s)), abs=0.0)
-
-
-class TestTruncatedFunctionals:
-    def test_flat_counts(self):
-        w = build_walk(EnvironmentPath(np.zeros(8)))
-        g, h, t = truncated_functionals(w, 2, 5, 8)
-        assert g.value == pytest.approx(3.0, rel=1e-12)
-        assert h.value == pytest.approx(2.0, rel=1e-12)
-        assert t.value == pytest.approx(4.0, rel=1e-12)
-
-    @pytest.mark.parametrize("seed,t,j,n", [(20, 3, 9, 15), (21, 0, 1, 10), (22, 5, 6, 12)])
-    def test_split_identities(self, seed, t, j, n):
-        _, w = random_walk(seed, n)
-        g, h, tt = truncated_functionals(w, t, j, n)
-        s_j = float(w.s[j])
-        # head + e^{-S_j} (middle + 1) reassembles the prefix through j
-        # (logaddexp absorbs the -inf log of an empty middle)
-        lhs1 = np.logaddexp(g.log, -s_j + np.logaddexp(h.log, 0.0))
-        assert abs(float(lhs1) - w.log_b[j + 1]) < 1e-10
-        # head + e^{-S_j} middle + e^{-S_j} tail reassembles the full prefix
-        lhs2 = np.logaddexp(np.logaddexp(g.log, -s_j + h.log), -s_j + tt.log)
-        assert abs(float(lhs2) - w.log_b[n + 1]) < 1e-10
-
-    def test_domain(self):
-        _, w = random_walk(23, 10)
-        with pytest.raises(DomainError):
-            truncated_functionals(w, 5, 5, 8)
 
 
 def truncated_u_by_dp(c, x_values, horizon):

@@ -126,6 +126,24 @@ class TestSubcommands:
         recs = [json.loads(line) for line in result_lines(out)]
         assert len(recs) == 5 and all(r["tag"] == "pass" for r in recs)
 
+    def test_oracle_single_persistence_block_exit_two(self, tmp_path, capsys):
+        # 4096 samples fill one persistence block; the jackknife needs two
+        rc = cli.main(["oracle", "--seed", "1", "--m-samples", "4096",
+                       "--out", str(tmp_path / "o.ndjson")])
+        assert rc == 2
+        assert "m_samples must be >= 4097" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+    def test_unrepresentable_moment_documented_exit(self, subcommand, tmp_path, capsys):
+        # exp(0.5 sigma^2) exceeds the double range from sigma ~ 37.7 on
+        rc = cli.main([subcommand, "--seed", "1", "--sigma", "40", "--n", "32",
+                       "--n-grid", "8,16,32,64", "--m-samples", "200",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc in (0, 2, 3)
+        if subcommand == "validate":
+            assert rc == 0
+            assert "exp_moment_value: inf" in capsys.readouterr().out
+
     def test_duality_and_strata_smoke(self, tmp_path):
         rc = cli.main(["duality", "--seed", "9", "--regime", "fixed_i", "--regime-param", "12",
                        "--n", "16", "--beta-grid", "1,inf", "--m-samples", "2000",
