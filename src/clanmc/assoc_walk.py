@@ -18,7 +18,6 @@ import numpy as np
 
 from .env_model import EnvironmentSpec, EnvironmentPath, draw_increments
 from .errors import DomainError
-from .mcstats import MCEstimate
 from .parallel import block_sizes, map_blocks
 from .streams import RngStream
 
@@ -100,12 +99,6 @@ class UVTable:
     samples: int
     block_sums: np.ndarray = field(repr=False)   # (n_blocks, G) int64 count sums
     block_paths: np.ndarray = field(repr=False)  # (n_blocks,) paths per block
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,estimate,stderr,horizon,samples\n")
-            for x, m, se in zip(self.xs, self.means, self.stderrs):
-                fh.write(f"{float(x)!r},{float(m)!r},{float(se)!r},{self.horizon},{self.samples}\n")
 
 
 def _indicator(side: str, x: float) -> int:
@@ -195,41 +188,6 @@ def estimate_v_table(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int
     return _table_from_scan("v", grid, horizon, m_samples, *scan)
 
 
-def estimate_u(spec: EnvironmentSpec, x: float, horizon: int = 10_000, m_samples: int = 100_000,
-               stream: RngStream | None = None, shards: int = 1) -> MCEstimate:
-    """Truncated-series estimate of the staying-negative harmonic function at one point.
-
-    By convention x < 0 returns the exact zero estimate: the indicator
-    vanishes and S_n >= -x > 0 contradicts a negative running maximum.
-    """
-    if stream is None:
-        raise DomainError("an RngStream is required")
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    if x < 0:
-        return MCEstimate.from_int_stats(0, 0, m_samples)
-    _, block_sums, sumsq = _persistence_scan(
-        spec, "u", np.array([float(x)]), horizon, m_samples, stream, "assoc_walk.u", shards)
-    raw = MCEstimate.from_int_stats(int(block_sums.sum()), int(sumsq[0]), m_samples)
-    return raw.shifted(1)
-
-
-def estimate_v(spec: EnvironmentSpec, x: float, horizon: int = 10_000, m_samples: int = 100_000,
-               stream: RngStream | None = None, shards: int = 1) -> MCEstimate:
-    """Truncated-series estimate of the staying-nonnegative harmonic function at x <= 0."""
-    if stream is None:
-        raise DomainError("an RngStream is required")
-    if x > 0:
-        raise DomainError(f"defined for x <= 0, got {x}")
-    if x == 0:
-        # indicator 0; S_n < 0 contradicts the walk staying nonnegative
-        return MCEstimate.from_int_stats(0, 0, m_samples)
-    _, block_sums, sumsq = _persistence_scan(
-        spec, "v", np.array([float(x)]), horizon, m_samples, stream, "assoc_walk.v", shards)
-    raw = MCEstimate.from_int_stats(int(block_sums.sum()), int(sumsq[0]), m_samples)
-    return raw.shifted(1)
-
-
 @dataclass(frozen=True)
 class HarmonicityPoint:
     """One grid point of the harmonicity check E[f(x + X); side] = f(x)."""
@@ -246,18 +204,6 @@ class HarmonicityPoint:
     @property
     def passed(self) -> bool:
         return self.residual <= self.bound
-
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "table_value": self.table_value,
-            "expectation_value": self.expectation_value,
-            "residual": self.residual,
-            "stderr": self.stderr,
-            "allowance": self.allowance,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
 
 
 def _interp_extrap(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -370,57 +316,3 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int = 10_000,
             allowance=allowance, bound=3.0 * se + allowance,
         ))
     return out
-
-
-def survival_scaling_scan(spec: EnvironmentSpec, n_values, m_samples: int,
-                          stream: RngStream, shards: int = 1):
-    """Persistence probabilities and end-weighted persistence moments per n.
-
-    For each requested n, estimates P(min(S_0..S_n) >= 0), P(max(S_1..S_n) < 0)
-    and E[e^{-S_n}; min >= 0] by early-terminated simulation (a path leaves
-    the scan at its first sign violation).  Used by the square-root and
-    three-halves scaling diagnostics.
-    """
-    n_values = sorted(int(n) for n in n_values)
-    sizes = block_sizes(m_samples, _WALK_BLOCK)
-
-    def run_block(b: int):
-        out = {}
-        for side, tag in (("v", "stay_nonneg"), ("u", "stay_neg")):
-            gen = stream.substream(f"assoc_walk.scaling.{tag}", b)
-            rows = sizes[b]
-            s_cur = np.zeros(rows)
-            alive = np.arange(rows)
-            done = 0
-            counts = {}
-            endsum = {}
-            for n_stop in n_values:
-                while alive.size and done < n_stop:
-                    k = min(_WALK_CHUNK, n_stop - done)
-                    seg = np.cumsum(draw_increments(spec, gen, (alive.size, k)), axis=1)
-                    seg += s_cur[alive, None]
-                    bad = seg >= 0.0 if side == "u" else seg < 0.0
-                    has_bad = bad.any(axis=1)
-                    keep = ~has_bad
-                    if keep.any():
-                        s_cur[alive[keep]] = seg[keep, k - 1]
-                    alive = alive[keep]
-                    done += k
-                counts[n_stop] = alive.size
-                if side == "v":
-                    endsum[n_stop] = float(np.exp(-s_cur[alive]).sum()) if alive.size else 0.0
-            out[side] = (counts, endsum)
-        return out
-
-    results = map_blocks(run_block, len(sizes), shards)
-    scan = {}
-    for n_stop in n_values:
-        stay_nonneg = sum(r["v"][0][n_stop] for r in results)
-        stay_neg = sum(r["u"][0][n_stop] for r in results)
-        endsum = math.fsum(r["v"][1][n_stop] for r in results)
-        scan[n_stop] = {
-            "p_stay_nonneg": stay_nonneg / m_samples,
-            "p_stay_neg": stay_neg / m_samples,
-            "end_weight_stay_nonneg": endsum / m_samples,
-        }
-    return scan

@@ -1,16 +1,15 @@
-"""Individual-based forward simulator with per-immigrant clan tracking.
+"""Batched individual-based simulator with per-immigrant clan tracking.
 
 One immigrant enters per generation; the initial individual is the
 generation-0 immigrant.  Each clan reproduces as a sum of i.i.d. geometric
 offspring, drawn as a single negative-binomial variate per clan, which is
 exact in distribution and keeps conditioned population sizes (order
-e^{sqrt(n)}) tractable.  This simulator is the definitional oracle for the
+e^{sqrt(n)}) tractable.  Replicates run side by side as the rows of one
+clan matrix.  This simulator is the definitional oracle for the
 closed-form clan functionals at small n; production estimates never use it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,40 +24,12 @@ _COUNT_LIMIT = np.int64(2) ** 62
 _MEAN_LIMIT = 1e15
 
 
-@dataclass(frozen=True)
-class PopulationState:
-    """clans[g] = living descendants of the immigrant of generation g."""
-
-    clans: np.ndarray = field(repr=False)
-    generation: int
-
-    @property
-    def total(self) -> int:
-        return int(self.clans.sum())
-
-
-@dataclass(frozen=True)
-class ClanOutcome:
-    """Final tally for a designated clan: its size, the pre-immigration
-    population, and whether it is the only survivor."""
-
-    z_in: int
-    y_minus: int
-    event_a: bool
-
-
-def initial_state() -> PopulationState:
-    return PopulationState(clans=np.array([1], dtype=np.int64), generation=0)
-
-
 def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> np.ndarray:
     """Next sizes of all clans under mean-m geometric offspring.
 
     Sum of y i.i.d. geometrics is negative binomial with y successes, one
-    draw per clan rather than per individual.
+    draw per living clan (in row-major order) rather than per individual.
     """
-    if not m > 0:
-        raise DomainError(f"mean offspring must be positive, got {m}")
     _, q = offspring_params(m)
     out = np.zeros_like(clans)
     alive = clans > 0
@@ -72,69 +43,24 @@ def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def step(state: PopulationState, m: float, rng: np.random.Generator) -> PopulationState:
-    """One generation: all clans reproduce, then the new immigrant enters."""
-    grown = _reproduce(state.clans, m, rng)
-    return PopulationState(
-        clans=np.append(grown, np.int64(1)),
-        generation=state.generation + 1,
-    )
-
-
-def simulate(path: EnvironmentPath, i: int, rng: np.random.Generator) -> ClanOutcome:
-    """Run the process through the environment and report on clan i at time n.
-
-    The final generation is observed after reproduction and before its
-    immigrant enters, matching the only-surviving-clan event definition.
-    Deterministic given (path, i, generator state).
-    """
-    n = path.n
-    if not 0 <= i < n:
-        raise DomainError(f"need 0 <= i < n = {n}, got i = {i}")
-    clans = np.array([1], dtype=np.int64)
-    for t in range(1, n + 1):
-        clans = _reproduce(clans, float(np.exp(path.x[t - 1])), rng)
-        if t < n:
-            clans = np.append(clans, np.int64(1))
-    y_minus = int(clans.sum())
-    z_in = int(clans[i])
-    return ClanOutcome(z_in=z_in, y_minus=y_minus, event_a=(y_minus > 0 and z_in == y_minus))
-
-
 def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
                          shards: int = 1, purpose: str = "clan_sim.ensemble") -> np.ndarray:
     """Pre-immigration clan matrix at time n for m_reps independent runs.
 
     Row r holds the clan sizes (columns = founding generation) of replicate
-    r after the final reproduction step.  Vectorized across replicates; the
-    negative-binomial draws per (replicate, clan) match simulate() in
-    distribution, though not draw-for-draw.
+    r after the final reproduction step: the final generation is observed
+    after reproduction and before its immigrant enters, matching the
+    only-surviving-clan event definition.
     """
     n = path.n
     sizes = block_sizes(m_reps, 65536)
 
     def run_block(b: int) -> np.ndarray:
         rng = stream.substream(purpose, b)
-        rows = sizes[b]
-        clans = np.zeros((rows, n), dtype=np.int64)
+        clans = np.zeros((sizes[b], n), dtype=np.int64)
         clans[:, 0] = 1
         for t in range(1, n + 1):
-            m = float(np.exp(path.x[t - 1]))
-            _, q = offspring_params(m)
-            active = clans[:, :t]
-            flat = active.ravel()
-            pos = flat > 0
-            if pos.any():
-                y = flat[pos]
-                if float(y.max()) * m > _MEAN_LIMIT:
-                    raise NumericalFailureError("clan size beyond reliable 64-bit sampling range")
-                drawn = np.zeros_like(flat)
-                drawn[pos] = rng.negative_binomial(y, q)
-                clans[:, :t] = drawn.reshape(active.shape)
-            else:
-                clans[:, :t] = 0
-            if clans[:, :t].max(initial=0) > _COUNT_LIMIT:
-                raise NumericalFailureError("clan count overflow")
+            clans[:, :t] = _reproduce(clans[:, :t], float(np.exp(path.x[t - 1])), rng)
             if t < n:
                 clans[:, t] = 1
         return clans
@@ -153,25 +79,3 @@ def simulate_ensemble(path: EnvironmentPath, i: int, m_reps: int, stream: RngStr
     z_in = clans[:, i]
     event_a = (y_minus > 0) & (z_in == y_minus)
     return z_in, y_minus, event_a
-
-
-def dump_trajectory_csv(path: EnvironmentPath, rng: np.random.Generator, out_path) -> None:
-    """Debug dump of one run: per-generation clan sizes as CSV rows.
-
-    Columns: generation, clan_index, clan_size.  Generation t rows show the
-    population after reproduction and immigration at t (pre-immigration at
-    the final time, matching the observation convention).
-    """
-    state = initial_state()
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("generation,clan_index,clan_size\n")
-        for g, size in enumerate(state.clans):
-            fh.write(f"0,{g},{int(size)}\n")
-        for t in range(1, path.n + 1):
-            m = float(np.exp(path.x[t - 1]))
-            clans = _reproduce(state.clans, m, rng)
-            if t < path.n:
-                clans = np.append(clans, np.int64(1))
-            state = PopulationState(clans=clans, generation=t)
-            for g, size in enumerate(state.clans):
-                fh.write(f"{t},{g},{int(size)}\n")

@@ -23,25 +23,6 @@ from .errors import (AssumptionViolationError, ClanMCError, ConfigurationError,
 from .estimators import RegimeRule
 from .streams import RngStream
 
-_DEFAULTS = {
-    "family": "gaussian",
-    "sigma": "1.0",
-    "halfwidth": "1.0",
-    "step": "0.7",
-    "regime": "end_window",
-    "regime_param": "3",
-    "n": "",
-    "n_grid": "256,512,1024,2048,4096,8192",
-    "m_samples": "100000",
-    "s_grid": "0,0.25,0.5,0.75,1",
-    "beta_grid": "1e-4,1e-2,1,1e2,inf",
-    "strata_N": "20",
-    "shards": "1",
-    "out": "",
-    "format": "json",
-    "allow_assumption_violations": "false",
-}
-
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
 
 SUBCOMMANDS = ("validate", "prob", "pgf", "lst", "scaling", "duality", "strata", "oracle")
@@ -57,11 +38,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_float(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity"):
-        return math.inf
     try:
-        return float(t)
+        return float(text)
     except ValueError as exc:
         raise ConfigurationError(f"expected a number, got {text!r}") from exc
 
@@ -75,19 +53,49 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     vals = _parse_float_list(text)
-    out = []
     for v in vals:
-        if not v == int(v):
+        if not (math.isfinite(v) and v == int(v)):
             raise ConfigurationError(f"expected integers, got {v}")
-        out.append(int(v))
-    return tuple(out)
+    return tuple(int(v) for v in vals)
 
 
-def _parse_int(text: str, name: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text.strip())
     except ValueError as exc:
-        raise ConfigurationError(f"{name} must be an integer, got {text!r}") from exc
+        raise ConfigurationError(f"expected an integer, got {text!r}") from exc
+
+
+def _word(text: str) -> str:
+    return text.strip().lower()
+
+
+def _join(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+# Every config key once, in echo order: (key, default, parser, formatter).
+# The default None marks the mandatory seed; each key is also the flag
+# "--" + key with "_" turned into "-".
+_KEYS = (
+    ("family", "gaussian", _word, str),
+    ("sigma", "1.0", _parse_float, repr),
+    ("halfwidth", "1.0", _parse_float, repr),
+    ("step", "0.7", _parse_float, repr),
+    ("regime", "end_window", _word, str),
+    ("regime_param", "3", _parse_float, repr),
+    ("n", "", lambda t: _parse_int(t) if t.strip() else None, lambda v: "" if v is None else str(v)),
+    ("n_grid", "256,512,1024,2048,4096,8192", _parse_int_list, _join),
+    ("m_samples", "100000", _parse_int, str),
+    ("s_grid", "0,0.25,0.5,0.75,1", _parse_float_list, _join),
+    ("beta_grid", "1e-4,1e-2,1,1e2,inf", _parse_float_list, _join),
+    ("strata_N", "20", _parse_int, str),
+    ("seed", None, _parse_int, str),
+    ("shards", "1", _parse_int, str),
+    ("out", "", lambda t: t.strip() or None, lambda v: v or ""),
+    ("format", "json", _word, str),
+    ("allow_assumption_violations", "false", _parse_bool, lambda v: "true" if v else "false"),
+)
 
 
 @dataclass(frozen=True)
@@ -124,33 +132,20 @@ class RunConfig:
 
     @staticmethod
     def from_strings(values: dict[str, str]) -> "RunConfig":
-        unknown = set(values) - set(_DEFAULTS) - {"seed"}
+        merged = {key: default for key, default, _, _ in _KEYS}
+        unknown = set(values) - set(merged)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(_DEFAULTS)
         merged.update({k: v for k, v in values.items() if v is not None})
-        if "seed" not in merged or str(merged["seed"]).strip() == "":
+        if merged["seed"] is None or str(merged["seed"]).strip() == "":
             raise ConfigurationError("seed is mandatory (no wall-clock default)")
-        n_text = str(merged["n"]).strip()
-        return RunConfig(
-            family=str(merged["family"]).strip().lower(),
-            sigma=_parse_float(str(merged["sigma"])),
-            halfwidth=_parse_float(str(merged["halfwidth"])),
-            step=_parse_float(str(merged["step"])),
-            regime=str(merged["regime"]).strip().lower(),
-            regime_param=_parse_float(str(merged["regime_param"])),
-            n=None if n_text == "" else _parse_int(n_text, "n"),
-            n_grid=_parse_int_list(str(merged["n_grid"])),
-            m_samples=_parse_int(str(merged["m_samples"]), "m_samples"),
-            s_grid=_parse_float_list(str(merged["s_grid"])),
-            beta_grid=_parse_float_list(str(merged["beta_grid"])),
-            strata_N=_parse_int(str(merged["strata_N"]), "strata_N"),
-            seed=_parse_int(str(merged["seed"]), "seed"),
-            shards=_parse_int(str(merged["shards"]), "shards"),
-            out=str(merged["out"]).strip() or None,
-            format=str(merged["format"]).strip().lower(),
-            allow_assumption_violations=_parse_bool(str(merged["allow_assumption_violations"])),
-        )
+        fields = {}
+        for key, _, parse, _ in _KEYS:
+            try:
+                fields[key] = parse(str(merged[key]))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{key}: {exc}") from exc
+        return RunConfig(**fields)
 
     def env_spec(self) -> EnvironmentSpec:
         if self.family == "gaussian":
@@ -171,28 +166,7 @@ class RunConfig:
         return self.n if self.n is not None else max(self.n_grid)
 
     def echo_dict(self) -> dict:
-        def fmt_float(v: float) -> str:
-            return "inf" if math.isinf(v) else repr(v)
-
-        return {
-            "family": self.family,
-            "sigma": repr(self.sigma),
-            "halfwidth": repr(self.halfwidth),
-            "step": repr(self.step),
-            "regime": self.regime,
-            "regime_param": repr(self.regime_param),
-            "n": "" if self.n is None else str(self.n),
-            "n_grid": ",".join(str(v) for v in self.n_grid),
-            "m_samples": str(self.m_samples),
-            "s_grid": ",".join(fmt_float(v) for v in self.s_grid),
-            "beta_grid": ",".join(fmt_float(v) for v in self.beta_grid),
-            "strata_N": str(self.strata_N),
-            "seed": str(self.seed),
-            "shards": str(self.shards),
-            "out": self.out or "",
-            "format": self.format,
-            "allow_assumption_violations": "true" if self.allow_assumption_violations else "false",
-        }
+        return {key: fmt(getattr(self, key)) for key, _, _, fmt in _KEYS}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -253,11 +227,11 @@ def _run_prob(config: RunConfig, stream: RngStream) -> RunOutcome:
 def _run_pgf(config: RunConfig, stream: RngStream) -> RunOutcome:
     if config.regime != estimators.END_WINDOW:
         raise ConfigurationError("the pgf subcommand is defined for the end_window regime")
-    n = config.single_n()
+    n, end_window = config.single_n(), int(config.rule().param)
     results = estimators.estimate_theta(
-        config.env_spec(), int(config.regime_param), n, config.s_grid,
+        config.env_spec(), end_window, n, config.s_grid,
         config.m_samples, stream, config.shards, config.allow_assumption_violations)
-    records = [_record("pgf", n=n, i=n - int(config.regime_param), param=r.s, mean=r.theta,
+    records = [_record("pgf", n=n, i=n - end_window, param=r.s, mean=r.theta,
                        stderr=r.theta_stderr, count=r.denominator.count, tag=r.tag)
                for r in results]
     return RunOutcome(records, [], 0)
@@ -281,10 +255,11 @@ def _run_scaling(config: RunConfig, stream: RngStream) -> RunOutcome:
         spec, rule, config.n_grid, config.m_samples, stream, config.shards,
         config.allow_assumption_violations)
     records = []
-    for p in fit.points:
-        e = p.estimate
-        records.append(_record("scaling-point", n=p.n, i=p.i, mean=e.mean,
-                               stderr=e.stderr, count=e.count, tag=fit.tag))
+    for quantity, points in (("scaling-point", fit.points), ("scaling-dropped", fit.dropped)):
+        for p in points:
+            e = p.estimate
+            records.append(_record(quantity, n=p.n, i=p.i, mean=e.mean,
+                                   stderr=e.stderr, count=e.count, tag=fit.tag))
     records.append(_record("scaling-slope", mean=fit.slope, stderr=fit.slope_stderr, tag=fit.tag))
     records.append(_record("scaling-intercept", mean=fit.intercept, tag=fit.tag))
     records.append(_record("scaling-plateau", mean=fit.plateau, tag=fit.tag))
@@ -399,16 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of a critical branching process with immigration in a random environment.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="flat key = value config file")
-    keys = {
-        "--seed": "seed", "--shards": "shards", "--out": "out", "--format": "format",
-        "--family": "family", "--sigma": "sigma", "--halfwidth": "halfwidth", "--step": "step",
-        "--regime": "regime", "--regime-param": "regime_param", "--n": "n",
-        "--n-grid": "n_grid", "--m-samples": "m_samples", "--s-grid": "s_grid",
-        "--beta-grid": "beta_grid", "--strata-N": "strata_N",
-        "--allow-assumption-violations": "allow_assumption_violations",
-    }
-    for flag, dest in keys.items():
-        parser.add_argument(flag, dest=dest, default=None)
+    for key, *_ in _KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
 

@@ -26,9 +26,6 @@ class CheckResult:
     passed: bool
     detail: str
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 def mobius_equivalence_check(stream: RngStream, tuples: int = 1000, max_n: int = 20,
                              tol: float = 1e-10) -> CheckResult:

@@ -46,6 +46,8 @@ class EnvironmentSpec:
             raise ConfigurationError(f"{_PARAM_NAME[self.family]} must be finite, got {p}")
         if self.family in (GAUSSIAN, UNIFORM) and p <= 0:
             raise ConfigurationError(f"{_PARAM_NAME[self.family]} must be positive, got {p}")
+        if self.family == UNIFORM and not math.isfinite(2.0 * p):
+            raise ConfigurationError(f"halfwidth must leave the width 2c a finite double, got {p}")
         if self.family == TWOPOINT and p < 0:
             raise ConfigurationError(f"step must be nonnegative, got {p}")
 

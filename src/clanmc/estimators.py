@@ -12,7 +12,6 @@ results are independent of how many workers run the blocks.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,8 @@ class RegimeRule:
     param: float
 
     def __post_init__(self):
+        if not math.isfinite(self.param):
+            raise DomainError(f"regime parameter must be finite, got {self.param}")
         if self.kind == FIXED_I:
             if self.param < 0 or self.param != int(self.param):
                 raise DomainError(f"fixed i must be a nonnegative integer, got {self.param}")
@@ -114,6 +115,9 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
         s = np.empty((sizes[b], n + 1))
         s[:, 0] = 0.0
         np.cumsum(x, axis=1, out=s[:, 1:])
+        # an overflowed partial sum stays +-inf or nan to the end of its row
+        if not np.isfinite(s[:, n]).all():
+            raise NumericalFailureError("environment walk overflowed the double range")
         return kernel(s)
 
     blocks = map_blocks(run_block, len(sizes), shards)
@@ -176,21 +180,31 @@ def _log_h_cols_from(neg: _ExpRows, i: int, n: int, log1ms) -> np.ndarray:
 
 
 def _log_yaglom_cols_from(neg: _ExpRows, s: np.ndarray, i: int, n: int, beta: float) -> np.ndarray:
+    """Laplace-point values h(e^{-beta a}), capped by their beta = inf limit h(0).
+
+    The bound holds exactly; the two closed forms are different roundings
+    of it and may cross by a few ulps at large beta without the cap.
+    """
     log_t = math.log(beta) + s[:, i] - s[:, n]
-    return _log_h_cols_from(neg, i, n, log1m_exp_neg_vec(log_t))
+    return np.minimum(_log_h_cols_from(neg, i, n, log1m_exp_neg_vec(log_t)),
+                      _log_event_prob_cols(neg, i, n))
 
 
 def _log_v_cols_from(pos: _ExpRows, s: np.ndarray, j: int, n: int, beta: float) -> np.ndarray:
-    """Dual clan functional on the reflection of the sampled walk."""
+    """Dual clan functional on the reflection of the sampled walk.
+
+    Finite beta is capped by the beta = inf value, as in _log_yaglom_cols_from.
+    """
     head_j = pos.lse(0, j)          # log of reflected prefix sum b_j
     head_np1 = pos.lse(0, n + 1)
+    at_inf = s[:, j] - head_j - head_np1
     if math.isinf(beta):
-        return s[:, j] - head_j - head_np1
+        return at_inf
     head_jp1 = pos.lse(0, j + 1)
     inner = pos.lse(1, j + 1)
     inv_weight = -log1m_exp_neg_vec(math.log(beta) - s[:, j])
     denom = np.logaddexp(inv_weight, inner)
-    return s[:, j] - denom + (head_jp1 - head_j) - head_np1
+    return np.minimum(s[:, j] - denom + (head_jp1 - head_j) - head_np1, at_inf)
 
 
 def _log_v_cols(s: np.ndarray, j: int, n: int, beta: float) -> np.ndarray:
@@ -355,6 +369,7 @@ class ScalingFit:
     points: tuple[EventProbResult, ...]
     regime: str
     tag: str
+    dropped: tuple[EventProbResult, ...] = ()  # grid points indistinguishable from zero
 
 
 def _compensator(rule: RegimeRule, n: int) -> float:
@@ -367,7 +382,7 @@ def _compensator(rule: RegimeRule, n: int) -> float:
     return 0.5 * math.log(i) + 1.5 * math.log(n - i)
 
 
-def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK) -> ScalingFit:
+def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK, dropped=()) -> ScalingFit:
     """Weighted least-squares log-log fit of already-estimated grid points.
 
     Weights are the inverse squared relative errors (the log-scale
@@ -396,7 +411,7 @@ def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK) -> ScalingFi
 
     return ScalingFit(slope=slope, intercept=intercept, slope_stderr=slope_stderr,
                       plateau=plateau, ratios=ratios, points=tuple(points),
-                      regime=rule.describe(), tag=tag)
+                      regime=rule.describe(), tag=tag, dropped=tuple(dropped))
 
 
 def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: int,
@@ -405,22 +420,20 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     """Fit the decay exponent of the only-survivor probability over an n grid.
 
     Points whose estimate is statistically indistinguishable from zero are
-    dropped with a warning; at least four must survive.
+    left out of the fit and reported in `dropped`; at least four must remain.
     """
     _require_regime_assumptions(spec, rule, allow_assumption_violations)
     n_values = sorted(int(n) for n in n_grid)
     if len(n_values) < 4:
         raise DomainError(f"need at least 4 grid points, got {len(n_values)}")
 
-    points = []
+    points, dropped = [], []
     for n in n_values:
         res = estimate_event_prob(spec, rule, n, m_samples, stream, shards,
                                   allow_assumption_violations)
-        if res.estimate.mean <= 3.0 * res.estimate.stderr:
-            warnings.warn(f"dropping unreliable grid point n={n}", stacklevel=2)
-            continue
-        points.append(res)
-    return fit_scaling_points(points, rule, _conformity_tag(spec))
+        unreliable = res.estimate.mean <= 3.0 * res.estimate.stderr
+        (dropped if unreliable else points).append(res)
+    return fit_scaling_points(points, rule, _conformity_tag(spec), dropped)
 
 
 @dataclass(frozen=True)
@@ -535,28 +548,3 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
                         early=ests["early"], middle=ests["middle"],
                         before_j=ests["before_j"], after_j=ests["after_j"],
                         tag=_conformity_tag(spec))
-
-
-def h_moment_scan(spec: EnvironmentSpec, n_values, m_samples: int, stream: RngStream,
-                  shards: int = 1) -> dict[int, dict[str, MCEstimate]]:
-    """Bounded-moment diagnostics of the unconditioned walk.
-
-    For each n, estimates E[1 / (1 + a_n + B_n)] and E[1 / (1 + B_n)] with
-    a_n = e^{-S_n} and B_n the prefix sum over 1..n-1 of e^{-S_k}.  Scaled
-    by sqrt(n), both sequences should flatten rather than drift.
-    """
-    out = {}
-    for n in sorted(int(v) for v in n_values):
-        if n < 2:
-            raise DomainError("moment scan needs n >= 2")
-
-        def kernel(s_mat, n=n):
-            neg = -s_mat
-            log_b1n = logsumexp(neg[:, 1:n], axis=1)
-            h_ab = np.exp(-np.logaddexp(0.0, np.logaddexp(neg[:, n], log_b1n)))
-            h_b = np.exp(-np.logaddexp(0.0, log_b1n))
-            return {"h_one_plus_a_plus_b": h_ab, "h_one_plus_b": h_b}
-
-        cols = _sweep(spec, n, m_samples, stream, f"h_moment:n={n}", kernel, shards)
-        out[n] = {k: MCEstimate.from_values(v) for k, v in cols.items()}
-    return out

@@ -63,19 +63,9 @@ class MCEstimate:
         vals = values.tolist()
         return cls(exact_float_sum(vals), exact_float_square_sum(vals), len(vals))
 
-    @classmethod
-    def from_int_stats(cls, total: int, total_sq: int, count: int) -> "MCEstimate":
-        return cls(Fraction(total), Fraction(total_sq), int(count))
-
     @property
     def mean(self) -> float:
         return float(self.sum / self.count)
-
-    @property
-    def variance(self) -> float:
-        """Biased (population) variance of the samples; exact, hence never negative."""
-        v = self.sum_sq / self.count - (self.sum / self.count) ** 2
-        return float(v)
 
     @property
     def stderr(self) -> float:
@@ -86,18 +76,6 @@ class MCEstimate:
     def merge(self, other: "MCEstimate") -> "MCEstimate":
         """Pool two estimates; exactly equals the estimate of the pooled samples."""
         return MCEstimate(self.sum + other.sum, self.sum_sq + other.sum_sq, self.count + other.count)
-
-    def shifted(self, offset: int) -> "MCEstimate":
-        """Statistics of (x + offset) for integer offset; exact."""
-        off = Fraction(offset)
-        return MCEstimate(
-            self.sum + off * self.count,
-            self.sum_sq + 2 * off * self.sum + off * off * self.count,
-            self.count,
-        )
-
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr, "count": self.count}
 
 
 def ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:

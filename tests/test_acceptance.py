@@ -8,7 +8,6 @@ substreams keyed by purpose, never by worker.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -108,9 +107,8 @@ def test_criterion_4_end_window_exponent():
 
 
 def test_criterion_5_fixed_i_exponent():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # high-n points may drop as unreliable
-        fit = c.scaling_study(GAUSS, c.RegimeRule.fixed_i(2), WIDE_GRID, M, stream())
+    # high-n points may drop as unreliable; they are left out of the fit
+    fit = c.scaling_study(GAUSS, c.RegimeRule.fixed_i(2), WIDE_GRID, M, stream())
     ok = -1.65 <= fit.slope <= -1.35
     assert report(5, ok, f"slope {fit.slope:.4f} +- {fit.slope_stderr:.4f} in [-1.65, -1.35] "
                          f"over n={[p.n for p in fit.points]}")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream,
-                    build_walk, estimate_u, estimate_v, reflect)
-from clanmc.assoc_walk import estimate_u_table, harmonicity_residual, survival_scaling_scan
+                    build_walk, estimate_u_table, estimate_v_table, harmonicity_residual,
+                    reflect)
 
 
 @pytest.fixture
@@ -115,43 +115,41 @@ def truncated_u_by_dp(c, x_values, horizon):
 class TestHarmonicSeries:
     def test_u_trivial_values(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        assert estimate_u(spec, -0.5, horizon=50, m_samples=100, stream=stream).mean == 0.0
-        est0 = estimate_u(spec, 0.0, horizon=200, m_samples=2000, stream=stream)
-        assert est0.mean == 1.0 and est0.stderr == 0.0
+        # S_n >= 0 contradicts a negative running maximum, so u(0) = 1 exactly
+        table = estimate_u_table(spec, [0.0, 1.0], horizon=200, m_samples=2000, stream=stream)
+        assert table.means[0] == 1.0 and table.stderrs[0] == 0.0
+        with pytest.raises(DomainError):
+            estimate_u_table(spec, [-0.5], horizon=50, m_samples=100, stream=stream)
 
     def test_v_trivial_values(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        assert estimate_v(spec, 0.0, horizon=50, m_samples=100, stream=stream).mean == 0.0
-        est = estimate_v(spec, -1.0, horizon=2000, m_samples=4000, stream=stream)
-        assert est.mean >= 1.0
-        with pytest.raises(DomainError):
-            estimate_v(spec, 0.5, stream=stream)
+        table = estimate_v_table(spec, [-1.0], horizon=2000, m_samples=4000, stream=stream)
+        assert table.means[0] >= 1.0
+        for bad in ([0.0], [0.5]):
+            with pytest.raises(DomainError):
+                estimate_v_table(spec, bad, horizon=50, m_samples=100, stream=stream)
 
     def test_u_against_lattice_dp(self, stream):
         spec = EnvironmentSpec.two_point(1.0)
         horizon = 2000
-        exact = truncated_u_by_dp(1.0, [0.0, 1.0, 2.0, 3.0], horizon)
-        for x in (1.0, 2.0, 3.0):
-            est = estimate_u(spec, x, horizon=horizon, m_samples=100_000, stream=stream)
-            assert abs(est.mean - exact[x]) <= 3.0 * est.stderr, (x, est.mean, exact[x])
+        xs = [1.0, 2.0, 3.0]
+        exact = truncated_u_by_dp(1.0, xs, horizon)
+        table = estimate_u_table(spec, xs, horizon=horizon, m_samples=100_000, stream=stream)
+        for x, mean, se in zip(xs, table.means, table.stderrs):
+            assert abs(mean - exact[x]) <= 3.0 * se, (x, mean, exact[x])
 
     def test_u_truncation_stability(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        a = estimate_u(spec, 2.0, horizon=10_000, m_samples=20_000, stream=stream)
-        b = estimate_u(spec, 2.0, horizon=20_000, m_samples=20_000, stream=stream)
-        band = 3.0 * math.hypot(a.stderr, b.stderr)
-        assert abs(a.mean - b.mean) <= band
+        a = estimate_u_table(spec, [2.0], horizon=10_000, m_samples=20_000, stream=stream)
+        b = estimate_u_table(spec, [2.0], horizon=20_000, m_samples=20_000, stream=stream)
+        band = 3.0 * math.hypot(a.stderrs[0], b.stderrs[0])
+        assert abs(a.means[0] - b.means[0]) <= band
 
-    def test_u_table_monotone_and_csv(self, stream, tmp_path):
+    def test_u_table_monotone(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
         xs = np.arange(0, 41, dtype=float) * 0.05
         table = estimate_u_table(spec, xs, horizon=500, m_samples=5000, stream=stream)
         assert np.all(np.diff(table.means) >= 0.0)
-        out = tmp_path / "u.csv"
-        table.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "x,estimate,stderr,horizon,samples"
-        assert len(lines) == xs.size + 1
 
     def test_u_harmonicity_on_lattice_walk(self, stream):
         # x + X lands exactly on table nodes, so the residual is pure noise
@@ -171,16 +169,3 @@ class TestHarmonicSeries:
             harmonicity_residual(spec, [0.0], horizon=100, m_samples=100,
                                  stream=stream, side="v")
 
-
-class TestPersistenceScaling:
-    def test_sqrt_n_scaling_bands(self, stream):
-        # both persistence probabilities and the end-weighted moment flatten
-        # once multiplied by their stated powers of n
-        spec = EnvironmentSpec.gaussian(1.0)
-        scan = survival_scaling_scan(spec, [2**12, 2**13], 1_000_000, stream)
-        lo, hi = scan[2**12], scan[2**13]
-        r_pos = (hi["p_stay_nonneg"] * 2**6.5) / (lo["p_stay_nonneg"] * 2**6)
-        r_neg = (hi["p_stay_neg"] * 2**6.5) / (lo["p_stay_neg"] * 2**6)
-        r_end = (hi["end_weight_stay_nonneg"] * 2**19.5) / (lo["end_weight_stay_nonneg"] * 2**18)
-        for r in (r_pos, r_neg, r_end):
-            assert 0.85 <= r <= 1.15, (r_pos, r_neg, r_end)

@@ -5,9 +5,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 from clanmc import (DomainError, EnvironmentPath, NumericalFailureError, RngStream,
-                    build_walk, h_functional, initial_state, simulate,
-                    simulate_ensemble, step)
-from clanmc.clan_sim import PopulationState, final_clans_ensemble
+                    build_walk, h_functional, simulate_ensemble)
+from clanmc.clan_sim import _reproduce, final_clans_ensemble
 
 
 @pytest.fixture
@@ -17,65 +16,61 @@ def stream():
 
 class TestStep:
     def test_extinct_clans_leave_only_immigrant(self, stream):
-        state = PopulationState(clans=np.zeros(3, dtype=np.int64), generation=3)
-        nxt = step(state, 1.7, stream.substream("t", 0))
-        assert nxt.generation == 4
-        assert nxt.total == 1
-        assert nxt.clans[-1] == 1 and np.all(nxt.clans[:-1] == 0)
+        # m = e^-40: the founder dies out at once, so only the next immigrant's clan is left
+        path = EnvironmentPath(np.array([-40.0, 0.0]))
+        z_in, y_minus, event = simulate_ensemble(path, 1, 2_000, stream)
+        assert np.array_equal(z_in, y_minus) and np.array_equal(event, y_minus > 0)
+        gen = stream.substream("t.extinct", 0)
+        assert np.array_equal(_reproduce(np.zeros(3, dtype=np.int64), 1.7, gen), np.zeros(3))
+        assert gen.random() == stream.substream("t.extinct", 0).random()  # drew nothing
 
     def test_reproduction_mean(self, stream):
         y, m, reps = 100, 1.5, 100_000
-        gen = stream.substream("t.mean", 0)
-        draws = np.array([
-            step(PopulationState(np.array([y], dtype=np.int64), 0), m, gen).clans[0]
-            for _ in range(reps // 100)
-        ], dtype=float)
-        # one negative-binomial draw per clan; vectorized path for the bulk
-        q = 1.0 / (1.0 + m)
-        bulk = gen.negative_binomial(y, q, size=reps).astype(float)
-        draws = np.concatenate([draws, bulk])
+        draws = _reproduce(np.full(reps, y, dtype=np.int64), m,
+                           stream.substream("t.mean", 0)).astype(float)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - y * m) <= 3 * se
 
     def test_single_geometric_extinction_prob(self, stream):
-        gen = stream.substream("t.geom", 0)
-        zero = gen.negative_binomial(1, 0.5, size=100_000) == 0
+        zero = _reproduce(np.ones(100_000, dtype=np.int64), 1.0,
+                          stream.substream("t.geom", 0)) == 0
         se = math.sqrt(0.25 / zero.size)
         assert abs(zero.mean() - 0.5) <= 3 * se
 
     def test_population_conservation(self, stream):
-        state = initial_state()
-        gen = stream.substream("t.conserve", 0)
-        for t in range(1, 6):
-            state = step(state, 1.2, gen)
-            assert state.generation == t
-            assert state.clans.size == t + 1
-            assert state.clans[-1] == 1  # immigrant enters after reproduction
+        # each clan starts as one immigrant after reproduction, so the clan
+        # founded at generation g has mean size e^{S_n - S_g} at time n
+        x = np.array([1.0, -1.0, 0.5])
+        s = np.concatenate([[0.0], np.cumsum(x)])
+        clans = final_clans_ensemble(EnvironmentPath(x), 100_000, stream).astype(float)
+        assert clans.shape == (100_000, 3)
+        for g in range(3):
+            se = clans[:, g].std(ddof=1) / math.sqrt(clans.shape[0])
+            assert abs(clans[:, g].mean() - math.exp(s[3] - s[g])) <= 3 * se
 
     def test_overflow_aborts(self, stream):
         path = EnvironmentPath(np.full(8, 5.0))  # mean offspring e^5 per generation
         with pytest.raises(NumericalFailureError):
-            for rep in range(200):
-                simulate(path, 0, stream.substream("t.overflow", rep))
+            final_clans_ensemble(path, 200, stream)
 
 
 class TestSimulate:
     def test_deterministic_given_stream(self, stream):
+        # blocks are keyed by index, so the worker count changes nothing
         path = EnvironmentPath(np.array([0.3, -0.2, 0.5]))
-        a = simulate(path, 1, stream.substream("t.det", 4))
-        b = simulate(path, 1, stream.substream("t.det", 4))
-        assert (a.z_in, a.y_minus, a.event_a) == (b.z_in, b.y_minus, b.event_a)
+        a = final_clans_ensemble(path, 70_000, stream, shards=1)
+        b = final_clans_ensemble(path, 70_000, stream, shards=2)
+        assert np.array_equal(a, b)
 
     def test_index_domain(self, stream):
         path = EnvironmentPath(np.zeros(3))
         with pytest.raises(DomainError):
-            simulate(path, 3, stream.substream("t", 0))
+            simulate_ensemble(path, 3, 10, stream)
 
     def test_event_requires_sole_survivor(self, stream):
-        path = EnvironmentPath(np.zeros(4))
-        out = simulate(path, 2, stream.substream("t.ev", 0))
-        if out.event_a:
-            assert out.y_minus > 0 and out.z_in == out.y_minus
+        z_in, y_minus, event = simulate_ensemble(EnvironmentPath(np.zeros(4)), 2, 20_000, stream)
+        assert event.any()
+        assert np.all(y_minus[event] > 0) and np.all(z_in[event] == y_minus[event])
 
     def test_one_step_event_probability(self, stream):
         m = math.exp(0.4)
@@ -108,22 +103,6 @@ class TestSimulate:
         a = final_clans_ensemble(path, 5_000, stream)
         b = final_clans_ensemble(path, 5_000, stream)
         assert np.array_equal(a, b)
-
-
-def test_trajectory_dump(tmp_path, stream):
-    from clanmc.clan_sim import dump_trajectory_csv
-
-    path = EnvironmentPath(np.array([0.2, -0.1, 0.3]))
-    out = tmp_path / "traj.csv"
-    dump_trajectory_csv(path, stream.substream("t.dump", 0), out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "generation,clan_index,clan_size"
-    rows = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
-    assert rows[0] == (0, 0, 1)
-    # one row per clan per generation; immigrants appear except at the end
-    per_gen = {g: [r for r in rows if r[0] == g] for g in range(4)}
-    assert len(per_gen[1]) == 2 and per_gen[1][-1][2] == 1
-    assert len(per_gen[3]) == 3  # final generation observed pre-immigration
 
 
 class TestNegativeBinomialAggregation:

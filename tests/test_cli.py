@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -33,10 +34,27 @@ class TestConfig:
             RunConfig.from_strings({"seed": "1", "bogus": "2"})
 
     def test_echo_round_trip(self):
-        cfg = make_config(family="uniform", halfwidth="2.5", n_grid="8,16,32",
-                          beta_grid="0.5,inf", shards="3", m_samples="777")
+        cfg = make_config(family="uniform", sigma="2", halfwidth="2.5", step="0.25",
+                          regime="proportional", regime_param="0.25", n="48",
+                          n_grid="8,16,32", m_samples="777", s_grid="0,1",
+                          beta_grid="0.5,inf", strata_N="4", shards="3", out="x.ndjson",
+                          format="csv", allow_assumption_violations="true")
         again = RunConfig.from_strings(cfg.echo_dict())
         assert again == cfg
+        assert list(cfg.echo_dict()) == [f.name for f in dataclasses.fields(RunConfig)]
+
+    def test_every_flag_sets_its_key(self):
+        flags = {
+            "--seed": "seed", "--shards": "shards", "--out": "out", "--format": "format",
+            "--family": "family", "--sigma": "sigma", "--halfwidth": "halfwidth",
+            "--step": "step", "--regime": "regime", "--regime-param": "regime_param",
+            "--n": "n", "--n-grid": "n_grid", "--m-samples": "m_samples",
+            "--s-grid": "s_grid", "--beta-grid": "beta_grid", "--strata-N": "strata_N",
+            "--allow-assumption-violations": "allow_assumption_violations",
+        }
+        parser = cli._build_parser()
+        for flag, key in flags.items():
+            assert getattr(parser.parse_args(["validate", flag, "v"]), key) == "v"
 
     def test_infinity_parses(self):
         cfg = make_config(beta_grid="1,inf")
@@ -133,16 +151,49 @@ class TestSubcommands:
         assert rc == 2
         assert "m_samples must be >= 4097" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
-    def test_unrepresentable_moment_documented_exit(self, subcommand, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand, args", [
+        *(pytest.param(sub, ["--sigma", "40", "--n", "32", "--n-grid", "8,16,32,64"], id=sub)
+          for sub in cli.SUBCOMMANDS),
+        # at sigma = 1e307 some partial sums of a 256-step walk leave the double range
+        *(pytest.param(sub, ["--sigma", "1e307", "--n", "256", "--n-grid", "8,16,32,256",
+                             "--strata-N", "1"], id=f"{sub}-overflowed-walk")
+          for sub in cli.SUBCOMMANDS),
+    ])
+    def test_unrepresentable_moment_documented_exit(self, subcommand, args, tmp_path, capsys):
         # exp(0.5 sigma^2) exceeds the double range from sigma ~ 37.7 on
-        rc = cli.main([subcommand, "--seed", "1", "--sigma", "40", "--n", "32",
-                       "--n-grid", "8,16,32,64", "--m-samples", "200",
+        rc = cli.main([subcommand, "--seed", "1", *args, "--m-samples", "200",
                        "--out", str(tmp_path / "x.ndjson")])
         assert rc in (0, 2, 3)
         if subcommand == "validate":
             assert rc == 0
             assert "exp_moment_value: inf" in capsys.readouterr().out
+        elif args[1] == "1e307" and subcommand != "oracle":
+            assert rc == 3
+            assert "walk overflowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n-grid", "inf"],
+        ["--n-grid", "nan"],
+        ["--regime", "fixed_i", "--regime-param", "nan"],
+        ["--regime", "end_window", "--regime-param", "inf"],
+        ["--family", "uniform", "--halfwidth", "1e308"],
+    ])
+    def test_nonfinite_config_exit_two(self, argv, tmp_path):
+        rc = cli.main(["prob", "--seed", "1", "--n-grid", "8", "--m-samples", "10", *argv,
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+
+    def test_scaling_dropped_points_are_records(self, tmp_path):
+        out = tmp_path / "s.ndjson"
+        rc = cli.main(["scaling", "--seed", "1", "--regime", "fixed_i", "--regime-param", "0",
+                       "--n-grid", "8,16,24,32,64,8192", "--m-samples", "200",
+                       "--out", str(out)])
+        assert rc == 0
+        recs = [json.loads(line) for line in result_lines(out)]
+        dropped = [r for r in recs if r["quantity"] == "scaling-dropped"]
+        assert [r["n"] for r in dropped] == [64, 8192]
+        assert all(r["mean"] <= 3 * r["stderr"] for r in dropped)
+        assert [r["n"] for r in recs if r["quantity"] == "scaling-point"] == [8, 16, 24, 32]
 
     def test_duality_and_strata_smoke(self, tmp_path):
         rc = cli.main(["duality", "--seed", "9", "--regime", "fixed_i", "--regime-param", "12",

@@ -8,8 +8,7 @@ from clanmc import (AssumptionViolationError, DomainError, EnvironmentPath,
                     EnvironmentSpec, MCEstimate, RegimeRule, RngStream,
                     UnreliableRatioError, build_walk, cond_event_prob,
                     duality_check, estimate_event_prob, estimate_lambda,
-                    estimate_theta, h_moment_scan, scaling_study,
-                    strata_decomposition)
+                    estimate_theta, scaling_study, strata_decomposition)
 from clanmc.estimators import EventProbResult, fit_scaling_points
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
@@ -228,11 +227,3 @@ class TestTransformAgainstRejectionOracle:
         z = abs(sim_mean - exact.lam) / math.hypot(sim_se, exact.lam_stderr)
         assert z <= 4.0, (sim_mean, exact.lam, z)
 
-
-class TestMomentScan:
-    def test_scaled_sequences_flatten(self, stream):
-        scan = h_moment_scan(GAUSS, [512, 1024, 2048], 100_000, stream)
-        for key in ("h_one_plus_a_plus_b", "h_one_plus_b"):
-            scaled = [math.sqrt(n) * scan[n][key].mean for n in (512, 1024, 2048)]
-            for a, b in zip(scaled, scaled[1:]):
-                assert 0.85 <= b / a <= 1.15, (key, scaled)

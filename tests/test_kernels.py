@@ -9,7 +9,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -84,6 +84,9 @@ def in_unit_interval(logs: np.ndarray) -> bool:
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=clan_cases(), s_values=S_VALUES, betas=BETAS)
+# walks on which the uncapped beta = 1 values exceeded their beta = inf limit by 8.9e-16 in log
+@example(case=(6, 0, np.array([[0.0, -1.0, 0.0, -1.0, 0.0, -2.0]])), s_values=[0.0], betas=[1.0])
+@example(case=(3, 0, np.array([[-1.0, 0.0, -3.0]])), s_values=[0.0], betas=[1.0])
 def test_kernel_rows_against_folds(case, s_values, betas):
     n, i, x = case
     s = walk_matrix(x)
@@ -101,10 +104,9 @@ def test_kernel_rows_against_folds(case, s_values, betas):
     assert np.all(np.diff(h, axis=0) <= 0.0)
     assert np.all(np.diff(yag, axis=0) >= 0.0)
     assert np.all(np.diff(v, axis=0) >= 0.0)
-    # beta = inf has its own closed form (for h, the event probability); at
-    # large finite beta the two are roundings of one limit and may cross by ulps
-    assert np.all(yag[-1] <= event + 1e-13 * np.maximum(1.0, np.abs(event)))
-    assert np.all(v[-1] <= v_inf + 1e-13 * np.maximum(1.0, np.abs(v_inf)))
+    # beta = inf has its own closed form (for h, the event probability) and bounds every beta
+    assert np.all(yag[-1] <= event)
+    assert np.all(v[-1] <= v_inf)
 
     for r in range(x.shape[0]):
         path = EnvironmentPath(x[r])

@@ -48,16 +48,6 @@ def test_merge_any_order_identical():
         assert key == reference
 
 
-def test_from_int_stats_and_shift():
-    vals = np.array([1.0, 2.0, 3.0, 2.0, 2.0])  # sum 10, squares sum 22
-    est = MCEstimate.from_int_stats(10, 22, 5)
-    shifted = est.shifted(1)
-    direct = MCEstimate.from_values(vals + 1.0)
-    assert shifted.mean == pytest.approx(direct.mean)
-    assert shifted.stderr == pytest.approx(direct.stderr)
-    assert shifted.stderr == pytest.approx(est.stderr)  # shifts leave the spread alone
-
-
 def test_ratio_exact_cases():
     x = np.array([0.5, 0.25, 0.125])
     r, se = ratio_with_stderr(x, x)
