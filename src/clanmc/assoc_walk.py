@@ -23,6 +23,10 @@ from .streams import RngStream
 
 _WALK_BLOCK = 4096
 _WALK_CHUNK = 128
+# Largest harmonicity table.  Each persistence block holds (rows, nodes + 1)
+# int32 counts and int64 cumulative sums: about 80 MB of peak memory per
+# block at this size, against hundreds of MB per block at sigma = 100.
+_MAX_TABLE_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,13 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
             valid = np.arange(k)[None, :] < first[:, None]
             vals = -seg[valid]  # row-major: row r contributes first[r] leading entries
             if vals.size:
-                row_rep = np.repeat(alive, first)
-                bins = np.searchsorted(grid, vals, side="left")
-                np.add.at(counts, (row_rep, bins), 1)
+                # one bincount over the flattened (row, bin) index of the rows with entries
+                has = first > 0
+                hit = alive[has]
+                flat = np.repeat(np.arange(hit.size) * (ngrid + 1), first[has])
+                flat += np.searchsorted(grid, vals, side="left")
+                counts[hit] += np.bincount(flat, minlength=hit.size * (ngrid + 1)).reshape(
+                    hit.size, ngrid + 1)
             keep = ~has_bad
             if keep.any():
                 s_cur[alive[keep]] = seg[keep, k - 1]
@@ -259,13 +267,18 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int = 10_000,
                           f"m_samples must be >= {_WALK_BLOCK + 1}, got {m_samples}")
 
     pad = _x_padding(spec)
+    reach = float(x_grid.max()) if side == "u" else -float(x_grid.min())
+    span = (reach + pad) / grid_step   # inf or nan when the environment scale overflows
+    if not span <= _MAX_TABLE_NODES - 1:
+        raise DomainError(f"harmonicity table needs about {span + 1:.3g} nodes of step "
+                          f"{grid_step}, more than the limit of {_MAX_TABLE_NODES}; use a "
+                          f"smaller environment scale or x grid")
+    k_max = int(math.ceil(span))
     if side == "u":
-        k_max = int(math.ceil((float(x_grid.max()) + pad) / grid_step))
         nodes = np.arange(0, k_max + 1, dtype=float) * grid_step
         table = estimate_u_table(spec, nodes, horizon, m_samples, stream, shards,
                                  purpose="assoc_walk.harmonicity.u")
     else:
-        k_max = int(math.ceil((-float(x_grid.min()) + pad) / grid_step))
         nodes = -np.arange(k_max, 0, -1, dtype=float) * grid_step  # excludes 0: f jumps there
         table = estimate_v_table(spec, nodes, horizon, m_samples, stream, shards,
                                  purpose="assoc_walk.harmonicity.v")

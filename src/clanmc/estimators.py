@@ -131,13 +131,24 @@ class _ExpRows:
     max/exp/sum/log cycle per slice, and each slice is summed at most once.
     A slice more than ~708 log units below its row maximum sums to a
     subnormal (or zero) shifted total that keeps too few digits, so such
-    rows are re-summed with their own shift.
+    rows are re-summed with their own shift.  A row whose spread a - max
+    leaves the double range (finite walks near 1e308) has no usable
+    log-sums, and is refused.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.shift = a.max(axis=1)
-        self.e = np.exp(a - self.shift[:, None])
+        # the check rides on the subtraction, with no extra pass over the
+        # block; numpy's error state is thread-local, so other sweep threads
+        # keep theirs
+        with np.errstate(over="raise"):
+            try:
+                shifted = a - self.shift[:, None]
+            except FloatingPointError:
+                raise NumericalFailureError(
+                    "environment walk spans more than the double range") from None
+        self.e = np.exp(shifted)
         self._sums: dict[tuple[int, int], np.ndarray] = {}
 
     def lse(self, lo: int, hi: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from clanmc import cli
+from clanmc import assoc_walk, cli
 from clanmc.cli import RunConfig, parse_config_file
 from clanmc.errors import ConfigurationError
 
@@ -170,6 +170,25 @@ class TestSubcommands:
         elif args[1] == "1e307" and subcommand != "oracle":
             assert rc == 3
             assert "walk overflowed" in capsys.readouterr().err
+
+    def test_walk_spread_beyond_double_range_exit_three(self, tmp_path, capsys):
+        # finite walks whose max - min leaves the double range have no usable log-sums
+        rc = cli.main(["duality", "--seed", "1", "--sigma", "1e307", "--n", "32",
+                       "--m-samples", "200", "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: environment walk spans more than the double range"]
+
+    @pytest.mark.parametrize("sigma", ["100", "1e200"])
+    def test_oracle_harmonicity_table_bounded(self, sigma, tmp_path, capsys, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("the harmonicity table was allocated")
+        monkeypatch.setattr(assoc_walk, "_persistence_scan", scan)
+        rc = cli.main(["oracle", "--seed", "1", "--sigma", sigma, "--m-samples", "5000",
+                       "--out", str(tmp_path / "o.ndjson")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "limit of 1024" in err[0]
 
     @pytest.mark.parametrize("argv", [
         ["--n-grid", "inf"],

@@ -1,17 +1,59 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clanmc.mcstats import MCEstimate, exact_float_sum, ratio_with_stderr
+from clanmc.errors import NumericalFailureError
+from clanmc.mcstats import _CHUNK, MCEstimate, ratio_with_stderr
 
 
 def test_exact_float_sum_is_exact():
     rng = np.random.default_rng(1)
-    vals = np.concatenate([rng.random(50) * 1e-12, rng.random(50) * 1e8]).tolist()
-    assert exact_float_sum(vals) == sum(Fraction(v) for v in vals)
+    vals = np.concatenate([rng.random(50) * 1e-12, -rng.random(50) * 1e8,
+                           rng.standard_normal(100) * 2.0 ** rng.integers(-1074, 1000, 100)])
+    est = MCEstimate.from_values(vals)
+    assert est.sum == sum(map(Fraction, vals.tolist()))
+    assert est.sum_sq == sum(Fraction(x) ** 2 for x in vals.tolist())
+
+
+EXTREMES = [5e-324, -5e-324, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+            np.finfo(float).max, -np.finfo(float).tiny, 0.9999999999999999]
+
+
+# A pool of hypothesis floats is tiled to the drawn size, so arrays longer than
+# a chunk stay cheap to check: the reference groups equal values, which gives
+# sum(map(Fraction, v)) exactly.  A pool of all-ones mantissas at one exponent
+# drives every bucket of a full chunk to its largest total.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+       size=st.sampled_from([1, 2, 1000, _CHUNK, _CHUNK + 1, 2 ** 17 + 5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(pool=[5e-324], size=1, seed=0)
+@example(pool=[0.0, -0.0], size=_CHUNK + 1, seed=1)
+@example(pool=EXTREMES, size=2 ** 17 + 5, seed=2)
+@example(pool=[np.finfo(float).max], size=_CHUNK, seed=0)
+@example(pool=[0.9999999999999999, -0.9999999999999999], size=_CHUNK + 1, seed=3)
+def test_exact_sums_equal_fraction_sums(pool, size, seed):
+    v = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=size)]
+    counts = Counter(v.tolist())
+    est = MCEstimate.from_values(v)
+    assert est.sum == sum(c * Fraction(x) for x, c in counts.items())
+    assert est.sum_sq == sum(c * Fraction(x) ** 2 for x, c in counts.items())
+    assert est.count == size
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, _CHUNK + 3])
+def test_non_finite_value_is_numerical_failure(bad, where):
+    v = np.ones(_CHUNK + 10)
+    v[where] = bad
+    with pytest.raises(NumericalFailureError):
+        MCEstimate.from_values(v)
 
 
 def test_mean_and_stderr_match_numpy():
@@ -24,28 +66,25 @@ def test_mean_and_stderr_match_numpy():
 
 
 def test_merge_equals_pooled_exactly():
+    # the statistics of the parts add up exactly to those of the pooled array
     rng = np.random.default_rng(3)
-    a, b = rng.random(1000) * 1e-9, rng.random(500) * 1e3
-    merged = MCEstimate.from_values(a).merge(MCEstimate.from_values(b))
+    a, b = rng.random(_CHUNK + 100) * 1e-9, rng.random(500) * 1e3
+    parts = [MCEstimate.from_values(a), MCEstimate.from_values(b)]
     pooled = MCEstimate.from_values(np.concatenate([a, b]))
-    assert merged.sum == pooled.sum            # exact rational equality
-    assert merged.sum_sq == pooled.sum_sq
-    assert merged.count == pooled.count
-    assert merged.mean == pooled.mean and merged.stderr == pooled.stderr
+    assert parts[0].sum + parts[1].sum == pooled.sum            # exact rational equality
+    assert parts[0].sum_sq + parts[1].sum_sq == pooled.sum_sq
+    assert parts[0].count + parts[1].count == pooled.count
 
 
 def test_merge_any_order_identical():
+    # every order of the parts moves the chunk boundaries and gives the same sums
     rng = np.random.default_rng(4)
-    parts = [MCEstimate.from_values(rng.random(200) * 10.0**rng.integers(-8, 8)) for _ in range(4)]
-    reference = None
+    parts = [rng.random(k) * 10.0 ** rng.integers(-8, 8) for k in (40_000, 30_000, 200, 5)]
+    part_sum = sum(MCEstimate.from_values(p).sum for p in parts)
+    part_sum_sq = sum(MCEstimate.from_values(p).sum_sq for p in parts)
     for perm in itertools.permutations(range(4)):
-        acc = parts[perm[0]]
-        for k in perm[1:]:
-            acc = acc.merge(parts[k])
-        key = (acc.mean, acc.stderr, acc.count)
-        if reference is None:
-            reference = key
-        assert key == reference
+        pooled = MCEstimate.from_values(np.concatenate([parts[k] for k in perm]))
+        assert pooled.sum == part_sum and pooled.sum_sq == part_sum_sq
 
 
 def test_ratio_exact_cases():
