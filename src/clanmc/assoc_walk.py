@@ -1,12 +1,11 @@
-"""The associated random walk and its log-domain prefix functionals.
+"""The associated random walk and its renewal-type harmonic functions.
 
 The walk S has increments X (log mean offspring), S_0 = 0.  Everything the
-closed-form survival machinery needs is a prefix functional of S: the
-log-domain prefix sums b_k = sum_{r<k} e^{-S_r}, running extrema, and the
-first-minimum time.  The module also estimates the two renewal-type
-harmonic functions of the walk (series over staying-negative and
-staying-nonnegative events) by truncated Monte Carlo, and checks their
-harmonicity under one step of the walk.
+closed-form survival machinery needs is a slice sum of e^{-S} over it,
+which the batched kernels of `estimators` take from the walk itself.  The
+module also estimates the two renewal-type harmonic functions of the walk
+(series over staying-negative and staying-nonnegative events) by truncated
+Monte Carlo, and checks their harmonicity under one step of the walk.
 """
 
 from __future__ import annotations
@@ -31,50 +30,26 @@ _MAX_TABLE_NODES = 1024
 
 @dataclass(frozen=True)
 class WalkFunctionals:
-    """One walk with every prefix functional populated.
-
-    s[k] is S_k for k = 0..n.  log_b[k] = log b_k with b_k = sum_{r<k}
-    e^{-S_r}; b_0 = 0 is stored as -inf (the log-domain exact zero).
-    l_min[k] = min(S_0..S_k).  m_max[k] = max(S_1..S_k), with m_max[0] =
-    -inf (empty maximum).  tau is the smallest index attaining min(S_0..S_n).
-    """
+    """One walk: s[k] is S_k for k = 0..n."""
 
     s: np.ndarray = field(repr=False)
-    log_b: np.ndarray = field(repr=False)
-    l_min: np.ndarray = field(repr=False)
-    m_max: np.ndarray = field(repr=False)
-    tau: int
 
     @property
     def n(self) -> int:
         return self.s.size - 1
 
 
-def _from_s(s: np.ndarray) -> WalkFunctionals:
-    neg = -s
-    log_b = np.empty(s.size + 1)
-    log_b[0] = -np.inf
-    np.logaddexp.accumulate(neg, out=log_b[1:])
-    l_min = np.minimum.accumulate(s)
-    m_max = np.empty_like(s)
-    m_max[0] = -np.inf
-    if s.size > 1:
-        np.maximum.accumulate(s[1:], out=m_max[1:])
-    tau = int(np.argmin(s))
-    return WalkFunctionals(s=s, log_b=log_b, l_min=l_min, m_max=m_max, tau=tau)
-
-
 def build_walk(path: EnvironmentPath) -> WalkFunctionals:
-    """Populate every functional in one pass over the path."""
+    """The partial sums of the path, S_0 = 0 included."""
     s = np.empty(path.n + 1)
     s[0] = 0.0
     np.cumsum(path.x, out=s[1:])
-    return _from_s(s)
+    return WalkFunctionals(s)
 
 
 def reflect(w: WalkFunctionals) -> WalkFunctionals:
-    """The sign-flipped walk with all functionals rebuilt.  An involution."""
-    return _from_s(-w.s)
+    """The sign-flipped walk.  An involution."""
+    return WalkFunctionals(-w.s)
 
 
 # ---------------------------------------------------------------------------
@@ -163,37 +138,31 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     return block_paths, block_sums, total_sumsq
 
 
-def _table_from_scan(side, grid, horizon, m_samples, block_paths, block_sums, total_sumsq) -> UVTable:
+def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_samples: int,
+                   stream: RngStream, shards: int = 1, purpose: str | None = None) -> UVTable:
+    """Estimate a harmonic function on a strictly increasing grid.
+
+    side "u" is the staying-negative function on x >= 0, side "v" the
+    staying-nonnegative one on x < 0.  The purpose keys the walks' streams
+    and defaults to "assoc_walk.<side>".
+    """
+    if side not in ("u", "v"):
+        raise DomainError(f"side must be 'u' or 'v', got {side}")
+    grid = np.asarray(x_grid, dtype=float)
+    if side == "u" and np.any(grid < 0):
+        raise DomainError("u-table grid must be nonnegative")
+    if side == "v" and np.any(grid >= 0):
+        raise DomainError("v-table grid must be strictly negative")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise DomainError("grid must be strictly increasing")
+    block_paths, block_sums, total_sumsq = _persistence_scan(
+        spec, side, grid, horizon, m_samples, stream, purpose or f"assoc_walk.{side}", shards)
     total = block_sums.sum(axis=0)
     means = np.array([_indicator(side, x) for x in grid], dtype=float) + total / m_samples
     # the indicator shifts every path's value equally, so the spread is the counts'
     var = (total_sumsq / m_samples - (total / m_samples) ** 2) / max(m_samples - 1, 1)
     stderrs = np.sqrt(np.maximum(var, 0.0))
     return UVTable(side, grid, means, stderrs, horizon, m_samples, block_sums, block_paths)
-
-
-def estimate_u_table(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int,
-                     stream: RngStream, shards: int = 1, purpose: str = "assoc_walk.u") -> UVTable:
-    """Estimate the staying-negative harmonic function on a grid of x >= 0."""
-    grid = np.asarray(x_grid, dtype=float)
-    if np.any(grid < 0):
-        raise DomainError("u-table grid must be nonnegative")
-    if not np.all(np.diff(grid) > 0) and grid.size > 1:
-        raise DomainError("grid must be strictly increasing")
-    scan = _persistence_scan(spec, "u", grid, horizon, m_samples, stream, purpose, shards)
-    return _table_from_scan("u", grid, horizon, m_samples, *scan)
-
-
-def estimate_v_table(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int,
-                     stream: RngStream, shards: int = 1, purpose: str = "assoc_walk.v") -> UVTable:
-    """Estimate the staying-nonnegative harmonic function on a grid of x < 0."""
-    grid = np.asarray(x_grid, dtype=float)
-    if np.any(grid >= 0):
-        raise DomainError("v-table grid must be strictly negative")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise DomainError("grid must be strictly increasing")
-    scan = _persistence_scan(spec, "v", grid, horizon, m_samples, stream, purpose, shards)
-    return _table_from_scan("v", grid, horizon, m_samples, *scan)
 
 
 @dataclass(frozen=True)
@@ -276,12 +245,10 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int = 10_000,
     k_max = int(math.ceil(span))
     if side == "u":
         nodes = np.arange(0, k_max + 1, dtype=float) * grid_step
-        table = estimate_u_table(spec, nodes, horizon, m_samples, stream, shards,
-                                 purpose="assoc_walk.harmonicity.u")
     else:
         nodes = -np.arange(k_max, 0, -1, dtype=float) * grid_step  # excludes 0: f jumps there
-        table = estimate_v_table(spec, nodes, horizon, m_samples, stream, shards,
-                                 purpose="assoc_walk.harmonicity.v")
+    table = estimate_table(spec, side, nodes, horizon, m_samples, stream, shards,
+                           purpose=f"assoc_walk.harmonicity.{side}")
 
     ind = np.array([_indicator(side, x) for x in nodes], dtype=float)
     gen = stream.substream(f"assoc_walk.harmonicity.{side}.draws", 0)

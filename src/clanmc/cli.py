@@ -123,8 +123,8 @@ class RunConfig:
     def __post_init__(self):
         if self.format not in ("json", "csv"):
             raise ConfigurationError(f"format must be json or csv, got {self.format!r}")
-        if self.m_samples < 1:
-            raise ConfigurationError("m_samples must be positive")
+        if self.m_samples < 2:  # one sample has no standard error
+            raise ConfigurationError(f"m_samples must be at least 2, got {self.m_samples}")
         if self.shards < 1:
             raise ConfigurationError("shards must be positive")
         if not self.n_grid or not self.s_grid or not self.beta_grid:
@@ -224,29 +224,27 @@ def _run_prob(config: RunConfig, stream: RngStream) -> RunOutcome:
     return RunOutcome(records, [], 0)
 
 
+def _transform_outcome(quantity: str, n: int, i: int, results) -> RunOutcome:
+    return RunOutcome([_record(quantity, n=n, i=i, param=r.param, mean=r.value,
+                               stderr=r.stderr, count=r.count, tag=r.tag)
+                       for r in results], [], 0)
+
+
 def _run_pgf(config: RunConfig, stream: RngStream) -> RunOutcome:
     if config.regime != estimators.END_WINDOW:
         raise ConfigurationError("the pgf subcommand is defined for the end_window regime")
     n, end_window = config.single_n(), int(config.rule().param)
-    results = estimators.estimate_theta(
+    return _transform_outcome("pgf", n, n - end_window, estimators.estimate_theta(
         config.env_spec(), end_window, n, config.s_grid,
-        config.m_samples, stream, config.shards, config.allow_assumption_violations)
-    records = [_record("pgf", n=n, i=n - end_window, param=r.s, mean=r.theta,
-                       stderr=r.theta_stderr, count=r.denominator.count, tag=r.tag)
-               for r in results]
-    return RunOutcome(records, [], 0)
+        config.m_samples, stream, config.shards, config.allow_assumption_violations))
 
 
 def _run_lst(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     n = config.single_n()
-    results = estimators.estimate_lambda(
+    return _transform_outcome("lst", n, rule.clan_index(n), estimators.estimate_lambda(
         spec, rule, n, config.beta_grid, config.m_samples, stream, config.shards,
-        config.allow_assumption_violations)
-    records = [_record("lst", n=n, i=rule.clan_index(n), param=r.beta, mean=r.lam,
-                       stderr=r.lam_stderr, count=r.denominator.count, tag=r.tag)
-               for r in results]
-    return RunOutcome(records, [], 0)
+        config.allow_assumption_violations))
 
 
 def _run_scaling(config: RunConfig, stream: RngStream) -> RunOutcome:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .streams import RngStream
 
 GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
@@ -62,10 +61,6 @@ class EnvironmentSpec:
     @staticmethod
     def two_point(step: float) -> "EnvironmentSpec":
         return EnvironmentSpec(TWOPOINT, float(step))
-
-    @property
-    def param_name(self) -> str:
-        return _PARAM_NAME[self.family]
 
 
 @dataclass(frozen=True)
@@ -172,14 +167,6 @@ def draw_increments(spec: EnvironmentSpec, gen: np.random.Generator, size) -> np
         return gen.uniform(-spec.param, spec.param, size)
     signs = gen.integers(0, 2, size).astype(float)
     return (2.0 * signs - 1.0) * spec.param
-
-
-def sample_path(spec: EnvironmentSpec, n: int, stream: RngStream, index: int = 0) -> EnvironmentPath:
-    """Sample an n-generation environment; a pure function of (spec, n, stream, index)."""
-    if n < 1:
-        raise DomainError(f"path length must be >= 1, got {n}")
-    gen = stream.substream("env_model.sample_path", index)
-    return EnvironmentPath(draw_increments(spec, gen, n))
 
 
 def pgf_eval(m: float, s: float) -> float:

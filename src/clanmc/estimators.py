@@ -25,6 +25,9 @@ from .parallel import block_sizes, map_blocks
 from .streams import RngStream
 
 _SWEEP_BLOCK = 256
+# Smallest relative error a scaling fit weights: 1/rel^2 and the weighted
+# sums of log n and log mean stay finite above it.
+_MIN_REL_ERR = 1e-150
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 TAG_OK = "ok"
@@ -114,8 +117,10 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
         x = draw_increments(spec, gen, (sizes[b], n))
         s = np.empty((sizes[b], n + 1))
         s[:, 0] = 0.0
-        np.cumsum(x, axis=1, out=s[:, 1:])
-        # an overflowed partial sum stays +-inf or nan to the end of its row
+        # an overflowed partial sum stays +-inf or nan to the end of its row,
+        # so the check below catches every such row without the warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(x, axis=1, out=s[:, 1:])
         if not np.isfinite(s[:, n]).all():
             raise NumericalFailureError("environment walk overflowed the double range")
         return kernel(s)
@@ -193,12 +198,15 @@ def _log_h_cols_from(neg: _ExpRows, i: int, n: int, log1ms) -> np.ndarray:
 def _log_yaglom_cols_from(neg: _ExpRows, s: np.ndarray, i: int, n: int, beta: float) -> np.ndarray:
     """Laplace-point values h(e^{-beta a}), capped by their beta = inf limit h(0).
 
-    The bound holds exactly; the two closed forms are different roundings
-    of it and may cross by a few ulps at large beta without the cap.
+    beta = inf is that limit, the event probability.  The bound holds
+    exactly; the two closed forms are different roundings of it and may
+    cross by a few ulps at large beta without the cap.
     """
+    at_inf = _log_event_prob_cols(neg, i, n)
+    if math.isinf(beta):
+        return at_inf
     log_t = math.log(beta) + s[:, i] - s[:, n]
-    return np.minimum(_log_h_cols_from(neg, i, n, log1m_exp_neg_vec(log_t)),
-                      _log_event_prob_cols(neg, i, n))
+    return np.minimum(_log_h_cols_from(neg, i, n, log1m_exp_neg_vec(log_t)), at_inf)
 
 
 def _log_v_cols_from(pos: _ExpRows, s: np.ndarray, j: int, n: int, beta: float) -> np.ndarray:
@@ -253,83 +261,77 @@ def estimate_event_prob(spec: EnvironmentSpec, rule: RegimeRule, n: int, m_sampl
                            tag=_conformity_tag(spec))
 
 
-def _checked_ratio(num: np.ndarray, den: np.ndarray, den_est: MCEstimate) -> tuple[float, float]:
+@dataclass(frozen=True)
+class TransformResult:
+    """Conditional transform 1 - E[h(param)] / E[h(0)] at one grid point (s or beta)."""
+
+    param: float
+    value: float
+    stderr: float
+    count: int
+    tag: str
+
+
+def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[float],
+                        m_samples: int, stream: RngStream, purpose: str, shards: int,
+                        point_cols) -> list[TransformResult]:
+    """1 - E[h(param)] / E[h(0)] per grid point, all over the same environments.
+
+    point_cols(neg, s, den, param) gives one grid point's h column; den is
+    the h(0) column.  A denominator within three standard errors of zero
+    refuses the whole grid.
+    """
+    def kernel(s_mat: np.ndarray) -> dict[str, np.ndarray]:
+        neg = _ExpRows(-s_mat)
+        out = {"den": np.exp(_log_event_prob_cols(neg, i, n))}
+        for idx, p in enumerate(params):
+            out[f"num{idx}"] = point_cols(neg, s_mat, out["den"], p)
+        return out
+
+    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
+    den = cols["den"]
+    den_est = MCEstimate.from_values(den)
     if den_est.mean <= 3.0 * den_est.stderr:
         raise UnreliableRatioError(
             "denominator estimate indistinguishable from zero at three standard errors")
-    return ratio_with_stderr(num, den)
-
-
-@dataclass(frozen=True)
-class ThetaResult:
-    """Conditional generating-function value at one s."""
-
-    s: float
-    theta: float
-    theta_stderr: float
-    numerator: MCEstimate
-    denominator: MCEstimate
-    tag: str
+    tag = _conformity_tag(spec)
+    results = []
+    for idx, p in enumerate(params):
+        ratio, se = ratio_with_stderr(cols[f"num{idx}"], den)
+        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se,
+                                       count=den.size, tag=tag))
+    return results
 
 
 def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_samples: int,
                    stream: RngStream, shards: int = 1,
-                   allow_assumption_violations: bool = False) -> list[ThetaResult]:
+                   allow_assumption_violations: bool = False) -> list[TransformResult]:
     """Conditional generating function of the clan size for i = n - end_window.
 
     theta(s) = 1 - E[h(s)] / E[h(0)], numerator and denominator averaged
     over the same environments.  theta(0) = 0 and theta(1) = 1 hold exactly
     because the paired arrays coincide (or vanish) pointwise.
     """
-    rule = RegimeRule.end_window(end_window)
-    i = rule.clan_index(n)
+    i = RegimeRule.end_window(end_window).clan_index(n)
     s_values = [float(sv) for sv in s_grid]
     for sv in s_values:
         if not 0.0 <= sv <= 1.0:
             raise DomainError(f"s grid must lie in [0, 1], got {sv}")
 
-    def kernel(s_mat: np.ndarray) -> dict[str, np.ndarray]:
-        neg = _ExpRows(-s_mat)
-        out = {"den": np.exp(_log_event_prob_cols(neg, i, n))}
-        for idx, sv in enumerate(s_values):
-            if sv == 0.0:
-                out[f"num{idx}"] = out["den"]
-            elif sv == 1.0:
-                out[f"num{idx}"] = np.zeros(s_mat.shape[0])
-            else:
-                out[f"num{idx}"] = np.exp(_log_h_cols_from(neg, i, n, math.log1p(-sv)))
-        return out
+    def point_cols(neg, s_mat, den, sv):
+        if sv == 0.0:
+            return den
+        if sv == 1.0:
+            return np.zeros_like(den)
+        return np.exp(_log_h_cols_from(neg, i, n, math.log1p(-sv)))
 
-    purpose = f"theta:N={end_window}:n={n}"
-    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
-    den_est = MCEstimate.from_values(cols["den"])
-    tag = _conformity_tag(spec)
-    results = []
-    for idx, sv in enumerate(s_values):
-        num = cols[f"num{idx}"]
-        ratio, se = _checked_ratio(num, cols["den"], den_est)
-        results.append(ThetaResult(
-            s=sv, theta=1.0 - ratio, theta_stderr=se,
-            numerator=MCEstimate.from_values(num), denominator=den_est, tag=tag,
-        ))
-    return results
-
-
-@dataclass(frozen=True)
-class LambdaResult:
-    """Conditional Laplace-transform value of the rescaled clan size at one beta."""
-
-    beta: float
-    lam: float
-    lam_stderr: float
-    numerator: MCEstimate
-    denominator: MCEstimate
-    tag: str
+    return _estimate_transform(spec, i, n, s_values, m_samples, stream,
+                               f"theta:N={end_window}:n={n}", shards, point_cols)
 
 
 def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, m_samples: int,
                     stream: RngStream, shards: int = 1,
-                    allow_assumption_violations: bool = False) -> list[LambdaResult]:
+                    allow_assumption_violations: bool = False) -> list[TransformResult]:
     """Conditional Laplace transform lambda(beta) = 1 - E[h(e^{-beta a})] / E[h(0)].
 
     beta = inf returns exactly 0 (the integrand is the event probability
@@ -343,29 +345,11 @@ def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, 
         if not b > 0:
             raise DomainError(f"beta grid must lie in (0, inf], got {b}")
 
-    def kernel(s_mat: np.ndarray) -> dict[str, np.ndarray]:
-        neg = _ExpRows(-s_mat)
-        out = {"den": np.exp(_log_event_prob_cols(neg, i, n))}
-        for idx, b in enumerate(betas):
-            if math.isinf(b):
-                out[f"num{idx}"] = out["den"]
-            else:
-                out[f"num{idx}"] = np.exp(_log_yaglom_cols_from(neg, s_mat, i, n, b))
-        return out
+    def point_cols(neg, s_mat, den, b):
+        return np.exp(_log_yaglom_cols_from(neg, s_mat, i, n, b))
 
-    purpose = f"lambda:{rule.describe()}:n={n}"
-    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
-    den_est = MCEstimate.from_values(cols["den"])
-    tag = _conformity_tag(spec)
-    results = []
-    for idx, b in enumerate(betas):
-        num = cols[f"num{idx}"]
-        ratio, se = _checked_ratio(num, cols["den"], den_est)
-        results.append(LambdaResult(
-            beta=b, lam=1.0 - ratio, lam_stderr=se,
-            numerator=MCEstimate.from_values(num), denominator=den_est, tag=tag,
-        ))
-    return results
+    return _estimate_transform(spec, i, n, betas, m_samples, stream,
+                               f"lambda:{rule.describe()}:n={n}", shards, point_cols)
 
 
 @dataclass(frozen=True)
@@ -390,6 +374,9 @@ def _compensator(rule: RegimeRule, n: int) -> float:
     if rule.kind == FIXED_I:
         return 1.5 * math.log(n)
     i = rule.clan_index(n)
+    if i == 0:
+        raise DomainError(f"regime {rule.describe()} gives i=0 at n={n}, where the "
+                          f"compensator i^(1/2) (n-i)^(3/2) vanishes")
     return 0.5 * math.log(i) + 1.5 * math.log(n - i)
 
 
@@ -401,12 +388,20 @@ def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK, dropped=()) 
     expression.  The compensated plateau and its consecutive ratios come
     along as secondary diagnostics.
     """
-    if len(points) < 4:
+    distinct = len({p.n for p in points})
+    if distinct < 4:
         raise NumericalFailureError(
-            f"only {len(points)} reliable grid points; at least 4 required for a fit")
+            f"only {distinct} distinct reliable grid points; at least 4 required for a fit")
+    rel = np.array([p.estimate.stderr / p.estimate.mean for p in points])
+    for p, r in zip(points, rel):
+        # a zero (or vanishing) error leaves no finite weight 1/rel^2 to fit with
+        if not r >= _MIN_REL_ERR:
+            raise NumericalFailureError(
+                f"grid point n={p.n} has standard error {p.estimate.stderr!r} on mean "
+                f"{p.estimate.mean!r}; the weighted fit needs a relative error of at "
+                f"least {_MIN_REL_ERR:g}")
     x = np.array([math.log(p.n) for p in points])
     y = np.array([math.log(p.estimate.mean) for p in points])
-    rel = np.array([p.estimate.stderr / p.estimate.mean for p in points])
     w = 1.0 / rel**2
     xbar = float(np.sum(w * x) / np.sum(w))
     ybar = float(np.sum(w * y) / np.sum(w))
@@ -435,8 +430,8 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     """
     _require_regime_assumptions(spec, rule, allow_assumption_violations)
     n_values = sorted(int(n) for n in n_grid)
-    if len(n_values) < 4:
-        raise DomainError(f"need at least 4 grid points, got {len(n_values)}")
+    if len(set(n_values)) < 4:
+        raise DomainError(f"need at least 4 distinct grid points, got {len(set(n_values))}")
 
     points, dropped = [], []
     for n in n_values:
@@ -445,6 +440,15 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
         unreliable = res.estimate.mean <= 3.0 * res.estimate.stderr
         (dropped if unreliable else points).append(res)
     return fit_scaling_points(points, rule, _conformity_tag(spec), dropped)
+
+
+def _dual_index(i: int, n: int, beta: float) -> int:
+    """j = n - i, after checking the (i, n, beta) of a dual-form estimate."""
+    if not 0 <= i < n:
+        raise DomainError(f"need 0 <= i < n, got i={i}, n={n}")
+    if not beta > 0:
+        raise DomainError(f"beta must be positive (inf allowed), got {beta}")
+    return n - i
 
 
 @dataclass(frozen=True)
@@ -468,17 +472,10 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta: float, m_samples:
     averages the reflected-walk functional with j = n - i over independent
     environments.  Their difference is pure Monte Carlo noise.
     """
-    if not 0 <= i < n:
-        raise DomainError(f"need 0 <= i < n, got i={i}, n={n}")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive (inf allowed), got {beta}")
-    j = n - i
+    j = _dual_index(i, n, beta)
 
     def kernel_h(s_mat):
-        neg = _ExpRows(-s_mat)
-        if math.isinf(beta):
-            return {"h": np.exp(_log_event_prob_cols(neg, i, n))}
-        return {"h": np.exp(_log_yaglom_cols_from(neg, s_mat, i, n, beta))}
+        return {"h": np.exp(_log_yaglom_cols_from(_ExpRows(-s_mat), s_mat, i, n, beta))}
 
     def kernel_v(s_mat):
         return {"v": np.exp(_log_v_cols(s_mat, j, n, beta))}
@@ -519,23 +516,11 @@ class StrataReport:
     after_j: MCEstimate     # (j, j + N)
     tag: str
 
-    def window_masses(self) -> dict[str, float]:
-        return {
-            "early": self.early.mean,
-            "middle": self.middle.mean,
-            "before_j": self.before_j.mean,
-            "after_j": self.after_j.mean,
-        }
-
 
 def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_window: int,
                          m_samples: int, stream: RngStream, shards: int = 1) -> StrataReport:
     """Split the dual-form estimate by where the reflected walk first bottoms out."""
-    if not 0 <= i < n:
-        raise DomainError(f"need 0 <= i < n, got i={i}, n={n}")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive (inf allowed), got {beta}")
-    j = n - i
+    j = _dual_index(i, n, beta)
     if not 1 <= n_window < j / 2:
         raise DomainError(f"window must satisfy 1 <= N < j/2 = {j / 2}, got {n_window}")
 

@@ -74,19 +74,11 @@ def _check_clan_indices(w: WalkFunctionals, i: int, n: int) -> None:
         raise DomainError(f"need 0 <= i < n <= walk length, got i={i}, n={n}, length={w.n}")
 
 
-def _resolve_log1ms(s: float | None, one_minus_s: float | None) -> float | None:
-    """log(1 - s) from either parameterization; None encodes s = 1 exactly."""
-    if (s is None) == (one_minus_s is None):
-        raise DomainError("pass exactly one of s or one_minus_s")
-    if s is not None:
-        if not 0.0 <= s <= 1.0:
-            raise DomainError(f"argument must lie in [0, 1], got {s}")
-        if s == 1.0:
-            return None
-        return math.log1p(-s)
-    if not 0.0 < one_minus_s <= 1.0:
-        raise DomainError(f"one_minus_s must lie in (0, 1], got {one_minus_s}")
-    return math.log(one_minus_s)
+def _log1ms(s: float) -> float | None:
+    """log(1 - s); None encodes s = 1 exactly."""
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"argument must lie in [0, 1], got {s}")
+    return None if s == 1.0 else math.log1p(-s)
 
 
 def _row(w: WalkFunctionals, n: int) -> np.ndarray:
@@ -98,16 +90,10 @@ def _first(cols: np.ndarray) -> LogValue:
     return LogValue.from_log(float(cols[0]))
 
 
-def survival_closed(w: WalkFunctionals, i: int, n: int, s: float | None = None, *,
-                    one_minus_s: float | None = None) -> LogValue:
-    """Closed form of 1 - F_{i,n}(s) in log domain.
-
-    Accepts the evaluation point either as s or as 1 - s; the latter keeps
-    full precision when the caller constructs s near 1.  s = 1 returns the
-    exact zero.
-    """
+def survival_closed(w: WalkFunctionals, i: int, n: int, s: float) -> LogValue:
+    """Closed form of 1 - F_{i,n}(s) in log domain; s = 1 returns the exact zero."""
     _check_clan_indices(w, i, n)
-    log1ms = _resolve_log1ms(s, one_minus_s)
+    log1ms = _log1ms(s)
     if log1ms is None:
         return LogValue.zero()
     return _first(_log_survival_cols(_ExpRows(-_row(w, n)), i, n, log1ms))
@@ -124,15 +110,14 @@ def extinction_step_log(w: WalkFunctionals, i: int, n: int) -> float:
     return float(_log_extinction_cols(_ExpRows(-_row(w, n)), i, n)[0])
 
 
-def h_functional(w: WalkFunctionals, i: int, n: int, s: float | None = None, *,
-                 one_minus_s: float | None = None) -> LogValue:
+def h_functional(w: WalkFunctionals, i: int, n: int, s: float) -> LogValue:
     """The only-surviving-clan functional h_{i,n}(s), all factors in log domain.
 
     h(1) = 0 exactly; h(0) is the conditional probability that exactly the
     clan founded at generation i is alive at n.
     """
     _check_clan_indices(w, i, n)
-    log1ms = _resolve_log1ms(s, one_minus_s)
+    log1ms = _log1ms(s)
     if log1ms is None:
         return LogValue.zero()
     if log1ms == 0.0:  # s = 0: the (1-s)^{-1} weight drops out
@@ -175,8 +160,6 @@ def yaglom_integrand(w: WalkFunctionals, i: int, n: int, beta: float) -> LogValu
         raise DomainError(f"beta must be nonnegative, got {beta}")
     if beta == 0:
         return LogValue.zero()
-    if math.isinf(beta):
-        return cond_event_prob(w, i, n)
     s = _row(w, n)
     return _first(_log_yaglom_cols_from(_ExpRows(-s), s, i, n, beta))
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 _LOG_TINY = -700.0  # below this, exp underflows and 1 - e^{-t} ~ t to full precision
 _LOG2 = math.log(2.0)
 
@@ -54,37 +52,9 @@ class LogValue:
     def from_log(log_magnitude: float) -> "LogValue":
         return LogValue(float(log_magnitude), False)
 
-    @staticmethod
-    def from_linear(value: float) -> "LogValue":
-        if value < 0:
-            raise DomainError(f"LogValue represents nonnegative reals only, got {value}")
-        if value == 0:
-            return LogValue.zero()
-        return LogValue(math.log(value), False)
-
     @property
     def value(self) -> float:
         """Linear-scale value; may underflow to 0.0 or overflow to inf."""
         if self.is_zero:
             return 0.0
         return math.exp(self.log)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero or other.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log + other.log, False)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise DomainError("division by exact-zero LogValue")
-        if self.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log - other.log, False)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        # max-shifted summation, exact to working precision
-        return LogValue(float(np.logaddexp(self.log, other.log)), False)

@@ -35,6 +35,7 @@ _MIN_EXP = -1126
 # (a0^2, 2 a0 a1, a1^2 + 2 a0 a2, 2 a1 a2, a2^2 with a2 < 2**17) below
 # 2**37, so 2**16 values per chunk keep every bucket below 2**53.
 _CHUNK = 1 << 16
+_TINY = Fraction(np.finfo(float).tiny)  # smallest normal double
 
 
 def _fold(groups, index_scale: int) -> int:
@@ -105,6 +106,9 @@ class MCEstimate:
     def stderr(self) -> float:
         denom = max(self.count - 1, 1)
         v = (self.sum_sq / self.count - (self.sum / self.count) ** 2) / denom
+        if 0 < v < _TINY:  # float(v) would lose digits or underflow; the root need not
+            k = (v.denominator.bit_length() - v.numerator.bit_length()) // 2 + 1
+            return math.ldexp(math.sqrt(float(v * 4**k)), -k)
         return math.sqrt(float(v))
 
 

@@ -1,12 +1,11 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream,
-                    build_walk, estimate_u_table, estimate_v_table, harmonicity_residual,
-                    reflect)
+                    build_walk, estimate_table, harmonicity_residual, reflect)
+from clanmc.estimators import _ExpRows, _first_max_index
 
 
 @pytest.fixture
@@ -19,62 +18,59 @@ def random_walk(seed, n, sigma=1.0):
     return EnvironmentPath(x), build_walk(EnvironmentPath(x))
 
 
+def prefix_log_sums(w):
+    """log b_k = log sum_{r<k} e^{-S_r} for k = 1..n+1, as the production kernels read them."""
+    neg = _ExpRows(-w.s[None, :])
+    return np.array([neg.lse(0, k)[0] for k in range(1, w.n + 2)])
+
+
+def first_min_index(w):
+    """The smallest index attaining min(S_0..S_n): the first maximum of the negated walk."""
+    return int(_first_max_index(-w.s[None, :], w.n)[0])
+
+
 class TestBuildWalk:
     def test_flat_path(self):
         w = build_walk(EnvironmentPath(np.zeros(5)))
-        assert np.all(w.s == 0.0)
-        assert np.allclose(np.exp(w.log_b[1:]), np.arange(1, 7))
-        assert w.log_b[0] == -np.inf
-        assert w.l_min[-1] == 0.0 and w.m_max[-1] == 0.0
-        assert w.tau == 0
+        assert w.n == 5 and np.all(w.s == 0.0)
+        assert np.allclose(np.exp(prefix_log_sums(w)), np.arange(1, 7))
+        assert first_min_index(w) == 0
 
     def test_down_up(self):
         w = build_walk(EnvironmentPath(np.array([-1.0, 1.0])))
         assert np.allclose(w.s, [0.0, -1.0, 0.0])
-        assert w.l_min[2] == -1.0
-        assert w.tau == 1
-        assert math.exp(w.log_b[2]) == pytest.approx(1.0 + math.e)
-
-    def test_log_b_against_high_precision(self):
-        _, w = random_walk(10, 50)
-        with mpmath.workdps(50):
-            for k in (1, 10, 50, 51):
-                ref = mpmath.fsum(mpmath.exp(-mpmath.mpf(sv)) for sv in w.s[:k])
-                assert abs(w.log_b[k] - float(mpmath.log(ref))) < 1e-10
+        assert first_min_index(w) == 1
+        assert math.exp(prefix_log_sums(w)[1]) == pytest.approx(1.0 + math.e)
 
     def test_b_recursion(self):
         _, w = random_walk(11, 40)
+        log_b = prefix_log_sums(w)      # log_b[k - 1] = log b_k
         for n in range(1, 40):
-            lhs = w.log_b[n + 1]
-            rhs = np.logaddexp(w.log_b[n], -w.s[n])
-            assert abs(lhs - rhs) < 1e-10
+            assert abs(log_b[n] - np.logaddexp(log_b[n - 1], -w.s[n])) < 1e-10
 
     def test_b_bounds(self):
         _, w = random_walk(12, 30)
         n = 30
-        b_n = math.exp(w.log_b[n])
-        assert w.l_min[-1] <= 0.0  # the minimum includes S_0 = 0
+        b_n = math.exp(prefix_log_sums(w)[n - 1])
         assert b_n >= n * math.exp(-float(np.max(w.s[:n]))) * (1 - 1e-12)
-        assert b_n <= n * math.exp(-float(w.l_min[n - 1])) * (1 + 1e-12)
+        assert b_n <= n * math.exp(-float(np.min(w.s[:n]))) * (1 + 1e-12)
 
     def test_tau_minimality_strict(self):
         for seed in range(20):
             _, w = random_walk(100 + seed, 64)
-            assert np.all(w.s[:w.tau] > w.s[w.tau])
+            tau = first_min_index(w)
+            assert np.all(w.s[:tau] > w.s[tau]) and np.all(w.s[tau:] >= w.s[tau])
 
     def test_tau_tie_picks_smallest(self):
         w = build_walk(EnvironmentPath(np.array([-1.0, 1.0, -1.0])))
         # minima at indices 1 and 3; the first one wins
-        assert w.tau == 1
+        assert first_min_index(w) == 1
 
 
 class TestReflect:
     def test_involution_bitwise(self):
         _, w = random_walk(16, 25)
-        back = reflect(reflect(w))
-        assert np.array_equal(back.s, w.s)
-        assert np.array_equal(back.log_b, w.log_b)
-        assert back.tau == w.tau
+        assert np.array_equal(reflect(reflect(w)).s, w.s)
 
     def test_flat_unchanged(self):
         w = build_walk(EnvironmentPath(np.zeros(4)))
@@ -84,7 +80,8 @@ class TestReflect:
     def test_reflected_min_is_minus_max(self):
         _, w = random_walk(17, 40)
         r = reflect(w)
-        assert r.l_min[-1] == pytest.approx(-float(np.max(w.s)), abs=0.0)
+        assert np.min(r.s) == -float(np.max(w.s))
+        assert first_min_index(r) == int(np.argmax(w.s))
 
 
 def truncated_u_by_dp(c, x_values, horizon):
@@ -116,39 +113,39 @@ class TestHarmonicSeries:
     def test_u_trivial_values(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
         # S_n >= 0 contradicts a negative running maximum, so u(0) = 1 exactly
-        table = estimate_u_table(spec, [0.0, 1.0], horizon=200, m_samples=2000, stream=stream)
+        table = estimate_table(spec, "u", [0.0, 1.0], horizon=200, m_samples=2000, stream=stream)
         assert table.means[0] == 1.0 and table.stderrs[0] == 0.0
         with pytest.raises(DomainError):
-            estimate_u_table(spec, [-0.5], horizon=50, m_samples=100, stream=stream)
+            estimate_table(spec, "u", [-0.5], horizon=50, m_samples=100, stream=stream)
 
     def test_v_trivial_values(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        table = estimate_v_table(spec, [-1.0], horizon=2000, m_samples=4000, stream=stream)
+        table = estimate_table(spec, "v", [-1.0], horizon=2000, m_samples=4000, stream=stream)
         assert table.means[0] >= 1.0
         for bad in ([0.0], [0.5]):
             with pytest.raises(DomainError):
-                estimate_v_table(spec, bad, horizon=50, m_samples=100, stream=stream)
+                estimate_table(spec, "v", bad, horizon=50, m_samples=100, stream=stream)
 
     def test_u_against_lattice_dp(self, stream):
         spec = EnvironmentSpec.two_point(1.0)
         horizon = 2000
         xs = [1.0, 2.0, 3.0]
         exact = truncated_u_by_dp(1.0, xs, horizon)
-        table = estimate_u_table(spec, xs, horizon=horizon, m_samples=100_000, stream=stream)
+        table = estimate_table(spec, "u", xs, horizon=horizon, m_samples=100_000, stream=stream)
         for x, mean, se in zip(xs, table.means, table.stderrs):
             assert abs(mean - exact[x]) <= 3.0 * se, (x, mean, exact[x])
 
     def test_u_truncation_stability(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        a = estimate_u_table(spec, [2.0], horizon=10_000, m_samples=20_000, stream=stream)
-        b = estimate_u_table(spec, [2.0], horizon=20_000, m_samples=20_000, stream=stream)
+        a = estimate_table(spec, "u", [2.0], horizon=10_000, m_samples=20_000, stream=stream)
+        b = estimate_table(spec, "u", [2.0], horizon=20_000, m_samples=20_000, stream=stream)
         band = 3.0 * math.hypot(a.stderrs[0], b.stderrs[0])
         assert abs(a.means[0] - b.means[0]) <= band
 
     def test_u_table_monotone(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
         xs = np.arange(0, 41, dtype=float) * 0.05
-        table = estimate_u_table(spec, xs, horizon=500, m_samples=5000, stream=stream)
+        table = estimate_table(spec, "u", xs, horizon=500, m_samples=5000, stream=stream)
         assert np.all(np.diff(table.means) >= 0.0)
 
     def test_u_harmonicity_on_lattice_walk(self, stream):

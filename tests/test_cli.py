@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clanmc import assoc_walk, cli
+from clanmc import assoc_walk, cli, diagnostics
 from clanmc.cli import RunConfig, parse_config_file
 from clanmc.errors import ConfigurationError
 
@@ -190,6 +195,42 @@ class TestSubcommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "limit of 1024" in err[0]
 
+    def test_oracle_refuses_before_other_checks(self, tmp_path, capsys, monkeypatch):
+        def check(*args, **kwargs):
+            raise AssertionError("an oracle check ran before the harmonicity refusal")
+        for name in ("mobius_equivalence_check", "definitional_h_check", "simulator_check",
+                     "reversed_product_check"):
+            monkeypatch.setattr(diagnostics, name, check)
+        # too wide a table, then too few persistence blocks
+        for m_samples in ("5000", "500"):
+            rc = cli.main(["oracle", "--seed", "1", "--sigma", "100", "--m-samples", m_samples,
+                           "--out", str(tmp_path / "o.ndjson")])
+            assert rc == 2
+            assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("subcommand, args", [
+        ("prob", ["--n-grid", "16"]),
+        ("lst", ["--n", "16"]),
+    ])
+    def test_single_sample_exit_two(self, subcommand, args, tmp_path, capsys):
+        # one sample has no standard error: prob reported 0.0, lst bare Infinity tokens
+        rc = cli.main([subcommand, "--seed", "1", *args, "--m-samples", "1",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: m_samples must be at least 2, got 1"]
+
+    def test_zero_variance_scaling_exit_three(self, tmp_path, capsys):
+        # step 0 is the constant environment: every point has stderr 0 and no finite weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["scaling", "--seed", "1", "--family", "twopoint", "--step", "0",
+                           "--n-grid", "8,16,32,64", "--m-samples", "100",
+                           "--out", str(tmp_path / "s.ndjson")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "grid point n=8 has standard error 0.0" in err[0]
+
     @pytest.mark.parametrize("argv", [
         ["--n-grid", "inf"],
         ["--n-grid", "nan"],
@@ -251,3 +292,66 @@ class TestDeterminism:
             rec.pop("timing_s")
             rec["config"].pop("out")
         assert rec1 == rec2
+
+
+def mostly(sane, extreme):
+    """One value in ten from the extreme list, so most runs get past validation."""
+    return st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(extreme if k == 9 else sane))
+
+
+SCALE = mostly(["0.5", "1", "3"], ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "40",
+                                    "1e307", "1.7e308"])
+N_VALUES = mostly(["5", "8", "12", "16", "24", "33", "48", "64"],
+                  ["nan", "inf", "-4", "0", "0.5", "1", "2", "3"])
+REGIMES = mostly([("end_window", "1"), ("end_window", "3"), ("fixed_i", "0"), ("fixed_i", "3"),
+                  ("proportional", "0.01"), ("proportional", "0.5"), ("proportional", "0.99")],
+                 [("bogus", "1"), ("fixed_i", "nan"), ("fixed_i", "-1"), ("fixed_i", "1e300"),
+                  ("end_window", "inf"), ("end_window", "5e-324"), ("proportional", "-inf"),
+                  ("proportional", "0")])
+
+
+def grid(values, size=4):
+    return st.integers(0, 9).flatmap(lambda k: st.lists(
+        values, min_size=1 if k == 9 else size, max_size=size)).map(",".join)
+
+
+# "=" keeps argparse from reading a value such as "-inf" as a flag
+KEYS = {
+    "--seed": mostly(["1", "2", "3"], ["-1", "0", str(2**64 - 1), str(2**64)]),
+    "--family": mostly(["gaussian", "uniform", "twopoint"], ["cauchy"]),
+    "--sigma": SCALE, "--halfwidth": SCALE, "--step": SCALE,
+    "--n": N_VALUES,
+    "--n-grid": grid(N_VALUES),
+    "--m-samples": mostly(["2", "3", "50", "200", "500"], ["-1", "0", "1"]),
+    "--s-grid": grid(mostly(["0", "0.25", "0.5", "0.99", "1"],
+                            ["nan", "-inf", "-0.5", "5e-324", "2", "inf"])),
+    "--beta-grid": grid(mostly(["1e-4", "1", "100", "inf"],
+                               ["nan", "-inf", "-1", "0", "5e-324", "1e-300", "1e300"])),
+    "--strata-N": mostly(["1", "2", "3"], ["-1", "0", "100"]),
+    "--shards": mostly(["1", "2", "3"], ["-1", "0"]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    regime, param = draw(REGIMES)
+    return [draw(st.sampled_from(cli.SUBCOMMANDS)), f"--regime={regime}",
+            f"--regime-param={param}"] + [f"{flag}={draw(values)}" for flag, values in KEYS.items()]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_cli_config_fuzz(argv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "x.ndjson"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv + ["--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3, 4), (argv, rc, lines)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert len(lines) == 1, (argv, lines)
+    else:  # strict JSON: no bare NaN or Infinity tokens
+        for line in out.read_text().splitlines():
+            json.loads(line, parse_constant=lambda token: pytest.fail(f"{token} in {line}"))

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from clanmc import (ConfigurationError, DomainError, EnvironmentSpec, RngStream,
-                    offspring_params, pgf_eval, sample_path, validate_spec)
+from clanmc import (ConfigurationError, DomainError, EnvironmentPath, EnvironmentSpec,
+                    RngStream, offspring_params, pgf_eval, validate_spec)
 from clanmc.env_model import draw_increments
+
+
+def sample_path(spec, n, stream):
+    """An n-generation environment drawn from one keyed substream."""
+    return EnvironmentPath(draw_increments(spec, stream.substream("test.path", 0), n))
 
 
 @pytest.fixture
@@ -64,6 +69,8 @@ class TestSamplePath:
     def test_length_validation(self, stream):
         with pytest.raises(DomainError):
             sample_path(EnvironmentSpec.gaussian(1.0), 0, stream)
+        with pytest.raises(DomainError):
+            EnvironmentPath(np.array([0.0, np.inf]))
 
 
 class TestOffspringLaw:

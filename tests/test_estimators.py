@@ -9,6 +9,7 @@ from clanmc import (AssumptionViolationError, DomainError, EnvironmentPath,
                     UnreliableRatioError, build_walk, cond_event_prob,
                     duality_check, estimate_event_prob, estimate_lambda,
                     estimate_theta, scaling_study, strata_decomposition)
+from clanmc.errors import NumericalFailureError
 from clanmc.estimators import EventProbResult, fit_scaling_points
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
@@ -70,17 +71,18 @@ class TestEventProb:
 class TestTheta:
     def test_exact_endpoints_and_monotone(self, stream):
         results = estimate_theta(GAUSS, 3, 64, [0.0, 0.25, 0.5, 0.75, 1.0], 20_000, stream)
-        assert results[0].theta == 0.0 and results[0].theta_stderr == 0.0
-        assert results[-1].theta == 1.0 and results[-1].theta_stderr == 0.0
-        thetas = [r.theta for r in results]
+        assert results[0].value == 0.0 and results[0].stderr == 0.0
+        assert results[-1].value == 1.0 and results[-1].stderr == 0.0
+        assert [r.param for r in results] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        thetas = [r.value for r in results]
         assert all(a <= b for a, b in zip(thetas, thetas[1:]))
         assert all(0.0 <= t <= 1.0 for t in thetas)
 
     def test_stability_across_n(self, stream):
         a = estimate_theta(GAUSS, 3, 256, [0.5], 20_000, stream)[0]
         b = estimate_theta(GAUSS, 3, 512, [0.5], 20_000, stream)[0]
-        band = 3.0 * math.hypot(a.theta_stderr, b.theta_stderr)
-        assert abs(a.theta - b.theta) <= band
+        band = 3.0 * math.hypot(a.stderr, b.stderr)
+        assert abs(a.value - b.value) <= band
 
     def test_unreliable_denominator_raises(self, stream):
         with pytest.raises(UnreliableRatioError):
@@ -91,14 +93,15 @@ class TestLambda:
     def test_exact_infinite_beta_and_monotone(self, stream):
         betas = [1e-4, 1e-2, 1.0, 1e2, math.inf]
         results = estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 64, betas, 20_000, stream)
-        lams = [r.lam for r in results]
-        assert results[-1].lam == 0.0 and results[-1].lam_stderr == 0.0
+        lams = [r.value for r in results]
+        assert results[-1].value == 0.0 and results[-1].stderr == 0.0
+        assert [r.param for r in results] == betas
         assert all(a >= b for a, b in zip(lams, lams[1:]))
         assert all(0.0 <= v <= 1.0 for v in lams)
 
     def test_properness_at_small_beta(self, stream):
         res = estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, [1e-6], 20_000, stream)[0]
-        assert res.lam >= 0.99
+        assert res.value >= 0.99
 
     def test_beta_domain(self, stream):
         with pytest.raises(DomainError):
@@ -129,6 +132,20 @@ class TestScaling:
         points = synthetic_points(-0.5, [64, 128, 256], 1000, seed=12)
         with pytest.raises(Exception):
             fit_scaling_points(points, RegimeRule.end_window(3))
+
+    def test_repeated_grid_points_count_once(self, stream):
+        # four equal n leave the log-log fit without a spread in x
+        with pytest.raises(DomainError, match="4 distinct"):
+            scaling_study(GAUSS, RegimeRule.end_window(3), [16, 16, 16, 16], 100, stream)
+        with pytest.raises(NumericalFailureError, match="only 1 distinct"):
+            fit_scaling_points(synthetic_points(-0.5, [64] * 4, 1000, seed=12),
+                               RegimeRule.end_window(3))
+
+    def test_proportional_compensator_needs_positive_i(self):
+        # floor(0.01 n) = 0 on this grid, where i^(1/2) (n-i)^(3/2) vanishes
+        points = synthetic_points(-1.5, [8, 16, 32, 64], 1000, seed=13)
+        with pytest.raises(DomainError, match="i=0"):
+            fit_scaling_points(points, RegimeRule.proportional(0.01))
 
     def test_proportional_requires_continuous_env(self, stream):
         lattice = EnvironmentSpec.two_point(0.7)
@@ -168,7 +185,8 @@ class TestStrata:
         rep = strata_decomposition(GAUSS, 48, 64, 1.0, 3, 10_000, stream)
         total = rep.early.sum + rep.middle.sum + rep.before_j.sum + rep.after_j.sum
         assert total == rep.total.sum  # exact rational identity
-        assert rep.total.mean == pytest.approx(sum(rep.window_masses().values()), abs=0.0)
+        masses = (rep.early.mean, rep.middle.mean, rep.before_j.mean, rep.after_j.mean)
+        assert rep.total.mean == pytest.approx(sum(masses), abs=0.0)
 
     def test_window_validation(self, stream):
         with pytest.raises(DomainError):
@@ -224,6 +242,6 @@ class TestTransformAgainstRejectionOracle:
         sim_mean, sim_se, hits = simulate_conditional_transform(GAUSS, i, n, beta, 400_000, stream)
         assert hits > 500
         exact = estimate_lambda(GAUSS, RegimeRule.fixed_i(i), n, [beta], 100_000, stream)[0]
-        z = abs(sim_mean - exact.lam) / math.hypot(sim_se, exact.lam_stderr)
-        assert z <= 4.0, (sim_mean, exact.lam, z)
+        z = abs(sim_mean - exact.value) / math.hypot(sim_se, exact.stderr)
+        assert z <= 4.0, (sim_mean, exact.value, z)
 

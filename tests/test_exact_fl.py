@@ -72,14 +72,6 @@ class TestSurvivalClosed:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert survival_closed(w, 2, 10, 1.0).is_zero
 
-    def test_one_minus_s_parameterization(self):
-        _, w = random_case(33, 8)
-        via_s = survival_closed(w, 1, 8, 0.25)
-        via_oms = survival_closed(w, 1, 8, one_minus_s=0.75)
-        assert via_oms.log == pytest.approx(via_s.log, rel=1e-14)
-        with pytest.raises(DomainError):
-            survival_closed(w, 1, 8, 0.5, one_minus_s=0.5)
-
 
 class TestExtinctionStep:
     def test_flat_one_step(self):

@@ -4,12 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from clanmc import DomainError, LogValue
+from clanmc import LogValue
 from clanmc.logdomain import log1m_exp_neg_vec
 
 
 def test_linear_round_trip():
-    v = LogValue.from_linear(0.125)
+    v = LogValue.from_log(math.log(0.125))
     assert v.value == pytest.approx(0.125, rel=1e-15)
     assert not v.is_zero
 
@@ -17,31 +17,9 @@ def test_linear_round_trip():
 def test_zero_flag():
     z = LogValue.zero()
     assert z.is_zero and z.value == 0.0
-    assert LogValue.from_linear(0.0).is_zero
-    with pytest.raises(DomainError):
-        LogValue.from_linear(-1.0)
-
-
-def test_mul_div_add_closure():
-    a = LogValue.from_log(-500.0)
-    b = LogValue.from_log(-600.0)
-    assert (a * b).log == pytest.approx(-1100.0)
-    assert (a / b).log == pytest.approx(100.0)
-    # add is max-shifted: far-apart magnitudes keep the dominant log
-    assert (a + b).log == pytest.approx(np.logaddexp(-500.0, -600.0))
-    assert (a + LogValue.zero()).log == a.log
-    assert (LogValue.zero() * a).is_zero
-    assert (LogValue.zero() / a).is_zero
-    with pytest.raises(DomainError):
-        a / LogValue.zero()
-
-
-def test_add_matches_linear_on_benign_range():
-    vals = [0.3, 1.7, 2.9, 0.004]
-    acc = LogValue.from_linear(vals[0])
-    for v in vals[1:]:
-        acc = acc + LogValue.from_linear(v)
-    assert acc.value == pytest.approx(sum(vals), rel=1e-14)
+    # a log magnitude far below the double range is still a positive value
+    tiny = LogValue.from_log(-1e4)
+    assert not tiny.is_zero and tiny.value == 0.0
 
 
 @pytest.mark.parametrize("log_t", [-750.0, -300.0, -37.0, -5.0, -1.0, 0.0, 1.0, 3.0, 6.0, 700.0])

@@ -65,6 +65,15 @@ def test_mean_and_stderr_match_numpy():
     assert est.count == vals.size
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-200, 1e-300, 1e-310])
+def test_stderr_below_normal_range(scale):
+    # the variance of values near 1e-200 is near 1e-400, below the double range; its root is not
+    x = np.array([1.0, 2.0, 4.0])
+    expected = float(np.std(x, ddof=1)) / math.sqrt(3) * scale
+    assert MCEstimate.from_values(x * scale).stderr == pytest.approx(expected, rel=1e-12)
+    assert MCEstimate.from_values(np.full(3, scale)).stderr == 0.0
+
+
 def test_merge_equals_pooled_exactly():
     # the statistics of the parts add up exactly to those of the pooled array
     rng = np.random.default_rng(3)
