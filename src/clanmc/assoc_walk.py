@@ -104,7 +104,7 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
         done = 0
         while alive.size and done < horizon:
             k = min(_WALK_CHUNK, horizon - done)
-            seg = np.cumsum(draw_increments(spec, gen, (alive.size, k)), axis=1)
+            seg = np.cumsum(draw_increments(spec, gen, np.empty((alive.size, k))), axis=1)
             seg += s_cur[alive, None]
             bad = seg >= 0.0 if side == "u" else seg < 0.0
             has_bad = bad.any(axis=1)
@@ -252,7 +252,7 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int = 10_000,
 
     ind = np.array([_indicator(side, x) for x in nodes], dtype=float)
     gen = stream.substream(f"assoc_walk.harmonicity.{side}.draws", 0)
-    draws = draw_increments(spec, gen, m_samples)
+    draws = draw_increments(spec, gen, np.empty(m_samples))
 
     n_blocks = table.block_paths.size
     groups = min(n_jackknife, n_blocks)

@@ -159,14 +159,27 @@ def validate_spec(spec: EnvironmentSpec) -> ValidationReport:
     )
 
 
-def draw_increments(spec: EnvironmentSpec, gen: np.random.Generator, size) -> np.ndarray:
-    """Draw i.i.d. X values with the given shape from an already-derived generator."""
+def draw_increments(spec: EnvironmentSpec, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float array `out` with i.i.d. X values and return it.
+
+    Each family draws the same bits as gen.normal(0, sigma, shape),
+    gen.uniform(-c, c, shape) or (2 * gen.integers(0, 2, shape) - 1.0) * c
+    would, in the same operation order, without a fresh float array.
+    """
+    c = spec.param
     if spec.family == GAUSSIAN:
-        return gen.normal(0.0, spec.param, size)
-    if spec.family == UNIFORM:
-        return gen.uniform(-spec.param, spec.param, size)
-    signs = gen.integers(0, 2, size).astype(float)
-    return (2.0 * signs - 1.0) * spec.param
+        gen.standard_normal(out=out)
+        out *= c
+    elif spec.family == UNIFORM:
+        gen.random(out=out)
+        out *= c - (-c)
+        out += -c
+    else:
+        signs = gen.integers(0, 2, out.shape)
+        signs *= 2
+        signs -= 1
+        np.multiply(signs, c, out=out)
+    return out
 
 
 def pgf_eval(m: float, s: float) -> float:

@@ -12,6 +12,7 @@ results are independent of how many workers run the blocks.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ from .parallel import block_sizes, map_blocks
 from .streams import RngStream
 
 _SWEEP_BLOCK = 256
+# Largest observation time a sweep accepts.  A sweep thread holds a
+# (256, n) increment buffer, a (256, n + 1) walk buffer and one
+# (256, n + 1) exponential array per block, about 6 KiB per unit of n:
+# 384 MiB per thread at this limit, eight times the largest grid point
+# the scaling studies use.
+_MAX_N = 65536
 # Smallest relative error a scaling fit weights: 1/rel^2 and the weighted
 # sums of log n and log mean stay finite above it.
 _MIN_REL_ERR = 1e-150
@@ -108,14 +115,38 @@ def _require_regime_assumptions(spec: EnvironmentSpec, rule: RegimeRule, allow: 
 # ---------------------------------------------------------------------------
 
 
+def _check_walk_length(n: int) -> None:
+    """Refuse an observation time whose sweep workspace would not fit in memory."""
+    if n > _MAX_N:
+        raise DomainError(f"observation time n exceeds the limit of {_MAX_N}: a sweep "
+                          f"thread holds two ({_SWEEP_BLOCK}, n + 1) float buffers")
+
+
 def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
            purpose: str, kernel, shards: int = 1) -> dict[str, np.ndarray]:
+    """Columns of kernel(walk block), concatenated over the blocks in block order.
+
+    Each thread that runs blocks of this sweep draws into one increment
+    buffer and cumsums into one walk buffer, reused by every block it runs.
+    The kernel contract: a kernel gets the block's walk in a buffer that the
+    next block overwrites.  It may modify that buffer in place, and must
+    return fresh arrays; a returned array that shares memory with the
+    buffers is refused.
+    """
+    _check_walk_length(n)
     sizes = block_sizes(m_samples, _SWEEP_BLOCK)
+    local = threading.local()
 
     def run_block(b: int) -> dict[str, np.ndarray]:
+        if not hasattr(local, "x"):
+            # sizes[0] is the largest block; a short last block is a row
+            # slice, which stays C-contiguous for the in-place draw
+            local.x = np.empty((sizes[0], n))
+            local.s = np.empty((sizes[0], n + 1))
+        rows = sizes[b]
         gen = stream.substream(purpose, b)
-        x = draw_increments(spec, gen, (sizes[b], n))
-        s = np.empty((sizes[b], n + 1))
+        x = draw_increments(spec, gen, local.x[:rows])
+        s = local.s[:rows]
         s[:, 0] = 0.0
         # an overflowed partial sum stays +-inf or nan to the end of its row,
         # so the check below catches every such row without the warning
@@ -123,7 +154,12 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
             np.cumsum(x, axis=1, out=s[:, 1:])
         if not np.isfinite(s[:, n]).all():
             raise NumericalFailureError("environment walk overflowed the double range")
-        return kernel(s)
+        cols = kernel(s)
+        for key, col in cols.items():
+            if np.shares_memory(col, local.s) or np.shares_memory(col, local.x):
+                raise NumericalFailureError(
+                    f"sweep kernel column {key!r} is a view of the reused walk buffer")
+        return cols
 
     blocks = map_blocks(run_block, len(sizes), shards)
     return {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
@@ -153,7 +189,7 @@ class _ExpRows:
             except FloatingPointError:
                 raise NumericalFailureError(
                     "environment walk spans more than the double range") from None
-        self.e = np.exp(shifted)
+        self.e = np.exp(shifted, out=shifted)
         self._sums: dict[tuple[int, int], np.ndarray] = {}
 
     def lse(self, lo: int, hi: int) -> np.ndarray:
@@ -195,7 +231,7 @@ def _log_h_cols_from(neg: _ExpRows, i: int, n: int, log1ms) -> np.ndarray:
             + (neg.a[:, n] - neg.lse(0, n + 1)))
 
 
-def _log_yaglom_cols_from(neg: _ExpRows, s: np.ndarray, i: int, n: int, beta: float) -> np.ndarray:
+def _log_yaglom_cols_from(neg: _ExpRows, i: int, n: int, beta: float) -> np.ndarray:
     """Laplace-point values h(e^{-beta a}), capped by their beta = inf limit h(0).
 
     beta = inf is that limit, the event probability.  The bound holds
@@ -205,7 +241,8 @@ def _log_yaglom_cols_from(neg: _ExpRows, s: np.ndarray, i: int, n: int, beta: fl
     at_inf = _log_event_prob_cols(neg, i, n)
     if math.isinf(beta):
         return at_inf
-    log_t = math.log(beta) + s[:, i] - s[:, n]
+    # neg.a = -s exactly, so these are the bits of log(beta) + s_i - s_n
+    log_t = math.log(beta) - neg.a[:, i] + neg.a[:, n]
     return np.minimum(_log_h_cols_from(neg, i, n, log1m_exp_neg_vec(log_t)), at_inf)
 
 
@@ -255,8 +292,11 @@ def estimate_event_prob(spec: EnvironmentSpec, rule: RegimeRule, n: int, m_sampl
     _require_regime_assumptions(spec, rule, allow_assumption_violations)
     i = rule.clan_index(n)
     purpose = f"prob:{rule.describe()}:n={n}"
-    cols = _sweep(spec, n, m_samples, stream, purpose,
-                  lambda s: {"p": np.exp(_log_event_prob_cols(_ExpRows(-s), i, n))}, shards)
+
+    def kernel(s_mat):
+        return {"p": np.exp(_log_event_prob_cols(_ExpRows(np.negative(s_mat, out=s_mat)), i, n))}
+
+    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
     return EventProbResult(n=n, i=i, estimate=MCEstimate.from_values(cols["p"]),
                            tag=_conformity_tag(spec))
 
@@ -277,15 +317,15 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
                         point_cols) -> list[TransformResult]:
     """1 - E[h(param)] / E[h(0)] per grid point, all over the same environments.
 
-    point_cols(neg, s, den, param) gives one grid point's h column; den is
+    point_cols(neg, den, param) gives one grid point's h column; den is
     the h(0) column.  A denominator within three standard errors of zero
     refuses the whole grid.
     """
     def kernel(s_mat: np.ndarray) -> dict[str, np.ndarray]:
-        neg = _ExpRows(-s_mat)
+        neg = _ExpRows(np.negative(s_mat, out=s_mat))
         out = {"den": np.exp(_log_event_prob_cols(neg, i, n))}
         for idx, p in enumerate(params):
-            out[f"num{idx}"] = point_cols(neg, s_mat, out["den"], p)
+            out[f"num{idx}"] = point_cols(neg, out["den"], p)
         return out
 
     cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
@@ -318,7 +358,7 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
         if not 0.0 <= sv <= 1.0:
             raise DomainError(f"s grid must lie in [0, 1], got {sv}")
 
-    def point_cols(neg, s_mat, den, sv):
+    def point_cols(neg, den, sv):
         if sv == 0.0:
             return den
         if sv == 1.0:
@@ -345,8 +385,8 @@ def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, 
         if not b > 0:
             raise DomainError(f"beta grid must lie in (0, inf], got {b}")
 
-    def point_cols(neg, s_mat, den, b):
-        return np.exp(_log_yaglom_cols_from(neg, s_mat, i, n, b))
+    def point_cols(neg, den, b):
+        return np.exp(_log_yaglom_cols_from(neg, i, n, b))
 
     return _estimate_transform(spec, i, n, betas, m_samples, stream,
                                f"lambda:{rule.describe()}:n={n}", shards, point_cols)
@@ -432,6 +472,10 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     n_values = sorted(int(n) for n in n_grid)
     if len(set(n_values)) < 4:
         raise DomainError(f"need at least 4 distinct grid points, got {len(set(n_values))}")
+    for n in n_values:  # refuse a bad grid before the first sweep, not after the last
+        rule.clan_index(n)
+        _compensator(rule, n)
+        _check_walk_length(n)
 
     points, dropped = [], []
     for n in n_values:
@@ -475,7 +519,8 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta: float, m_samples:
     j = _dual_index(i, n, beta)
 
     def kernel_h(s_mat):
-        return {"h": np.exp(_log_yaglom_cols_from(_ExpRows(-s_mat), s_mat, i, n, beta))}
+        neg = _ExpRows(np.negative(s_mat, out=s_mat))
+        return {"h": np.exp(_log_yaglom_cols_from(neg, i, n, beta))}
 
     def kernel_v(s_mat):
         return {"v": np.exp(_log_v_cols(s_mat, j, n, beta))}
@@ -522,7 +567,11 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
     """Split the dual-form estimate by where the reflected walk first bottoms out."""
     j = _dual_index(i, n, beta)
     if not 1 <= n_window < j / 2:
-        raise DomainError(f"window must satisfy 1 <= N < j/2 = {j / 2}, got {n_window}")
+        largest = (j - 1) // 2  # the largest integer N < j/2
+        fix = (f"the largest valid strata_N is {largest}" if largest >= 1 else
+               "no strata_N is valid; choose a regime that leaves n - i >= 3")
+        raise DomainError(f"strata window must satisfy 1 <= N < j/2 = {j / 2} with j = n - i "
+                          f"at n={n}, i={i}, got {n_window}; {fix}")
 
     def kernel(s_mat):
         return {

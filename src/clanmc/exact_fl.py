@@ -160,8 +160,7 @@ def yaglom_integrand(w: WalkFunctionals, i: int, n: int, beta: float) -> LogValu
         raise DomainError(f"beta must be nonnegative, got {beta}")
     if beta == 0:
         return LogValue.zero()
-    s = _row(w, n)
-    return _first(_log_yaglom_cols_from(_ExpRows(-s), s, i, n, beta))
+    return _first(_log_yaglom_cols_from(_ExpRows(-_row(w, n)), i, n, beta))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clanmc import assoc_walk, cli, diagnostics
+from clanmc import assoc_walk, cli, diagnostics, estimators
 from clanmc.cli import RunConfig, parse_config_file
 from clanmc.errors import ConfigurationError
 
@@ -208,6 +208,47 @@ class TestSubcommands:
             assert rc == 2
             assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["prob", "--n-grid", "1e300"],
+        ["prob", "--n-grid", "1e9"],
+        ["lst", "--n", "65537"],
+        ["scaling", "--n-grid", "8,16,32,1e9"],
+        ["strata", "--n", "100000", "--regime", "fixed_i", "--regime-param", "0"],
+    ])
+    def test_walk_length_bounded_before_sampling(self, argv, tmp_path, capsys, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a sweep drew increments before the walk-length refusal")
+        monkeypatch.setattr(estimators, "draw_increments", draw)
+        rc = cli.main([*argv, "--seed", "1", "--m-samples", "2",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"limit of {estimators._MAX_N}" in err[0]
+
+    def test_scaling_grid_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("a grid point was sampled before the grid was refused")
+        monkeypatch.setattr(estimators, "_sweep", sweep)
+        # floor(0.01 n) = 0 on every grid point, where the compensator vanishes
+        rc = cli.main(["scaling", "--seed", "1", "--regime", "proportional",
+                       "--regime-param", "0.01", "--n-grid", "8,16,32,64",
+                       "--m-samples", "200000", "--out", str(tmp_path / "s.ndjson")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "gives i=0 at n=8" in err[0]
+
+    @pytest.mark.parametrize("regime_args, advice", [
+        (["--regime-param", "3"], "the largest valid strata_N is 1"),
+        (["--regime", "fixed_i", "--regime-param", "10"], "the largest valid strata_N is 18"),
+        (["--regime-param", "2"], "no strata_N is valid; choose a regime that leaves n - i >= 3"),
+    ])
+    def test_strata_window_refusal_names_the_fix(self, regime_args, advice, tmp_path, capsys):
+        rc = cli.main(["strata", "--seed", "7", "--n", "48", "--m-samples", "3000",
+                       *regime_args, "--out", str(tmp_path / "st.ndjson")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(advice), err
+
     @pytest.mark.parametrize("subcommand, args", [
         ("prob", ["--n-grid", "16"]),
         ("lst", ["--n", "16"]),
@@ -272,12 +313,27 @@ class TestSubcommands:
 
 class TestDeterminism:
     def test_shard_count_immaterial(self, tmp_path):
-        args = ["prob", "--seed", "2024", "--n-grid", "32,64", "--m-samples", "3000",
-                "--regime", "end_window", "--regime-param", "3"]
-        out1, out4 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-        assert cli.main(args + ["--shards", "1", "--out", str(out1)]) == 0
-        assert cli.main(args + ["--shards", "4", "--out", str(out4)]) == 0
-        assert result_lines(out1) == result_lines(out4)
+        # 1300 samples: five full blocks of 256 and a short last block of 20
+        for args in (
+            ["prob", "--n-grid", "32,64"],
+            ["prob", "--n-grid", "16,33", "--family", "uniform", "--halfwidth", "2"],
+            ["prob", "--n-grid", "16,33", "--family", "twopoint",
+             "--allow-assumption-violations", "true"],
+            ["pgf", "--n", "32", "--s-grid", "0,0.5,1"],
+            ["lst", "--n", "32", "--regime", "proportional", "--regime-param", "0.5",
+             "--beta-grid", "0.5,10,inf"],
+            ["scaling", "--n-grid", "8,16,32,64"],
+            ["duality", "--n", "32", "--beta-grid", "1,inf"],
+            ["strata", "--n", "32", "--regime", "fixed_i", "--regime-param", "8",
+             "--strata-N", "3", "--beta-grid", "1,inf"],
+        ):
+            args = args + ["--seed", "2024", "--m-samples", "1300"]
+            lines = []
+            for shards in ("1", "2", "4"):
+                out = tmp_path / f"{args[0]}-{shards}.ndjson"
+                assert cli.main(args + ["--shards", shards, "--out", str(out)]) == 0, args
+                lines.append(result_lines(out))
+            assert lines[0] and lines[0] == lines[1] == lines[2], args
 
     def test_identical_rerun_byte_identical(self, tmp_path):
         args = ["lst", "--seed", "31337", "--regime", "end_window", "--regime-param", "3",
@@ -303,7 +359,7 @@ def mostly(sane, extreme):
 SCALE = mostly(["0.5", "1", "3"], ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "40",
                                     "1e307", "1.7e308"])
 N_VALUES = mostly(["5", "8", "12", "16", "24", "33", "48", "64"],
-                  ["nan", "inf", "-4", "0", "0.5", "1", "2", "3"])
+                  ["nan", "inf", "-4", "0", "0.5", "1", "2", "3", "1e9", "1e300"])
 REGIMES = mostly([("end_window", "1"), ("end_window", "3"), ("fixed_i", "0"), ("fixed_i", "3"),
                   ("proportional", "0.01"), ("proportional", "0.5"), ("proportional", "0.99")],
                  [("bogus", "1"), ("fixed_i", "nan"), ("fixed_i", "-1"), ("fixed_i", "1e300"),

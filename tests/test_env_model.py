@@ -10,7 +10,7 @@ from clanmc.env_model import draw_increments
 
 def sample_path(spec, n, stream):
     """An n-generation environment drawn from one keyed substream."""
-    return EnvironmentPath(draw_increments(spec, stream.substream("test.path", 0), n))
+    return EnvironmentPath(draw_increments(spec, stream.substream("test.path", 0), np.empty(n)))
 
 
 @pytest.fixture
@@ -123,5 +123,30 @@ class TestOffspringLaw:
 
 def test_draw_increments_families(stream):
     gen = stream.substream("test.draw", 0)
-    x = draw_increments(EnvironmentSpec.two_point(0.0), gen, (3, 4))
+    x = draw_increments(EnvironmentSpec.two_point(0.0), gen, np.empty((3, 4)))
     assert np.all(x == 0.0)
+
+
+def _allocating_draw(spec, gen, shape):
+    """The fresh-array draw each family's in-place draw must reproduce bit for bit."""
+    c = spec.param
+    if spec.family == "gaussian":
+        return gen.normal(0.0, c, shape)
+    if spec.family == "uniform":
+        return gen.uniform(-c, c, shape)
+    return (2.0 * gen.integers(0, 2, shape).astype(float) - 1.0) * c
+
+
+@pytest.mark.parametrize("spec", [
+    *(EnvironmentSpec.gaussian(v) for v in (0.37, 1.0, 30.0, 1e-300)),
+    *(EnvironmentSpec.uniform_symmetric(v) for v in (0.37, 1.0, 30.0, 1e300)),
+    *(EnvironmentSpec.two_point(v) for v in (0.0, 0.5, 3.0)),
+], ids=lambda spec: f"{spec.family}-{spec.param:g}")
+def test_draw_into_buffer_matches_allocating_draw(spec, stream):
+    # a full sweep block, a short block as a row slice of a full buffer, and 1-d
+    full = np.empty((256, 512))
+    for k, out in enumerate((full, full[:37], np.empty(5))):
+        expected = _allocating_draw(spec, stream.substream("test.draw", k), out.shape)
+        got = draw_increments(spec, stream.substream("test.draw", k), out)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()

@@ -10,7 +10,7 @@ from clanmc import (AssumptionViolationError, DomainError, EnvironmentPath,
                     duality_check, estimate_event_prob, estimate_lambda,
                     estimate_theta, scaling_study, strata_decomposition)
 from clanmc.errors import NumericalFailureError
-from clanmc.estimators import EventProbResult, fit_scaling_points
+from clanmc.estimators import EventProbResult, _sweep, fit_scaling_points
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
 FLAT = EnvironmentSpec.two_point(0.0)
@@ -38,6 +38,30 @@ class TestRegimeRule:
             RegimeRule.fixed_i(5).clan_index(5)
         with pytest.raises(DomainError):
             RegimeRule.end_window(4).clan_index(3)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_reused_buffers_give_each_block_its_own_walk(self, stream, shards):
+        # 600 samples: two full blocks and a short last one, each drawn into
+        # the thread's buffers; the kernel negates its walk in place
+        n, sizes = 9, [256, 256, 88]
+
+        def kernel(s):
+            np.negative(s, out=s)
+            return {"end": -s[:, n], "min": s.min(axis=1)}
+
+        cols = _sweep(GAUSS, n, sum(sizes), stream, "test.sweep", kernel, shards)
+        walks = np.concatenate([
+            np.cumsum(stream.substream("test.sweep", b).normal(0.0, 1.0, (rows, n)), axis=1)
+            for b, rows in enumerate(sizes)])
+        assert cols["end"].tobytes() == walks[:, -1].tobytes()
+        assert np.array_equal(cols["min"], -np.maximum(walks.max(axis=1), 0.0))
+
+    def test_kernel_view_of_walk_refused(self, stream):
+        # a view would hold the next block's numbers by the time blocks are joined
+        with pytest.raises(NumericalFailureError, match="view of the reused walk buffer"):
+            _sweep(GAUSS, 8, 600, stream, "test.view", lambda s: {"x": s[:, -1]})
 
 
 class TestEventProb:
@@ -209,7 +233,7 @@ def simulate_conditional_transform(spec, i, n, beta, m_reps, stream):
     from clanmc.env_model import draw_increments, offspring_params
 
     gen = stream.substream("test.rejection_oracle", 0)
-    x = draw_increments(spec, gen, (m_reps, n))
+    x = draw_increments(spec, gen, np.empty((m_reps, n)))
     s_end = x.sum(axis=1)
     s_i = x[:, :i].sum(axis=1)
     clans = np.zeros((m_reps, n), dtype=np.int64)

@@ -95,7 +95,7 @@ def test_kernel_rows_against_folds(case, s_values, betas):
 
     event = _log_event_prob_cols(neg, i, n)
     h = np.array([_log_h_cols_from(neg, i, n, math.log1p(-sv)) for sv in s_values])
-    yag = np.array([_log_yaglom_cols_from(neg, s, i, n, b) for b in betas])
+    yag = np.array([_log_yaglom_cols_from(neg, i, n, b) for b in betas])
     v = np.array([_log_v_cols(s, n - i, n, b) for b in betas])
     v_inf = _log_v_cols(s, n - i, n, math.inf)
     for logs in (event, h, yag, v, v_inf):
