@@ -14,7 +14,7 @@ from .exact_fl import (compose_pgf_bruteforce, cond_event_prob, extinction_step,
 from .clan_sim import simulate_ensemble
 from .estimators import (DualityResult, EventProbResult, MCEstimate, RegimeRule,
                          ScalingFit, StrataReport, TransformResult, duality_check,
-                         estimate_event_prob, estimate_lambda, estimate_theta,
+                         estimate_event_prob_grid, estimate_lambda, estimate_theta,
                          scaling_study, strata_decomposition)
 from .logdomain import LogValue
 from .streams import RngStream

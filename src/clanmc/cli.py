@@ -44,19 +44,19 @@ def _parse_float(text: str) -> float:
         raise ConfigurationError(f"expected a number, got {text!r}") from exc
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _grid_items(text: str) -> list[str]:
     items = [p for p in (piece.strip() for piece in text.split(",")) if p]
     if not items:
         raise ConfigurationError("grid must not be empty")
-    return tuple(_parse_float(p) for p in items)
+    return items
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(_parse_float(p) for p in _grid_items(text))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    vals = _parse_float_list(text)
-    for v in vals:
-        if not (math.isfinite(v) and v == int(v)):
-            raise ConfigurationError(f"expected integers, got {v}")
-    return tuple(int(v) for v in vals)
+    return tuple(_parse_int(p) for p in _grid_items(text))
 
 
 def _parse_int(text: str) -> int:
@@ -212,16 +212,13 @@ def _run_validate(config: RunConfig, stream: RngStream) -> RunOutcome:
 
 
 def _run_prob(config: RunConfig, stream: RngStream) -> RunOutcome:
-    spec, rule = config.env_spec(), config.rule()
-    records = []
-    for n in config.n_grid:
-        res = estimators.estimate_event_prob(
-            spec, rule, n, config.m_samples, stream, config.shards,
-            config.allow_assumption_violations)
-        e = res.estimate
-        records.append(_record("prob", n=res.n, i=res.i, mean=e.mean,
-                               stderr=e.stderr, count=e.count, tag=res.tag))
-    return RunOutcome(records, [], 0)
+    results = estimators.estimate_event_prob_grid(
+        config.env_spec(), config.rule(), config.n_grid, config.m_samples, stream,
+        config.shards, config.allow_assumption_violations)
+    return RunOutcome([_record("prob", n=res.n, i=res.i, mean=res.estimate.mean,
+                               stderr=res.estimate.stderr, count=res.estimate.count,
+                               tag=res.tag)
+                       for res in results], [], 0)
 
 
 def _transform_outcome(quantity: str, n: int, i: int, results) -> RunOutcome:

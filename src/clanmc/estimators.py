@@ -32,6 +32,10 @@ _SWEEP_BLOCK = 256
 # 384 MiB per thread at this limit, eight times the largest grid point
 # the scaling studies use.
 _MAX_N = 65536
+# Most bytes of replicate columns one event-probability grid sweep returns.
+# A sweep keeps every column until its last block, so a grid whose
+# distinct n need more (8 bytes per replicate each) is swept in chunks.
+_GRID_COLUMN_BYTES = 64 * 2**20
 # Smallest relative error a scaling fit weights: 1/rel^2 and the weighted
 # sums of log n and log mean stay finite above it.
 _MIN_REL_ERR = 1e-150
@@ -115,13 +119,6 @@ def _require_regime_assumptions(spec: EnvironmentSpec, rule: RegimeRule, allow: 
 # ---------------------------------------------------------------------------
 
 
-def _check_walk_length(n: int) -> None:
-    """Refuse an observation time whose sweep workspace would not fit in memory."""
-    if n > _MAX_N:
-        raise DomainError(f"observation time n exceeds the limit of {_MAX_N}: a sweep "
-                          f"thread holds two ({_SWEEP_BLOCK}, n + 1) float buffers")
-
-
 def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
            purpose: str, kernel, shards: int = 1) -> dict[str, np.ndarray]:
     """Columns of kernel(walk block), concatenated over the blocks in block order.
@@ -133,7 +130,9 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     return fresh arrays; a returned array that shares memory with the
     buffers is refused.
     """
-    _check_walk_length(n)
+    if n > _MAX_N:  # refused before any workspace is allocated
+        raise DomainError(f"observation time n exceeds the limit of {_MAX_N}: a sweep "
+                          f"thread holds two ({_SWEEP_BLOCK}, n + 1) float buffers")
     sizes = block_sizes(m_samples, _SWEEP_BLOCK)
     local = threading.local()
 
@@ -285,20 +284,41 @@ class EventProbResult:
     tag: str
 
 
-def estimate_event_prob(spec: EnvironmentSpec, rule: RegimeRule, n: int, m_samples: int,
-                        stream: RngStream, shards: int = 1,
-                        allow_assumption_violations: bool = False) -> EventProbResult:
-    """Mean over environments of the exact conditional only-survivor probability."""
+def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, m_samples: int,
+                             stream: RngStream, shards: int = 1,
+                             allow_assumption_violations: bool = False) -> list[EventProbResult]:
+    """Mean over environments of the exact conditional only-survivor probability, per grid n.
+
+    One sweep at n_max = max(n_values) draws each replicate's walk, and grid
+    point n reads the first n steps of it (common random numbers across the
+    grid).  One shifted exp pass over the full row serves every point.  The
+    sweep's purpose is the one-point purpose at n_max, so the largest point
+    is bit for bit the estimate of a grid that holds only n_max.  A grid
+    whose columns would pass _GRID_COLUMN_BYTES is swept in chunks of
+    distinct n that replay the same walks, with the same results.  Results
+    keep the order of n_values, repeats included.
+    """
     _require_regime_assumptions(spec, rule, allow_assumption_violations)
-    i = rule.clan_index(n)
-    purpose = f"prob:{rule.describe()}:n={n}"
+    n_values = [int(n) for n in n_values]
+    if not n_values:
+        raise DomainError("the n grid must not be empty")
+    distinct = sorted(set(n_values))
+    index = {n: rule.clan_index(n) for n in distinct}
+    purpose = f"prob:{rule.describe()}:n={distinct[-1]}"
+    per_sweep = max(1, _GRID_COLUMN_BYTES // (8 * m_samples))
+    estimates = {}
+    for lo in range(0, len(distinct), per_sweep):
+        chunk = distinct[lo:lo + per_sweep]
 
-    def kernel(s_mat):
-        return {"p": np.exp(_log_event_prob_cols(_ExpRows(np.negative(s_mat, out=s_mat)), i, n))}
+        def kernel(s_mat, chunk=chunk):
+            neg = _ExpRows(np.negative(s_mat, out=s_mat))
+            return {n: np.exp(_log_event_prob_cols(neg, index[n], n)) for n in chunk}
 
-    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
-    return EventProbResult(n=n, i=i, estimate=MCEstimate.from_values(cols["p"]),
-                           tag=_conformity_tag(spec))
+        cols = _sweep(spec, distinct[-1], m_samples, stream, purpose, kernel, shards)
+        estimates.update((n, MCEstimate.from_values(cols[n])) for n in chunk)
+    tag = _conformity_tag(spec)
+    return [EventProbResult(n=n, i=index[n], estimate=estimates[n], tag=tag)
+            for n in n_values]
 
 
 @dataclass(frozen=True)
@@ -425,8 +445,12 @@ def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK, dropped=()) 
 
     Weights are the inverse squared relative errors (the log-scale
     variances); the slope standard error is the usual known-variance WLS
-    expression.  The compensated plateau and its consecutive ratios come
-    along as secondary diagnostics.
+    expression sqrt(1/Sxx), which treats the points as independent.  Points
+    of one scaling study share environments; a shift shared by all of
+    them moves every log mean together, which the slope does not see,
+    and tests/test_estimators.py checks the expression against the
+    seed-to-seed spread of the slope under shared walks.  The compensated
+    plateau and its consecutive ratios come along as secondary diagnostics.
     """
     distinct = len({p.n for p in points})
     if distinct < 4:
@@ -465,22 +489,23 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
                   allow_assumption_violations: bool = False) -> ScalingFit:
     """Fit the decay exponent of the only-survivor probability over an n grid.
 
-    Points whose estimate is statistically indistinguishable from zero are
-    left out of the fit and reported in `dropped`; at least four must remain.
+    One sweep at the largest n serves every grid point (see
+    estimate_event_prob_grid), so the points share environments (see
+    fit_scaling_points for the slope standard error).  Points whose
+    estimate is statistically indistinguishable from zero are left out of
+    the fit and reported in `dropped`; at least four must remain.
     """
     _require_regime_assumptions(spec, rule, allow_assumption_violations)
     n_values = sorted(int(n) for n in n_grid)
     if len(set(n_values)) < 4:
         raise DomainError(f"need at least 4 distinct grid points, got {len(set(n_values))}")
-    for n in n_values:  # refuse a bad grid before the first sweep, not after the last
+    for n in n_values:  # refuse a bad grid before the sweep, not after it
         rule.clan_index(n)
         _compensator(rule, n)
-        _check_walk_length(n)
 
     points, dropped = [], []
-    for n in n_values:
-        res = estimate_event_prob(spec, rule, n, m_samples, stream, shards,
-                                  allow_assumption_violations)
+    for res in estimate_event_prob_grid(spec, rule, n_values, m_samples, stream, shards,
+                                        allow_assumption_violations):
         unreliable = res.estimate.mean <= 3.0 * res.estimate.stderr
         (dropped if unreliable else points).append(res)
     return fit_scaling_points(points, rule, _conformity_tag(spec), dropped)

@@ -76,6 +76,20 @@ class TestConfig:
         assert cfg.single_n() == 64
         assert make_config(n="16").single_n() == 16
 
+    @pytest.mark.parametrize("item", ["8", " 8 ", "+8", "08", "-3", "1_000", "9007199254740993",
+                                      "1e3", "8.0", "0.5", "0x10", "nan", "inf", "eight"])
+    def test_n_and_n_grid_parse_items_alike(self, item):
+        def parse(key):
+            try:
+                return getattr(make_config(**{key: item}), key)
+            except ConfigurationError as exc:
+                assert str(exc).startswith(f"{key}: expected an integer")
+                return None
+        n, grid = parse("n"), parse("n_grid")
+        assert (grid is None and n is None) or grid == (n,)
+        if item == "9007199254740993":  # no float round trip
+            assert grid == (2**53 + 1,)
+
 
 class TestSubcommands:
     def test_validate_exit_zero(self, capsys, tmp_path):
@@ -209,10 +223,10 @@ class TestSubcommands:
             assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["prob", "--n-grid", "1e300"],
-        ["prob", "--n-grid", "1e9"],
+        ["prob", "--n-grid", str(10**300)],
+        ["prob", "--n-grid", "1000000000"],
         ["lst", "--n", "65537"],
-        ["scaling", "--n-grid", "8,16,32,1e9"],
+        ["scaling", "--n-grid", "8,16,32,1000000000"],
         ["strata", "--n", "100000", "--regime", "fixed_i", "--regime-param", "0"],
     ])
     def test_walk_length_bounded_before_sampling(self, argv, tmp_path, capsys, monkeypatch):
@@ -295,6 +309,26 @@ class TestSubcommands:
         assert [r["n"] for r in dropped] == [64, 8192]
         assert all(r["mean"] <= 3 * r["stderr"] for r in dropped)
         assert [r["n"] for r in recs if r["quantity"] == "scaling-point"] == [8, 16, 24, 32]
+
+    def test_float_grid_item_exit_two(self, tmp_path, capsys):
+        rc = cli.main(["prob", "--seed", "1", "--n-grid", "8,1e3", "--m-samples", "10",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: n_grid: expected an integer, got '1e3'"]
+
+    def test_prob_grid_records(self, tmp_path):
+        def records(grid):
+            out = tmp_path / f"p-{grid}.ndjson"
+            assert cli.main(["prob", "--seed", "5", "--n-grid", grid, "--m-samples", "600",
+                             "--out", str(out)]) == 0
+            return result_lines(out)
+        # the largest point of a grid is the one-point run, byte for byte
+        assert records("64,128,256")[-1] == records("256")[0]
+        # order and repeats are kept; a repeat is the same record
+        lines = records("128,64,128")
+        assert [json.loads(line)["n"] for line in lines] == [128, 64, 128]
+        assert lines[0] == lines[2]
 
     def test_duality_and_strata_smoke(self, tmp_path):
         rc = cli.main(["duality", "--seed", "9", "--regime", "fixed_i", "--regime-param", "12",

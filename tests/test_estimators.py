@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from clanmc import (AssumptionViolationError, DomainError, EnvironmentPath,
                     EnvironmentSpec, MCEstimate, RegimeRule, RngStream,
                     UnreliableRatioError, build_walk, cond_event_prob,
-                    duality_check, estimate_event_prob, estimate_lambda,
+                    duality_check, estimate_event_prob_grid, estimate_lambda,
                     estimate_theta, scaling_study, strata_decomposition)
+from clanmc import estimators
 from clanmc.errors import NumericalFailureError
 from clanmc.estimators import EventProbResult, _sweep, fit_scaling_points
 
@@ -64,10 +65,21 @@ class TestSweep:
             _sweep(GAUSS, 8, 600, stream, "test.view", lambda s: {"x": s[:, -1]})
 
 
+def count_sweeps(monkeypatch):
+    """Route estimators._sweep through a wrapper; the returned list gets each sweep's n."""
+    calls = []
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(args[1])
+        return _sweep(*args, **kwargs)
+    monkeypatch.setattr(estimators, "_sweep", counting_sweep)
+    return calls
+
+
 class TestEventProb:
     def test_one_step_symmetry(self, stream):
         # E[1/(1+e^{-X})] = 1/2 for symmetric X; quadrature agrees
-        res = estimate_event_prob(GAUSS, RegimeRule.fixed_i(0), 1, 100_000, stream)
+        res = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(0), [1], 100_000, stream)[0]
         quad_val, _ = quad(
             lambda x: 1.0 / (1.0 + math.exp(-x)) * math.exp(-x * x / 2) / math.sqrt(2 * math.pi),
             -10, 10)
@@ -79,17 +91,36 @@ class TestEventProb:
         n = 6
         total, var = 0.0, 0.0
         for i in range(n):
-            res = estimate_event_prob(GAUSS, RegimeRule.fixed_i(i), n, 20_000, stream)
+            res = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(i), [n], 20_000, stream)[0]
             total += res.estimate.mean
             var += res.estimate.stderr**2
         assert total <= 1.0 + 3 * math.sqrt(var)
 
     def test_flat_degenerate_is_deterministic(self, stream):
-        res = estimate_event_prob(FLAT, RegimeRule.fixed_i(2), 6, 500, stream)
+        res = estimate_event_prob_grid(FLAT, RegimeRule.fixed_i(2), [6], 500, stream)[0]
         w = build_walk(EnvironmentPath(np.zeros(6)))
         assert res.estimate.mean == pytest.approx(cond_event_prob(w, 2, 6).value, rel=1e-12)
         assert res.estimate.stderr == 0.0
         assert res.tag == "assumptions-violated"
+
+    def test_long_grid_swept_in_chunks(self, stream, monkeypatch):
+        # chunks of distinct n replay the same walks: same estimates, bounded columns
+        grid = [64, 8, 16, 32, 16]
+        whole = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(2), grid, 300, stream)
+        calls = count_sweeps(monkeypatch)
+        monkeypatch.setattr(estimators, "_GRID_COLUMN_BYTES", 2 * 8 * 300)
+        chunked = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(2), grid, 300, stream)
+        assert calls == [64, 64]
+        assert chunked == whole
+        assert [r.n for r in chunked] == grid
+
+    def test_grid_point_is_the_prefix_walk_value(self, stream):
+        # the n = 8 point of an n_max = 16 grid reads the first 8 steps of each walk
+        grid = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(2), [8, 16], 300, stream)
+        x = np.concatenate([stream.substream("prob:fixed_i(2):n=16", b).normal(0.0, 1.0, (rows, 16))
+                            for b, rows in enumerate([256, 44])])
+        direct = [cond_event_prob(build_walk(EnvironmentPath(row[:8])), 2, 8).value for row in x]
+        assert grid[0].estimate.mean == pytest.approx(float(np.mean(direct)), rel=1e-12)
 
 
 class TestTheta:
@@ -148,6 +179,23 @@ class TestScaling:
         fit = fit_scaling_points(points, RegimeRule.fixed_i(0))
         assert abs(fit.slope - (-1.5)) <= 2.0 * fit.slope_stderr
 
+    def test_one_sweep_per_study(self, stream, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        scaling_study(GAUSS, RegimeRule.end_window(3), [256, 32, 64, 128], 600, stream)
+        assert calls == [256]
+
+    def test_slope_stderr_honest_under_shared_walks(self):
+        # the grid points share environments; the independent-points WLS
+        # standard error must still match the seed-to-seed spread of the slope
+        slopes, stderrs = [], []
+        for seed in range(100):
+            fit = scaling_study(GAUSS, RegimeRule.end_window(3), [32, 64, 128, 256], 2000,
+                                RngStream(900_000 + seed))
+            slopes.append(fit.slope)
+            stderrs.append(fit.slope_stderr)
+        ratio = float(np.std(slopes, ddof=1)) / float(np.median(stderrs))
+        assert 0.8 <= ratio <= 1.3, ratio
+
     def test_grid_validation(self, stream):
         with pytest.raises(DomainError):
             scaling_study(GAUSS, RegimeRule.end_window(3), [16, 32, 64], 100, stream)
@@ -198,7 +246,7 @@ class TestDuality:
 
     def test_infinite_beta_matches_event_prob(self, stream):
         res = duality_check(GAUSS, 12, 16, math.inf, 50_000, stream)
-        prob = estimate_event_prob(GAUSS, RegimeRule.fixed_i(12), 16, 50_000, stream)
+        prob = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(12), [16], 50_000, stream)[0]
         z = abs(res.v_form.mean - prob.estimate.mean) / math.hypot(
             res.v_form.stderr, prob.estimate.stderr)
         assert z <= 4.0

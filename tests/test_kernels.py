@@ -63,6 +63,28 @@ class TestSliceSums:
         assert neg.lse(1, 4) is neg.lse(1, 4)
 
 
+class TestPrefixColumns:
+    @pytest.mark.parametrize("sigma", [1.0, 30.0])
+    def test_full_row_shift_serves_every_prefix(self, sigma):
+        # a grid sweep shifts by the full-row maximum and reads every grid n
+        # from a prefix of the row; each prefix must give the value of its own
+        # _ExpRows, also where the prefix lies so far below the row maximum
+        # that its shifted sums are subnormal and take the logsumexp fallback
+        n_max = 64
+        s = walk_matrix(np.random.default_rng(64).normal(0.0, sigma, (2000, n_max)))
+        full = _ExpRows(-s)
+        far_below = fallback = 0
+        for n in range(1, n_max + 1):
+            own = _ExpRows(-s[:, :n + 1])
+            for i in range(n):
+                dev = _log_event_prob_cols(full, i, n) - _log_event_prob_cols(own, i, n)
+                assert np.max(np.abs(dev)) <= 1e-12, (n, i)
+            far_below += int(np.count_nonzero(own.shift < full.shift - 708.0))
+            fallback += int(np.count_nonzero(full.e[:, :n + 1].sum(axis=1) < np.finfo(float).tiny))
+        if sigma == 30.0:  # the case under test does occur
+            assert far_below > 0 and fallback > 0
+
+
 @st.composite
 def clan_cases(draw):
     n = draw(st.integers(1, 20))
