@@ -21,6 +21,7 @@ from .env_model import EnvironmentSpec, validate_spec
 from .errors import (AssumptionViolationError, ClanMCError, ConfigurationError,
                      DomainError, NumericalFailureError)
 from .estimators import RegimeRule
+from .parallel import _MAX_SHARDS
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
@@ -125,8 +126,8 @@ class RunConfig:
             raise ConfigurationError(f"format must be json or csv, got {self.format!r}")
         if self.m_samples < 2:  # one sample has no standard error
             raise ConfigurationError(f"m_samples must be at least 2, got {self.m_samples}")
-        if self.shards < 1:
-            raise ConfigurationError("shards must be positive")
+        if not 1 <= self.shards <= _MAX_SHARDS:
+            raise ConfigurationError(f"shards must be between 1 and {_MAX_SHARDS}, got {self.shards}")
         if not self.n_grid or not self.s_grid or not self.beta_grid:
             raise ConfigurationError("grids must be nonempty")
 

@@ -16,7 +16,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .env_model import EnvironmentSpec, draw_increments, validate_spec
 from .errors import AssumptionViolationError, DomainError, NumericalFailureError, UnreliableRatioError
@@ -164,6 +163,21 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     return {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
 
 
+def logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
+    """log(sum(exp(a))) along axis, for finite a with nonempty slices.
+
+    The arithmetic of scipy.special.logsumexp (scipy 1.17), so each value
+    has the same bits: the maximum is taken out of the sum, the rest is
+    summed shifted by it and divided by the count m of tied maxima, and the
+    result is log1p(rest / m) + log(m) + max.
+    """
+    top = a.max(axis=axis, keepdims=True)
+    at_top = a == top
+    m = np.count_nonzero(at_top, axis=axis, keepdims=True).astype(float)
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(rest / m) + np.log(m) + top, axis=axis)
+
+
 class _ExpRows:
     """Shared max-shifted exponentials of one sign of the walk matrix.
 
@@ -171,9 +185,10 @@ class _ExpRows:
     max/exp/sum/log cycle per slice, and each slice is summed at most once.
     A slice more than ~708 log units below its row maximum sums to a
     subnormal (or zero) shifted total that keeps too few digits, so such
-    rows are re-summed with their own shift.  A row whose spread a - max
-    leaves the double range (finite walks near 1e308) has no usable
-    log-sums, and is refused.
+    rows are re-summed with their own shift by the module's `logsumexp`
+    (called through the module name, so a tracer can count those rows).
+    A row whose spread a - max leaves the double range (finite walks near
+    1e308) has no usable log-sums, and is refused.
     """
 
     def __init__(self, a: np.ndarray):

@@ -10,6 +10,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
+# Most worker threads a run may ask for.  A sweep thread holds its own walk
+# workspace (up to 384 MiB at the largest n), and the shard count never
+# changes a number, so more threads than this only cost memory.
+_MAX_SHARDS = 64
+
 
 def block_sizes(total: int, block: int) -> list[int]:
     """Split `total` replicates into fixed blocks; only the last may be short."""

@@ -3,13 +3,16 @@ import dataclasses
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clanmc import assoc_walk, cli, diagnostics, estimators
+from clanmc import assoc_walk, cli, diagnostics, estimators, parallel
 from clanmc.cli import RunConfig, parse_config_file
 from clanmc.errors import ConfigurationError
 
@@ -92,6 +95,18 @@ class TestConfig:
 
 
 class TestSubcommands:
+    def test_cold_start_loads_no_scipy(self, tmp_path):
+        # scipy.special alone costs about a third of a second per start
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                "import clanmc, clanmc.cli\n"
+                "assert clanmc.cli.main(['validate', '--seed', '1']) == 0\n"
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_validate_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "v.ndjson"
         rc = cli.main(["validate", "--seed", "1", "--out", str(out)])
@@ -238,6 +253,17 @@ class TestSubcommands:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"limit of {estimators._MAX_N}" in err[0]
+
+    @pytest.mark.parametrize("shards", ["65", "100000"])
+    def test_shard_count_bounded_before_threads(self, shards, tmp_path, capsys, monkeypatch):
+        def pool(*args, **kwargs):
+            raise AssertionError("a thread pool started before the shard-count refusal")
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", pool)
+        rc = cli.main(["prob", "--seed", "1", "--shards", shards, "--m-samples", "10000000",
+                       "--n-grid", "256", "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"between 1 and {parallel._MAX_SHARDS}" in err[0]
 
     def test_scaling_grid_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
         def sweep(*args, **kwargs):
@@ -419,7 +445,7 @@ KEYS = {
     "--beta-grid": grid(mostly(["1e-4", "1", "100", "inf"],
                                ["nan", "-inf", "-1", "0", "5e-324", "1e-300", "1e300"])),
     "--strata-N": mostly(["1", "2", "3"], ["-1", "0", "100"]),
-    "--shards": mostly(["1", "2", "3"], ["-1", "0"]),
+    "--shards": mostly(["1", "2", "3"], ["-1", "0", "65", "1000000"]),
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from clanmc import EnvironmentPath, compose_pgf_bruteforce, survival_bruteforce
+from clanmc import EnvironmentPath, compose_pgf_bruteforce, estimators, survival_bruteforce
 from clanmc.estimators import (_ExpRows, _log_event_prob_cols, _log_h_cols_from,
                                _log_survival_cols, _log_v_cols, _log_yaglom_cols_from)
 
@@ -22,6 +22,14 @@ def walk_matrix(x: np.ndarray) -> np.ndarray:
     s = np.zeros((x.shape[0], x.shape[1] + 1))
     np.cumsum(x, axis=1, out=s[:, 1:])
     return s
+
+
+def wide_walk() -> np.ndarray:
+    """sigma = 30 walks whose late slices take the logsumexp fallback."""
+    return walk_matrix(np.random.default_rng(30).normal(0.0, 30.0, (2000, 512)))
+
+
+FALLBACK_SLICES = ((509, 512), (509, 513), (510, 513), (0, 513))
 
 
 class TestSliceSums:
@@ -47,11 +55,10 @@ class TestSliceSums:
     def test_wide_walk_matches_per_slice_logsumexp(self):
         # sigma = 30 puts some slices 708-745 log units below the row maximum,
         # where the shifted sum is subnormal and keeps only a few digits
-        n, i = 512, 509
-        s = walk_matrix(np.random.default_rng(30).normal(0.0, 30.0, (2000, n)))
+        s = wide_walk()
         neg = _ExpRows(-s)
         subnormal = 0
-        for lo, hi in ((i, n), (i, n + 1), (i + 1, n + 1), (0, n + 1)):
+        for lo, hi in FALLBACK_SLICES:
             shifted = neg.e[:, lo:hi].sum(axis=1)
             subnormal += int(np.count_nonzero((shifted > 0) & (shifted < np.finfo(float).tiny)))
             ref = logsumexp(-s[:, lo:hi], axis=1)
@@ -61,6 +68,48 @@ class TestSliceSums:
     def test_slice_summed_once(self):
         neg = _ExpRows(-walk_matrix(np.ones((2, 5))))
         assert neg.lse(1, 4) is neg.lse(1, 4)
+
+
+
+class TestLogsumexpFallback:
+    @pytest.mark.parametrize("sigma", [1.0, 30.0, 300.0])
+    def test_same_bits_as_scipy(self, sigma):
+        s = walk_matrix(np.random.default_rng(int(sigma)).normal(0.0, sigma, (500, 64)))
+        for a in (-s, s, -s[:, 40:], s[:, :3]):
+            assert np.array_equal(estimators.logsumexp(a, axis=1), logsumexp(a, axis=1))
+
+    @pytest.mark.parametrize("a", [walk_matrix(np.zeros((3, 9))), np.array([[5.0, 5.0, 5.0]]),
+                                   np.array([[1.0, 4.0, -2.0, 4.0]])])
+    def test_tied_maxima_same_bits_as_scipy(self, a):
+        assert np.array_equal(estimators.logsumexp(a, axis=1), logsumexp(a, axis=1))
+
+    def test_fallback_rows_against_mpmath(self):
+        s = wide_walk()
+        neg = _ExpRows(-s)
+        checked = 0
+        for lo, hi in FALLBACK_SLICES:
+            slow = np.flatnonzero(neg.e[:, lo:hi].sum(axis=1) < np.finfo(float).tiny)[:10]
+            got = estimators.logsumexp(-s[slow, lo:hi], axis=1)
+            for r, value in zip(slow, got):
+                with mpmath.workdps(60):
+                    ref = mpmath.log(mpmath.fsum(mpmath.exp(-mpmath.mpf(v)) for v in s[r, lo:hi]))
+                assert value == pytest.approx(float(ref), abs=1e-12)
+                checked += 1
+        assert checked > 0  # the case under test does occur
+
+    def test_slice_sums_call_the_module_fallback(self, monkeypatch):
+        # the tracer's estimators.lse_slow_rows counts rows through this name
+        seen = []
+        original = estimators.logsumexp
+
+        def counting(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(estimators, "logsumexp", counting)
+        neg = _ExpRows(-wide_walk())
+        for lo, hi in FALLBACK_SLICES:
+            neg.lse(lo, hi)
+        assert sum(seen) > 0
 
 
 class TestPrefixColumns:
