@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .env_model import (EnvironmentPath, EnvironmentSpec, ValidationReport,
                         offspring_params, pgf_eval, validate_spec)
-from .assoc_walk import (WalkFunctionals, build_walk, estimate_table, harmonicity_residual,
-                         reflect)
+from .assoc_walk import build_walk, estimate_table, harmonicity_residual
 from .exact_fl import (compose_pgf_bruteforce, cond_event_prob, extinction_step,
                        h_functional, survival_bruteforce, survival_closed, v_functional,
                        yaglom_integrand)

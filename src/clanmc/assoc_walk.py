@@ -28,28 +28,12 @@ _WALK_CHUNK = 128
 _MAX_TABLE_NODES = 1024
 
 
-@dataclass(frozen=True)
-class WalkFunctionals:
-    """One walk: s[k] is S_k for k = 0..n."""
-
-    s: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.s.size - 1
-
-
-def build_walk(path: EnvironmentPath) -> WalkFunctionals:
-    """The partial sums of the path, S_0 = 0 included."""
+def build_walk(path: EnvironmentPath) -> np.ndarray:
+    """The partial sums S_0..S_n of the path, S_0 = 0 included."""
     s = np.empty(path.n + 1)
     s[0] = 0.0
     np.cumsum(path.x, out=s[1:])
-    return WalkFunctionals(s)
-
-
-def reflect(w: WalkFunctionals) -> WalkFunctionals:
-    """The sign-flipped walk.  An involution."""
-    return WalkFunctionals(-w.s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +188,9 @@ def _x_padding(spec: EnvironmentSpec) -> float:
     return spec.param
 
 
-def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int = 10_000,
-                         m_samples: int = 100_000, stream: RngStream | None = None,
-                         side: str = "u", grid_step: float = 0.05, shards: int = 1,
-                         n_jackknife: int = 20) -> list[HarmonicityPoint]:
+def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int,
+                         stream: RngStream, side: str = "u",
+                         shards: int = 1) -> list[HarmonicityPoint]:
     """Residuals of the one-step harmonicity identity on a grid.
 
     side "u": checks E[u(x + X); x + X >= 0] = u(x) on x >= 0.
@@ -216,14 +199,13 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int = 10_000,
       (v(0) = 0 while the one-step expectation is positive), so x = 0 is
       rejected rather than checked.
 
-    A single table on a uniform grid of the given step serves every x
+    A single table on a uniform grid of step 0.05 serves every x
     (piecewise-linear interpolation, linear extrapolation at the ends).
     The combined uncertainty of table noise, draw noise and their
-    correlation is estimated by a delete-one-group jackknife over paired
-    (path-block, draw-block) groups.
+    correlation is estimated by a delete-one-group jackknife over 20 paired
+    (path-block, draw-block) groups, or one per block when there are fewer.
     """
-    if stream is None:
-        raise DomainError("an RngStream is required")
+    grid_step, n_jackknife = 0.05, 20
     if side not in ("u", "v"):
         raise DomainError(f"side must be 'u' or 'v', got {side}")
     x_grid = np.asarray(x_grid, dtype=float)

@@ -44,7 +44,7 @@ def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> np.ndar
 
 
 def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
-                         shards: int = 1, purpose: str = "clan_sim.ensemble") -> np.ndarray:
+                         shards: int = 1) -> np.ndarray:
     """Pre-immigration clan matrix at time n for m_reps independent runs.
 
     Row r holds the clan sizes (columns = founding generation) of replicate
@@ -56,7 +56,7 @@ def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
     sizes = block_sizes(m_reps, 65536)
 
     def run_block(b: int) -> np.ndarray:
-        rng = stream.substream(purpose, b)
+        rng = stream.substream("clan_sim.ensemble", b)
         clans = np.zeros((sizes[b], n), dtype=np.int64)
         clans[:, 0] = 1
         for t in range(1, n + 1):

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import __version__, diagnostics, estimators
 from .env_model import EnvironmentSpec, validate_spec
@@ -25,8 +26,6 @@ from .parallel import _MAX_SHARDS
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
-
-SUBCOMMANDS = ("validate", "prob", "pgf", "lst", "scaling", "duality", "strata", "oracle")
 
 
 def _parse_bool(text: str) -> bool:
@@ -75,51 +74,39 @@ def _join(values) -> str:
     return ",".join(repr(v) for v in values)
 
 
-# Every config key once, in echo order: (key, default, parser, formatter).
-# The default None marks the mandatory seed; each key is also the flag
-# "--" + key with "_" turned into "-".
-_KEYS = (
-    ("family", "gaussian", _word, str),
-    ("sigma", "1.0", _parse_float, repr),
-    ("halfwidth", "1.0", _parse_float, repr),
-    ("step", "0.7", _parse_float, repr),
-    ("regime", "end_window", _word, str),
-    ("regime_param", "3", _parse_float, repr),
-    ("n", "", lambda t: _parse_int(t) if t.strip() else None, lambda v: "" if v is None else str(v)),
-    ("n_grid", "256,512,1024,2048,4096,8192", _parse_int_list, _join),
-    ("m_samples", "100000", _parse_int, str),
-    ("s_grid", "0,0.25,0.5,0.75,1", _parse_float_list, _join),
-    ("beta_grid", "1e-4,1e-2,1,1e2,inf", _parse_float_list, _join),
-    ("strata_N", "20", _parse_int, str),
-    ("seed", None, _parse_int, str),
-    ("shards", "1", _parse_int, str),
-    ("out", "", lambda t: t.strip() or None, lambda v: v or ""),
-    ("format", "json", _word, str),
-    ("allow_assumption_violations", "false", _parse_bool, lambda v: "true" if v else "false"),
-)
+def _key(default: str | None, parse, fmt=str):
+    """One config key: its default text (None marks the mandatory seed), parser and formatter."""
+    return field(metadata={"default": default, "parse": parse, "format": fmt})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration; the echo re-parses to an equal config."""
+    """Fully resolved run configuration; the echo re-parses to an equal config.
 
-    family: str
-    sigma: float
-    halfwidth: float
-    step: float
-    regime: str
-    regime_param: float
-    n: int | None
-    n_grid: tuple[int, ...]
-    m_samples: int
-    s_grid: tuple[float, ...]
-    beta_grid: tuple[float, ...]
-    strata_N: int
-    seed: int
-    shards: int
-    out: str | None
-    format: str
-    allow_assumption_violations: bool
+    Each field is one config key, in echo order, declared with its default
+    text, parser and echo formatter.  Each key is also the flag "--" + key
+    with "_" turned into "-".
+    """
+
+    family: str = _key("gaussian", _word)
+    sigma: float = _key("1.0", _parse_float, repr)
+    halfwidth: float = _key("1.0", _parse_float, repr)
+    step: float = _key("0.7", _parse_float, repr)
+    regime: str = _key("end_window", _word)
+    regime_param: float = _key("3", _parse_float, repr)
+    n: int | None = _key("", lambda t: _parse_int(t) if t.strip() else None,
+                         lambda v: "" if v is None else str(v))
+    n_grid: tuple[int, ...] = _key("256,512,1024,2048,4096,8192", _parse_int_list, _join)
+    m_samples: int = _key("100000", _parse_int)
+    s_grid: tuple[float, ...] = _key("0,0.25,0.5,0.75,1", _parse_float_list, _join)
+    beta_grid: tuple[float, ...] = _key("1e-4,1e-2,1,1e2,inf", _parse_float_list, _join)
+    strata_N: int = _key("20", _parse_int)
+    seed: int = _key(None, _parse_int)
+    shards: int = _key("1", _parse_int)
+    out: str | None = _key("", lambda t: t.strip() or None, lambda v: v or "")
+    format: str = _key("json", _word)
+    allow_assumption_violations: bool = _key("false", _parse_bool,
+                                             lambda v: "true" if v else "false")
 
     def __post_init__(self):
         if self.format not in ("json", "csv"):
@@ -133,20 +120,21 @@ class RunConfig:
 
     @staticmethod
     def from_strings(values: dict[str, str]) -> "RunConfig":
-        merged = {key: default for key, default, _, _ in _KEYS}
+        keys = fields(RunConfig)
+        merged = {f.name: f.metadata["default"] for f in keys}
         unknown = set(values) - set(merged)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         merged.update({k: v for k, v in values.items() if v is not None})
         if merged["seed"] is None or str(merged["seed"]).strip() == "":
             raise ConfigurationError("seed is mandatory (no wall-clock default)")
-        fields = {}
-        for key, _, parse, _ in _KEYS:
+        parsed = {}
+        for f in keys:
             try:
-                fields[key] = parse(str(merged[key]))
+                parsed[f.name] = f.metadata["parse"](str(merged[f.name]))
             except ConfigurationError as exc:
-                raise ConfigurationError(f"{key}: {exc}") from exc
-        return RunConfig(**fields)
+                raise ConfigurationError(f"{f.name}: {exc}") from exc
+        return RunConfig(**parsed)
 
     def env_spec(self) -> EnvironmentSpec:
         if self.family == "gaussian":
@@ -167,7 +155,7 @@ class RunConfig:
         return self.n if self.n is not None else max(self.n_grid)
 
     def echo_dict(self) -> dict:
-        return {key: fmt(getattr(self, key)) for key, _, _, fmt in _KEYS}
+        return {f.name: f.metadata["format"](getattr(self, f.name)) for f in fields(self)}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -233,8 +221,8 @@ def _run_pgf(config: RunConfig, stream: RngStream) -> RunOutcome:
         raise ConfigurationError("the pgf subcommand is defined for the end_window regime")
     n, end_window = config.single_n(), int(config.rule().param)
     return _transform_outcome("pgf", n, n - end_window, estimators.estimate_theta(
-        config.env_spec(), end_window, n, config.s_grid,
-        config.m_samples, stream, config.shards, config.allow_assumption_violations))
+        config.env_spec(), end_window, n, config.s_grid, config.m_samples, stream,
+        config.shards))
 
 
 def _run_lst(config: RunConfig, stream: RngStream) -> RunOutcome:
@@ -271,13 +259,14 @@ def _run_duality(config: RunConfig, stream: RngStream) -> RunOutcome:
     n = config.single_n()
     i = rule.clan_index(n)
     records = []
-    for beta in config.beta_grid:
-        res = estimators.duality_check(spec, i, n, beta, config.m_samples, stream, config.shards)
-        records.append(_record("duality-h", n=n, i=i, param=beta, mean=res.h_form.mean,
+    for res in estimators.duality_check(spec, i, n, config.beta_grid, config.m_samples, stream,
+                                        config.shards):
+        records.append(_record("duality-h", n=n, i=i, param=res.beta, mean=res.h_form.mean,
                                stderr=res.h_form.stderr, count=res.h_form.count, tag=res.tag))
-        records.append(_record("duality-v", n=n, i=i, param=beta, mean=res.v_form.mean,
+        records.append(_record("duality-v", n=n, i=i, param=res.beta, mean=res.v_form.mean,
                                stderr=res.v_form.stderr, count=res.v_form.count, tag=res.tag))
-        records.append(_record("duality-z", n=n, i=i, param=beta, mean=res.z_score, tag=res.tag))
+        records.append(_record("duality-z", n=n, i=i, param=res.beta, mean=res.z_score,
+                               tag=res.tag))
     return RunOutcome(records, [], 0)
 
 
@@ -320,6 +309,8 @@ _RUNNERS = {
     "oracle": _run_oracle,
 }
 
+SUBCOMMANDS = tuple(_RUNNERS)
+
 
 def run(subcommand: str, config: RunConfig) -> tuple[RunOutcome, dict]:
     """Execute one subcommand; returns the outcome and the final run record."""
@@ -339,6 +330,17 @@ def run(subcommand: str, config: RunConfig) -> tuple[RunOutcome, dict]:
         "tags": [] if conformity else ["assumptions-violated"],
     }
     return outcome, run_record
+
+
+def _check_out(path: str) -> None:
+    """Refuse an output file that cannot be written, before any sampling."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigurationError(f"out {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigurationError(f"out {path!r}: no directory {folder!r}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ConfigurationError(f"out {path!r} is not writable")
 
 
 def _emit(config: RunConfig, outcome: RunOutcome, run_record: dict) -> None:
@@ -370,8 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of a critical branching process with immigration in a random environment.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="flat key = value config file")
-    for key, *_ in _KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None)
     return parser
 
 
@@ -383,6 +385,8 @@ def main(argv=None) -> int:
                      if k not in ("subcommand", "config") and v is not None}
         values.update(overrides)
         config = RunConfig.from_strings(values)
+        if config.out:
+            _check_out(config.out)
         outcome, run_record = run(args.subcommand, config)
         _emit(config, outcome, run_record)
         for line in outcome.report_lines:

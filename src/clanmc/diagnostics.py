@@ -27,9 +27,9 @@ class CheckResult:
     detail: str
 
 
-def mobius_equivalence_check(stream: RngStream, tuples: int = 1000, max_n: int = 20,
-                             tol: float = 1e-10) -> CheckResult:
+def mobius_equivalence_check(stream: RngStream) -> CheckResult:
     """Closed survival form against the brute-force composition fold."""
+    tuples, max_n, tol = 1000, 20, 1e-10
     gen = stream.substream("diagnostics.mobius", 0)
     s_grid = (0.0, 0.25, 0.5, 0.9)
     worst = 0.0
@@ -47,9 +47,9 @@ def mobius_equivalence_check(stream: RngStream, tuples: int = 1000, max_n: int =
         f"max relative deviation {worst:.3e} over {tuples} tuples (tol {tol:.0e})")
 
 
-def definitional_h_check(stream: RngStream, max_n: int = 12, trials: int = 60,
-                         tol: float = 1e-9, tol_telescope: float = 1e-10) -> CheckResult:
+def definitional_h_check(stream: RngStream) -> CheckResult:
     """h(s) against the literal product of composition factors, plus telescoping."""
+    max_n, trials, tol, tol_telescope = 12, 60, 1e-9, 1e-10
     gen = stream.substream("diagnostics.h_definition", 0)
     s_grid = (0.0, 0.3, 0.5, 0.9)
     worst = 0.0
@@ -70,7 +70,7 @@ def definitional_h_check(stream: RngStream, max_n: int = 12, trials: int = 60,
             closed = exact_fl.h_functional(w, i, n, s).value
             worst = max(worst, abs(closed - direct) / max(abs(direct), 1e-300))
         prod = math.fsum(exact_fl.extinction_step_log(w, jj, n) for jj in range(n))
-        direct_log = -float(w.s[n]) - float(np.logaddexp.reduce(-w.s[:n + 1]))
+        direct_log = -float(w[n]) - float(np.logaddexp.reduce(-w[:n + 1]))
         worst_tel = max(worst_tel, abs(prod - direct_log))
     passed = worst <= tol and worst_tel <= tol_telescope
     return CheckResult(
@@ -79,7 +79,7 @@ def definitional_h_check(stream: RngStream, max_n: int = 12, trials: int = 60,
         f"telescoping log deviation {worst_tel:.3e} (tol {tol_telescope:.0e})")
 
 
-def simulator_check(stream: RngStream, m_reps: int = 200_000, m_reps_single: int = 1_000_000) -> CheckResult:
+def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int) -> CheckResult:
     """Individual-based simulator against the closed forms (three-sigma agreement)."""
     details = []
     ok = True
@@ -110,19 +110,18 @@ def simulator_check(stream: RngStream, m_reps: int = 200_000, m_reps_single: int
     return CheckResult("simulator-vs-formula", bool(ok), ", ".join(details) + " (all must be <= 3)")
 
 
-def harmonicity_check(spec: EnvironmentSpec, stream: RngStream, horizon: int = 2000,
-                      m_samples: int = 20_000) -> CheckResult:
+def harmonicity_check(spec: EnvironmentSpec, stream: RngStream, m_samples: int) -> CheckResult:
     """One-step harmonicity of the estimated staying-negative renewal function."""
     pts = assoc_walk.harmonicity_residual(
-        spec, [0.0, 1.0, 2.0], horizon=horizon, m_samples=m_samples, stream=stream, side="u")
+        spec, [0.0, 1.0, 2.0], horizon=2000, m_samples=m_samples, stream=stream, side="u")
     ok = all(p.passed for p in pts)
     detail = ", ".join(f"x={p.x:g}: residual {p.residual:.4f} vs bound {p.bound:.4f}" for p in pts)
     return CheckResult("u-harmonicity", ok, detail)
 
 
-def reversed_product_check(stream: RngStream, max_i: int = 15, trials: int = 40,
-                           tol: float = 1e-10) -> CheckResult:
+def reversed_product_check(stream: RngStream) -> CheckResult:
     """Sign-flipped reversed composition product against its prefix-sum closed form."""
+    max_i, trials, tol = 15, 40, 1e-10
     gen = stream.substream("diagnostics.reversed_product", 0)
     worst = 0.0
     for _ in range(trials):
@@ -137,14 +136,13 @@ def reversed_product_check(stream: RngStream, max_i: int = 15, trials: int = 40,
         f"max relative deviation {worst:.3e} over {trials} trials (tol {tol:.0e})")
 
 
-def run_oracle_suite(spec: EnvironmentSpec, stream: RngStream,
-                     m_samples: int = 20_000) -> list[CheckResult]:
+def run_oracle_suite(spec: EnvironmentSpec, stream: RngStream, m_samples: int) -> list[CheckResult]:
     """The full small-n oracle suite in a fixed order.
 
     The harmonicity check runs first, so a config it refuses costs no other
     work; the streams are keyed by purpose, so the order changes no number.
     """
-    harmonicity = harmonicity_check(spec, stream, m_samples=m_samples)
+    harmonicity = harmonicity_check(spec, stream, m_samples)
     return [
         mobius_equivalence_check(stream),
         definitional_h_check(stream),

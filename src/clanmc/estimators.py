@@ -163,19 +163,19 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     return {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
 
 
-def logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
-    """log(sum(exp(a))) along axis, for finite a with nonempty slices.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along each row, for finite a with nonempty rows.
 
     The arithmetic of scipy.special.logsumexp (scipy 1.17), so each value
     has the same bits: the maximum is taken out of the sum, the rest is
     summed shifted by it and divided by the count m of tied maxima, and the
     result is log1p(rest / m) + log(m) + max.
     """
-    top = a.max(axis=axis, keepdims=True)
+    top = a.max(axis=1, keepdims=True)
     at_top = a == top
-    m = np.count_nonzero(at_top, axis=axis, keepdims=True).astype(float)
-    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
-    return np.squeeze(np.log1p(rest / m) + np.log(m) + top, axis=axis)
+    m = np.count_nonzero(at_top, axis=1, keepdims=True).astype(float)
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
+    return np.squeeze(np.log1p(rest / m) + np.log(m) + top, axis=1)
 
 
 class _ExpRows:
@@ -214,7 +214,7 @@ class _ExpRows:
             ok = total >= _TINY
             out[ok] = np.log(total[ok]) + self.shift[ok]
             if not ok.all():
-                out[~ok] = logsumexp(self.a[~ok, lo:hi], axis=1)
+                out[~ok] = logsumexp(self.a[~ok, lo:hi])
             self._sums[(lo, hi)] = out
         return out
 
@@ -260,25 +260,22 @@ def _log_yaglom_cols_from(neg: _ExpRows, i: int, n: int, beta: float) -> np.ndar
     return np.minimum(_log_h_cols_from(neg, i, n, log1m_exp_neg_vec(log_t)), at_inf)
 
 
-def _log_v_cols_from(pos: _ExpRows, s: np.ndarray, j: int, n: int, beta: float) -> np.ndarray:
-    """Dual clan functional on the reflection of the sampled walk.
+def _log_v_cols_from(pos: _ExpRows, j: int, n: int, beta: float) -> np.ndarray:
+    """Dual clan functional on the reflection of the sampled walk; pos.a is the walk S.
 
     Finite beta is capped by the beta = inf value, as in _log_yaglom_cols_from.
     """
+    s_j = pos.a[:, j]
     head_j = pos.lse(0, j)          # log of reflected prefix sum b_j
     head_np1 = pos.lse(0, n + 1)
-    at_inf = s[:, j] - head_j - head_np1
+    at_inf = s_j - head_j - head_np1
     if math.isinf(beta):
         return at_inf
     head_jp1 = pos.lse(0, j + 1)
     inner = pos.lse(1, j + 1)
-    inv_weight = -log1m_exp_neg_vec(math.log(beta) - s[:, j])
+    inv_weight = -log1m_exp_neg_vec(math.log(beta) - s_j)
     denom = np.logaddexp(inv_weight, inner)
-    return np.minimum(s[:, j] - denom + (head_jp1 - head_j) - head_np1, at_inf)
-
-
-def _log_v_cols(s: np.ndarray, j: int, n: int, beta: float) -> np.ndarray:
-    return _log_v_cols_from(_ExpRows(s), s, j, n, beta)
+    return np.minimum(s_j - denom + (head_jp1 - head_j) - head_np1, at_inf)
 
 
 def _first_max_index(s: np.ndarray, n: int) -> np.ndarray:
@@ -379,8 +376,7 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
 
 
 def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_samples: int,
-                   stream: RngStream, shards: int = 1,
-                   allow_assumption_violations: bool = False) -> list[TransformResult]:
+                   stream: RngStream, shards: int = 1) -> list[TransformResult]:
     """Conditional generating function of the clan size for i = n - end_window.
 
     theta(s) = 1 - E[h(s)] / E[h(0)], numerator and denominator averaged
@@ -526,12 +522,13 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     return fit_scaling_points(points, rule, _conformity_tag(spec), dropped)
 
 
-def _dual_index(i: int, n: int, beta: float) -> int:
-    """j = n - i, after checking the (i, n, beta) of a dual-form estimate."""
+def _dual_index(i: int, n: int, betas) -> int:
+    """j = n - i, after checking the (i, n, betas) of a dual-form estimate."""
     if not 0 <= i < n:
         raise DomainError(f"need 0 <= i < n, got i={i}, n={n}")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive (inf allowed), got {beta}")
+    for beta in betas:
+        if not beta > 0:
+            raise DomainError(f"beta must be positive (inf allowed), got {beta}")
     return n - i
 
 
@@ -548,35 +545,42 @@ class DualityResult:
     tag: str
 
 
-def duality_check(spec: EnvironmentSpec, i: int, n: int, beta: float, m_samples: int,
-                  stream: RngStream, shards: int = 1) -> DualityResult:
-    """Estimate the same expectation through both walk orientations.
+def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: int,
+                  stream: RngStream, shards: int = 1) -> list[DualityResult]:
+    """Estimate the same expectation through both walk orientations, per beta.
 
     The direct form averages h(e^{-beta a}) over environments; the dual form
     averages the reflected-walk functional with j = n - i over independent
-    environments.  Their difference is pure Monte Carlo noise.
+    environments.  Their difference is pure Monte Carlo noise.  One sweep
+    per orientation serves every beta of the grid.
     """
-    j = _dual_index(i, n, beta)
+    betas = [float(b) for b in beta_grid]
+    j = _dual_index(i, n, betas)
 
     def kernel_h(s_mat):
         neg = _ExpRows(np.negative(s_mat, out=s_mat))
-        return {"h": np.exp(_log_yaglom_cols_from(neg, i, n, beta))}
+        return {k: np.exp(_log_yaglom_cols_from(neg, i, n, b)) for k, b in enumerate(betas)}
 
     def kernel_v(s_mat):
-        return {"v": np.exp(_log_v_cols(s_mat, j, n, beta))}
+        pos = _ExpRows(s_mat)
+        return {k: np.exp(_log_v_cols_from(pos, j, n, b)) for k, b in enumerate(betas)}
 
     h_cols = _sweep(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}", kernel_h, shards)
     v_cols = _sweep(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", kernel_v, shards)
-    h_est = MCEstimate.from_values(h_cols["h"])
-    v_est = MCEstimate.from_values(v_cols["v"])
-    se = math.hypot(h_est.stderr, v_est.stderr)
-    diff = h_est.mean - v_est.mean
-    if se == 0.0:
-        z = 0.0 if diff == 0.0 else math.inf
-    else:
-        z = diff / se
-    return DualityResult(i=i, n=n, beta=beta, h_form=h_est, v_form=v_est,
-                         z_score=z, tag=_conformity_tag(spec))
+    tag = _conformity_tag(spec)
+    results = []
+    for k, beta in enumerate(betas):
+        h_est = MCEstimate.from_values(h_cols[k])
+        v_est = MCEstimate.from_values(v_cols[k])
+        se = math.hypot(h_est.stderr, v_est.stderr)
+        diff = h_est.mean - v_est.mean
+        if se == 0.0:
+            z = 0.0 if diff == 0.0 else math.inf
+        else:
+            z = diff / se
+        results.append(DualityResult(i=i, n=n, beta=beta, h_form=h_est, v_form=v_est,
+                                     z_score=z, tag=tag))
+    return results
 
 
 @dataclass(frozen=True)
@@ -605,7 +609,7 @@ class StrataReport:
 def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_window: int,
                          m_samples: int, stream: RngStream, shards: int = 1) -> StrataReport:
     """Split the dual-form estimate by where the reflected walk first bottoms out."""
-    j = _dual_index(i, n, beta)
+    j = _dual_index(i, n, [beta])
     if not 1 <= n_window < j / 2:
         largest = (j - 1) // 2  # the largest integer N < j/2
         fix = (f"the largest valid strata_N is {largest}" if largest >= 1 else
@@ -615,7 +619,7 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
 
     def kernel(s_mat):
         return {
-            "v": np.exp(_log_v_cols(s_mat, j, n, beta)),
+            "v": np.exp(_log_v_cols_from(_ExpRows(s_mat), j, n, beta)),
             "tau": _first_max_index(s_mat, n).astype(float),
         }
 

@@ -8,7 +8,7 @@ routes: brute-force folds over the per-generation generating functions
 The closed forms are written once, as the batched kernels of
 `estimators`; the scalar functions here evaluate them on one walk.
 
-Conventions, for a walk S built from the environment X_1..X_n:
+Conventions, for the walk S_0..S_n (an array) built from the environment X_1..X_n:
   survival complement   1 - F_{i,n}(s) = e^{-S_i} / (e^{-S_n}/(1-s) + sum_{k=i}^{n-1} e^{-S_k})
   extinction step       F_{i,n}(0)     = tail_{i+1} / tail_i,  tail_i = sum_{k=i}^{n} e^{-S_k}
   only-surviving-clan   h(s) = (1 - F_{i,n}(s)) * prod_{j != i} F_{j,n}(0), evaluated
@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .assoc_walk import WalkFunctionals
 from .env_model import EnvironmentPath, pgf_eval
 from .errors import DomainError
 from .estimators import (_ExpRows, _log_event_prob_cols, _log_extinction_cols,
@@ -69,9 +68,10 @@ def _check_window(length: int, i: int, n: int) -> None:
         raise DomainError(f"need 0 <= i <= n <= path length, got i={i}, n={n}, length={length}")
 
 
-def _check_clan_indices(w: WalkFunctionals, i: int, n: int) -> None:
-    if not 0 <= i < n <= w.n:
-        raise DomainError(f"need 0 <= i < n <= walk length, got i={i}, n={n}, length={w.n}")
+def _check_clan_indices(w: np.ndarray, i: int, n: int) -> None:
+    if not 0 <= i < n < w.size:
+        raise DomainError(f"need 0 <= i < n <= walk length, got i={i}, n={n}, "
+                          f"length={w.size - 1}")
 
 
 def _log1ms(s: float) -> float | None:
@@ -81,16 +81,16 @@ def _log1ms(s: float) -> float | None:
     return None if s == 1.0 else math.log1p(-s)
 
 
-def _row(w: WalkFunctionals, n: int) -> np.ndarray:
+def _row(w: np.ndarray, n: int) -> np.ndarray:
     """S_0..S_n as a one-row walk matrix."""
-    return w.s[None, :n + 1]
+    return w[None, :n + 1]
 
 
 def _first(cols: np.ndarray) -> LogValue:
     return LogValue.from_log(float(cols[0]))
 
 
-def survival_closed(w: WalkFunctionals, i: int, n: int, s: float) -> LogValue:
+def survival_closed(w: np.ndarray, i: int, n: int, s: float) -> LogValue:
     """Closed form of 1 - F_{i,n}(s) in log domain; s = 1 returns the exact zero."""
     _check_clan_indices(w, i, n)
     log1ms = _log1ms(s)
@@ -99,18 +99,18 @@ def survival_closed(w: WalkFunctionals, i: int, n: int, s: float) -> LogValue:
     return _first(_log_survival_cols(_ExpRows(-_row(w, n)), i, n, log1ms))
 
 
-def extinction_step(w: WalkFunctionals, i: int, n: int) -> LogValue:
+def extinction_step(w: np.ndarray, i: int, n: int) -> LogValue:
     """F_{i,n}(0) as the log-domain ratio of adjacent tail sums."""
     return LogValue.from_log(extinction_step_log(w, i, n))
 
 
-def extinction_step_log(w: WalkFunctionals, i: int, n: int) -> float:
+def extinction_step_log(w: np.ndarray, i: int, n: int) -> float:
     """log F_{i,n}(0)."""
     _check_clan_indices(w, i, n)
     return float(_log_extinction_cols(_ExpRows(-_row(w, n)), i, n)[0])
 
 
-def h_functional(w: WalkFunctionals, i: int, n: int, s: float) -> LogValue:
+def h_functional(w: np.ndarray, i: int, n: int, s: float) -> LogValue:
     """The only-surviving-clan functional h_{i,n}(s), all factors in log domain.
 
     h(1) = 0 exactly; h(0) is the conditional probability that exactly the
@@ -125,29 +125,29 @@ def h_functional(w: WalkFunctionals, i: int, n: int, s: float) -> LogValue:
     return _first(_log_h_cols_from(_ExpRows(-_row(w, n)), i, n, log1ms))
 
 
-def cond_event_prob(w: WalkFunctionals, i: int, n: int) -> LogValue:
+def cond_event_prob(w: np.ndarray, i: int, n: int) -> LogValue:
     """P(only the clan of generation i survives at n | environment)."""
     _check_clan_indices(w, i, n)
     return _first(_log_event_prob_cols(_ExpRows(-_row(w, n)), i, n))
 
 
-def v_functional(w_reflected: WalkFunctionals, j: int, n: int, beta: float) -> LogValue:
-    """The dual (time-reversed) clan functional, evaluated on the reflected walk.
+def v_functional(w_reflected: np.ndarray, j: int, n: int, beta: float) -> LogValue:
+    """The dual (time-reversed) clan functional, evaluated on the reflected walk -S.
 
     With j = n - i, its expectation over environments equals that of the
     Laplace-point functional h_{i,n}(exp(-beta a_{i,n})).  beta = inf is a
     first-class case and reduces to the product of the first-step ratio and
     the full prefix weight.
     """
-    if not 1 <= j <= n <= w_reflected.n:
+    if not 1 <= j <= n < w_reflected.size:
         raise DomainError(f"need 1 <= j <= n <= walk length, got j={j}, n={n}")
     if not beta > 0:
         raise DomainError(f"beta must be positive (inf allowed), got {beta}")
-    s = -_row(w_reflected, n)  # the kernel takes the walk before reflection
-    return _first(_log_v_cols_from(_ExpRows(s), s, j, n, beta))
+    # the kernel takes the walk before reflection
+    return _first(_log_v_cols_from(_ExpRows(-_row(w_reflected, n)), j, n, beta))
 
 
-def yaglom_integrand(w: WalkFunctionals, i: int, n: int, beta: float) -> LogValue:
+def yaglom_integrand(w: np.ndarray, i: int, n: int, beta: float) -> LogValue:
     """h_{i,n} evaluated at s = exp(-beta a_{i,n}) without ever forming s.
 
     The factor 1 - s is taken from -expm1(-beta a_{i,n}) in log domain, so

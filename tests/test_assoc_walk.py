@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream,
-                    build_walk, estimate_table, harmonicity_residual, reflect)
+                    build_walk, estimate_table, harmonicity_residual)
 from clanmc.estimators import _ExpRows, _first_max_index
 
 
@@ -20,25 +20,25 @@ def random_walk(seed, n, sigma=1.0):
 
 def prefix_log_sums(w):
     """log b_k = log sum_{r<k} e^{-S_r} for k = 1..n+1, as the production kernels read them."""
-    neg = _ExpRows(-w.s[None, :])
-    return np.array([neg.lse(0, k)[0] for k in range(1, w.n + 2)])
+    neg = _ExpRows(-w[None, :])
+    return np.array([neg.lse(0, k)[0] for k in range(1, w.size + 1)])
 
 
 def first_min_index(w):
     """The smallest index attaining min(S_0..S_n): the first maximum of the negated walk."""
-    return int(_first_max_index(-w.s[None, :], w.n)[0])
+    return int(_first_max_index(-w[None, :], w.size - 1)[0])
 
 
 class TestBuildWalk:
     def test_flat_path(self):
         w = build_walk(EnvironmentPath(np.zeros(5)))
-        assert w.n == 5 and np.all(w.s == 0.0)
+        assert w.shape == (6,) and np.all(w == 0.0)
         assert np.allclose(np.exp(prefix_log_sums(w)), np.arange(1, 7))
         assert first_min_index(w) == 0
 
     def test_down_up(self):
         w = build_walk(EnvironmentPath(np.array([-1.0, 1.0])))
-        assert np.allclose(w.s, [0.0, -1.0, 0.0])
+        assert np.allclose(w, [0.0, -1.0, 0.0])
         assert first_min_index(w) == 1
         assert math.exp(prefix_log_sums(w)[1]) == pytest.approx(1.0 + math.e)
 
@@ -46,20 +46,20 @@ class TestBuildWalk:
         _, w = random_walk(11, 40)
         log_b = prefix_log_sums(w)      # log_b[k - 1] = log b_k
         for n in range(1, 40):
-            assert abs(log_b[n] - np.logaddexp(log_b[n - 1], -w.s[n])) < 1e-10
+            assert abs(log_b[n] - np.logaddexp(log_b[n - 1], -w[n])) < 1e-10
 
     def test_b_bounds(self):
         _, w = random_walk(12, 30)
         n = 30
         b_n = math.exp(prefix_log_sums(w)[n - 1])
-        assert b_n >= n * math.exp(-float(np.max(w.s[:n]))) * (1 - 1e-12)
-        assert b_n <= n * math.exp(-float(np.min(w.s[:n]))) * (1 + 1e-12)
+        assert b_n >= n * math.exp(-float(np.max(w[:n]))) * (1 - 1e-12)
+        assert b_n <= n * math.exp(-float(np.min(w[:n]))) * (1 + 1e-12)
 
     def test_tau_minimality_strict(self):
         for seed in range(20):
             _, w = random_walk(100 + seed, 64)
             tau = first_min_index(w)
-            assert np.all(w.s[:tau] > w.s[tau]) and np.all(w.s[tau:] >= w.s[tau])
+            assert np.all(w[:tau] > w[tau]) and np.all(w[tau:] >= w[tau])
 
     def test_tau_tie_picks_smallest(self):
         w = build_walk(EnvironmentPath(np.array([-1.0, 1.0, -1.0])))
@@ -70,18 +70,17 @@ class TestBuildWalk:
 class TestReflect:
     def test_involution_bitwise(self):
         _, w = random_walk(16, 25)
-        assert np.array_equal(reflect(reflect(w)).s, w.s)
+        assert np.array_equal(-(-w), w)
 
     def test_flat_unchanged(self):
         w = build_walk(EnvironmentPath(np.zeros(4)))
-        r = reflect(w)
-        assert np.array_equal(r.s, w.s)
+        assert np.array_equal(-w, w)
 
     def test_reflected_min_is_minus_max(self):
         _, w = random_walk(17, 40)
-        r = reflect(w)
-        assert np.min(r.s) == -float(np.max(w.s))
-        assert first_min_index(r) == int(np.argmax(w.s))
+        r = -w
+        assert np.min(r) == -float(np.max(w))
+        assert first_min_index(r) == int(np.argmax(w))
 
 
 def truncated_u_by_dp(c, x_values, horizon):

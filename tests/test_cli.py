@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -49,7 +48,6 @@ class TestConfig:
                           format="csv", allow_assumption_violations="true")
         again = RunConfig.from_strings(cfg.echo_dict())
         assert again == cfg
-        assert list(cfg.echo_dict()) == [f.name for f in dataclasses.fields(RunConfig)]
 
     def test_every_flag_sets_its_key(self):
         flags = {
@@ -311,6 +309,17 @@ class TestSubcommands:
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "grid point n=8 has standard error 0.0" in err[0]
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exit_two_before_sampling(self, where, tmp_path, capsys, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("the run started before the output path was refused")
+        monkeypatch.setattr(cli, "run", run)
+        out = tmp_path / "missing" / "x.ndjson" if where == "missing-dir" else tmp_path
+        rc = cli.main(["validate", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"configuration error: out '{out}'"), err
 
     @pytest.mark.parametrize("argv", [
         ["--n-grid", "inf"],

@@ -236,16 +236,16 @@ class TestScaling:
 
 class TestDuality:
     def test_flat_degenerate_exact(self, stream):
-        res = duality_check(FLAT, 2, 6, 1.0, 200, stream)
+        (res,) = duality_check(FLAT, 2, 6, [1.0], 200, stream)
         assert res.h_form.mean == res.v_form.mean
         assert res.z_score == 0.0
 
     def test_agreement_small_case(self, stream):
-        res = duality_check(GAUSS, 12, 16, 1.0, 50_000, stream)
+        (res,) = duality_check(GAUSS, 12, 16, [1.0], 50_000, stream)
         assert abs(res.z_score) <= 4.0
 
     def test_infinite_beta_matches_event_prob(self, stream):
-        res = duality_check(GAUSS, 12, 16, math.inf, 50_000, stream)
+        (res,) = duality_check(GAUSS, 12, 16, [math.inf], 50_000, stream)
         prob = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(12), [16], 50_000, stream)[0]
         z = abs(res.v_form.mean - prob.estimate.mean) / math.hypot(
             res.v_form.stderr, prob.estimate.stderr)

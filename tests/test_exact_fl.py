@@ -6,7 +6,7 @@ import pytest
 
 from clanmc import (DomainError, EnvironmentPath, RngStream, build_walk,
                     compose_pgf_bruteforce, cond_event_prob, extinction_step,
-                    h_functional, reflect, survival_bruteforce, survival_closed,
+                    h_functional, survival_bruteforce, survival_closed,
                     v_functional, yaglom_integrand)
 from clanmc.diagnostics import mobius_equivalence_check
 from clanmc.exact_fl import reversed_product_bruteforce, reversed_product_closed
@@ -140,12 +140,12 @@ class TestCondEventProb:
 
 class TestVFunctional:
     def test_flat_infinite_beta(self):
-        w = reflect(build_walk(EnvironmentPath(np.zeros(4))))
+        w = -build_walk(EnvironmentPath(np.zeros(4)))
         assert v_functional(w, 2, 4, math.inf).value == pytest.approx(0.1, rel=1e-12)
 
     def test_bounded_by_infinite_beta_and_monotone(self):
         _, w0 = random_case(38, 16)
-        w = reflect(w0)
+        w = -w0
         cap = v_functional(w, 5, 16, math.inf).value
         betas = [0.01, 0.1, 1.0, 10.0, 1e4]
         vals = [v_functional(w, 5, 16, b).value for b in betas]
@@ -155,7 +155,7 @@ class TestVFunctional:
     def test_flat_duality_pointwise(self):
         # a zero-variance environment makes both orientations the same number
         w = build_walk(EnvironmentPath(np.zeros(6)))
-        wr = reflect(w)
+        wr = -w
         for beta in (0.3, 1.0, 7.0, math.inf):
             h_side = yaglom_integrand(w, 2, 6, beta)
             v_side = v_functional(wr, 4, 6, beta)
@@ -163,7 +163,7 @@ class TestVFunctional:
 
     def test_domain(self):
         _, w0 = random_case(39, 6)
-        w = reflect(w0)
+        w = -w0
         with pytest.raises(DomainError):
             v_functional(w, 0, 6, 1.0)
         with pytest.raises(DomainError):
@@ -189,11 +189,11 @@ class TestYaglomIntegrand:
         # beta * a_{i,n} = 1e-12 must survive without forming s = 1 - eps
         path, w = random_case(42, 5)
         i, n = 1, 5
-        a_in = math.exp(w.s[i] - w.s[n])
+        a_in = math.exp(w[i] - w[n])
         beta = 1e-12 / a_in
         got = yaglom_integrand(w, i, n, beta).value
         with mpmath.workdps(60):
-            s_vals = [mpmath.mpf(float(v)) for v in w.s]
+            s_vals = [mpmath.mpf(float(v)) for v in w]
             one_ms = -mpmath.expm1(-mpmath.mpf(beta) * mpmath.exp(s_vals[i] - s_vals[n]))
             a_i, a_n = mpmath.exp(-s_vals[i]), mpmath.exp(-s_vals[n])
             b = lambda k: mpmath.fsum(mpmath.exp(-s_vals[r]) for r in range(k))

@@ -1,0 +1,46 @@
+"""The benchmark's per-layer tracer still finds every clanmc name it wraps.
+
+perfbench/tracing.py patches module attributes of clanmc by name from
+outside the package.  This test loads it from its path, traces one small
+`lst` estimate and one scalar closed-form call, and checks that the layers
+counted work and that uninstalling restores every attribute, so renaming a
+traced name fails here and not only in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from clanmc import (EnvironmentPath, EnvironmentSpec, RegimeRule, RngStream, assoc_walk,
+                    estimators, exact_fl)
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_and_restores_the_traced_names():
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()  # inside the try: a half-done install is undone too
+        patched = [(owner, attr, owner.__dict__[attr], original)
+                   for owner, attr, original in tracer._saved]
+        estimators.estimate_lambda(EnvironmentSpec.gaussian(1.0), RegimeRule.proportional(0.5),
+                                   16, [1.0, float("inf")], 300, RngStream(1))
+        walk = assoc_walk.build_walk(EnvironmentPath(np.array([0.3, -0.2, 0.5])))
+        assert 0.0 < exact_fl.cond_event_prob(walk, 1, 3).value < 1.0
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    for key in ("estimators.lse_calls", "mcstats.exact_sum_values", "exact_fl.scalar_calls"):
+        assert metrics[key] > 0, key
+    assert patched
+    for owner, attr, wrapper, original in patched:
+        assert wrapper is not original, attr
+        assert owner.__dict__[attr] is original, attr
