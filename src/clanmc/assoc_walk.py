@@ -17,14 +17,19 @@ import numpy as np
 
 from .env_model import EnvironmentSpec, EnvironmentPath, draw_increments
 from .errors import DomainError
-from .parallel import block_sizes, map_blocks
+from .parallel import block_sizes, map_blocks, resolve_shards
 from .streams import RngStream
 
 _WALK_BLOCK = 4096
 _WALK_CHUNK = 128
-# Largest harmonicity table.  Each persistence block holds (rows, nodes + 1)
-# int32 counts and int64 cumulative sums: about 80 MB of peak memory per
-# block at this size, against hundreds of MB per block at sigma = 100.
+# Paths a scan block draws, cumsums and bins at a time.  A block's working
+# set is one batch's temporaries plus the bin counts of the paths still on
+# their side: about 2 MB against a 161-node table.
+_ROW_BATCH = 256
+# Largest harmonicity table.  A block holds (paths, nodes + 1) int64 bin
+# counts for a batch and for the paths still on their side: about 8 MB of
+# peak memory per block at this size, against hundreds of MB per block at
+# sigma = 100.
 _MAX_TABLE_NODES = 1024
 
 
@@ -69,61 +74,81 @@ def _indicator(side: str, x: float) -> int:
 
 
 def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizon: int,
-                      m_samples: int, stream: RngStream, purpose: str, shards: int = 1):
+                      m_samples: int, stream: RngStream, purpose: str, shards: int | None = None):
     """Count per-path side-persistence events against a threshold grid.
 
     Returns (block_paths, block_sums, total_sumsq) where block_sums[b, g]
     is the summed per-path event count of block b at grid point g.
+
+    A block walks its paths _WALK_CHUNK steps at a time, drawing and
+    tallying _ROW_BATCH paths at once; a path's steps are binned by the
+    number of grid points below their value.  Only the paths still on
+    their side keep their bin counts: a path that leaves is added to the
+    block's sums at once.
     """
     grid = np.asarray(grid, dtype=float)
-    ngrid = grid.size
+    width = grid.size + 1
     sizes = block_sizes(m_samples, _WALK_BLOCK)
 
     def run_block(b: int):
         gen = stream.substream(purpose, b)
-        rows = sizes[b]
-        counts = np.zeros((rows, ngrid + 1), dtype=np.int32)
-        s_cur = np.zeros(rows)
-        alive = np.arange(rows)
+        buf = np.empty(min(sizes[b], _ROW_BATCH) * _WALK_CHUNK)
+        sums = np.zeros(grid.size, dtype=np.int64)
+        sumsq = np.zeros(grid.size, dtype=np.int64)
+        level = np.zeros(sizes[b])  # S at the last chunk's end, per path still on its side
+        counts = None               # their bin counts so far, once a chunk is done
         done = 0
-        while alive.size and done < horizon:
+        while level.size and done < horizon:
             k = min(_WALK_CHUNK, horizon - done)
-            seg = np.cumsum(draw_increments(spec, gen, np.empty((alive.size, k))), axis=1)
-            seg += s_cur[alive, None]
-            bad = seg >= 0.0 if side == "u" else seg < 0.0
-            has_bad = bad.any(axis=1)
-            first = np.where(has_bad, bad.argmax(axis=1), k)
-            valid = np.arange(k)[None, :] < first[:, None]
-            vals = -seg[valid]  # row-major: row r contributes first[r] leading entries
-            if vals.size:
-                # one bincount over the flattened (row, bin) index of the rows with entries
-                has = first > 0
-                hit = alive[has]
-                flat = np.repeat(np.arange(hit.size) * (ngrid + 1), first[has])
-                flat += np.searchsorted(grid, vals, side="left")
-                counts[hit] += np.bincount(flat, minlength=hit.size * (ngrid + 1)).reshape(
-                    hit.size, ngrid + 1)
-            keep = ~has_bad
-            if keep.any():
-                s_cur[alive[keep]] = seg[keep, k - 1]
-            alive = alive[keep]
+            next_level, next_counts = [], []
+            # row batches draw the stream in the order of one (paths, k) draw
+            for lo in range(0, level.size, _ROW_BATCH):
+                rows = min(_ROW_BATCH, level.size - lo)
+                seg = draw_increments(spec, gen, buf[:rows * k].reshape(rows, k))
+                np.cumsum(seg, axis=1, out=seg)
+                seg += level[lo:lo + rows, None]
+                bad = seg >= 0.0 if side == "u" else seg < 0.0
+                left = bad.any(axis=1)
+                first = np.where(left, bad.argmax(axis=1), k)
+                vals = seg[np.arange(k) < first[:, None]]
+                idx = np.repeat(np.arange(0, rows * width, width), first)
+                idx += np.searchsorted(grid, np.negative(vals, out=vals), side="left")
+                hist = np.bincount(idx, minlength=rows * width).reshape(rows, width)
+                if counts is not None:
+                    hist += counts[lo:lo + rows]
+                _add_paths(hist[left], side, sums, sumsq)
+                next_level.append(seg[~left, k - 1])
+                next_counts.append(hist[~left])
+            level = np.concatenate(next_level)
+            counts = np.concatenate(next_counts)
             done += k
-        if side == "u":
-            per_path = np.cumsum(counts[:, :ngrid], axis=1, dtype=np.int64)
-        else:
-            totals = counts.sum(axis=1, dtype=np.int64)[:, None]
-            per_path = totals - np.cumsum(counts[:, :ngrid], axis=1, dtype=np.int64)
-        return rows, per_path.sum(axis=0), (per_path.astype(np.int64) ** 2).sum(axis=0)
+        if counts is not None:  # the paths still on their side at the horizon
+            _add_paths(counts, side, sums, sumsq)
+        return sizes[b], sums, sumsq
 
-    results = map_blocks(run_block, len(sizes), shards)
+    results = map_blocks(run_block, len(sizes), resolve_shards(shards))
     block_paths = np.array([r[0] for r in results], dtype=np.int64)
     block_sums = np.stack([r[1] for r in results])
     total_sumsq = np.sum([r[2] for r in results], axis=0)
     return block_paths, block_sums, total_sumsq
 
 
+def _add_paths(counts: np.ndarray, side: str, sums: np.ndarray, sumsq: np.ndarray) -> None:
+    """Add finished paths' event counts per grid point, and their squares, to the sums.
+
+    counts[r, j] is path r's number of steps in bin j; its event count at
+    grid point g is its steps in bins <= g (side "u") or above g (side "v").
+    counts is overwritten.
+    """
+    cum = np.cumsum(counts, axis=1, out=counts)
+    per_path = cum[:, :-1] if side == "u" else cum[:, -1:] - cum[:, :-1]
+    sums += per_path.sum(axis=0)
+    sumsq += np.square(per_path, out=per_path).sum(axis=0)
+
+
 def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_samples: int,
-                   stream: RngStream, shards: int = 1, purpose: str | None = None) -> UVTable:
+                   stream: RngStream, shards: int | None = None,
+                   purpose: str | None = None) -> UVTable:
     """Estimate a harmonic function on a strictly increasing grid.
 
     side "u" is the staying-negative function on x >= 0, side "v" the
@@ -190,7 +215,7 @@ def _x_padding(spec: EnvironmentSpec) -> float:
 
 def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int,
                          stream: RngStream, side: str = "u",
-                         shards: int = 1) -> list[HarmonicityPoint]:
+                         shards: int | None = None) -> list[HarmonicityPoint]:
     """Residuals of the one-step harmonicity identity on a grid.
 
     side "u": checks E[u(x + X); x + X >= 0] = u(x) on x >= 0.

@@ -15,36 +15,45 @@ import numpy as np
 
 from .env_model import EnvironmentPath, offspring_params
 from .errors import DomainError, NumericalFailureError
-from .parallel import block_sizes, map_blocks
+from .parallel import block_sizes, map_blocks, resolve_shards
 from .streams import RngStream
 
 # Abort rather than saturate: a clipped trajectory would silently corrupt
 # conditional tail estimates.
 _COUNT_LIMIT = np.int64(2) ** 62
 _MEAN_LIMIT = 1e15
+# Replicates per substream block, and clan cells reproduced per batch: a
+# batch's mask, sizes, draws and their indices take about 1 MB.
+_SIM_BLOCK = 65536
+_REPRODUCE_CELLS = 32768
 
 
-def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> np.ndarray:
-    """Next sizes of all clans under mean-m geometric offspring.
+def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> None:
+    """Replace every clan size by its size one mean-m geometric generation later.
 
-    Sum of y i.i.d. geometrics is negative binomial with y successes, one
-    draw per living clan (in row-major order) rather than per individual.
+    The sum of y i.i.d. geometrics is negative binomial with y successes:
+    one draw per living clan, in row-major order, rather than per
+    individual.  clans (replicates along the first axis) is updated in
+    place, a batch of rows at a time; the batches draw the stream in the
+    order of one draw over the whole matrix.
     """
     _, q = offspring_params(m)
-    out = np.zeros_like(clans)
-    alive = clans > 0
-    if alive.any():
-        y = clans[alive]
-        if float(y.max()) * m > _MEAN_LIMIT:
-            raise NumericalFailureError("clan size beyond reliable 64-bit sampling range")
-        out[alive] = rng.negative_binomial(y, q)
-    if out.max(initial=0) > _COUNT_LIMIT:
-        raise NumericalFailureError("clan count overflow")
-    return out
+    if float(clans.max(initial=0)) * m > _MEAN_LIMIT:
+        raise NumericalFailureError("clan size beyond reliable 64-bit sampling range")
+    step = max(1, _REPRODUCE_CELLS // clans[0].size)
+    for lo in range(0, len(clans), step):
+        rows = clans[lo:lo + step]
+        alive = rows > 0
+        y = rows[alive]
+        if y.size:
+            draws = rng.negative_binomial(y, q)
+            if draws.max() > _COUNT_LIMIT:
+                raise NumericalFailureError("clan count overflow")
+            rows[alive] = draws
 
 
 def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
-                         shards: int = 1) -> np.ndarray:
+                         shards: int | None = None) -> np.ndarray:
     """Pre-immigration clan matrix at time n for m_reps independent runs.
 
     Row r holds the clan sizes (columns = founding generation) of replicate
@@ -53,23 +62,24 @@ def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
     only-surviving-clan event definition.
     """
     n = path.n
-    sizes = block_sizes(m_reps, 65536)
+    sizes = block_sizes(m_reps, _SIM_BLOCK)
+    clans = np.zeros((m_reps, n), dtype=np.int64)
 
-    def run_block(b: int) -> np.ndarray:
+    def run_block(b: int) -> None:
         rng = stream.substream("clan_sim.ensemble", b)
-        clans = np.zeros((sizes[b], n), dtype=np.int64)
-        clans[:, 0] = 1
+        block = clans[b * _SIM_BLOCK:b * _SIM_BLOCK + sizes[b]]
+        block[:, 0] = 1
         for t in range(1, n + 1):
-            clans[:, :t] = _reproduce(clans[:, :t], float(np.exp(path.x[t - 1])), rng)
+            _reproduce(block[:, :t], float(np.exp(path.x[t - 1])), rng)
             if t < n:
-                clans[:, t] = 1
-        return clans
+                block[:, t] = 1
 
-    return np.concatenate(map_blocks(run_block, len(sizes), shards), axis=0)
+    map_blocks(run_block, len(sizes), resolve_shards(shards))
+    return clans
 
 
 def simulate_ensemble(path: EnvironmentPath, i: int, m_reps: int, stream: RngStream,
-                      shards: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      shards: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z_in, y_minus, event_a) arrays over m_reps independent replicates."""
     n = path.n
     if not 0 <= i < n:

@@ -22,7 +22,7 @@ from .env_model import EnvironmentSpec, validate_spec
 from .errors import (AssumptionViolationError, ClanMCError, ConfigurationError,
                      DomainError, NumericalFailureError)
 from .estimators import RegimeRule
-from .parallel import _MAX_SHARDS
+from .parallel import _MAX_SHARDS, resolve_shards
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
@@ -66,6 +66,10 @@ def _parse_int(text: str) -> int:
         raise ConfigurationError(f"expected an integer, got {text!r}") from exc
 
 
+def _parse_optional_int(text: str) -> int | None:
+    return _parse_int(text) if text.strip() else None
+
+
 def _word(text: str) -> str:
     return text.strip().lower()
 
@@ -85,7 +89,8 @@ class RunConfig:
 
     Each field is one config key, in echo order, declared with its default
     text, parser and echo formatter.  Each key is also the flag "--" + key
-    with "_" turned into "-".
+    with "_" turned into "-".  An empty shards resolves to the usable CPUs,
+    capped by the memory the largest n's sweep threads would hold.
     """
 
     family: str = _key("gaussian", _word)
@@ -94,21 +99,24 @@ class RunConfig:
     step: float = _key("0.7", _parse_float, repr)
     regime: str = _key("end_window", _word)
     regime_param: float = _key("3", _parse_float, repr)
-    n: int | None = _key("", lambda t: _parse_int(t) if t.strip() else None,
-                         lambda v: "" if v is None else str(v))
+    n: int | None = _key("", _parse_optional_int, lambda v: "" if v is None else str(v))
     n_grid: tuple[int, ...] = _key("256,512,1024,2048,4096,8192", _parse_int_list, _join)
     m_samples: int = _key("100000", _parse_int)
     s_grid: tuple[float, ...] = _key("0,0.25,0.5,0.75,1", _parse_float_list, _join)
     beta_grid: tuple[float, ...] = _key("1e-4,1e-2,1,1e2,inf", _parse_float_list, _join)
     strata_N: int = _key("20", _parse_int)
     seed: int = _key(None, _parse_int)
-    shards: int = _key("1", _parse_int)
+    shards: int = _key("", _parse_optional_int)
     out: str | None = _key("", lambda t: t.strip() or None, lambda v: v or "")
     format: str = _key("json", _word)
     allow_assumption_violations: bool = _key("false", _parse_bool,
                                              lambda v: "true" if v else "false")
 
     def __post_init__(self):
+        if self.shards is None:  # the usable CPUs, as many as the largest n's sweep fits
+            largest_n = max(*self.n_grid, self.n or 0)
+            object.__setattr__(self, "shards",
+                               resolve_shards(None, estimators.sweep_workspace(largest_n)))
         if self.format not in ("json", "csv"):
             raise ConfigurationError(f"format must be json or csv, got {self.format!r}")
         if self.m_samples < 2:  # one sample has no standard error
@@ -287,7 +295,8 @@ def _run_strata(config: RunConfig, stream: RngStream) -> RunOutcome:
 
 def _run_oracle(config: RunConfig, stream: RngStream) -> RunOutcome:
     checks = diagnostics.run_oracle_suite(config.env_spec(), stream,
-                                          m_samples=min(config.m_samples, 50_000))
+                                          m_samples=min(config.m_samples, 50_000),
+                                          shards=config.shards)
     records, lines = [], []
     for c in checks:
         records.append(_record(f"oracle:{c.name}", mean=1.0 if c.passed else 0.0,

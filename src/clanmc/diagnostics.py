@@ -79,7 +79,8 @@ def definitional_h_check(stream: RngStream) -> CheckResult:
         f"telescoping log deviation {worst_tel:.3e} (tol {tol_telescope:.0e})")
 
 
-def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int) -> CheckResult:
+def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int,
+                    shards: int | None = None) -> CheckResult:
     """Individual-based simulator against the closed forms (three-sigma agreement)."""
     details = []
     ok = True
@@ -87,7 +88,7 @@ def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int) -> Check
     # one generation: the only-survivor event is just a positive offspring draw
     path1 = EnvironmentPath(np.array([0.4]))
     w1 = assoc_walk.build_walk(path1)
-    _, _, event = clan_sim.simulate_ensemble(path1, 0, m_reps_single, stream)
+    _, _, event = clan_sim.simulate_ensemble(path1, 0, m_reps_single, stream, shards)
     p_hat = event.mean()
     p_exact = exact_fl.cond_event_prob(w1, 0, 1).value
     se = math.sqrt(p_hat * (1.0 - p_hat) / m_reps_single)
@@ -98,7 +99,7 @@ def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int) -> Check
     # flat environment, n=8, designated clan 3, at s in {0, 0.5}
     path8 = EnvironmentPath(np.zeros(8))
     w8 = assoc_walk.build_walk(path8)
-    z_in, _, event = clan_sim.simulate_ensemble(path8, 3, m_reps, stream)
+    z_in, _, event = clan_sim.simulate_ensemble(path8, 3, m_reps, stream, shards)
     for s in (0.0, 0.5):
         vals = np.where(event, 1.0 - s ** z_in, 0.0)
         target = exact_fl.h_functional(w8, 3, 8, s).value
@@ -110,10 +111,12 @@ def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int) -> Check
     return CheckResult("simulator-vs-formula", bool(ok), ", ".join(details) + " (all must be <= 3)")
 
 
-def harmonicity_check(spec: EnvironmentSpec, stream: RngStream, m_samples: int) -> CheckResult:
+def harmonicity_check(spec: EnvironmentSpec, stream: RngStream, m_samples: int,
+                      shards: int | None = None) -> CheckResult:
     """One-step harmonicity of the estimated staying-negative renewal function."""
     pts = assoc_walk.harmonicity_residual(
-        spec, [0.0, 1.0, 2.0], horizon=2000, m_samples=m_samples, stream=stream, side="u")
+        spec, [0.0, 1.0, 2.0], horizon=2000, m_samples=m_samples, stream=stream, side="u",
+        shards=shards)
     ok = all(p.passed for p in pts)
     detail = ", ".join(f"x={p.x:g}: residual {p.residual:.4f} vs bound {p.bound:.4f}" for p in pts)
     return CheckResult("u-harmonicity", ok, detail)
@@ -136,18 +139,21 @@ def reversed_product_check(stream: RngStream) -> CheckResult:
         f"max relative deviation {worst:.3e} over {trials} trials (tol {tol:.0e})")
 
 
-def run_oracle_suite(spec: EnvironmentSpec, stream: RngStream, m_samples: int) -> list[CheckResult]:
+def run_oracle_suite(spec: EnvironmentSpec, stream: RngStream, m_samples: int,
+                     shards: int | None = None) -> list[CheckResult]:
     """The full small-n oracle suite in a fixed order.
 
     The harmonicity check runs first, so a config it refuses costs no other
     work; the streams are keyed by purpose, so the order changes no number.
+    The persistence scan and the simulator run their blocks on `shards`
+    threads.
     """
-    harmonicity = harmonicity_check(spec, stream, m_samples)
+    harmonicity = harmonicity_check(spec, stream, m_samples, shards)
     return [
         mobius_equivalence_check(stream),
         definitional_h_check(stream),
         simulator_check(stream, m_reps=max(m_samples, 50_000),
-                        m_reps_single=max(5 * m_samples, 200_000)),
+                        m_reps_single=max(5 * m_samples, 200_000), shards=shards),
         harmonicity,
         reversed_product_check(stream),
     ]

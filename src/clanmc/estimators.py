@@ -21,15 +21,12 @@ from .env_model import EnvironmentSpec, draw_increments, validate_spec
 from .errors import AssumptionViolationError, DomainError, NumericalFailureError, UnreliableRatioError
 from .logdomain import log1m_exp_neg_vec
 from .mcstats import MCEstimate, ratio_with_stderr
-from .parallel import block_sizes, map_blocks
+from .parallel import block_sizes, map_blocks, resolve_shards
 from .streams import RngStream
 
 _SWEEP_BLOCK = 256
-# Largest observation time a sweep accepts.  A sweep thread holds a
-# (256, n) increment buffer, a (256, n + 1) walk buffer and one
-# (256, n + 1) exponential array per block, about 6 KiB per unit of n:
-# 384 MiB per thread at this limit, eight times the largest grid point
-# the scaling studies use.
+# Largest observation time a sweep accepts: 384 MiB of sweep_workspace per
+# thread, eight times the largest grid point the scaling studies use.
 _MAX_N = 65536
 # Most bytes of replicate columns one event-probability grid sweep returns.
 # A sweep keeps every column until its last block, so a grid whose
@@ -118,8 +115,17 @@ def _require_regime_assumptions(spec: EnvironmentSpec, rule: RegimeRule, allow: 
 # ---------------------------------------------------------------------------
 
 
+def sweep_workspace(n: int) -> int:
+    """Bytes a sweep thread holds at observation time n, about 6 KiB per unit of n.
+
+    A (256, n) increment buffer, a (256, n + 1) walk buffer and one
+    (256, n + 1) exponential array per block.
+    """
+    return 3 * 8 * _SWEEP_BLOCK * (max(n, 0) + 1)
+
+
 def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
-           purpose: str, kernel, shards: int = 1) -> dict[str, np.ndarray]:
+           purpose: str, kernel, shards: int | None = None) -> dict[str, np.ndarray]:
     """Columns of kernel(walk block), concatenated over the blocks in block order.
 
     Each thread that runs blocks of this sweep draws into one increment
@@ -159,7 +165,7 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
                     f"sweep kernel column {key!r} is a view of the reused walk buffer")
         return cols
 
-    blocks = map_blocks(run_block, len(sizes), shards)
+    blocks = map_blocks(run_block, len(sizes), resolve_shards(shards, sweep_workspace(n)))
     return {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
 
 
@@ -297,7 +303,7 @@ class EventProbResult:
 
 
 def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, m_samples: int,
-                             stream: RngStream, shards: int = 1,
+                             stream: RngStream, shards: int | None = None,
                              allow_assumption_violations: bool = False) -> list[EventProbResult]:
     """Mean over environments of the exact conditional only-survivor probability, per grid n.
 
@@ -345,7 +351,7 @@ class TransformResult:
 
 
 def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[float],
-                        m_samples: int, stream: RngStream, purpose: str, shards: int,
+                        m_samples: int, stream: RngStream, purpose: str, shards: int | None,
                         point_cols) -> list[TransformResult]:
     """1 - E[h(param)] / E[h(0)] per grid point, all over the same environments.
 
@@ -376,7 +382,7 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
 
 
 def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_samples: int,
-                   stream: RngStream, shards: int = 1) -> list[TransformResult]:
+                   stream: RngStream, shards: int | None = None) -> list[TransformResult]:
     """Conditional generating function of the clan size for i = n - end_window.
 
     theta(s) = 1 - E[h(s)] / E[h(0)], numerator and denominator averaged
@@ -401,7 +407,7 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
 
 
 def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, m_samples: int,
-                    stream: RngStream, shards: int = 1,
+                    stream: RngStream, shards: int | None = None,
                     allow_assumption_violations: bool = False) -> list[TransformResult]:
     """Conditional Laplace transform lambda(beta) = 1 - E[h(e^{-beta a})] / E[h(0)].
 
@@ -496,7 +502,7 @@ def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK, dropped=()) 
 
 
 def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: int,
-                  stream: RngStream, shards: int = 1,
+                  stream: RngStream, shards: int | None = None,
                   allow_assumption_violations: bool = False) -> ScalingFit:
     """Fit the decay exponent of the only-survivor probability over an n grid.
 
@@ -546,7 +552,7 @@ class DualityResult:
 
 
 def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: int,
-                  stream: RngStream, shards: int = 1) -> list[DualityResult]:
+                  stream: RngStream, shards: int | None = None) -> list[DualityResult]:
     """Estimate the same expectation through both walk orientations, per beta.
 
     The direct form averages h(e^{-beta a}) over environments; the dual form
@@ -607,7 +613,8 @@ class StrataReport:
 
 
 def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_window: int,
-                         m_samples: int, stream: RngStream, shards: int = 1) -> StrataReport:
+                         m_samples: int, stream: RngStream,
+                         shards: int | None = None) -> StrataReport:
     """Split the dual-form estimate by where the reflected walk first bottoms out."""
     j = _dual_index(i, n, [beta])
     if not 1 <= n_window < j / 2:

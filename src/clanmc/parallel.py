@@ -7,6 +7,7 @@ order, so the worker count never touches the numbers.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -14,6 +15,31 @@ from typing import Callable
 # workspace (up to 384 MiB at the largest n), and the shard count never
 # changes a number, so more threads than this only cost memory.
 _MAX_SHARDS = 64
+# Most bytes of per-thread workspace the default shard count lets the
+# threads of one run hold together: two threads at the largest sweep.
+_WORKSPACE_BUDGET = 2**30
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def resolve_shards(shards: int | None, workspace: int = 0, cpus: int | None = None) -> int:
+    """The worker-thread count of a run: `shards` when given, else the default.
+
+    The default is the usable CPUs (or `cpus`), capped by _MAX_SHARDS and by
+    as many threads of `workspace` bytes each as fit in _WORKSPACE_BUDGET.
+    """
+    if shards is not None:
+        return shards
+    if cpus is None:
+        cpus = usable_cpus()
+    fit = _WORKSPACE_BUDGET // workspace if workspace > 0 else cpus
+    return max(1, min(cpus, _MAX_SHARDS, fit))
 
 
 def block_sizes(total: int, block: int) -> list[int]:
@@ -27,14 +53,17 @@ def block_sizes(total: int, block: int) -> list[int]:
     return sizes
 
 
-def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int = 1) -> list:
+def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int | None = None) -> list:
     """Run fn(block_index) for every block, in block order.
 
-    shards > 1 uses a thread pool (numpy kernels release the GIL); the
+    shards > 1 runs the blocks on a pool of min(shards, n_blocks) threads
+    (numpy kernels release the GIL), a single block too: its temporaries then
+    lives in a worker's malloc arena, not stacked on the caller's.  The
     result list is ordered by block index regardless.
     """
+    shards = resolve_shards(shards)
     indices = range(n_blocks)
-    if shards <= 1 or n_blocks <= 1:
+    if shards <= 1 or n_blocks < 1:
         return [fn(b) for b in indices]
-    with ThreadPoolExecutor(max_workers=shards) as pool:
+    with ThreadPoolExecutor(max_workers=min(shards, n_blocks)) as pool:
         return list(pool.map(fn, indices))

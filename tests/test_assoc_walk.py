@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream,
+from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream, assoc_walk,
                     build_walk, estimate_table, harmonicity_residual)
+from clanmc.env_model import draw_increments
 from clanmc.estimators import _ExpRows, _first_max_index
+from clanmc.parallel import block_sizes
 
 
 @pytest.fixture
@@ -165,3 +168,85 @@ class TestHarmonicSeries:
             harmonicity_residual(spec, [0.0], horizon=100, m_samples=100,
                                  stream=stream, side="v")
 
+
+
+def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
+    """The dense per-chunk persistence scan, one block after another.
+
+    Each chunk draws and cumsums every surviving path at once and tallies
+    its steps into dense (paths, grid + 1) counts of the whole block.  The
+    production scan draws in row batches and adds each path to the sums
+    when it leaves its side; it must give the same integers.
+    """
+    grid = np.asarray(grid, dtype=float)
+    ngrid = grid.size
+    results = []
+    for b, rows in enumerate(block_sizes(m_samples, assoc_walk._WALK_BLOCK)):
+        gen = stream.substream(purpose, b)
+        counts = np.zeros((rows, ngrid + 1), dtype=np.int32)
+        s_cur = np.zeros(rows)
+        alive = np.arange(rows)
+        done = 0
+        while alive.size and done < horizon:
+            k = min(assoc_walk._WALK_CHUNK, horizon - done)
+            seg = np.cumsum(draw_increments(spec, gen, np.empty((alive.size, k))), axis=1)
+            seg += s_cur[alive, None]
+            bad = seg >= 0.0 if side == "u" else seg < 0.0
+            has_bad = bad.any(axis=1)
+            first = np.where(has_bad, bad.argmax(axis=1), k)
+            valid = np.arange(k)[None, :] < first[:, None]
+            vals = -seg[valid]
+            if vals.size:
+                has = first > 0
+                hit = alive[has]
+                flat = np.repeat(np.arange(hit.size) * (ngrid + 1), first[has])
+                flat += np.searchsorted(grid, vals, side="left")
+                counts[hit] += np.bincount(flat, minlength=hit.size * (ngrid + 1)).reshape(
+                    hit.size, ngrid + 1)
+            keep = ~has_bad
+            if keep.any():
+                s_cur[alive[keep]] = seg[keep, k - 1]
+            alive = alive[keep]
+            done += k
+        if side == "u":
+            per_path = np.cumsum(counts[:, :ngrid], axis=1, dtype=np.int64)
+        else:
+            totals = counts.sum(axis=1, dtype=np.int64)[:, None]
+            per_path = totals - np.cumsum(counts[:, :ngrid], axis=1, dtype=np.int64)
+        results.append((rows, per_path.sum(axis=0), (per_path.astype(np.int64) ** 2).sum(axis=0)))
+    block_paths = np.array([r[0] for r in results], dtype=np.int64)
+    block_sums = np.stack([r[1] for r in results])
+    total_sumsq = np.sum([r[2] for r in results], axis=0)
+    return block_paths, block_sums, total_sumsq
+
+
+class TestPersistenceScan:
+    # 4096 + 700 paths: a full block of many row batches and a short last
+    # block; a horizon of 300 ends on a chunk of 44 steps
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
+                                      EnvironmentSpec.uniform_symmetric(1.5),
+                                      EnvironmentSpec.two_point(1.0)],
+                             ids=["gaussian", "uniform", "twopoint"])
+    def test_same_integers_as_dense_reference(self, spec, side, shards, stream):
+        grid = np.arange(0, 41) * 0.1 if side == "u" else -np.arange(40, 0, -1) * 0.1
+        args = (spec, side, grid, 300, 4796, stream, f"test.scan.{side}")
+        got = assoc_walk._persistence_scan(*args, shards=shards)
+        want = reference_scan(*args)
+        assert got[0].tolist() == [4096, 700]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert want[1].sum() > 0
+
+    def test_block_working_set_bounded(self, stream):
+        # a full block against a 161-node table: the dense per-chunk tallies
+        # of the reference peak at about 13 MB
+        spec, grid = EnvironmentSpec.gaussian(1.0), np.arange(161) * 0.05
+        tracemalloc.start()
+        try:
+            assoc_walk._persistence_scan(spec, "u", grid, 2000, 4096, stream, "test.mem", shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, peak

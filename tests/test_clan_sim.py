@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from scipy.stats import ks_2samp
 
 from clanmc import (DomainError, EnvironmentPath, NumericalFailureError, RngStream,
                     build_walk, h_functional, simulate_ensemble)
+from clanmc import clan_sim
 from clanmc.clan_sim import _reproduce, final_clans_ensemble
+from clanmc.env_model import offspring_params
+from clanmc.parallel import block_sizes
 
 
 @pytest.fixture
@@ -21,19 +25,23 @@ class TestStep:
         z_in, y_minus, event = simulate_ensemble(path, 1, 2_000, stream)
         assert np.array_equal(z_in, y_minus) and np.array_equal(event, y_minus > 0)
         gen = stream.substream("t.extinct", 0)
-        assert np.array_equal(_reproduce(np.zeros(3, dtype=np.int64), 1.7, gen), np.zeros(3))
+        clans = np.zeros(3, dtype=np.int64)
+        _reproduce(clans, 1.7, gen)
+        assert np.array_equal(clans, np.zeros(3))
         assert gen.random() == stream.substream("t.extinct", 0).random()  # drew nothing
 
     def test_reproduction_mean(self, stream):
         y, m, reps = 100, 1.5, 100_000
-        draws = _reproduce(np.full(reps, y, dtype=np.int64), m,
-                           stream.substream("t.mean", 0)).astype(float)
+        draws = np.full(reps, y, dtype=np.int64)
+        _reproduce(draws, m, stream.substream("t.mean", 0))
+        draws = draws.astype(float)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - y * m) <= 3 * se
 
     def test_single_geometric_extinction_prob(self, stream):
-        zero = _reproduce(np.ones(100_000, dtype=np.int64), 1.0,
-                          stream.substream("t.geom", 0)) == 0
+        clans = np.ones(100_000, dtype=np.int64)
+        _reproduce(clans, 1.0, stream.substream("t.geom", 0))
+        zero = clans == 0
         se = math.sqrt(0.25 / zero.size)
         assert abs(zero.mean() - 0.5) <= 3 * se
 
@@ -50,8 +58,75 @@ class TestStep:
 
     def test_overflow_aborts(self, stream):
         path = EnvironmentPath(np.full(8, 5.0))  # mean offspring e^5 per generation
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(NumericalFailureError, match="64-bit sampling range"):
             final_clans_ensemble(path, 200, stream)
+
+    def test_count_overflow_aborts(self, stream, monkeypatch):
+        # a clan count above the limit is refused, not stored
+        monkeypatch.setattr(clan_sim, "_COUNT_LIMIT", np.int64(50))
+        path = EnvironmentPath(np.full(4, 2.0))
+        with pytest.raises(NumericalFailureError, match="clan count overflow"):
+            final_clans_ensemble(path, 200, stream)
+
+
+def reference_reproduce(clans, m, rng):
+    """One generation for the whole clan matrix in one draw, into a new matrix."""
+    _, q = offspring_params(m)
+    out = np.zeros_like(clans)
+    alive = clans > 0
+    if alive.any():
+        y = clans[alive]
+        if float(y.max()) * m > clan_sim._MEAN_LIMIT:
+            raise NumericalFailureError("clan size beyond reliable 64-bit sampling range")
+        out[alive] = rng.negative_binomial(y, q)
+    if out.max(initial=0) > clan_sim._COUNT_LIMIT:
+        raise NumericalFailureError("clan count overflow")
+    return out
+
+
+def reference_ensemble(path, m_reps, stream):
+    """final_clans_ensemble with whole-matrix generations and one matrix per block."""
+    n = path.n
+    blocks = []
+    for b, rows in enumerate(block_sizes(m_reps, clan_sim._SIM_BLOCK)):
+        rng = stream.substream("clan_sim.ensemble", b)
+        clans = np.zeros((rows, n), dtype=np.int64)
+        clans[:, 0] = 1
+        for t in range(1, n + 1):
+            clans[:, :t] = reference_reproduce(clans[:, :t], float(np.exp(path.x[t - 1])), rng)
+            if t < n:
+                clans[:, t] = 1
+        blocks.append(clans)
+    return np.concatenate(blocks, axis=0)
+
+
+class TestBatchedGenerations:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_same_matrix_as_whole_matrix_reference(self, stream, shards):
+        # two substream blocks; from t = 2 on a 65536-row block spans
+        # several batches of _REPRODUCE_CELLS cells
+        path = EnvironmentPath(np.array([0.4, -0.3, 0.2, 0.1, -0.5, 0.3]))
+        got = final_clans_ensemble(path, 70_000, stream, shards=shards)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_ensemble(path, 70_000, stream))
+
+    def test_one_generation_in_many_batches(self, stream, monkeypatch):
+        monkeypatch.setattr(clan_sim, "_REPRODUCE_CELLS", 7)
+        clans = stream.substream("t.batch", 0).integers(0, 4, (1000, 5))
+        want = reference_reproduce(clans, 1.3, stream.substream("t.batch", 1))
+        _reproduce(clans, 1.3, stream.substream("t.batch", 1))
+        assert np.array_equal(clans, want)
+
+    def test_working_set_bounded(self, stream):
+        # n = 8 and 50 000 replicates, as the oracle suite runs it: the output
+        # matrix is 3.2 MB; whole-matrix generations peaked at about 11 MB
+        tracemalloc.start()
+        try:
+            simulate_ensemble(EnvironmentPath(np.zeros(8)), 3, 50_000, stream, shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, peak
 
 
 class TestSimulate:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clanmc import assoc_walk, cli, diagnostics, estimators, parallel
+from clanmc import assoc_walk, clan_sim, cli, diagnostics, estimators, parallel
 from clanmc.cli import RunConfig, parse_config_file
 from clanmc.errors import ConfigurationError
 
@@ -175,6 +175,25 @@ class TestSubcommands:
         assert "oracle suite: all checks passed" in printed
         recs = [json.loads(line) for line in result_lines(out)]
         assert len(recs) == 5 and all(r["tag"] == "pass" for r in recs)
+
+    def test_oracle_runs_on_its_shards(self, tmp_path, monkeypatch):
+        seen = []
+        for mod in (assoc_walk, clan_sim):
+            def counting(fn, n_blocks, shards=None, _orig=mod.map_blocks, _name=mod.__name__):
+                seen.append((_name, shards))
+                return _orig(fn, n_blocks, shards)
+            monkeypatch.setattr(mod, "map_blocks", counting)
+        out = tmp_path / "o.ndjson"
+        args = ["oracle", "--seed", "13", "--m-samples", "5000", "--out", str(out)]
+        assert cli.main(args + ["--shards", "2"]) == 0
+        assert {name for name, _ in seen} == {"clanmc.assoc_walk", "clanmc.clan_sim"}
+        assert {shards for _, shards in seen} == {2}
+        # without --shards the run resolves its count once and echoes it
+        seen.clear()
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        assert cli.main(args) == 0
+        assert json.loads(out.read_text().splitlines()[0])["shards"] == "3"
+        assert seen and {shards for _, shards in seen} == {3}
 
     def test_oracle_single_persistence_block_exit_two(self, tmp_path, capsys):
         # 4096 samples fill one persistence block; the jackknife needs two
