@@ -22,7 +22,7 @@ from .env_model import EnvironmentSpec, validate_spec
 from .errors import (AssumptionViolationError, ClanMCError, ConfigurationError,
                      DomainError, NumericalFailureError)
 from .estimators import RegimeRule
-from .parallel import _MAX_SHARDS, resolve_shards
+from .parallel import _MAX_SHARDS
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
@@ -89,8 +89,8 @@ class RunConfig:
 
     Each field is one config key, in echo order, declared with its default
     text, parser and echo formatter.  Each key is also the flag "--" + key
-    with "_" turned into "-".  An empty shards resolves to the usable CPUs,
-    capped by the memory the largest n's sweep threads would hold.
+    with "_" turned into "-".  An empty shards resolves once, for every
+    subcommand, to estimators.sweep_shards at the largest n the config names.
     """
 
     family: str = _key("gaussian", _word)
@@ -113,18 +113,17 @@ class RunConfig:
                                              lambda v: "true" if v else "false")
 
     def __post_init__(self):
-        if self.shards is None:  # the usable CPUs, as many as the largest n's sweep fits
-            largest_n = max(*self.n_grid, self.n or 0)
-            object.__setattr__(self, "shards",
-                               resolve_shards(None, estimators.sweep_workspace(largest_n)))
         if self.format not in ("json", "csv"):
             raise ConfigurationError(f"format must be json or csv, got {self.format!r}")
         if self.m_samples < 2:  # one sample has no standard error
             raise ConfigurationError(f"m_samples must be at least 2, got {self.m_samples}")
-        if not 1 <= self.shards <= _MAX_SHARDS:
-            raise ConfigurationError(f"shards must be between 1 and {_MAX_SHARDS}, got {self.shards}")
         if not self.n_grid or not self.s_grid or not self.beta_grid:
             raise ConfigurationError("grids must be nonempty")
+        if self.shards is None:  # as many threads as the sweep at the largest n fits
+            object.__setattr__(self, "shards",
+                               estimators.sweep_shards(None, max(*self.n_grid, self.n or 0)))
+        if not 1 <= self.shards <= _MAX_SHARDS:
+            raise ConfigurationError(f"shards must be between 1 and {_MAX_SHARDS}, got {self.shards}")
 
     @staticmethod
     def from_strings(values: dict[str, str]) -> "RunConfig":

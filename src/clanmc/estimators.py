@@ -26,7 +26,8 @@ from .streams import RngStream
 
 _SWEEP_BLOCK = 256
 # Largest observation time a sweep accepts: 384 MiB of sweep_workspace per
-# thread, eight times the largest grid point the scaling studies use.
+# thread, eight times the largest grid point the scaling studies use.  It
+# also bounds the default shard count (sweep_shards).
 _MAX_N = 65536
 # Most bytes of replicate columns one event-probability grid sweep returns.
 # A sweep keeps every column until its last block, so a grid whose
@@ -124,6 +125,16 @@ def sweep_workspace(n: int) -> int:
     return 3 * 8 * _SWEEP_BLOCK * (max(n, 0) + 1)
 
 
+def sweep_shards(shards: int | None, n: int) -> int:
+    """The worker threads of a sweep at observation time n: `shards` when given.
+
+    The default is the usable CPUs, but only as many threads as hold
+    together no more workspace than one thread at _MAX_N, the most a
+    one-thread sweep holds.  From n = 32768 on that is one thread.
+    """
+    return resolve_shards(shards, sweep_workspace(_MAX_N) // sweep_workspace(n))
+
+
 def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
            purpose: str, kernel, shards: int | None = None) -> dict[str, np.ndarray]:
     """Columns of kernel(walk block), concatenated over the blocks in block order.
@@ -165,7 +176,7 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
                     f"sweep kernel column {key!r} is a view of the reused walk buffer")
         return cols
 
-    blocks = map_blocks(run_block, len(sizes), resolve_shards(shards, sweep_workspace(n)))
+    blocks = map_blocks(run_block, len(sizes), sweep_shards(shards, n))
     return {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
 
 

@@ -11,13 +11,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
-# Most worker threads a run may ask for.  A sweep thread holds its own walk
-# workspace (up to 384 MiB at the largest n), and the shard count never
-# changes a number, so more threads than this only cost memory.
+# Most worker threads a run may ask for.  The shard count never changes a
+# number, so more threads than this only cost memory.
 _MAX_SHARDS = 64
-# Most bytes of per-thread workspace the default shard count lets the
-# threads of one run hold together: two threads at the largest sweep.
-_WORKSPACE_BUDGET = 2**30
 
 
 def usable_cpus() -> int:
@@ -28,18 +24,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_shards(shards: int | None, workspace: int = 0, cpus: int | None = None) -> int:
+def resolve_shards(shards: int | None, most: int = _MAX_SHARDS) -> int:
     """The worker-thread count of a run: `shards` when given, else the default.
 
-    The default is the usable CPUs (or `cpus`), capped by _MAX_SHARDS and by
-    as many threads of `workspace` bytes each as fit in _WORKSPACE_BUDGET.
+    The default is the usable CPUs, at most `most` and _MAX_SHARDS, and at
+    least one.
     """
     if shards is not None:
         return shards
-    if cpus is None:
-        cpus = usable_cpus()
-    fit = _WORKSPACE_BUDGET // workspace if workspace > 0 else cpus
-    return max(1, min(cpus, _MAX_SHARDS, fit))
+    return max(1, min(usable_cpus(), _MAX_SHARDS, most))
 
 
 def block_sizes(total: int, block: int) -> list[int]:
@@ -53,15 +46,15 @@ def block_sizes(total: int, block: int) -> list[int]:
     return sizes
 
 
-def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int | None = None) -> list:
+def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int = 1) -> list:
     """Run fn(block_index) for every block, in block order.
 
-    shards > 1 runs the blocks on a pool of min(shards, n_blocks) threads
-    (numpy kernels release the GIL), a single block too: its temporaries then
-    lives in a worker's malloc arena, not stacked on the caller's.  The
-    result list is ordered by block index regardless.
+    shards is a resolved count (see resolve_shards).  shards > 1 runs the
+    blocks on a pool of min(shards, n_blocks) threads (numpy kernels release
+    the GIL), a single block too: its temporaries then live in a worker's
+    malloc arena, not stacked on the caller's.  The result list is ordered by
+    block index regardless.
     """
-    shards = resolve_shards(shards)
     indices = range(n_blocks)
     if shards <= 1 or n_blocks < 1:
         return [fn(b) for b in indices]

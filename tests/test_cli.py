@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -61,6 +62,13 @@ class TestConfig:
         parser = cli._build_parser()
         for flag, key in flags.items():
             assert getattr(parser.parse_args(["validate", flag, "v"]), key) == "v"
+
+    def test_empty_grid_refused_before_shards_resolve(self):
+        # a directly built config reaches the checks without the grid parser
+        cfg = make_config()
+        for key in ("n_grid", "s_grid", "beta_grid"):
+            with pytest.raises(ConfigurationError, match="grids must be nonempty"):
+                dataclasses.replace(cfg, **{key: ()}, shards=None)
 
     def test_infinity_parses(self):
         cfg = make_config(beta_grid="1,inf")

@@ -1,36 +1,60 @@
 import threading
 
+import pytest
+
 from clanmc import EnvironmentSpec, RngStream, assoc_walk, estimators, parallel
-from clanmc.estimators import _MAX_N, sweep_workspace
-from clanmc.parallel import _MAX_SHARDS, _WORKSPACE_BUDGET, map_blocks, resolve_shards
+from clanmc.estimators import _MAX_N, sweep_shards, sweep_workspace
+from clanmc.parallel import _MAX_SHARDS, map_blocks, resolve_shards
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count the resolver sees; no thread is started."""
+    def set_cpus(count):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+    return set_cpus
 
 
 class TestResolveShards:
-    def test_one_usable_cpu_gives_one(self):
-        assert resolve_shards(None, cpus=1) == 1
-        assert resolve_shards(None, sweep_workspace(256), cpus=1) == 1
+    def test_one_usable_cpu_gives_one(self, cpus):
+        cpus(1)
+        assert resolve_shards(None) == 1
+        assert sweep_shards(None, 256) == 1
 
-    def test_explicit_value_wins(self):
-        assert resolve_shards(5, cpus=1) == 5
-        assert resolve_shards(3, sweep_workspace(_MAX_N), cpus=64) == 3
+    def test_explicit_value_wins(self, cpus):
+        cpus(1)
+        assert resolve_shards(5) == 5
+        cpus(64)
+        assert sweep_shards(3, _MAX_N) == 3
 
-    def test_default_is_the_usable_cpus_up_to_the_cap(self):
-        assert resolve_shards(None, cpus=2) == 2
-        assert resolve_shards(None, sweep_workspace(8192), cpus=8) == 8
-        assert resolve_shards(None, cpus=10_000) == _MAX_SHARDS
+    def test_default_is_the_usable_cpus_up_to_the_cap(self, cpus):
+        cpus(2)
+        assert resolve_shards(None) == 2
+        cpus(8)
+        assert resolve_shards(None, most=3) == 3
+        assert sweep_shards(None, 4096) == 8
+        cpus(10_000)
+        assert resolve_shards(None) == _MAX_SHARDS
 
-    def test_threads_times_workspace_within_budget_at_largest_n(self):
-        workspace = sweep_workspace(_MAX_N)
-        assert 380 * 2**20 < workspace < 390 * 2**20  # about 6 KiB per unit of n
-        for cpus in (1, 2, 3, 8, 64, 10_000):
-            shards = resolve_shards(None, workspace, cpus)
-            assert 1 <= shards <= min(cpus, _MAX_SHARDS)
-            assert shards * workspace <= _WORKSPACE_BUDGET
-        assert resolve_shards(None, workspace, cpus=64) == 2
+    def test_sweep_threads_hold_no_more_than_one_thread_at_largest_n(self, cpus):
+        budget = sweep_workspace(_MAX_N)
+        assert 380 * 2**20 < budget < 390 * 2**20  # about 6 KiB per unit of n
+        for count in (1, 2, 3, 8, 64, 10_000):
+            cpus(count)
+            for n in (1, 256, 8192, 16384, 32768, _MAX_N):
+                shards = sweep_shards(None, n)
+                assert 1 <= shards <= min(count, _MAX_SHARDS)
+                assert shards * sweep_workspace(n) <= budget
+        cpus(64)
+        assert sweep_shards(None, _MAX_N) == 1
+        assert sweep_shards(None, 32768) == 1
+        assert sweep_shards(None, 16384) == 3
+        assert sweep_shards(None, 8192) == 7
 
-    def test_walk_beyond_the_budget_gets_one_thread(self):
-        assert resolve_shards(None, _WORKSPACE_BUDGET + 1, cpus=64) == 1
-        assert resolve_shards(None, sweep_workspace(10**300), cpus=64) == 1
+    def test_walk_beyond_the_limit_gets_one_thread(self, cpus):
+        cpus(64)
+        assert sweep_shards(None, _MAX_N + 1) == 1
+        assert sweep_shards(None, 10**300) == 1
 
 
 class TestMapBlocks:
