@@ -87,6 +87,13 @@ CASES = {
          "--regime", "proportional", "--regime-param", "0.5", "--strata-N", "4",
          "--beta-grid", "1", "--m-samples", "1300"], {}, None),
     "oracle-gaussian": (["oracle", "--seed", "13", "--m-samples", "5000"], {}, None),
+    # 5 persistence blocks, so 5 jackknife groups; x + X lands on table nodes
+    "oracle-twopoint": (
+        ["oracle", "--seed", "14", "--family", "twopoint", "--step", "1", "--m-samples", "20000"],
+        {}, None),
+    "oracle-uniform": (
+        ["oracle", "--seed", "15", "--family", "uniform", "--halfwidth", "1.5",
+         "--m-samples", "20000"], {}, None),
 }
 
 

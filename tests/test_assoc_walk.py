@@ -250,3 +250,112 @@ class TestPersistenceScan:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20, peak
+
+
+def reference_interp_extrap(xs, ys, q):
+    """np.interp inside the nodes, linear extrapolation from the end pairs outside."""
+    out = np.interp(q, xs, ys)
+    if xs.size >= 2:
+        hi = q > xs[-1]
+        if hi.any():
+            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+            out[hi] = ys[-1] + slope * (q[hi] - xs[-1])
+        lo = q < xs[0]
+        if lo.any():
+            slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
+            out[lo] = ys[0] + slope * (q[lo] - xs[0])
+    return out
+
+
+def reference_harmonicity(spec, x_grid, horizon, m_samples, stream, side="u", shards=None):
+    """The harmonicity check with one interpolation per x and per left-out group.
+
+    Same table, draws and groups as the production check; each of the
+    group's values interpolates the draws outside that group afresh.
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
+    pad = assoc_walk._x_padding(spec)
+    reach = float(x_grid.max()) if side == "u" else -float(x_grid.min())
+    k_max = int(math.ceil((reach + pad) / 0.05))
+    if side == "u":
+        nodes = np.arange(0, k_max + 1, dtype=float) * 0.05
+    else:
+        nodes = -np.arange(k_max, 0, -1, dtype=float) * 0.05
+    table = estimate_table(spec, side, nodes, horizon, m_samples, stream, shards,
+                           purpose=f"assoc_walk.harmonicity.{side}")
+    ind = np.array([1.0 if (x >= 0 if side == "u" else x < 0) else 0.0 for x in nodes])
+    gen = stream.substream(f"assoc_walk.harmonicity.{side}.draws", 0)
+    draws = draw_increments(spec, gen, np.empty(m_samples))
+    n_blocks = table.block_paths.size
+    groups = min(20, n_blocks)
+    block_group = np.arange(n_blocks) % groups
+    draw_group = (np.arange(m_samples) * groups) // m_samples
+
+    def table_means(excluded):
+        keep = block_group != excluded
+        return ind + table.block_sums[keep].sum(axis=0) / int(table.block_paths[keep].sum())
+
+    def residual_for(x, means, dmask):
+        y = x + draws[dmask]
+        keep = y >= 0.0 if side == "u" else y < 0.0
+        expect = float(reference_interp_extrap(nodes, means, y[keep]).sum()) / y.size
+        return expect, expect - float(reference_interp_extrap(nodes, means, np.array([x]))[0])
+
+    full = ind + table.block_sums.sum(axis=0) / int(table.block_paths.sum())
+    allowance = 0.5 * float(np.max(np.abs(np.diff(full)))) if nodes.size >= 2 else 0.0
+    out = []
+    for x in x_grid:
+        expect, res = residual_for(float(x), full, np.ones(m_samples, dtype=bool))
+        jk = np.array([residual_for(float(x), table_means(g), draw_group != g)[1]
+                       for g in range(groups)])
+        se = math.sqrt((groups - 1) / groups * float(np.sum((jk - jk.mean()) ** 2)))
+        out.append(assoc_walk.HarmonicityPoint(
+            x=float(x), table_value=float(reference_interp_extrap(nodes, full, np.array([x]))[0]),
+            table_stderr=float(reference_interp_extrap(nodes, table.stderrs, np.array([x]))[0]),
+            expectation_value=expect, residual=abs(res), stderr=se, allowance=allowance,
+            bound=3.0 * se + allowance))
+    return out
+
+
+@pytest.fixture
+def scan_once(monkeypatch):
+    """Let a check and its reference share each persistence scan they both ask for."""
+    scan, done = assoc_walk._persistence_scan, {}
+
+    def shared(spec, side, grid, horizon, m_samples, stream, purpose, shards=None):
+        key = (side, grid.tobytes(), horizon, m_samples, purpose)
+        if key not in done:
+            done[key] = scan(spec, side, grid, horizon, m_samples, stream, purpose, shards)
+        return done[key]
+    monkeypatch.setattr(assoc_walk, "_persistence_scan", shared)
+
+
+@pytest.mark.usefixtures("scan_once")
+class TestHarmonicityJackknife:
+    # 19 * 4096 + 700 paths give 20 blocks and 20 groups; 2 * 4096 + 700
+    # give three blocks and three groups.  A horizon of 300 keeps it fast.
+    @pytest.mark.parametrize("m_samples,shards", [(19 * 4096 + 700, 2), (2 * 4096 + 700, 1),
+                                                  (2 * 4096 + 700, 2)],
+                             ids=["20-groups-shards2", "3-groups-shards1", "3-groups-shards2"])
+    @pytest.mark.parametrize("side,x_grid", [("u", [0.0, 0.33, 1.0, 2.0]),
+                                             ("v", [-1.0, -0.47, -0.05])], ids=["u", "v"])
+    @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
+                                      EnvironmentSpec.gaussian(0.3),
+                                      EnvironmentSpec.uniform_symmetric(1.5),
+                                      EnvironmentSpec.two_point(1.0)],
+                             ids=["gaussian", "gaussian-0.3", "uniform", "twopoint"])
+    def test_same_points_as_reference(self, spec, side, x_grid, shards, m_samples):
+        args = (spec, x_grid, 300, m_samples, RngStream(4242))
+        got = harmonicity_residual(*args, side=side, shards=shards)
+        want = reference_harmonicity(*args, side=side, shards=shards)
+        assert got == want
+
+    def test_single_node_table(self):
+        # step 0.02 and x = -0.01 need one node at -0.05: np.interp returns
+        # that node's value for every query
+        spec = EnvironmentSpec.two_point(0.02)
+        args = (spec, [-0.01], 300, 2 * 4096 + 700, RngStream(4243))
+        got = harmonicity_residual(*args, side="v")
+        want = reference_harmonicity(*args, side="v")
+        assert got == want
+        assert got[0].allowance == 0.0
