@@ -192,18 +192,30 @@ class HarmonicityPoint:
         return self.residual <= self.bound
 
 
-def _interp_extrap(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.interp(q, xs, ys)
-    if xs.size >= 2:
-        hi = q > xs[-1]
-        if hi.any():
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            out[hi] = ys[-1] + slope * (q[hi] - xs[-1])
-        lo = q < xs[0]
-        if lo.any():
-            slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            out[lo] = ys[0] + slope * (q[lo] - xs[0])
-    return out
+def _brackets(nodes: np.ndarray, q: np.ndarray):
+    """Where each query falls among the nodes: (node a, slope index sj, offset d).
+
+    d = q - nodes[a] overwrites q.  With `_slopes`, slopes[sj] * d + ys[a]
+    is np.interp(q, nodes, ys) to the bit inside the nodes (numpy's own
+    slope * (q - x_j) + y_j) and the line through the end pair outside
+    them; a single node gives its value everywhere, as np.interp does.
+    """
+    a = np.searchsorted(nodes, q, side="right")
+    a -= 1
+    sj = np.clip(a, 0, max(nodes.size - 2, 0))
+    np.clip(a, 0, nodes.size - 1, out=a)
+    q -= nodes[a]
+    return a, sj, q
+
+
+def _slopes(nodes: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    return np.diff(ys) / np.diff(nodes) if nodes.size >= 2 else np.zeros(1)
+
+
+def _interpolate(nodes: np.ndarray, ys: np.ndarray, q) -> np.ndarray:
+    """Piecewise-linear interpolation of (nodes, ys) at q, extrapolated linearly at the ends."""
+    a, sj, d = _brackets(nodes, np.array(q, dtype=float, ndmin=1))
+    return _slopes(nodes, ys)[sj] * d + ys[a]
 
 
 def _x_padding(spec: EnvironmentSpec) -> float:
@@ -229,6 +241,8 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
     The combined uncertainty of table noise, draw noise and their
     correlation is estimated by a delete-one-group jackknife over 20 paired
     (path-block, draw-block) groups, or one per block when there are fewer.
+    Each x searches its draws' interpolation brackets once; each group then
+    costs one multiply-add and one sum over them.
     """
     grid_step, n_jackknife = 0.05, 20
     if side not in ("u", "v"):
@@ -264,7 +278,6 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
     n_blocks = table.block_paths.size
     groups = min(n_jackknife, n_blocks)
     block_group = np.arange(n_blocks) % groups
-    draw_group = (np.arange(m_samples) * groups) // m_samples  # contiguous groups
 
     def table_means(excluded: int | None) -> np.ndarray:
         if excluded is None:
@@ -276,30 +289,50 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
             paths = int(table.block_paths[keep].sum())
         return ind + sums / paths
 
-    def residual_for(x: float, means: np.ndarray, dmask: np.ndarray) -> tuple[float, float]:
-        y = x + draws[dmask]
-        keep = y >= 0.0 if side == "u" else y < 0.0
-        vals = _interp_extrap(nodes, means, y[keep])
-        expect = float(vals.sum()) / y.size
-        at_x = float(_interp_extrap(nodes, means, np.array([x]))[0])
-        return expect, expect - at_x
-
-    full_means = table_means(None)
+    # the full table (None) and the table without each group
+    means_of = {g: table_means(g) for g in (None, *range(groups))}
+    slopes_of = {g: _slopes(nodes, mu) for g, mu in means_of.items()}
+    full_means = means_of[None]
     allowance = 0.5 * float(np.max(np.abs(np.diff(full_means)))) if nodes.size >= 2 else 0.0
+    # draw groups are contiguous: group g is draws edges[g]..edges[g + 1] - 1
+    edges = [(g * m_samples + groups - 1) // groups for g in range(groups + 1)]
 
-    out = []
-    all_draws = np.ones(m_samples, dtype=bool)
-    for x in x_grid:
-        expect, res = residual_for(float(x), full_means, all_draws)
-        jk = np.empty(groups)
-        for g in range(groups):
-            _, jk[g] = residual_for(float(x), table_means(g), draw_group != g)
+    y, keep = np.empty(m_samples), np.empty(m_samples, dtype=bool)
+
+    def jackknife_point(x: float) -> HarmonicityPoint:
+        np.add(x, draws, out=y)
+        if side == "u":
+            np.greater_equal(y, 0.0, out=keep)
+        else:
+            np.less(y, 0.0, out=keep)
+        # the kept draws' brackets serve every group: a group leaves out one
+        # contiguous range kept[lo:hi] of them, which its sum skips
+        a, sj, d = _brackets(nodes, y[keep])
+        kept = np.cumsum([0] + [np.count_nonzero(keep[e:f]) for e, f in zip(edges, edges[1:])])
+        vals, tmp = np.empty_like(d), np.empty_like(d)
+
+        def residual(g: int | None) -> tuple[float, float]:
+            means, slopes = means_of[g], slopes_of[g]
+            lo, hi = (0, 0) if g is None else (int(kept[g]), int(kept[g + 1]))
+            n = d.size - (hi - lo)
+            for src, dst in ((slice(0, lo), slice(0, lo)), (slice(hi, None), slice(lo, n))):
+                # the indices are in range; mode "clip" lets take write to out unbuffered
+                np.take(slopes, sj[src], out=vals[dst], mode="clip")
+                vals[dst] *= d[src]
+                np.take(means, a[src], out=tmp[dst], mode="clip")
+                vals[dst] += tmp[dst]
+            used = m_samples if g is None else m_samples - (edges[g + 1] - edges[g])
+            expect = float(vals[:n].sum()) / used
+            return expect, expect - float(_interpolate(nodes, means, x)[0])
+
+        expect, res = residual(None)
+        jk = np.array([residual(g)[1] for g in range(groups)])
         se = math.sqrt((groups - 1) / groups * float(np.sum((jk - jk.mean()) ** 2)))
-        at_x = float(_interp_extrap(nodes, full_means, np.array([float(x)]))[0])
-        se_x = float(_interp_extrap(nodes, table.stderrs, np.array([float(x)]))[0])
-        out.append(HarmonicityPoint(
-            x=float(x), table_value=at_x, table_stderr=se_x,
+        return HarmonicityPoint(
+            x=x, table_value=float(_interpolate(nodes, full_means, x)[0]),
+            table_stderr=float(_interpolate(nodes, table.stderrs, x)[0]),
             expectation_value=expect, residual=abs(res), stderr=se,
             allowance=allowance, bound=3.0 * se + allowance,
-        ))
-    return out
+        )
+
+    return [jackknife_point(float(x)) for x in x_grid]

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream, assoc_walk,
                     build_walk, estimate_table, harmonicity_residual)
@@ -359,3 +361,52 @@ class TestHarmonicityJackknife:
         want = reference_harmonicity(*args, side="v")
         assert got == want
         assert got[0].allowance == 0.0
+
+
+    def test_jackknife_working_set_bounded(self, monkeypatch):
+        # m = 50 000 draws against a 161-node table, the table's scan done
+        # beforehand: the search, offsets and two value vectors of one x at
+        # a time peak at about 2.7 MB; copies per group would not fit
+        spec, stream = EnvironmentSpec.gaussian(1.0), RngStream(4244)
+        scanned = assoc_walk._persistence_scan(spec, "u", np.arange(161) * 0.05, 300, 50_000,
+                                               stream, "assoc_walk.harmonicity.u", 1)
+        monkeypatch.setattr(assoc_walk, "_persistence_scan", lambda *args: scanned)
+        tracemalloc.start()
+        try:
+            harmonicity_residual(spec, [0.0, 1.0, 2.0], 300, 50_000, stream, shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
+
+
+@st.composite
+def nodes_and_queries(draw):
+    """A strictly increasing grid of 1-50 nodes, values on it, and queries.
+
+    The grid is uniform of step 0.05 or has random steps; the queries hold
+    every node, the last node again, points below the first and above the
+    last node, and random points around the grid.
+    """
+    size = draw(st.integers(1, 50))
+    start = draw(st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        nodes = start + np.arange(size) * 0.05
+    else:
+        steps = draw(st.lists(st.floats(1e-3, 5.0), min_size=size - 1, max_size=size - 1))
+        nodes = start + np.concatenate(([0.0], np.cumsum(steps)))
+    ys = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)))
+    outside = draw(st.lists(st.floats(1e-9, 20.0), min_size=1, max_size=4))
+    inside = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    q = np.concatenate((nodes, nodes[-1:], nodes[0] - np.array(outside),
+                        nodes[-1] + np.array(outside),
+                        nodes[0] + np.array(inside) * (nodes[-1] - nodes[0])))
+    return nodes, ys, draw(st.permutations(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes_and_queries())
+def test_interpolate_is_np_interp_with_linear_ends(case):
+    nodes, ys, q = case
+    want = reference_interp_extrap(nodes, ys, np.array(q))
+    assert np.array_equal(assoc_walk._interpolate(nodes, ys, np.array(q)), want)
