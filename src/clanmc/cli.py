@@ -399,7 +399,16 @@ def main(argv=None) -> int:
         _emit(config, outcome, run_record)
         for line in outcome.report_lines:
             print(line)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return outcome.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull, so
+        # that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before the run finished writing", file=sys.stderr)
+        return 1
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

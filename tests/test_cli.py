@@ -113,6 +113,21 @@ class TestSubcommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("out", [False, True], ids=["records", "report-lines"])
+    def test_closed_stdout_exits_one_without_traceback(self, out, tmp_path):
+        # the records, or with --out only the report lines, meet a closed pipe
+        argv = ["validate", "--seed", "1"] + (["--out", str(tmp_path / "v.ndjson")] if out else [])
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen([sys.executable, "-c",
+                                 f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                                 f"from clanmc import cli; sys.exit(cli.main({argv!r}))"],
+                                cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        proc.stdout.close()  # before the child has even imported numpy
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, err
+        assert err == "error: standard output closed before the run finished writing\n"
+
     def test_validate_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "v.ndjson"
         rc = cli.main(["validate", "--seed", "1", "--out", str(out)])
