@@ -396,19 +396,21 @@ def main(argv=None) -> int:
         if config.out:
             _check_out(config.out)
         outcome, run_record = run(args.subcommand, config)
-        _emit(config, outcome, run_record)
-        for line in outcome.report_lines:
-            print(line)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        try:
+            _emit(config, outcome, run_record)
+            for line in outcome.report_lines:
+                print(line)
+            sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        except BrokenPipeError:
+            # the reader closed stdout: send what is still buffered to devnull,
+            # so that the flush at interpreter exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: standard output closed before the run finished writing",
+                  file=sys.stderr)
+            return 1
         return outcome.exit_code
-    except BrokenPipeError:
-        # the reader closed stdout: send what is still buffered to devnull, so
-        # that the flush at interpreter exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: standard output closed before the run finished writing", file=sys.stderr)
-        return 1
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -272,8 +272,8 @@ def reference_interp_extrap(xs, ys, q):
 def reference_harmonicity(spec, x_grid, horizon, m_samples, stream, side="u", shards=None):
     """The harmonicity check with one interpolation per x and per left-out group.
 
-    Same table, draws and groups as the production check; each of the
-    group's values interpolates the draws outside that group afresh.
+    Same table, draws and groups as the production check; each group's
+    value interpolates the draws outside that group afresh.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     pad = assoc_walk._x_padding(spec)
@@ -363,17 +363,16 @@ class TestHarmonicityJackknife:
         assert got[0].allowance == 0.0
 
 
-    def test_jackknife_working_set_bounded(self, monkeypatch):
-        # m = 50 000 draws against a 161-node table, the table's scan done
-        # beforehand: the search, offsets and two value vectors of one x at
-        # a time peak at about 2.7 MB; copies per group would not fit
-        spec, stream = EnvironmentSpec.gaussian(1.0), RngStream(4244)
-        scanned = assoc_walk._persistence_scan(spec, "u", np.arange(161) * 0.05, 300, 50_000,
-                                               stream, "assoc_walk.harmonicity.u", 1)
-        monkeypatch.setattr(assoc_walk, "_persistence_scan", lambda *args: scanned)
+    def test_jackknife_working_set_bounded(self):
+        # m = 50 000 draws against a 161-node table; the second call takes
+        # its table from the first call's scan, so it measures the jackknife:
+        # the search, offsets and two value vectors of one x at a time peak
+        # at about 2.7 MB, where copies per group would not fit
+        args = (EnvironmentSpec.gaussian(1.0), [0.0, 1.0, 2.0], 300, 50_000, RngStream(4244))
+        harmonicity_residual(*args, shards=1)
         tracemalloc.start()
         try:
-            harmonicity_residual(spec, [0.0, 1.0, 2.0], 300, 50_000, stream, shards=1)
+            harmonicity_residual(*args, shards=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
