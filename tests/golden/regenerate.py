@@ -79,6 +79,11 @@ CASES = {
         ["duality", "--seed", "9", "--family", "twopoint", "--step", "0.7", "--n", "16",
          "--regime", "fixed_i", "--regime-param", "12", "--beta-grid", "0.5,2,inf",
          "--m-samples", "1300"], {}, None),
+    # sigma = 30: slice sums of both orientations take the logsumexp fallback
+    "duality-sigma30-fallback": (
+        ["duality", "--seed", "30", "--sigma", "30", "--n", "64", "--regime", "end_window",
+         "--regime-param", "3", "--beta-grid", "1e-2,1,inf", "--m-samples", "600"],
+        {}, "lse-fallback"),
     "strata-gaussian-fixed_i": (
         ["strata", "--seed", "9", "--n", "64", "--regime", "fixed_i", "--regime-param", "48",
          "--strata-N", "3", "--beta-grid", "1,inf", "--m-samples", "2000"], {}, None),

@@ -11,7 +11,9 @@ from clanmc import (AssumptionViolationError, DomainError, EnvironmentPath,
                     estimate_theta, scaling_study, strata_decomposition)
 from clanmc import estimators
 from clanmc.errors import NumericalFailureError
-from clanmc.estimators import EventProbResult, _sweep, fit_scaling_points
+from clanmc.estimators import (DualityResult, EventProbResult, TransformResult, _sweep,
+                               fit_scaling_points)
+from clanmc.mcstats import ratio_with_stderr
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
 FLAT = EnvironmentSpec.two_point(0.0)
@@ -317,3 +319,109 @@ class TestTransformAgainstRejectionOracle:
         z = abs(sim_mean - exact.value) / math.hypot(sim_se, exact.stderr)
         assert z <= 4.0, (sim_mean, exact.value, z)
 
+
+
+# Reference routes: the per-block kernels that evaluated every grid point's
+# closed form inside each 256-row block, on 256-element columns.
+
+
+def per_block_transform(spec, i, n, params, m_samples, stream, purpose, shards, point_cols):
+    """_estimate_transform with every grid point's column computed per block."""
+    def kernel(s_mat):
+        neg = estimators._ExpRows(np.negative(s_mat, out=s_mat))
+        out = {"den": np.exp(estimators._log_event_prob_cols(neg, i, n))}
+        for idx, p in enumerate(params):
+            out[f"num{idx}"] = point_cols(neg, out["den"], p)
+        return out
+
+    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
+    den = cols["den"]
+    den_est = MCEstimate.from_values(den)
+    assert den_est.mean > 3.0 * den_est.stderr
+    tag = estimators._conformity_tag(spec)
+    results = []
+    for idx, p in enumerate(params):
+        ratio, se = ratio_with_stderr(cols[f"num{idx}"], den)
+        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size,
+                                       tag=tag))
+    return results
+
+
+def per_block_theta(spec, end_window, n, s_values, m_samples, stream, shards):
+    i = n - end_window
+
+    def point_cols(neg, den, sv):
+        if sv == 0.0:
+            return den
+        if sv == 1.0:
+            return np.zeros_like(den)
+        return np.exp(estimators._log_h_cols_from(neg, i, n, math.log1p(-sv)))
+
+    return per_block_transform(spec, i, n, s_values, m_samples, stream,
+                               f"theta:N={end_window}:n={n}", shards, point_cols)
+
+
+def per_block_lambda(spec, rule, n, betas, m_samples, stream, shards):
+    i = rule.clan_index(n)
+
+    def point_cols(neg, den, b):
+        return np.exp(estimators._log_yaglom_cols_from(neg, i, n, b))
+
+    return per_block_transform(spec, i, n, betas, m_samples, stream,
+                               f"lambda:{rule.describe()}:n={n}", shards, point_cols)
+
+
+def per_block_duality(spec, i, n, betas, m_samples, stream, shards):
+    j = n - i
+
+    def kernel_h(s_mat):
+        neg = estimators._ExpRows(np.negative(s_mat, out=s_mat))
+        return {k: np.exp(estimators._log_yaglom_cols_from(neg, i, n, b))
+                for k, b in enumerate(betas)}
+
+    def kernel_v(s_mat):
+        pos = estimators._ExpRows(s_mat)
+        return {k: np.exp(estimators._log_v_cols_from(pos, j, n, b)) for k, b in enumerate(betas)}
+
+    h_cols = _sweep(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}", kernel_h, shards)
+    v_cols = _sweep(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", kernel_v, shards)
+    tag = estimators._conformity_tag(spec)
+    results = []
+    for k, beta in enumerate(betas):
+        h_est = MCEstimate.from_values(h_cols[k])
+        v_est = MCEstimate.from_values(v_cols[k])
+        se = math.hypot(h_est.stderr, v_est.stderr)
+        diff = h_est.mean - v_est.mean
+        z = (0.0 if diff == 0.0 else math.inf) if se == 0.0 else diff / se
+        results.append(DualityResult(i=i, n=n, beta=beta, h_form=h_est, v_form=v_est,
+                                     z_score=z, tag=tag))
+    return results
+
+
+FAMILIES = {"gaussian": GAUSS, "uniform": EnvironmentSpec.uniform_symmetric(1.5),
+            "twopoint": EnvironmentSpec.two_point(0.7)}
+NINE_BETAS = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, math.inf]
+
+
+class TestTransformsMatchPerBlockKernels:
+    # 700 samples: two full blocks and a short last one
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_theta(self, family, shards, stream):
+        spec, s_values = FAMILIES[family], [0.0, 0.5, 1.0]
+        got = estimate_theta(spec, 3, 40, s_values, 700, stream, shards)
+        assert got == per_block_theta(spec, 3, 40, s_values, 700, stream, shards)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_lambda(self, family, shards, stream):
+        spec, rule = FAMILIES[family], RegimeRule.fixed_i(12)
+        got = estimate_lambda(spec, rule, 40, NINE_BETAS, 700, stream, shards)
+        assert got == per_block_lambda(spec, rule, 40, NINE_BETAS, 700, stream, shards)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_duality(self, family, shards, stream):
+        spec = FAMILIES[family]
+        got = duality_check(spec, 20, 40, NINE_BETAS, 700, stream, shards)
+        assert got == per_block_duality(spec, 20, 40, NINE_BETAS, 700, stream, shards)
