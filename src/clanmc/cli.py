@@ -26,6 +26,8 @@ from .parallel import _MAX_SHARDS
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
+# Most samples the oracle suite draws; a larger m_samples is cut to this.
+_ORACLE_MAX_SAMPLES = 50_000
 
 
 def _parse_bool(text: str) -> bool:
@@ -197,6 +199,7 @@ class RunOutcome:
     records: list
     report_lines: list
     exit_code: int
+    run_info: dict = field(default_factory=dict)  # extra keys of the closing run record
 
 
 def _run_validate(config: RunConfig, stream: RngStream) -> RunOutcome:
@@ -293,8 +296,8 @@ def _run_strata(config: RunConfig, stream: RngStream) -> RunOutcome:
 
 
 def _run_oracle(config: RunConfig, stream: RngStream) -> RunOutcome:
-    checks = diagnostics.run_oracle_suite(config.env_spec(), stream,
-                                          m_samples=min(config.m_samples, 50_000),
+    m_samples = min(config.m_samples, _ORACLE_MAX_SAMPLES)
+    checks = diagnostics.run_oracle_suite(config.env_spec(), stream, m_samples=m_samples,
                                           shards=config.shards)
     records, lines = [], []
     for c in checks:
@@ -303,7 +306,7 @@ def _run_oracle(config: RunConfig, stream: RngStream) -> RunOutcome:
         lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
     all_ok = all(c.passed for c in checks)
     lines.append("oracle suite: all checks passed" if all_ok else "oracle suite: FAILURES present")
-    return RunOutcome(records, lines, 0 if all_ok else 3)
+    return RunOutcome(records, lines, 0 if all_ok else 3, {"m_samples_used": m_samples})
 
 
 _RUNNERS = {
@@ -335,6 +338,7 @@ def run(subcommand: str, config: RunConfig) -> tuple[RunOutcome, dict]:
         "config": config.echo_dict(),
         "version": __version__,
         "timing_s": elapsed,
+        **outcome.run_info,
         "tags": [] if conformity else ["assumptions-violated"],
     }
     return outcome, run_record

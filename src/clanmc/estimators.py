@@ -111,8 +111,8 @@ def _require_regime_assumptions(spec: EnvironmentSpec, rule: RegimeRule, allow: 
 
 
 # ---------------------------------------------------------------------------
-# Sweep engine: draw environments block by block, evaluate per-replicate
-# closed-form values fully vectorized on the (rows, n+1) walk matrix.
+# Sweep engine: draw environments block by block and reduce each block's
+# (rows, n+1) walk matrix to per-replicate columns, fully vectorized.
 # ---------------------------------------------------------------------------
 
 
@@ -139,7 +139,9 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
            purpose: str, kernel, shards: int | None = None) -> dict[str, np.ndarray]:
     """Columns of kernel(walk block), concatenated over the blocks in block order.
 
-    Each thread that runs blocks of this sweep draws into one increment
+    A kernel returns either finished values (the `prob` grid, `strata`) or
+    the per-row inputs of closed forms that run once over the whole columns
+    after the sweep (_gather, for the transforms and `duality`).  Each thread that runs blocks of this sweep draws into one increment
     buffer and cumsums into one walk buffer, reused by every block it runs.
     The kernel contract: a kernel gets the block's walk in a buffer that the
     next block overwrites.  It may modify that buffer in place, and must
@@ -295,6 +297,57 @@ def _log_v_cols_from(pos: _ExpRows, j: int, n: int, beta: float) -> np.ndarray:
     return np.minimum(s_j - denom + (head_jp1 - head_j) - head_np1, at_inf)
 
 
+class _GatheredRows:
+    """_ExpRows' `.a[:, k]` and `.lse(lo, hi)` over the columns a _gather sweep returned.
+
+    The clan formulas read these M-row columns as they read a block's rows.
+    """
+
+    def __init__(self, cols: dict):
+        self._cols = cols
+
+    @property
+    def a(self) -> "_GatheredRows":
+        return self
+
+    def __getitem__(self, index) -> np.ndarray:
+        return self._cols[index[1]]  # a[:, k]: every row of walk column k
+
+    def lse(self, lo: int, hi: int) -> np.ndarray:
+        return self._cols[(lo, hi)]
+
+
+def _h_inputs(i: int, n: int):
+    """Walk columns and slices that _log_yaglom_cols_from (and _log_h_cols_from) read."""
+    return (i, n), ((i + 1, n + 1), (0, n + 1), (i, n), (i, n + 1))
+
+
+def _v_inputs(j: int, n: int):
+    """Walk columns and slices that _log_v_cols_from reads."""
+    return (j,), ((0, j), (0, n + 1), (0, j + 1), (1, j + 1))
+
+
+def _gather(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream, purpose: str,
+            shards: int | None, negate: bool, inputs) -> _GatheredRows:
+    """The block stage of a transform: one sweep that keeps only closed-form inputs.
+
+    Each block builds its _ExpRows (of the negated walk when `negate`) and
+    returns copies of the walk columns and the slice log-sums named by
+    `inputs` (see _h_inputs, _v_inputs).  Every grid point's closed form
+    then runs once over the gathered M-row columns, through the same IEEE
+    operations per element as on a block's rows, so the values keep their bits.
+    """
+    walk_cols, slices = inputs
+
+    def kernel(s_mat: np.ndarray) -> dict:
+        rows = _ExpRows(np.negative(s_mat, out=s_mat) if negate else s_mat)
+        cols = {k: rows.a[:, k].copy() for k in walk_cols}
+        cols.update((sl, rows.lse(*sl)) for sl in slices)
+        return cols
+
+    return _GatheredRows(_sweep(spec, n, m_samples, stream, purpose, kernel, shards))
+
+
 def _first_max_index(s: np.ndarray, n: int) -> np.ndarray:
     """First index attaining max(S_0..S_n) = first minimum of the reflected walk."""
     return np.argmax(s[:, 0:n + 1], axis=1)
@@ -366,27 +419,23 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
                         point_cols) -> list[TransformResult]:
     """1 - E[h(param)] / E[h(0)] per grid point, all over the same environments.
 
-    point_cols(neg, den, param) gives one grid point's h column; den is
-    the h(0) column.  A denominator within three standard errors of zero
-    refuses the whole grid.
+    Two stages: the sweep gathers per replicate the walk at i and n and
+    four slice log-sums (_gather), then each grid point's closed form runs
+    once over those M-row columns.  point_cols(neg, den, param) gives one
+    grid point's h column; den is the h(0) column.  A denominator within
+    three standard errors of zero refuses the whole grid before any
+    numerator column is computed.
     """
-    def kernel(s_mat: np.ndarray) -> dict[str, np.ndarray]:
-        neg = _ExpRows(np.negative(s_mat, out=s_mat))
-        out = {"den": np.exp(_log_event_prob_cols(neg, i, n))}
-        for idx, p in enumerate(params):
-            out[f"num{idx}"] = point_cols(neg, out["den"], p)
-        return out
-
-    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
-    den = cols["den"]
+    neg = _gather(spec, n, m_samples, stream, purpose, shards, True, _h_inputs(i, n))
+    den = np.exp(_log_event_prob_cols(neg, i, n))
     den_est = MCEstimate.from_values(den)
     if den_est.mean <= 3.0 * den_est.stderr:
         raise UnreliableRatioError(
             "denominator estimate indistinguishable from zero at three standard errors")
     tag = _conformity_tag(spec)
     results = []
-    for idx, p in enumerate(params):
-        ratio, se = ratio_with_stderr(cols[f"num{idx}"], den)
+    for p in params:
+        ratio, se = ratio_with_stderr(point_cols(neg, den, p), den)
         results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se,
                                        count=den.size, tag=tag))
     return results
@@ -569,26 +618,20 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
     The direct form averages h(e^{-beta a}) over environments; the dual form
     averages the reflected-walk functional with j = n - i over independent
     environments.  Their difference is pure Monte Carlo noise.  One sweep
-    per orientation serves every beta of the grid.
+    per orientation gathers the closed-form inputs (_gather), and each
+    beta's columns are then computed once over all M replicates.
     """
     betas = [float(b) for b in beta_grid]
     j = _dual_index(i, n, betas)
-
-    def kernel_h(s_mat):
-        neg = _ExpRows(np.negative(s_mat, out=s_mat))
-        return {k: np.exp(_log_yaglom_cols_from(neg, i, n, b)) for k, b in enumerate(betas)}
-
-    def kernel_v(s_mat):
-        pos = _ExpRows(s_mat)
-        return {k: np.exp(_log_v_cols_from(pos, j, n, b)) for k, b in enumerate(betas)}
-
-    h_cols = _sweep(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}", kernel_h, shards)
-    v_cols = _sweep(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", kernel_v, shards)
+    neg = _gather(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}", shards, True,
+                  _h_inputs(i, n))
+    pos = _gather(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", shards, False,
+                  _v_inputs(j, n))
     tag = _conformity_tag(spec)
     results = []
-    for k, beta in enumerate(betas):
-        h_est = MCEstimate.from_values(h_cols[k])
-        v_est = MCEstimate.from_values(v_cols[k])
+    for beta in betas:
+        h_est = MCEstimate.from_values(np.exp(_log_yaglom_cols_from(neg, i, n, beta)))
+        v_est = MCEstimate.from_values(np.exp(_log_v_cols_from(pos, j, n, beta)))
         se = math.hypot(h_est.stderr, v_est.stderr)
         diff = h_est.mean - v_est.mean
         if se == 0.0:

@@ -218,6 +218,25 @@ class TestSubcommands:
         assert json.loads(out.read_text().splitlines()[0])["shards"] == "3"
         assert seen and {shards for _, shards in seen} == {3}
 
+    @pytest.mark.parametrize("requested, used", [("20000", 20_000), ("100000", 50_000)])
+    def test_oracle_run_record_carries_samples_used(self, requested, used, tmp_path, capsys,
+                                                    monkeypatch):
+        # the suite is stubbed: only the sample count it is handed matters here
+        seen = []
+
+        def stub_suite(spec, stream, m_samples, shards=None):
+            seen.append(m_samples)
+            return [diagnostics.CheckResult("stub", True, "ok")]
+        monkeypatch.setattr(diagnostics, "run_oracle_suite", stub_suite)
+        out = tmp_path / "o.ndjson"
+        assert cli.main(["oracle", "--seed", "1", "--m-samples", requested, "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert seen == [used]
+        assert lines[0]["m_samples"] == requested  # the echo keeps the request
+        assert lines[-1]["kind"] == "run_record" and lines[-1]["m_samples_used"] == used
+        assert capsys.readouterr().out.splitlines() == ["PASS stub: ok",
+                                                        "oracle suite: all checks passed"]
+
     def test_oracle_single_persistence_block_exit_two(self, tmp_path, capsys):
         # 4096 samples fill one persistence block; the jackknife needs two
         rc = cli.main(["oracle", "--seed", "1", "--m-samples", "4096",

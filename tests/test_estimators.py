@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ class TestLambda:
     def test_properness_at_small_beta(self, stream):
         res = estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, [1e-6], 20_000, stream)[0]
         assert res.value >= 0.99
+
+    def test_nine_beta_working_set_bounded(self, stream):
+        # the benchmark's grid at n = 256: one gathered sweep keeps six columns
+        # per replicate and peaks at about 3.6 MB; columns per beta and block
+        # (one per beta plus the denominator) peaked at about 4.9 MB
+        tracemalloc.start()
+        try:
+            estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, NINE_BETAS, 20_000, stream,
+                            shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
 
     def test_beta_domain(self, stream):
         with pytest.raises(DomainError):
