@@ -141,8 +141,9 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
 
     A kernel returns either finished values (the `prob` grid, `strata`) or
     the per-row inputs of closed forms that run once over the whole columns
-    after the sweep (_gather, for the transforms and `duality`).  Each thread that runs blocks of this sweep draws into one increment
-    buffer and cumsums into one walk buffer, reused by every block it runs.
+    after the sweep (_gather, for the transforms and `duality`).  Each
+    thread that runs blocks of this sweep draws into one increment buffer
+    and cumsums into one walk buffer, reused by every block it runs.
     The kernel contract: a kernel gets the block's walk in a buffer that the
     next block overwrites.  It may modify that buffer in place, and must
     return fresh arrays; a returned array that shares memory with the
