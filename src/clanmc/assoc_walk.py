@@ -21,10 +21,13 @@ from .parallel import block_sizes, map_blocks, resolve_shards
 from .streams import RngStream
 
 _WALK_BLOCK = 4096
+# Steps per chunk of a persistence scan: chunks start at _FIRST_CHUNK and
+# double up to _WALK_CHUNK (see _chunk_steps).
 _WALK_CHUNK = 128
+_FIRST_CHUNK = 16
 # Paths a scan block draws, cumsums and bins at a time.  A block's working
 # set is one batch's temporaries plus the bin counts of the paths still on
-# their side: about 2 MB against a 161-node table.
+# their side: about 3 MB against a 161-node table.
 _ROW_BATCH = 256
 # Largest harmonicity table.  A block holds (paths, nodes + 1) int64 bin
 # counts for a batch and for the paths still on their side: about 8 MB of
@@ -69,6 +72,17 @@ class UVTable:
     block_paths: np.ndarray = field(repr=False)  # (n_blocks,) paths per block
 
 
+def _chunk_steps(done: int, horizon: int) -> int:
+    """Steps of the scan chunk that starts after `done` steps: 16, 16, 32, 64, 128, 128, ...
+
+    A path stays on its side past step n with probability of order
+    n^{-1/2}, so most paths leave within a few steps.  A path that leaves
+    in the chunk starting at `done` has tallied at least `done` steps and
+    drew at most max(_FIRST_CHUNK, done) steps it does not tally.
+    """
+    return min(_WALK_CHUNK, max(_FIRST_CHUNK, done), horizon - done)
+
+
 def _indicator(side: str, x: float) -> int:
     return int(x >= 0) if side == "u" else int(x < 0)
 
@@ -80,7 +94,7 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     Returns (block_paths, block_sums, total_sumsq) where block_sums[b, g]
     is the summed per-path event count of block b at grid point g.
 
-    A block walks its paths _WALK_CHUNK steps at a time, drawing and
+    A block walks its paths in chunks of _chunk_steps steps, drawing and
     tallying _ROW_BATCH paths at once; a path's steps are binned by the
     number of grid points below their value.  Only the paths still on
     their side keep their bin counts: a path that leaves is added to the
@@ -99,7 +113,7 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
         counts = None               # their bin counts so far, once a chunk is done
         done = 0
         while level.size and done < horizon:
-            k = min(_WALK_CHUNK, horizon - done)
+            k = _chunk_steps(done, horizon)
             next_level, next_counts = [], []
             # row batches draw the stream in the order of one (paths, k) draw
             for lo in range(0, level.size, _ROW_BATCH):

@@ -22,9 +22,10 @@ from .streams import RngStream
 # conditional tail estimates.
 _COUNT_LIMIT = np.int64(2) ** 62
 _MEAN_LIMIT = 1e15
-# Replicates per substream block, and clan cells reproduced per batch: a
-# batch's mask, sizes, draws and their indices take about 1 MB.
-_SIM_BLOCK = 65536
+# Replicates per substream block, small enough that the oracle's 50 000
+# replicates make several blocks to thread, and clan cells reproduced per
+# batch: a batch's mask, sizes, draws and their indices take about 1 MB.
+_SIM_BLOCK = 8192
 _REPRODUCE_CELLS = 32768
 
 

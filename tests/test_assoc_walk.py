@@ -190,7 +190,7 @@ def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
         alive = np.arange(rows)
         done = 0
         while alive.size and done < horizon:
-            k = min(assoc_walk._WALK_CHUNK, horizon - done)
+            k = assoc_walk._chunk_steps(done, horizon)
             seg = np.cumsum(draw_increments(spec, gen, np.empty((alive.size, k))), axis=1)
             seg += s_cur[alive, None]
             bad = seg >= 0.0 if side == "u" else seg < 0.0
@@ -240,6 +240,28 @@ class TestPersistenceScan:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert want[1].sum() > 0
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
+                                      EnvironmentSpec.uniform_symmetric(1.5),
+                                      EnvironmentSpec.two_point(1.0)],
+                             ids=["gaussian", "uniform", "twopoint"])
+    def test_draws_bounded_by_tallied_steps(self, spec, side, stream, monkeypatch):
+        # a path that leaves in the chunk starting at step `done` has tallied
+        # at least `done` steps and drew at most max(_FIRST_CHUNK, done) more
+        drawn, draw = [0], assoc_walk.draw_increments
+
+        def counted(spec, gen, out):
+            drawn[0] += out.size
+            return draw(spec, gen, out)
+
+        monkeypatch.setattr(assoc_walk, "draw_increments", counted)
+        paths = 8192
+        grid = np.array([1e300 if side == "u" else -1e300])  # every tallied step counts
+        _, block_sums, _ = assoc_walk._persistence_scan(spec, side, grid, 2000, paths, stream,
+                                                        "test.waste", shards=1)
+        tallied = int(block_sums.sum())
+        assert 0 < drawn[0] <= 2 * tallied + assoc_walk._FIRST_CHUNK * paths, (drawn, tallied)
 
     def test_block_working_set_bounded(self, stream):
         # a full block against a 161-node table: the dense per-chunk tallies

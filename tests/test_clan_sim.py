@@ -103,12 +103,15 @@ def reference_ensemble(path, m_reps, stream):
 class TestBatchedGenerations:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_same_matrix_as_whole_matrix_reference(self, stream, shards):
-        # two substream blocks; from t = 2 on a 65536-row block spans
-        # several batches of _REPRODUCE_CELLS cells
-        path = EnvironmentPath(np.array([0.4, -0.3, 0.2, 0.1, -0.5, 0.3]))
-        got = final_clans_ensemble(path, 70_000, stream, shards=shards)
+        # three substream blocks, the last one short; from t = 5 on an
+        # 8192-row block spans several batches of _REPRODUCE_CELLS cells
+        path = EnvironmentPath(np.array([0.4, -0.3, 0.2, 0.1, -0.5, 0.3,
+                                         0.2, -0.1, 0.3, -0.4, 0.1, 0.2]))
+        assert block_sizes(20_000, clan_sim._SIM_BLOCK) == [8192, 8192, 3616]
+        assert clan_sim._SIM_BLOCK * path.n >= 3 * clan_sim._REPRODUCE_CELLS
+        got = final_clans_ensemble(path, 20_000, stream, shards=shards)
         assert got.dtype == np.int64
-        assert np.array_equal(got, reference_ensemble(path, 70_000, stream))
+        assert np.array_equal(got, reference_ensemble(path, 20_000, stream))
 
     def test_one_generation_in_many_batches(self, stream, monkeypatch):
         monkeypatch.setattr(clan_sim, "_REPRODUCE_CELLS", 7)
@@ -136,6 +139,15 @@ class TestSimulate:
         a = final_clans_ensemble(path, 70_000, stream, shards=1)
         b = final_clans_ensemble(path, 70_000, stream, shards=2)
         assert np.array_equal(a, b)
+
+    def test_oracle_run_same_bytes_at_any_shard_count(self, stream):
+        # the oracle's n = 8 run: 50 000 replicates make seven blocks
+        path = EnvironmentPath(np.zeros(8))
+        assert len(block_sizes(50_000, clan_sim._SIM_BLOCK)) == 7
+        one = simulate_ensemble(path, 3, 50_000, stream, shards=1)
+        two = simulate_ensemble(path, 3, 50_000, stream, shards=2)
+        for a, b in zip(one, two):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_index_domain(self, stream):
         path = EnvironmentPath(np.zeros(3))
