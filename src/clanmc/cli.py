@@ -155,10 +155,22 @@ class RunConfig:
         raise ConfigurationError(f"unknown family {self.family!r}")
 
     def rule(self) -> RegimeRule:
+        """The regime; a proportional one needs a continuous law unless violations are allowed."""
         try:
-            return RegimeRule(self.regime, self.regime_param)
+            rule = RegimeRule(self.regime, self.regime_param)
         except DomainError as exc:
             raise ConfigurationError(str(exc)) from exc
+        # the intermediate regime's limit needs a continuous increment law
+        if (rule.kind == estimators.PROPORTIONAL and not self.allow_assumption_violations
+                and not validate_spec(self.env_spec()).continuous):
+            raise AssumptionViolationError(
+                "proportional regime requires a continuous environment law; "
+                "pass allow_assumption_violations to override")
+        return rule
+
+    def tag(self) -> str:
+        """The tag of every estimate: whether the environment law meets the paper's assumptions."""
+        return "ok" if validate_spec(self.env_spec()).conforms else "assumptions-violated"
 
     def single_n(self) -> int:
         return self.n if self.n is not None else max(self.n_grid)
@@ -213,16 +225,16 @@ def _run_validate(config: RunConfig, stream: RngStream) -> RunOutcome:
 def _run_prob(config: RunConfig, stream: RngStream) -> RunOutcome:
     results = estimators.estimate_event_prob_grid(
         config.env_spec(), config.rule(), config.n_grid, config.m_samples, stream,
-        config.shards, config.allow_assumption_violations)
+        config.shards)
+    tag = config.tag()
     return RunOutcome([_record("prob", n=res.n, i=res.i, mean=res.estimate.mean,
-                               stderr=res.estimate.stderr, count=res.estimate.count,
-                               tag=res.tag)
+                               stderr=res.estimate.stderr, count=res.estimate.count, tag=tag)
                        for res in results], [], 0)
 
 
-def _transform_outcome(quantity: str, n: int, i: int, results) -> RunOutcome:
+def _transform_outcome(quantity: str, n: int, i: int, results, tag: str) -> RunOutcome:
     return RunOutcome([_record(quantity, n=n, i=i, param=r.param, mean=r.value,
-                               stderr=r.stderr, count=r.count, tag=r.tag)
+                               stderr=r.stderr, count=r.count, tag=tag)
                        for r in results], [], 0)
 
 
@@ -232,33 +244,33 @@ def _run_pgf(config: RunConfig, stream: RngStream) -> RunOutcome:
     n, end_window = config.single_n(), int(config.rule().param)
     return _transform_outcome("pgf", n, n - end_window, estimators.estimate_theta(
         config.env_spec(), end_window, n, config.s_grid, config.m_samples, stream,
-        config.shards))
+        config.shards), config.tag())
 
 
 def _run_lst(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     n = config.single_n()
     return _transform_outcome("lst", n, rule.clan_index(n), estimators.estimate_lambda(
-        spec, rule, n, config.beta_grid, config.m_samples, stream, config.shards,
-        config.allow_assumption_violations))
+        spec, rule, n, config.beta_grid, config.m_samples, stream, config.shards),
+        config.tag())
 
 
 def _run_scaling(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
-    fit = estimators.scaling_study(
-        spec, rule, config.n_grid, config.m_samples, stream, config.shards,
-        config.allow_assumption_violations)
+    fit = estimators.scaling_study(spec, rule, config.n_grid, config.m_samples, stream,
+                                   config.shards)
+    tag = config.tag()
     records = []
     for quantity, points in (("scaling-point", fit.points), ("scaling-dropped", fit.dropped)):
         for p in points:
             e = p.estimate
             records.append(_record(quantity, n=p.n, i=p.i, mean=e.mean,
-                                   stderr=e.stderr, count=e.count, tag=fit.tag))
-    records.append(_record("scaling-slope", mean=fit.slope, stderr=fit.slope_stderr, tag=fit.tag))
-    records.append(_record("scaling-intercept", mean=fit.intercept, tag=fit.tag))
-    records.append(_record("scaling-plateau", mean=fit.plateau, tag=fit.tag))
+                                   stderr=e.stderr, count=e.count, tag=tag))
+    records.append(_record("scaling-slope", mean=fit.slope, stderr=fit.slope_stderr, tag=tag))
+    records.append(_record("scaling-intercept", mean=fit.intercept, tag=tag))
+    records.append(_record("scaling-plateau", mean=fit.plateau, tag=tag))
     for k, r in enumerate(fit.ratios):
-        records.append(_record("scaling-ratio", n=fit.points[k + 1].n, mean=r, tag=fit.tag))
+        records.append(_record("scaling-ratio", n=fit.points[k + 1].n, mean=r, tag=tag))
     lines = [f"regime {fit.regime}: slope {fit.slope:.4f} +- {fit.slope_stderr:.4f}, "
              f"plateau {fit.plateau:.6g}"]
     return RunOutcome(records, lines, 0)
@@ -267,23 +279,23 @@ def _run_scaling(config: RunConfig, stream: RngStream) -> RunOutcome:
 def _run_duality(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     n = config.single_n()
-    i = rule.clan_index(n)
+    i, tag = rule.clan_index(n), config.tag()
     records = []
     for res in estimators.duality_check(spec, i, n, config.beta_grid, config.m_samples, stream,
                                         config.shards):
         records.append(_record("duality-h", n=n, i=i, param=res.beta, mean=res.h_form.mean,
-                               stderr=res.h_form.stderr, count=res.h_form.count, tag=res.tag))
+                               stderr=res.h_form.stderr, count=res.h_form.count, tag=tag))
         records.append(_record("duality-v", n=n, i=i, param=res.beta, mean=res.v_form.mean,
-                               stderr=res.v_form.stderr, count=res.v_form.count, tag=res.tag))
+                               stderr=res.v_form.stderr, count=res.v_form.count, tag=tag))
         records.append(_record("duality-z", n=n, i=i, param=res.beta, mean=res.z_score,
-                               tag=res.tag))
+                               tag=tag))
     return RunOutcome(records, [], 0)
 
 
 def _run_strata(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     n = config.single_n()
-    i = rule.clan_index(n)
+    i, tag = rule.clan_index(n), config.tag()
     records = []
     for beta in config.beta_grid:
         rep = estimators.strata_decomposition(
@@ -291,7 +303,7 @@ def _run_strata(config: RunConfig, stream: RngStream) -> RunOutcome:
         for name, est in (("total", rep.total), ("early", rep.early), ("middle", rep.middle),
                           ("before_j", rep.before_j), ("after_j", rep.after_j)):
             records.append(_record(f"strata-{name}", n=n, i=i, param=beta, mean=est.mean,
-                                   stderr=est.stderr, count=est.count, tag=rep.tag))
+                                   stderr=est.stderr, count=est.count, tag=tag))
     return RunOutcome(records, [], 0)
 
 
@@ -331,7 +343,7 @@ def run(subcommand: str, config: RunConfig) -> tuple[RunOutcome, dict]:
     started = time.perf_counter()
     outcome = _RUNNERS[subcommand](config, stream)
     elapsed = time.perf_counter() - started
-    conformity = validate_spec(config.env_spec()).conforms
+    tag = config.tag()
     run_record = {
         "kind": "run_record",
         "subcommand": subcommand,
@@ -339,7 +351,7 @@ def run(subcommand: str, config: RunConfig) -> tuple[RunOutcome, dict]:
         "version": __version__,
         "timing_s": elapsed,
         **outcome.run_info,
-        "tags": [] if conformity else ["assumptions-violated"],
+        "tags": [] if tag == "ok" else [tag],
     }
     return outcome, run_record
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env_model import EnvironmentSpec, draw_increments, validate_spec
-from .errors import AssumptionViolationError, DomainError, NumericalFailureError, UnreliableRatioError
+from .env_model import EnvironmentSpec, draw_increments
+from .errors import DomainError, NumericalFailureError, UnreliableRatioError
 from .logdomain import log1m_exp_neg_vec
 from .mcstats import MCEstimate, ratio_with_stderr
 from .parallel import block_sizes, map_blocks, resolve_shards
@@ -37,9 +37,6 @@ _GRID_COLUMN_BYTES = 64 * 2**20
 # sums of log n and log mean stay finite above it.
 _MIN_REL_ERR = 1e-150
 _TINY = np.finfo(float).tiny  # smallest normal double
-
-TAG_OK = "ok"
-TAG_VIOLATED = "assumptions-violated"
 
 FIXED_I = "fixed_i"
 END_WINDOW = "end_window"
@@ -95,19 +92,6 @@ class RegimeRule:
         if self.kind == PROPORTIONAL:
             return f"{self.kind}({self.param})"
         return f"{self.kind}({int(self.param)})"
-
-
-def _conformity_tag(spec: EnvironmentSpec) -> str:
-    return TAG_OK if validate_spec(spec).conforms else TAG_VIOLATED
-
-
-def _require_regime_assumptions(spec: EnvironmentSpec, rule: RegimeRule, allow: bool) -> None:
-    # the intermediate regime's limit needs a continuous increment law
-    if rule.kind == PROPORTIONAL and not validate_spec(spec).continuous:
-        if not allow:
-            raise AssumptionViolationError(
-                "proportional regime requires a continuous environment law; "
-                "pass allow_assumption_violations to override")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +186,7 @@ class _ExpRows:
     """Shared max-shifted exponentials of one sign of the walk matrix.
 
     One exp pass serves every slice log-sum, instead of one full
-    max/exp/sum/log cycle per slice, and each slice is summed at most once.
+    max/exp/sum/log cycle per slice.
     A slice more than ~708 log units below its row maximum sums to a
     subnormal (or zero) shifted total that keeps too few digits, so such
     rows are re-summed with their own shift by the module's `logsumexp`
@@ -224,18 +208,14 @@ class _ExpRows:
                 raise NumericalFailureError(
                     "environment walk spans more than the double range") from None
         self.e = np.exp(shifted, out=shifted)
-        self._sums: dict[tuple[int, int], np.ndarray] = {}
 
     def lse(self, lo: int, hi: int) -> np.ndarray:
-        out = self._sums.get((lo, hi))
-        if out is None:
-            total = self.e[:, lo:hi].sum(axis=1)
-            out = np.empty_like(total)
-            ok = total >= _TINY
-            out[ok] = np.log(total[ok]) + self.shift[ok]
-            if not ok.all():
-                out[~ok] = logsumexp(self.a[~ok, lo:hi])
-            self._sums[(lo, hi)] = out
+        total = self.e[:, lo:hi].sum(axis=1)
+        out = np.empty_like(total)
+        ok = total >= _TINY
+        out[ok] = np.log(total[ok]) + self.shift[ok]
+        if not ok.all():
+            out[~ok] = logsumexp(self.a[~ok, lo:hi])
         return out
 
 
@@ -364,12 +344,10 @@ class EventProbResult:
     n: int
     i: int
     estimate: MCEstimate
-    tag: str
 
 
 def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, m_samples: int,
-                             stream: RngStream, shards: int | None = None,
-                             allow_assumption_violations: bool = False) -> list[EventProbResult]:
+                             stream: RngStream, shards: int | None = None) -> list[EventProbResult]:
     """Mean over environments of the exact conditional only-survivor probability, per grid n.
 
     One sweep at n_max = max(n_values) draws each replicate's walk, and grid
@@ -381,7 +359,6 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
     distinct n that replay the same walks, with the same results.  Results
     keep the order of n_values, repeats included.
     """
-    _require_regime_assumptions(spec, rule, allow_assumption_violations)
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise DomainError("the n grid must not be empty")
@@ -399,9 +376,7 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
 
         cols = _sweep(spec, distinct[-1], m_samples, stream, purpose, kernel, shards)
         estimates.update((n, MCEstimate.from_values(cols[n])) for n in chunk)
-    tag = _conformity_tag(spec)
-    return [EventProbResult(n=n, i=index[n], estimate=estimates[n], tag=tag)
-            for n in n_values]
+    return [EventProbResult(n=n, i=index[n], estimate=estimates[n]) for n in n_values]
 
 
 @dataclass(frozen=True)
@@ -412,7 +387,6 @@ class TransformResult:
     value: float
     stderr: float
     count: int
-    tag: str
 
 
 def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[float],
@@ -433,12 +407,10 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
     if den_est.mean <= 3.0 * den_est.stderr:
         raise UnreliableRatioError(
             "denominator estimate indistinguishable from zero at three standard errors")
-    tag = _conformity_tag(spec)
     results = []
     for p in params:
         ratio, se = ratio_with_stderr(point_cols(neg, den, p), den)
-        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se,
-                                       count=den.size, tag=tag))
+        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size))
     return results
 
 
@@ -468,15 +440,13 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
 
 
 def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, m_samples: int,
-                    stream: RngStream, shards: int | None = None,
-                    allow_assumption_violations: bool = False) -> list[TransformResult]:
+                    stream: RngStream, shards: int | None = None) -> list[TransformResult]:
     """Conditional Laplace transform lambda(beta) = 1 - E[h(e^{-beta a})] / E[h(0)].
 
     beta = inf returns exactly 0 (the integrand is the event probability
     pointwise).  Values are nonincreasing in beta replicate by replicate,
     so the estimated transform is monotone without any tolerance.
     """
-    _require_regime_assumptions(spec, rule, allow_assumption_violations)
     i = rule.clan_index(n)
     betas = [float(b) for b in beta_grid]
     for b in betas:
@@ -501,7 +471,6 @@ class ScalingFit:
     ratios: tuple[float, ...]           # consecutive compensated-level ratios (diagnostic)
     points: tuple[EventProbResult, ...]
     regime: str
-    tag: str
     dropped: tuple[EventProbResult, ...] = ()  # grid points indistinguishable from zero
 
 
@@ -518,7 +487,7 @@ def _compensator(rule: RegimeRule, n: int) -> float:
     return 0.5 * math.log(i) + 1.5 * math.log(n - i)
 
 
-def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK, dropped=()) -> ScalingFit:
+def fit_scaling_points(points, rule: RegimeRule, dropped=()) -> ScalingFit:
     """Weighted least-squares log-log fit of already-estimated grid points.
 
     Weights are the inverse squared relative errors (the log-scale
@@ -559,12 +528,11 @@ def fit_scaling_points(points, rule: RegimeRule, tag: str = TAG_OK, dropped=()) 
 
     return ScalingFit(slope=slope, intercept=intercept, slope_stderr=slope_stderr,
                       plateau=plateau, ratios=ratios, points=tuple(points),
-                      regime=rule.describe(), tag=tag, dropped=tuple(dropped))
+                      regime=rule.describe(), dropped=tuple(dropped))
 
 
 def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: int,
-                  stream: RngStream, shards: int | None = None,
-                  allow_assumption_violations: bool = False) -> ScalingFit:
+                  stream: RngStream, shards: int | None = None) -> ScalingFit:
     """Fit the decay exponent of the only-survivor probability over an n grid.
 
     One sweep at the largest n serves every grid point (see
@@ -573,7 +541,6 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     estimate is statistically indistinguishable from zero are left out of
     the fit and reported in `dropped`; at least four must remain.
     """
-    _require_regime_assumptions(spec, rule, allow_assumption_violations)
     n_values = sorted(int(n) for n in n_grid)
     if len(set(n_values)) < 4:
         raise DomainError(f"need at least 4 distinct grid points, got {len(set(n_values))}")
@@ -582,11 +549,10 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
         _compensator(rule, n)
 
     points, dropped = [], []
-    for res in estimate_event_prob_grid(spec, rule, n_values, m_samples, stream, shards,
-                                        allow_assumption_violations):
+    for res in estimate_event_prob_grid(spec, rule, n_values, m_samples, stream, shards):
         unreliable = res.estimate.mean <= 3.0 * res.estimate.stderr
         (dropped if unreliable else points).append(res)
-    return fit_scaling_points(points, rule, _conformity_tag(spec), dropped)
+    return fit_scaling_points(points, rule, dropped)
 
 
 def _dual_index(i: int, n: int, betas) -> int:
@@ -609,7 +575,6 @@ class DualityResult:
     h_form: MCEstimate
     v_form: MCEstimate
     z_score: float
-    tag: str
 
 
 def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: int,
@@ -620,7 +585,8 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
     averages the reflected-walk functional with j = n - i over independent
     environments.  Their difference is pure Monte Carlo noise.  One sweep
     per orientation gathers the closed-form inputs (_gather), and each
-    beta's columns are then computed once over all M replicates.
+    beta's columns are then computed once over all M replicates.  Two forms
+    that differ with zero standard error have no finite z and are refused.
     """
     betas = [float(b) for b in beta_grid]
     j = _dual_index(i, n, betas)
@@ -628,19 +594,18 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
                   _h_inputs(i, n))
     pos = _gather(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", shards, False,
                   _v_inputs(j, n))
-    tag = _conformity_tag(spec)
     results = []
     for beta in betas:
         h_est = MCEstimate.from_values(np.exp(_log_yaglom_cols_from(neg, i, n, beta)))
         v_est = MCEstimate.from_values(np.exp(_log_v_cols_from(pos, j, n, beta)))
         se = math.hypot(h_est.stderr, v_est.stderr)
         diff = h_est.mean - v_est.mean
-        if se == 0.0:
-            z = 0.0 if diff == 0.0 else math.inf
-        else:
-            z = diff / se
+        if se == 0.0 and diff != 0.0:
+            raise NumericalFailureError(
+                f"duality forms differ by {diff!r} at beta={beta} with zero standard error")
+        z = 0.0 if diff == 0.0 else diff / se
         results.append(DualityResult(i=i, n=n, beta=beta, h_form=h_est, v_form=v_est,
-                                     z_score=z, tag=tag))
+                                     z_score=z))
     return results
 
 
@@ -664,7 +629,6 @@ class StrataReport:
     middle: MCEstimate      # the two interior ranges
     before_j: MCEstimate    # (j - N, j]
     after_j: MCEstimate     # (j, j + N)
-    tag: str
 
 
 def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_window: int,
@@ -697,5 +661,4 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
     return StrataReport(i=i, n=n, j=j, beta=beta, n_window=n_window,
                         total=MCEstimate.from_values(v),
                         early=ests["early"], middle=ests["middle"],
-                        before_j=ests["before_j"], after_j=ests["after_j"],
-                        tag=_conformity_tag(spec))
+                        before_j=ests["before_j"], after_j=ests["after_j"])

@@ -9,7 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clanmc import assoc_walk, clan_sim, cli, diagnostics, estimators, parallel
@@ -163,12 +163,21 @@ class TestSubcommands:
                        "--out", str(tmp_path / "l.ndjson")])
         assert rc == 3
 
-    def test_proportional_lattice_exit_four(self, tmp_path):
-        rc = cli.main(["scaling", "--seed", "5", "--family", "twopoint", "--step", "0.7",
-                       "--regime", "proportional", "--regime-param", "0.5",
-                       "--n-grid", "8,16,32,64", "--m-samples", "200",
-                       "--out", str(tmp_path / "s.ndjson")])
-        assert rc == 4
+    @pytest.mark.parametrize("subcommand", ["prob", "lst", "scaling", "duality", "strata"])
+    def test_proportional_lattice_exit_four(self, subcommand, tmp_path, capsys):
+        # every subcommand that reads the regime refuses it, and the override tags every record
+        out = tmp_path / "s.ndjson"
+        argv = [subcommand, "--seed", "5", "--family", "twopoint", "--step", "0.7",
+                "--regime", "proportional", "--regime-param", "0.5", "--n", "16",
+                "--n-grid", "8,16,32,64", "--strata-N", "2", "--beta-grid", "1",
+                "--m-samples", "200", "--out", str(out)]
+        assert cli.main(argv) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert cli.main(argv + ["--allow-assumption-violations", "true"]) == 0
+        recs = [json.loads(line) for line in open(out, encoding="utf-8")]
+        results = [r for r in recs if r["kind"] == "result"]
+        assert results and {r["tag"] for r in results} == {"assumptions-violated"}
+        assert recs[-1]["tags"] == ["assumptions-violated"]
 
     def test_unknown_subcommand_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -528,6 +537,9 @@ def cli_argv(draw):
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(argv=cli_argv())
+# two duality forms that differ with zero standard error exit 3, not z = Infinity
+@example(argv=["duality", "--seed=1", "--family=twopoint", "--step=0.7", "--n=1",
+               "--regime=fixed_i", "--regime-param=0", "--m-samples=2", "--beta-grid=1"])
 def test_cli_config_fuzz(argv, tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "x.ndjson"
     err = io.StringIO()

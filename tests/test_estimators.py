@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from clanmc import (AssumptionViolationError, DomainError, EnvironmentPath,
+from clanmc import (DomainError, EnvironmentPath,
                     EnvironmentSpec, MCEstimate, RegimeRule, RngStream,
                     UnreliableRatioError, build_walk, cond_event_prob,
                     duality_check, estimate_event_prob_grid, estimate_lambda,
@@ -88,7 +88,6 @@ class TestEventProb:
             -10, 10)
         assert quad_val == pytest.approx(0.5, abs=1e-9)
         assert abs(res.estimate.mean - 0.5) <= 3 * res.estimate.stderr
-        assert res.tag == "ok"
 
     def test_disjoint_sum_below_one(self, stream):
         n = 6
@@ -104,7 +103,6 @@ class TestEventProb:
         w = build_walk(EnvironmentPath(np.zeros(6)))
         assert res.estimate.mean == pytest.approx(cond_event_prob(w, 2, 6).value, rel=1e-12)
         assert res.estimate.stderr == 0.0
-        assert res.tag == "assumptions-violated"
 
     def test_long_grid_swept_in_chunks(self, stream, monkeypatch):
         # chunks of distinct n replay the same walks: same estimates, bounded columns
@@ -185,7 +183,7 @@ def synthetic_points(slope, n_values, m, seed):
     for n in n_values:
         target = 3.0 * float(n)**slope
         vals = target * rng.lognormal(-0.125, 0.5, m)
-        points.append(EventProbResult(n=n, i=0, estimate=MCEstimate.from_values(vals), tag="ok"))
+        points.append(EventProbResult(n=n, i=0, estimate=MCEstimate.from_values(vals)))
     return points
 
 
@@ -235,14 +233,6 @@ class TestScaling:
         with pytest.raises(DomainError, match="i=0"):
             fit_scaling_points(points, RegimeRule.proportional(0.01))
 
-    def test_proportional_requires_continuous_env(self, stream):
-        lattice = EnvironmentSpec.two_point(0.7)
-        with pytest.raises(AssumptionViolationError):
-            scaling_study(lattice, RegimeRule.proportional(0.5), [16, 32, 64, 128], 100, stream)
-        fit = scaling_study(lattice, RegimeRule.proportional(0.5), [16, 32, 64, 128], 2000,
-                            stream, allow_assumption_violations=True)
-        assert fit.tag == "assumptions-violated"
-
     def test_end_window_smoke(self, stream):
         fit = scaling_study(GAUSS, RegimeRule.end_window(3), [32, 64, 128, 256], 20_000, stream)
         assert -0.8 <= fit.slope <= -0.2
@@ -255,6 +245,12 @@ class TestDuality:
         (res,) = duality_check(FLAT, 2, 6, [1.0], 200, stream)
         assert res.h_form.mean == res.v_form.mean
         assert res.z_score == 0.0
+
+    def test_forms_differing_without_error_refused(self):
+        # at this seed both samples of each form share one walk step, so both
+        # standard errors vanish while the two means differ: no finite z exists
+        with pytest.raises(NumericalFailureError, match="zero standard error"):
+            duality_check(EnvironmentSpec.two_point(0.7), 0, 1, [1.0], 2, RngStream(1))
 
     def test_agreement_small_case(self, stream):
         (res,) = duality_check(GAUSS, 12, 16, [1.0], 50_000, stream)
@@ -352,12 +348,10 @@ def per_block_transform(spec, i, n, params, m_samples, stream, purpose, shards, 
     den = cols["den"]
     den_est = MCEstimate.from_values(den)
     assert den_est.mean > 3.0 * den_est.stderr
-    tag = estimators._conformity_tag(spec)
     results = []
     for idx, p in enumerate(params):
         ratio, se = ratio_with_stderr(cols[f"num{idx}"], den)
-        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size,
-                                       tag=tag))
+        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size))
     return results
 
 
@@ -399,16 +393,15 @@ def per_block_duality(spec, i, n, betas, m_samples, stream, shards):
 
     h_cols = _sweep(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}", kernel_h, shards)
     v_cols = _sweep(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", kernel_v, shards)
-    tag = estimators._conformity_tag(spec)
     results = []
     for k, beta in enumerate(betas):
         h_est = MCEstimate.from_values(h_cols[k])
         v_est = MCEstimate.from_values(v_cols[k])
         se = math.hypot(h_est.stderr, v_est.stderr)
         diff = h_est.mean - v_est.mean
-        z = (0.0 if diff == 0.0 else math.inf) if se == 0.0 else diff / se
+        z = 0.0 if diff == 0.0 else diff / se
         results.append(DualityResult(i=i, n=n, beta=beta, h_form=h_est, v_form=v_est,
-                                     z_score=z, tag=tag))
+                                     z_score=z))
     return results
 
 
