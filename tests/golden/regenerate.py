@@ -91,6 +91,24 @@ CASES = {
         ["strata", "--seed", "10", "--family", "uniform", "--halfwidth", "1", "--n", "48",
          "--regime", "proportional", "--regime-param", "0.5", "--strata-N", "4",
          "--beta-grid", "1", "--m-samples", "1300"], {}, None),
+    # walks longer than 1023 steps: a sweep block's 256 rows run in several row slabs
+    "prob-twopoint-multislab": (
+        ["prob", "--seed", "17", "--family", "twopoint", "--step", "0.7", "--regime", "end_window",
+         "--regime-param", "3", "--n-grid", "1001,2047,4095", "--m-samples", "517"],
+        {}, "multi-slab"),
+    "scaling-uniform-multislab": (
+        ["scaling", "--seed", "18", "--family", "uniform", "--halfwidth", "1.5",
+         "--n-grid", "256,512,1024,2048", "--m-samples", "600"], {}, "multi-slab"),
+    "pgf-twopoint-multislab": (
+        ["pgf", "--seed", "19", "--family", "twopoint", "--step", "0.7", "--n", "4095",
+         "--s-grid", "0,0.5,0.9,1", "--m-samples", "300"], {}, "multi-slab"),
+    "duality-uniform-multislab": (
+        ["duality", "--seed", "20", "--family", "uniform", "--halfwidth", "1", "--n", "2999",
+         "--regime", "end_window", "--regime-param", "5", "--beta-grid", "1,inf",
+         "--m-samples", "300"], {}, "multi-slab"),
+    "strata-gaussian-multislab": (
+        ["strata", "--seed", "21", "--n", "3000", "--regime", "end_window", "--regime-param", "100",
+         "--strata-N", "10", "--beta-grid", "1", "--m-samples", "300"], {}, "multi-slab"),
     "oracle-gaussian": (["oracle", "--seed", "13", "--m-samples", "5000"], {}, None),
     # 5 persistence blocks, so 5 jackknife groups; x + X lands on table nodes
     "oracle-twopoint": (
