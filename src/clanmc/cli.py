@@ -22,7 +22,7 @@ from .env_model import EnvironmentSpec, validate_spec
 from .errors import (AssumptionViolationError, ClanMCError, ConfigurationError,
                      DomainError, NumericalFailureError)
 from .estimators import RegimeRule
-from .parallel import _MAX_SHARDS
+from .parallel import _MAX_SHARDS, resolve_shards
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
@@ -92,7 +92,7 @@ class RunConfig:
     Each field is one config key, in echo order, declared with its default
     text, parser and echo formatter.  Each key is also the flag "--" + key
     with "_" turned into "-".  An empty shards resolves once, for every
-    subcommand, to estimators.sweep_shards at the largest n the config names.
+    subcommand, to parallel.resolve_shards: the usable CPUs, at most 64.
     """
 
     family: str = _key("gaussian", _word)
@@ -121,9 +121,8 @@ class RunConfig:
             raise ConfigurationError(f"m_samples must be at least 2, got {self.m_samples}")
         if not self.n_grid or not self.s_grid or not self.beta_grid:
             raise ConfigurationError("grids must be nonempty")
-        if self.shards is None:  # as many threads as the sweep at the largest n fits
-            object.__setattr__(self, "shards",
-                               estimators.sweep_shards(None, max(*self.n_grid, self.n or 0)))
+        if self.shards is None:
+            object.__setattr__(self, "shards", resolve_shards(None))
         if not 1 <= self.shards <= _MAX_SHARDS:
             raise ConfigurationError(f"shards must be between 1 and {_MAX_SHARDS}, got {self.shards}")
 

@@ -25,9 +25,12 @@ from .parallel import block_sizes, map_blocks, resolve_shards
 from .streams import RngStream
 
 _SWEEP_BLOCK = 256
-# Largest observation time a sweep accepts: 384 MiB of sweep_workspace per
-# thread, eight times the largest grid point the scaling studies use.  It
-# also bounds the default shard count (sweep_shards).
+# Most bytes of walk in one row slab: a block's rows are drawn, cumsummed
+# and handed to the kernel slab by slab, so a sweep thread holds about
+# three slabs (increments, walk, the kernel's exponentials) at any n.
+_SLAB_BYTES = 2 * 2**20
+# Largest observation time a sweep accepts, eight times the largest grid
+# point the scaling studies use; a slab there holds 3 rows.
 _MAX_N = 65536
 # Most bytes of replicate columns one event-probability grid sweep returns.
 # A sweep keeps every column until its last block, so a grid whose
@@ -100,53 +103,31 @@ class RegimeRule:
 # ---------------------------------------------------------------------------
 
 
-def sweep_workspace(n: int) -> int:
-    """Bytes a sweep thread holds at observation time n, about 6 KiB per unit of n.
-
-    A (256, n) increment buffer, a (256, n + 1) walk buffer and one
-    (256, n + 1) exponential array per block.
-    """
-    return 3 * 8 * _SWEEP_BLOCK * (max(n, 0) + 1)
-
-
-def sweep_shards(shards: int | None, n: int) -> int:
-    """The worker threads of a sweep at observation time n: `shards` when given.
-
-    The default is the usable CPUs, but only as many threads as hold
-    together no more workspace than one thread at _MAX_N, the most a
-    one-thread sweep holds.  From n = 32768 on that is one thread.
-    """
-    return resolve_shards(shards, sweep_workspace(_MAX_N) // sweep_workspace(n))
-
-
 def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
            purpose: str, kernel, shards: int | None = None) -> dict[str, np.ndarray]:
-    """Columns of kernel(walk block), concatenated over the blocks in block order.
+    """Columns of kernel(walk rows), concatenated over the blocks in block order.
 
     A kernel returns either finished values (the `prob` grid, `strata`) or
     the per-row inputs of closed forms that run once over the whole columns
-    after the sweep (_gather, for the transforms and `duality`).  Each
-    thread that runs blocks of this sweep draws into one increment buffer
-    and cumsums into one walk buffer, reused by every block it runs.
-    The kernel contract: a kernel gets the block's walk in a buffer that the
-    next block overwrites.  It may modify that buffer in place, and must
-    return fresh arrays; a returned array that shares memory with the
-    buffers is refused.
+    after the sweep (_gather, for the transforms and `duality`).  Block b
+    draws from the substream (purpose, b) and runs in row slabs of at most
+    _SLAB_BYTES of walk, drawn in order from the block's generator, so the
+    block consumes its stream as one (rows, n) draw would.  Kernels are
+    row-wise, so the slabs change no number.  Each thread draws into one
+    slab increment buffer and cumsums into one slab walk buffer, reused by
+    every slab it runs.  The kernel contract: a kernel gets the slab's walk
+    in a buffer that the next slab overwrites.  It may modify that buffer in
+    place, and must return fresh arrays; a returned array that shares
+    memory with the buffers is refused.
     """
     if n > _MAX_N:  # refused before any workspace is allocated
-        raise DomainError(f"observation time n exceeds the limit of {_MAX_N}: a sweep "
-                          f"thread holds two ({_SWEEP_BLOCK}, n + 1) float buffers")
+        raise DomainError(f"observation time n exceeds the limit of {_MAX_N}, eight times "
+                          f"the largest grid point of the scaling studies")
     sizes = block_sizes(m_samples, _SWEEP_BLOCK)
+    slab = min(sizes[0], _SLAB_BYTES // (8 * (n + 1)))
     local = threading.local()
 
-    def run_block(b: int) -> dict[str, np.ndarray]:
-        if not hasattr(local, "x"):
-            # sizes[0] is the largest block; a short last block is a row
-            # slice, which stays C-contiguous for the in-place draw
-            local.x = np.empty((sizes[0], n))
-            local.s = np.empty((sizes[0], n + 1))
-        rows = sizes[b]
-        gen = stream.substream(purpose, b)
+    def run_slab(gen: np.random.Generator, rows: int) -> dict[str, np.ndarray]:
         x = draw_increments(spec, gen, local.x[:rows])
         s = local.s[:rows]
         s[:, 0] = 0.0
@@ -163,8 +144,17 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
                     f"sweep kernel column {key!r} is a view of the reused walk buffer")
         return cols
 
-    blocks = map_blocks(run_block, len(sizes), sweep_shards(shards, n))
-    return {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
+    def run_block(b: int) -> list[dict[str, np.ndarray]]:
+        if not hasattr(local, "x"):
+            # a short slab is a row slice, which stays C-contiguous for the in-place draw
+            local.x = np.empty((slab, n))
+            local.s = np.empty((slab, n + 1))
+        gen = stream.substream(purpose, b)
+        return [run_slab(gen, min(slab, sizes[b] - lo)) for lo in range(0, sizes[b], slab)]
+
+    slabs = [cols for blk in map_blocks(run_block, len(sizes), resolve_shards(shards))
+             for cols in blk]
+    return {k: np.concatenate([cols[k] for cols in slabs]) for k in slabs[0]}
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -211,11 +201,12 @@ class _ExpRows:
 
     def lse(self, lo: int, hi: int) -> np.ndarray:
         total = self.e[:, lo:hi].sum(axis=1)
-        out = np.empty_like(total)
         ok = total >= _TINY
+        if ok.all():
+            return np.log(total) + self.shift
+        out = np.empty_like(total)
         out[ok] = np.log(total[ok]) + self.shift[ok]
-        if not ok.all():
-            out[~ok] = logsumexp(self.a[~ok, lo:hi])
+        out[~ok] = logsumexp(self.a[~ok, lo:hi])
         return out
 
 

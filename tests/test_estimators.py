@@ -67,6 +67,36 @@ class TestSweep:
         with pytest.raises(NumericalFailureError, match="view of the reused walk buffer"):
             _sweep(GAUSS, 8, 600, stream, "test.view", lambda s: {"x": s[:, -1]})
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("spec, draw", [
+        (GAUSS, lambda gen, shape: gen.normal(0.0, 1.0, shape)),
+        (EnvironmentSpec.uniform_symmetric(1.5), lambda gen, shape: gen.uniform(-1.5, 1.5, shape)),
+        (EnvironmentSpec.two_point(0.7),
+         lambda gen, shape: (2 * gen.integers(0, 2, shape) - 1.0) * 0.7),
+    ], ids=["gaussian", "uniform", "twopoint"])
+    def test_row_slabs_draw_each_block_as_one_walk(self, stream, monkeypatch, spec, draw,
+                                                   shards):
+        # 100-row slabs: each full block runs as 100 + 100 + 56 rows and the
+        # short last block of 188 as 100 + 88, all drawn into one thread's
+        # slab buffers from the block's one generator
+        n, sizes = 9, [256, 256, 188]
+        monkeypatch.setattr(estimators, "_SLAB_BYTES", 100 * 8 * (n + 1))
+        slab_rows = []
+
+        def kernel(s):
+            slab_rows.append(s.shape[0])
+            np.negative(s, out=s)
+            return {"end": -s[:, n], "min": s.min(axis=1)}
+
+        cols = _sweep(spec, n, sum(sizes), stream, "test.slabs", kernel, shards)
+        walks = np.concatenate([np.cumsum(draw(stream.substream("test.slabs", b), (rows, n)),
+                                          axis=1) for b, rows in enumerate(sizes)])
+        assert sorted(slab_rows) == sorted([100, 100, 56] * 2 + [100, 88])
+        assert cols["end"].tobytes() == walks[:, -1].tobytes()
+        assert np.array_equal(cols["min"], -np.maximum(walks.max(axis=1), 0.0))
+        with pytest.raises(NumericalFailureError, match="view of the reused walk buffer"):
+            _sweep(spec, n, sum(sizes), stream, "test.view", lambda s: {"x": s[3:, -1]}, shards)
+
 
 def count_sweeps(monkeypatch):
     """Route estimators._sweep through a wrapper; the returned list gets each sweep's n."""

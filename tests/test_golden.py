@@ -44,12 +44,17 @@ def test_same_records_as_golden(path, shards, tmp_path, monkeypatch):
         f"golden files with tests/golden/regenerate.py on a tree whose numbers are known good")
     for key, value in header["patch"].items():
         monkeypatch.setattr(estimators, key.split(".", 1)[1], value)
-    sweeps, fallback_rows = [], []
+    sweeps, blocks, kernel_calls, fallback_rows = [], [], [], []
     sweep, logsumexp = estimators._sweep, estimators.logsumexp
 
-    def counting_sweep(*args, **kwargs):
-        sweeps.append(args[1])
-        return sweep(*args, **kwargs)
+    def counting_sweep(spec, n, m_samples, stream, purpose, kernel, *args, **kwargs):
+        sweeps.append(n)
+        blocks.append(-(-m_samples // estimators._SWEEP_BLOCK))
+
+        def counting_kernel(s):
+            kernel_calls.append(s.shape[0])
+            return kernel(s)
+        return sweep(spec, n, m_samples, stream, purpose, counting_kernel, *args, **kwargs)
 
     def counting_logsumexp(a, *args, **kwargs):
         fallback_rows.append(a.shape[0])
@@ -67,3 +72,5 @@ def test_same_records_as_golden(path, shards, tmp_path, monkeypatch):
         assert sum(fallback_rows) > 0
     elif header["requires"] == "chunked-sweep":
         assert len(sweeps) > 1
+    elif header["requires"] == "multi-slab":  # some block ran in several row slabs
+        assert len(kernel_calls) > sum(blocks)

@@ -1,10 +1,17 @@
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from clanmc import EnvironmentSpec, RngStream, assoc_walk, estimators, parallel
-from clanmc.estimators import _MAX_N, sweep_shards, sweep_workspace
+from clanmc.cli import RunConfig
+from clanmc.estimators import (_MAX_N, _SLAB_BYTES, _ExpRows, _log_event_prob_cols,
+                               _sweep)
 from clanmc.parallel import _MAX_SHARDS, map_blocks, resolve_shards
+
+
+GAUSS = EnvironmentSpec.gaussian(1.0)
 
 
 @pytest.fixture
@@ -19,42 +26,53 @@ class TestResolveShards:
     def test_one_usable_cpu_gives_one(self, cpus):
         cpus(1)
         assert resolve_shards(None) == 1
-        assert sweep_shards(None, 256) == 1
 
     def test_explicit_value_wins(self, cpus):
         cpus(1)
         assert resolve_shards(5) == 5
-        cpus(64)
-        assert sweep_shards(3, _MAX_N) == 3
 
     def test_default_is_the_usable_cpus_up_to_the_cap(self, cpus):
         cpus(2)
         assert resolve_shards(None) == 2
         cpus(8)
         assert resolve_shards(None, most=3) == 3
-        assert sweep_shards(None, 4096) == 8
         cpus(10_000)
         assert resolve_shards(None) == _MAX_SHARDS
 
-    def test_sweep_threads_hold_no_more_than_one_thread_at_largest_n(self, cpus):
-        budget = sweep_workspace(_MAX_N)
-        assert 380 * 2**20 < budget < 390 * 2**20  # about 6 KiB per unit of n
+    def test_default_threads_at_every_walk_length(self, cpus, monkeypatch):
+        # a sweep thread's workspace does not grow with n, so no n caps the default
+        seen = []
+
+        def no_blocks(fn, n_blocks, shards):
+            seen.append(shards)
+            return [[{"x": np.zeros(1)}]]
+        monkeypatch.setattr(estimators, "map_blocks", no_blocks)
         for count in (1, 2, 3, 8, 64, 10_000):
             cpus(count)
             for n in (1, 256, 8192, 16384, 32768, _MAX_N):
-                shards = sweep_shards(None, n)
-                assert 1 <= shards <= min(count, _MAX_SHARDS)
-                assert shards * sweep_workspace(n) <= budget
-        cpus(64)
-        assert sweep_shards(None, _MAX_N) == 1
-        assert sweep_shards(None, 32768) == 1
-        assert sweep_shards(None, 16384) == 3
-        assert sweep_shards(None, 8192) == 7
+                config = RunConfig.from_strings({"seed": "1", "n": str(n), "n_grid": str(n)})
+                assert config.shards == resolve_shards(None) == min(count, _MAX_SHARDS)
+                _sweep(GAUSS, n, 512, RngStream(1), "test.default", None)
+                assert seen.pop() == resolve_shards(None)
 
-    def test_walk_beyond_the_limit_gets_one_thread(self, cpus):
-        cpus(64)
-        assert sweep_shards(None, _MAX_N + 1) == 1
-        assert sweep_shards(None, 10**300) == 1
+
+class TestSweepWorkspace:
+    def test_peak_memory_bounded_at_the_largest_walk(self):
+        # three slab arrays (increments, walk, exponentials) of 3 x 65537
+        # doubles each, where whole blocks held 384 MiB
+        n, m = _MAX_N, 512
+
+        def kernel(s):
+            neg = _ExpRows(np.negative(s, out=s))
+            return {"p": np.exp(_log_event_prob_cols(neg, n // 2, n)), "end": neg.a[:, n].copy()}
+        tracemalloc.start()
+        try:
+            cols = _sweep(GAUSS, n, m, RngStream(3), "test.peak", kernel, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cols["p"].shape == cols["end"].shape == (m,)
+        assert peak < 4 * _SLAB_BYTES + 2 * 8 * m
 
 
 class TestMapBlocks:
