@@ -59,7 +59,7 @@ class TestResolveShards:
 class TestSweepWorkspace:
     def test_peak_memory_bounded_at_the_largest_walk(self):
         # three slab arrays (increments, walk, exponentials) of 3 x 65537
-        # doubles each, where whole blocks held 384 MiB
+        # doubles each, about 4.5 MiB
         n, m = _MAX_N, 512
 
         def kernel(s):
