@@ -356,14 +356,11 @@ def run(subcommand: str, config: RunConfig) -> tuple[RunOutcome, dict]:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an output file that cannot be written, before any sampling."""
-    folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        raise ConfigurationError(f"out {path!r} is a directory")
-    if not os.path.isdir(folder):
-        raise ConfigurationError(f"out {path!r}: no directory {folder!r}")
-    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        raise ConfigurationError(f"out {path!r} is not writable")
+    """Open the output file for writing, which empties it, before any sampling."""
+    try:
+        open(path, "w", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigurationError(f"out {path!r}: {exc.strerror}") from exc
 
 
 def _emit(config: RunConfig, outcome: RunOutcome, run_record: dict) -> None:

@@ -176,7 +176,8 @@ class _ExpRows:
     """Shared max-shifted exponentials of one sign of the walk matrix.
 
     One exp pass serves every slice log-sum, instead of one full
-    max/exp/sum/log cycle per slice.
+    max/exp/sum/log cycle per slice.  The clan formulas read it by key:
+    rows[k] is walk column k and rows[lo, hi] is lse(lo, hi).
     A slice more than ~708 log units below its row maximum sums to a
     subnormal (or zero) shifted total that keeps too few digits, so such
     rows are re-summed with their own shift by the module's `logsumexp`
@@ -199,6 +200,11 @@ class _ExpRows:
                     "environment walk spans more than the double range") from None
         self.e = np.exp(shifted, out=shifted)
 
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, tuple):
+            return self.lse(*key)  # through the method, which a tracer may wrap
+        return self.a[:, key]
+
     def lse(self, lo: int, hi: int) -> np.ndarray:
         total = self.e[:, lo:hi].sum(axis=1)
         ok = total >= _TINY
@@ -210,33 +216,33 @@ class _ExpRows:
         return out
 
 
-# The clan formulas, one column per (i, n) over the rows of a walk matrix.
-# exact_fl evaluates its scalar closed forms as one-row calls of these.
+# The clan formulas, one column per (i, n), read by key from an _ExpRows or a
+# _gather dict.  exact_fl evaluates its scalar closed forms as one-row calls of these.
 
 
-def _log_event_prob_cols(neg: _ExpRows, i: int, n: int) -> np.ndarray:
+def _log_event_prob_cols(neg: _ExpRows | dict, i: int, n: int) -> np.ndarray:
     """log P(only the clan of generation i survives at n | environment)."""
-    return neg.a[:, i] - neg.lse(i + 1, n + 1) + neg.a[:, n] - neg.lse(0, n + 1)
+    return neg[i] - neg[i + 1, n + 1] + neg[n] - neg[0, n + 1]
 
 
-def _log_extinction_cols(neg: _ExpRows, i: int, n: int) -> np.ndarray:
+def _log_extinction_cols(neg: _ExpRows | dict, i: int, n: int) -> np.ndarray:
     """log F_{i,n}(0), the ratio of adjacent tail sums."""
-    return neg.lse(i + 1, n + 1) - neg.lse(i, n + 1)
+    return neg[i + 1, n + 1] - neg[i, n + 1]
 
 
-def _log_survival_cols(neg: _ExpRows, i: int, n: int, log1ms) -> np.ndarray:
+def _log_survival_cols(neg: _ExpRows | dict, i: int, n: int, log1ms) -> np.ndarray:
     """log(1 - F_{i,n}(s)); log1ms is log(1-s), scalar or per-row."""
-    window = neg.lse(i, n)          # log(b_n - b_i)
-    return neg.a[:, i] - np.logaddexp(neg.a[:, n] - log1ms, window)
+    window = neg[i, n]          # log(b_n - b_i)
+    return neg[i] - np.logaddexp(neg[n] - log1ms, window)
 
 
-def _log_h_cols_from(neg: _ExpRows, i: int, n: int, log1ms) -> np.ndarray:
+def _log_h_cols_from(neg: _ExpRows | dict, i: int, n: int, log1ms) -> np.ndarray:
     """Generic-argument only-surviving-clan values; log1ms is log(1-s), scalar or per-row."""
     return (_log_survival_cols(neg, i, n, log1ms) - _log_extinction_cols(neg, i, n)
-            + (neg.a[:, n] - neg.lse(0, n + 1)))
+            + (neg[n] - neg[0, n + 1]))
 
 
-def _log_yaglom_cols_from(neg: _ExpRows, i: int, n: int, beta: float) -> np.ndarray:
+def _log_yaglom_cols_from(neg: _ExpRows | dict, i: int, n: int, beta: float) -> np.ndarray:
     """Laplace-point values h(e^{-beta a}), capped by their beta = inf limit h(0).
 
     beta = inf is that limit, the event probability.  The bound holds
@@ -246,78 +252,60 @@ def _log_yaglom_cols_from(neg: _ExpRows, i: int, n: int, beta: float) -> np.ndar
     at_inf = _log_event_prob_cols(neg, i, n)
     if math.isinf(beta):
         return at_inf
-    # neg.a = -s exactly, so these are the bits of log(beta) + s_i - s_n
-    log_t = math.log(beta) - neg.a[:, i] + neg.a[:, n]
+    # neg[k] = -s_k exactly, so these are the bits of log(beta) + s_i - s_n
+    log_t = math.log(beta) - neg[i] + neg[n]
     return np.minimum(_log_h_cols_from(neg, i, n, log1m_exp_neg_vec(log_t)), at_inf)
 
 
-def _log_v_cols_from(pos: _ExpRows, j: int, n: int, beta: float) -> np.ndarray:
-    """Dual clan functional on the reflection of the sampled walk; pos.a is the walk S.
+def _log_v_cols_from(pos: _ExpRows | dict, j: int, n: int, beta: float) -> np.ndarray:
+    """Dual clan functional on the reflection of the sampled walk; pos[k] is the walk S_k.
 
     Finite beta is capped by the beta = inf value, as in _log_yaglom_cols_from.
     """
-    s_j = pos.a[:, j]
-    head_j = pos.lse(0, j)          # log of reflected prefix sum b_j
-    head_np1 = pos.lse(0, n + 1)
+    s_j = pos[j]
+    head_j = pos[0, j]          # log of reflected prefix sum b_j
+    head_np1 = pos[0, n + 1]
     at_inf = s_j - head_j - head_np1
     if math.isinf(beta):
         return at_inf
-    head_jp1 = pos.lse(0, j + 1)
-    inner = pos.lse(1, j + 1)
+    head_jp1 = pos[0, j + 1]
+    inner = pos[1, j + 1]
     inv_weight = -log1m_exp_neg_vec(math.log(beta) - s_j)
     denom = np.logaddexp(inv_weight, inner)
     return np.minimum(s_j - denom + (head_jp1 - head_j) - head_np1, at_inf)
 
 
-class _GatheredRows:
-    """_ExpRows' `.a[:, k]` and `.lse(lo, hi)` over the columns a _gather sweep returned.
-
-    The clan formulas read these M-row columns as they read a block's rows.
-    """
-
-    def __init__(self, cols: dict):
-        self._cols = cols
-
-    @property
-    def a(self) -> "_GatheredRows":
-        return self
-
-    def __getitem__(self, index) -> np.ndarray:
-        return self._cols[index[1]]  # a[:, k]: every row of walk column k
-
-    def lse(self, lo: int, hi: int) -> np.ndarray:
-        return self._cols[(lo, hi)]
+def _exp_cols(log_cols: np.ndarray) -> np.ndarray:
+    """exp of log-probabilities; an overflow gives inf, which MCEstimate refuses."""
+    with np.errstate(over="ignore"):  # per thread, so set where the exp runs
+        return np.exp(log_cols)
 
 
 def _h_inputs(i: int, n: int):
-    """Walk columns and slices that _log_yaglom_cols_from (and _log_h_cols_from) read."""
-    return (i, n), ((i + 1, n + 1), (0, n + 1), (i, n), (i, n + 1))
+    """Keys of the walk columns and slice log-sums that _log_yaglom_cols_from reads."""
+    return i, n, (i + 1, n + 1), (0, n + 1), (i, n), (i, n + 1)
 
 
 def _v_inputs(j: int, n: int):
-    """Walk columns and slices that _log_v_cols_from reads."""
-    return (j,), ((0, j), (0, n + 1), (0, j + 1), (1, j + 1))
+    """Keys of the walk column and slice log-sums that _log_v_cols_from reads."""
+    return j, (0, j), (0, n + 1), (0, j + 1), (1, j + 1)
 
 
 def _gather(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream, purpose: str,
-            shards: int | None, negate: bool, inputs) -> _GatheredRows:
+            shards: int | None, negate: bool, keys) -> dict:
     """The block stage of a transform: one sweep that keeps only closed-form inputs.
 
     Each block builds its _ExpRows (of the negated walk when `negate`) and
-    returns copies of the walk columns and the slice log-sums named by
-    `inputs` (see _h_inputs, _v_inputs).  Every grid point's closed form
-    then runs once over the gathered M-row columns, through the same IEEE
-    operations per element as on a block's rows, so the values keep their bits.
+    returns a copy of rows[k] for every key in `keys` (see _h_inputs,
+    _v_inputs).  The formulas read the returned dict of M-row columns by
+    the same keys, so every grid point's closed form runs once over it,
+    through the same IEEE operations per element as on a block's rows.
     """
-    walk_cols, slices = inputs
-
     def kernel(s_mat: np.ndarray) -> dict:
         rows = _ExpRows(np.negative(s_mat, out=s_mat) if negate else s_mat)
-        cols = {k: rows.a[:, k].copy() for k in walk_cols}
-        cols.update((sl, rows.lse(*sl)) for sl in slices)
-        return cols
+        return {k: rows[k].copy() for k in keys}
 
-    return _GatheredRows(_sweep(spec, n, m_samples, stream, purpose, kernel, shards))
+    return _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
 
 
 def _first_max_index(s: np.ndarray, n: int) -> np.ndarray:
@@ -363,7 +351,7 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
 
         def kernel(s_mat, chunk=chunk):
             neg = _ExpRows(np.negative(s_mat, out=s_mat))
-            return {n: np.exp(_log_event_prob_cols(neg, index[n], n)) for n in chunk}
+            return {n: _exp_cols(_log_event_prob_cols(neg, index[n], n)) for n in chunk}
 
         cols = _sweep(spec, distinct[-1], m_samples, stream, purpose, kernel, shards)
         estimates.update((n, MCEstimate.from_values(cols[n])) for n in chunk)
@@ -393,7 +381,7 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
     numerator column is computed.
     """
     neg = _gather(spec, n, m_samples, stream, purpose, shards, True, _h_inputs(i, n))
-    den = np.exp(_log_event_prob_cols(neg, i, n))
+    den = _exp_cols(_log_event_prob_cols(neg, i, n))
     den_est = MCEstimate.from_values(den)
     if den_est.mean <= 3.0 * den_est.stderr:
         raise UnreliableRatioError(
@@ -424,7 +412,7 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
             return den
         if sv == 1.0:
             return np.zeros_like(den)
-        return np.exp(_log_h_cols_from(neg, i, n, math.log1p(-sv)))
+        return _exp_cols(_log_h_cols_from(neg, i, n, math.log1p(-sv)))
 
     return _estimate_transform(spec, i, n, s_values, m_samples, stream,
                                f"theta:N={end_window}:n={n}", shards, point_cols)
@@ -445,7 +433,7 @@ def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, 
             raise DomainError(f"beta grid must lie in (0, inf], got {b}")
 
     def point_cols(neg, den, b):
-        return np.exp(_log_yaglom_cols_from(neg, i, n, b))
+        return _exp_cols(_log_yaglom_cols_from(neg, i, n, b))
 
     return _estimate_transform(spec, i, n, betas, m_samples, stream,
                                f"lambda:{rule.describe()}:n={n}", shards, point_cols)
@@ -587,8 +575,8 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
                   _v_inputs(j, n))
     results = []
     for beta in betas:
-        h_est = MCEstimate.from_values(np.exp(_log_yaglom_cols_from(neg, i, n, beta)))
-        v_est = MCEstimate.from_values(np.exp(_log_v_cols_from(pos, j, n, beta)))
+        h_est = MCEstimate.from_values(_exp_cols(_log_yaglom_cols_from(neg, i, n, beta)))
+        v_est = MCEstimate.from_values(_exp_cols(_log_v_cols_from(pos, j, n, beta)))
         se = math.hypot(h_est.stderr, v_est.stderr)
         diff = h_est.mean - v_est.mean
         if se == 0.0 and diff != 0.0:
@@ -635,13 +623,11 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
                           f"at n={n}, i={i}, got {n_window}; {fix}")
 
     def kernel(s_mat):
-        return {
-            "v": np.exp(_log_v_cols_from(_ExpRows(s_mat), j, n, beta)),
-            "tau": _first_max_index(s_mat, n).astype(float),
-        }
+        return {"v": _exp_cols(_log_v_cols_from(_ExpRows(s_mat), j, n, beta)),
+                "tau": _first_max_index(s_mat, n)}
 
     cols = _sweep(spec, n, m_samples, stream, f"strata:n={n}:i={i}:beta={beta}", kernel, shards)
-    v, tau = cols["v"], cols["tau"].astype(int)
+    v, tau = cols["v"], cols["tau"]
     masks = {
         "early": tau < n_window,
         "before_j": (tau > j - n_window) & (tau <= j),

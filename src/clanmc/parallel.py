@@ -24,15 +24,14 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_shards(shards: int | None, most: int = _MAX_SHARDS) -> int:
+def resolve_shards(shards: int | None) -> int:
     """The worker-thread count of a run: `shards` when given, else the default.
 
-    The default is the usable CPUs, at most `most` and _MAX_SHARDS, and at
-    least one.
+    The default is the usable CPUs, at most _MAX_SHARDS, and at least one.
     """
     if shards is not None:
         return shards
-    return max(1, min(usable_cpus(), _MAX_SHARDS, most))
+    return max(1, min(usable_cpus(), _MAX_SHARDS))
 
 
 def block_sizes(total: int, block: int) -> list[int]:

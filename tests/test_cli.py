@@ -391,6 +391,31 @@ class TestSubcommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"configuration error: out '{out}'"), err
 
+    def test_failed_run_empties_a_stale_out_file(self, tmp_path, capsys):
+        out = tmp_path / "f.ndjson"
+        out.write_text('{"kind":"result","stale":true}\n', encoding="utf-8")
+        rc = cli.main(["lst", "--seed", "5", "--n", "3001", "--regime", "proportional",
+                       "--regime-param", "0.5", "--beta-grid", "1e-3,1,inf",
+                       "--m-samples", "1000", "--out", str(out)])
+        assert rc == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert out.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["prob", "--sigma", "1e200", "--n-grid", "8", "--m-samples", "50"],
+        ["lst", "--sigma", "1e20", "--n", "8", "--m-samples", "200", "--beta-grid", "1,inf"],
+    ])
+    def test_overflowing_probability_column_exit_three(self, argv, shards, tmp_path, capsys):
+        # exp of a log-probability column overflows to inf; no numpy warning may leak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([*argv, "--seed", "1", "--shards", shards,
+                           "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: a Monte Carlo average got a non-finite sample value"]
+
     @pytest.mark.parametrize("argv", [
         ["--n-grid", "inf"],
         ["--n-grid", "nan"],

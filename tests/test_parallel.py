@@ -34,8 +34,6 @@ class TestResolveShards:
     def test_default_is_the_usable_cpus_up_to_the_cap(self, cpus):
         cpus(2)
         assert resolve_shards(None) == 2
-        cpus(8)
-        assert resolve_shards(None, most=3) == 3
         cpus(10_000)
         assert resolve_shards(None) == _MAX_SHARDS
 
