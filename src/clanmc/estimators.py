@@ -33,9 +33,13 @@ _SLAB_BYTES = 2 * 2**20
 # point the scaling studies use; a slab there holds 3 rows.
 _MAX_N = 65536
 # Most bytes of replicate columns one event-probability grid sweep returns.
-# A sweep keeps every column until its last block, so a grid whose
-# distinct n need more (8 bytes per replicate each) is swept in chunks.
+# A sweep allocates every column it returns for all M replicates, so a
+# grid whose distinct n need more (8 bytes per replicate each) is swept in
+# chunks.
 _GRID_COLUMN_BYTES = 64 * 2**20
+# Rows per chunk of the column stage (_exp_column): a closed form's temporaries
+# stay at 128 KiB each, whatever M is.
+_COLUMN_CHUNK = 16384
 # Smallest relative error a scaling fit weights: 1/rel^2 and the weighted
 # sums of log n and log mean stay finite above it.
 _MIN_REL_ERR = 1e-150
@@ -105,20 +109,23 @@ class RegimeRule:
 
 def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
            purpose: str, kernel, shards: int | None = None) -> dict[str, np.ndarray]:
-    """Columns of kernel(walk rows), concatenated over the blocks in block order.
+    """Columns of kernel(walk rows) over all M replicates, in block order.
 
     A kernel returns either finished values (the `prob` grid, `strata`) or
-    the per-row inputs of closed forms that run once over the whole columns
+    the per-row inputs of closed forms that run over the whole columns
     after the sweep (_gather, for the transforms and `duality`).  Block b
     draws from the substream (purpose, b) and runs in row slabs of at most
     _SLAB_BYTES of walk, drawn in order from the block's generator, so the
     block consumes its stream as one (rows, n) draw would.  Kernels are
     row-wise, so the slabs change no number.  Each thread draws into one
     slab increment buffer and cumsums into one slab walk buffer, reused by
-    every slab it runs.  The kernel contract: a kernel gets the slab's walk
-    in a buffer that the next slab overwrites.  It may modify that buffer in
-    place, and must return fresh arrays; a returned array that shares
-    memory with the buffers is refused.
+    every slab it runs.  Each output column is allocated once, M rows with
+    the dtype of the kernel's column, by whichever slab first returns its
+    key, and every slab writes its rows at its offset b * _SWEEP_BLOCK + lo.
+    The kernel contract: a kernel gets the slab's walk in a buffer that the
+    next slab overwrites.  It may modify that buffer in place and may return
+    views of it, since the write copies them before the next slab runs.  A
+    column with other than one value per row is refused.
     """
     if n > _MAX_N:  # refused before any workspace is allocated
         raise DomainError(f"observation time n exceeds the limit of {_MAX_N}, eight times "
@@ -126,8 +133,9 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     sizes = block_sizes(m_samples, _SWEEP_BLOCK)
     slab = min(sizes[0], _SLAB_BYTES // (8 * (n + 1)))
     local = threading.local()
+    out: dict[str, np.ndarray] = {}
 
-    def run_slab(gen: np.random.Generator, rows: int) -> dict[str, np.ndarray]:
+    def run_slab(gen: np.random.Generator, at: int, rows: int) -> None:
         x = draw_increments(spec, gen, local.x[:rows])
         s = local.s[:rows]
         s[:, 0] = 0.0
@@ -137,24 +145,26 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
             np.cumsum(x, axis=1, out=s[:, 1:])
         if not np.isfinite(s[:, n]).all():
             raise NumericalFailureError("environment walk overflowed the double range")
-        cols = kernel(s)
-        for key, col in cols.items():
-            if np.shares_memory(col, local.s) or np.shares_memory(col, local.x):
+        for key, col in kernel(s).items():
+            if col.shape != (rows,):
                 raise NumericalFailureError(
-                    f"sweep kernel column {key!r} is a view of the reused walk buffer")
-        return cols
+                    f"sweep kernel column {key!r} has shape {col.shape} on a slab of {rows} rows")
+            dest = out.get(key)
+            if dest is None:  # setdefault is atomic, so racing threads share one column
+                dest = out.setdefault(key, np.empty(m_samples, dtype=col.dtype))
+            dest[at:at + rows] = col
 
-    def run_block(b: int) -> list[dict[str, np.ndarray]]:
+    def run_block(b: int) -> None:
         if not hasattr(local, "x"):
             # a short slab is a row slice, which stays C-contiguous for the in-place draw
             local.x = np.empty((slab, n))
             local.s = np.empty((slab, n + 1))
         gen = stream.substream(purpose, b)
-        return [run_slab(gen, min(slab, sizes[b] - lo)) for lo in range(0, sizes[b], slab)]
+        for lo in range(0, sizes[b], slab):
+            run_slab(gen, b * _SWEEP_BLOCK + lo, min(slab, sizes[b] - lo))
 
-    slabs = [cols for blk in map_blocks(run_block, len(sizes), resolve_shards(shards))
-             for cols in blk]
-    return {k: np.concatenate([cols[k] for cols in slabs]) for k in slabs[0]}
+    map_blocks(run_block, len(sizes), resolve_shards(shards))
+    return out
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -296,16 +306,30 @@ def _gather(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream, pu
     """The block stage of a transform: one sweep that keeps only closed-form inputs.
 
     Each block builds its _ExpRows (of the negated walk when `negate`) and
-    returns a copy of rows[k] for every key in `keys` (see _h_inputs,
-    _v_inputs).  The formulas read the returned dict of M-row columns by
-    the same keys, so every grid point's closed form runs once over it,
-    through the same IEEE operations per element as on a block's rows.
+    returns rows[k] for every key in `keys` (see _h_inputs, _v_inputs); a
+    walk column is a view of the slab, which the sweep copies into place.
+    The formulas read the returned dict of M-row columns by the same keys
+    (see _exp_column), through the same IEEE operations per element as on a
+    block's rows.
     """
     def kernel(s_mat: np.ndarray) -> dict:
         rows = _ExpRows(np.negative(s_mat, out=s_mat) if negate else s_mat)
-        return {k: rows[k].copy() for k in keys}
+        return {k: rows[k] for k in keys}
 
     return _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
+
+
+def _exp_column(log_formula, cols: dict, out: np.ndarray) -> np.ndarray:
+    """out = exp(log_formula(cols)) over gathered columns (_gather), _COLUMN_CHUNK rows at a time.
+
+    Each chunk hands log_formula row slices of every column, so its
+    temporaries are chunk-sized; the formulas are elementwise, so chunks
+    change no bit.
+    """
+    for lo in range(0, out.size, _COLUMN_CHUNK):
+        out[lo:lo + _COLUMN_CHUNK] = _exp_cols(log_formula({k: c[lo:lo + _COLUMN_CHUNK]
+                                                            for k, c in cols.items()}))
+    return out
 
 
 def _first_max_index(s: np.ndarray, n: int) -> np.ndarray:
@@ -375,20 +399,22 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
 
     Two stages: the sweep gathers per replicate the walk at i and n and
     four slice log-sums (_gather), then each grid point's closed form runs
-    once over those M-row columns.  point_cols(neg, den, param) gives one
-    grid point's h column; den is the h(0) column.  A denominator within
-    three standard errors of zero refuses the whole grid before any
-    numerator column is computed.
+    over those M-row columns in row chunks (_exp_column).  point_cols(neg, den,
+    num, param) gives one grid point's h column, written into the reused
+    M-row column num unless it is den itself or zero; den is the h(0)
+    column.  A denominator within three standard errors of zero refuses the
+    whole grid before any numerator column is computed.
     """
     neg = _gather(spec, n, m_samples, stream, purpose, shards, True, _h_inputs(i, n))
-    den = _exp_cols(_log_event_prob_cols(neg, i, n))
+    den = _exp_column(lambda rows: _log_event_prob_cols(rows, i, n), neg, np.empty(m_samples))
     den_est = MCEstimate.from_values(den)
     if den_est.mean <= 3.0 * den_est.stderr:
         raise UnreliableRatioError(
             "denominator estimate indistinguishable from zero at three standard errors")
+    num = np.empty_like(den)
     results = []
     for p in params:
-        ratio, se = ratio_with_stderr(point_cols(neg, den, p), den)
+        ratio, se = ratio_with_stderr(point_cols(neg, den, num, p), den)
         results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size))
     return results
 
@@ -407,12 +433,12 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
         if not 0.0 <= sv <= 1.0:
             raise DomainError(f"s grid must lie in [0, 1], got {sv}")
 
-    def point_cols(neg, den, sv):
+    def point_cols(neg, den, num, sv):
         if sv == 0.0:
             return den
         if sv == 1.0:
             return np.zeros_like(den)
-        return _exp_cols(_log_h_cols_from(neg, i, n, math.log1p(-sv)))
+        return _exp_column(lambda rows: _log_h_cols_from(rows, i, n, math.log1p(-sv)), neg, num)
 
     return _estimate_transform(spec, i, n, s_values, m_samples, stream,
                                f"theta:N={end_window}:n={n}", shards, point_cols)
@@ -432,8 +458,8 @@ def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, 
         if not b > 0:
             raise DomainError(f"beta grid must lie in (0, inf], got {b}")
 
-    def point_cols(neg, den, b):
-        return _exp_cols(_log_yaglom_cols_from(neg, i, n, b))
+    def point_cols(neg, den, num, b):
+        return _exp_column(lambda rows: _log_yaglom_cols_from(rows, i, n, b), neg, num)
 
     return _estimate_transform(spec, i, n, betas, m_samples, stream,
                                f"lambda:{rule.describe()}:n={n}", shards, point_cols)
@@ -564,7 +590,8 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
     averages the reflected-walk functional with j = n - i over independent
     environments.  Their difference is pure Monte Carlo noise.  One sweep
     per orientation gathers the closed-form inputs (_gather), and each
-    beta's columns are then computed once over all M replicates.  Two forms
+    beta's columns are then computed over all M replicates in row chunks
+    (_exp_column), into two M-row columns that every beta reuses.  Two forms
     that differ with zero standard error have no finite z and are refused.
     """
     betas = [float(b) for b in beta_grid]
@@ -573,10 +600,13 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
                   _h_inputs(i, n))
     pos = _gather(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", shards, False,
                   _v_inputs(j, n))
+    h_col, v_col = np.empty(m_samples), np.empty(m_samples)
     results = []
     for beta in betas:
-        h_est = MCEstimate.from_values(_exp_cols(_log_yaglom_cols_from(neg, i, n, beta)))
-        v_est = MCEstimate.from_values(_exp_cols(_log_v_cols_from(pos, j, n, beta)))
+        h_est = MCEstimate.from_values(
+            _exp_column(lambda rows: _log_yaglom_cols_from(rows, i, n, beta), neg, h_col))
+        v_est = MCEstimate.from_values(
+            _exp_column(lambda rows: _log_v_cols_from(rows, j, n, beta), pos, v_col))
         se = math.hypot(h_est.stderr, v_est.stderr)
         diff = h_est.mean - v_est.mean
         if se == 0.0 and diff != 0.0:

@@ -369,6 +369,16 @@ class TestSubcommands:
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: m_samples must be at least 2, got 1"]
 
+    def test_oversized_sample_count_exit_two(self, tmp_path, capsys):
+        # the block list alone would need petabytes, which no allocator maps
+        rc = cli.main(["prob", "--seed", "1", "--n-grid", "8", "--regime", "fixed_i",
+                       "--regime-param", "2", "--m-samples", "100000000000000000",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: the run needs more memory than it could allocate; "
+            "lower m_samples"]
+
     def test_zero_variance_scaling_exit_three(self, tmp_path, capsys):
         # step 0 is the constant environment: every point has stderr 0 and no finite weight
         with warnings.catch_warnings():

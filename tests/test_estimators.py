@@ -18,6 +18,7 @@ from clanmc.mcstats import ratio_with_stderr
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
 FLAT = EnvironmentSpec.two_point(0.0)
+NINE_BETAS = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, math.inf]
 
 
 @pytest.fixture
@@ -62,11 +63,6 @@ class TestSweep:
         assert cols["end"].tobytes() == walks[:, -1].tobytes()
         assert np.array_equal(cols["min"], -np.maximum(walks.max(axis=1), 0.0))
 
-    def test_kernel_view_of_walk_refused(self, stream):
-        # a view would hold the next block's numbers by the time blocks are joined
-        with pytest.raises(NumericalFailureError, match="view of the reused walk buffer"):
-            _sweep(GAUSS, 8, 600, stream, "test.view", lambda s: {"x": s[:, -1]})
-
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("spec, draw", [
         (GAUSS, lambda gen, shape: gen.normal(0.0, 1.0, shape)),
@@ -86,7 +82,10 @@ class TestSweep:
         def kernel(s):
             slab_rows.append(s.shape[0])
             np.negative(s, out=s)
-            return {"end": -s[:, n], "min": s.min(axis=1)}
+            # "view" is a column of the reused slab buffer, copied into place;
+            # "tau" is strata's integer first-maximum index of the walk
+            return {"end": -s[:, n], "min": s.min(axis=1), "view": s[:, -1],
+                    "tau": estimators._first_max_index(-s, n)}
 
         cols = _sweep(spec, n, sum(sizes), stream, "test.slabs", kernel, shards)
         walks = np.concatenate([np.cumsum(draw(stream.substream("test.slabs", b), (rows, n)),
@@ -94,8 +93,13 @@ class TestSweep:
         assert sorted(slab_rows) == sorted([100, 100, 56] * 2 + [100, 88])
         assert cols["end"].tobytes() == walks[:, -1].tobytes()
         assert np.array_equal(cols["min"], -np.maximum(walks.max(axis=1), 0.0))
-        with pytest.raises(NumericalFailureError, match="view of the reused walk buffer"):
-            _sweep(spec, n, sum(sizes), stream, "test.view", lambda s: {"x": s[3:, -1]}, shards)
+        assert cols["view"].tobytes() == (-walks[:, -1]).tobytes()
+        assert cols["tau"].dtype == np.intp
+        assert np.array_equal(cols["tau"], np.argmax(np.hstack([np.zeros((len(walks), 1)), walks]),
+                                                     axis=1))
+        # one value per slab row, or the column's name in a numerical failure
+        with pytest.raises(NumericalFailureError, match="column 'x' has shape \\(97,\\)"):
+            _sweep(spec, n, sum(sizes), stream, "test.rows", lambda s: {"x": s[3:, -1]}, shards)
 
 
 def count_sweeps(monkeypatch):
@@ -201,6 +205,21 @@ class TestLambda:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, peak
+
+    @pytest.mark.parametrize("betas", [NINE_BETAS, [1.0]], ids=["nine", "one"])
+    def test_benchmark_size_working_set_bounded(self, stream, betas):
+        # the benchmark's lst at n = 256 and M = 100 000: six gathered columns
+        # (4.6 MiB), the h(0) and one reused numerator column, and the paired
+        # sums' temporaries peak at about 8.4 MiB; concatenated slab columns
+        # and whole-column closed forms peaked at about 10.7 MiB
+        tracemalloc.start()
+        try:
+            estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, betas, 100_000, stream,
+                            shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20, peak
 
     def test_beta_domain(self, stream):
         with pytest.raises(DomainError):
@@ -437,7 +456,6 @@ def per_block_duality(spec, i, n, betas, m_samples, stream, shards):
 
 FAMILIES = {"gaussian": GAUSS, "uniform": EnvironmentSpec.uniform_symmetric(1.5),
             "twopoint": EnvironmentSpec.two_point(0.7)}
-NINE_BETAS = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, math.inf]
 
 
 class TestTransformsMatchPerBlockKernels:
