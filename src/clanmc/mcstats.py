@@ -116,8 +116,10 @@ def ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     """Delta-method ratio of paired sample means, covariance term included.
 
     Both arrays must come from the same replicates (common random numbers).
-    The deterministic cases num is den (ratio 1) and num identically zero
-    (ratio 0) come out exact because the identical numpy reductions cancel.
+    The error is sqrt(sum d**2 / (m (m - 1))) / |mean(den)| over the residuals
+    d = (num - mean(num)) - r (den - mean(den)), r = sum(num) / sum(den).  For
+    num is den (r = 1) and num identically zero (r = 0) every residual is
+    exactly zero, so the error is exactly 0.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
@@ -130,11 +132,8 @@ def ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     r = sx / sy
     if m < 2:
         return r, math.inf
-    mean_x, mean_y = sx / m, sy / m
-    var_x = float(np.sum((num - mean_x) ** 2)) / (m - 1)
-    var_y = float(np.sum((den - mean_y) ** 2)) / (m - 1)
-    cov = float(np.sum((num - mean_x) * (den - mean_y))) / (m - 1)
-    resid = var_x - 2.0 * r * cov + r * r * var_y
-    if resid < 0.0:  # roundoff only; the exact quantity is a residual variance
-        resid = 0.0
-    return r, math.sqrt(resid / m) / abs(mean_y)
+    d = num - sx / m
+    shifted = den - sy / m  # the second and last M-row temporary
+    d -= np.multiply(shifted, r, out=shifted)
+    ss = float(np.sum(np.square(d, out=d)))
+    return r, math.sqrt(ss / (m * (m - 1))) / abs(sy / m)

@@ -8,6 +8,7 @@ order, so the worker count never touches the numbers.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -49,13 +50,38 @@ def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int = 1) -> l
     """Run fn(block_index) for every block, in block order.
 
     shards is a resolved count (see resolve_shards).  shards > 1 runs the
-    blocks on a pool of min(shards, n_blocks) threads (numpy kernels release
+    blocks on min(shards, n_blocks) worker threads (numpy kernels release
     the GIL), a single block too: its temporaries then live in a worker's
-    malloc arena, not stacked on the caller's.  The result list is ordered by
-    block index regardless.
+    malloc arena, not stacked on the caller's.  Each worker claims the next
+    block index from one shared counter and writes its result at that
+    index, so the result list is ordered by block index regardless and no
+    per-block future is held.  After a block raises, no further block is
+    claimed, and the caller gets the exception of the lowest failing block.
     """
-    indices = range(n_blocks)
     if shards <= 1 or n_blocks < 1:
-        return [fn(b) for b in indices]
-    with ThreadPoolExecutor(max_workers=min(shards, n_blocks)) as pool:
-        return list(pool.map(fn, indices))
+        return [fn(b) for b in range(n_blocks)]
+    results: list = [None] * n_blocks
+    failed: dict[int, Exception] = {}
+    pending = iter(range(n_blocks))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                b = None if failed else next(pending, None)
+            if b is None:
+                return
+            try:
+                results[b] = fn(b)
+            except Exception as exc:
+                with lock:
+                    failed[b] = exc
+                return
+
+    workers = min(shards, n_blocks)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(work) for _ in range(workers)]:
+            future.result()
+    if failed:
+        raise failed[min(failed)]
+    return results

@@ -157,6 +157,27 @@ class TestSubcommands:
         assert recs[0]["param"] == 0.0 and recs[0]["mean"] == 0.0
         assert recs[-1]["param"] == 1.0 and recs[-1]["mean"] == 1.0
 
+    @pytest.mark.parametrize("argv, exact", [
+        (["pgf", "--s-grid", "0,1e-9,1e-6,0.5,1"], {0.0, 1.0}),
+        (["lst", "--regime", "proportional", "--regime-param", "0.5",
+          "--beta-grid", "100,1e4,1e8,inf"], {math.inf}),
+    ])
+    def test_transform_stderr_zero_only_at_exact_points(self, argv, exact, tmp_path):
+        # theta(0), theta(1) and lambda(inf) are exact; every other point has an error,
+        # however close its ratio is to a trivial end
+        out = tmp_path / "t.ndjson"
+        rc = cli.main(argv + ["--seed", "1", "--n", "256", "--m-samples", "20000",
+                              "--out", str(out)])
+        assert rc == 0
+        recs = [json.loads(line) for line in result_lines(out)]
+        assert len(recs) == len(argv[-1].split(","))
+        for rec in recs:
+            param = math.inf if rec["param"] == "inf" else rec["param"]
+            if param in exact:
+                assert rec["stderr"] == 0.0, rec
+            else:
+                assert rec["stderr"] > 0.0, rec
+
     def test_lst_unreliable_ratio_exit_three(self, tmp_path):
         rc = cli.main(["lst", "--seed", "11", "--regime", "proportional", "--regime-param",
                        "0.5", "--n", "2048", "--m-samples", "2000",

@@ -115,3 +115,32 @@ def test_ratio_stderr_against_jackknife():
     # delta method and jackknife agree to leading order
     assert se == pytest.approx(se_jack, rel=0.1)
     assert r == pytest.approx(x.sum() / y.sum())
+
+
+def _exact_ratio_stderr(x, y):
+    """r = sum x / sum y and sqrt(sum (x - r y)**2 / (m (m - 1))) / mean y, in exact arithmetic."""
+    # every double is an integer multiple of 2**-1074: a = x 2**1074, b = y 2**1074, and
+    # x - r y = (sb a - sa b) / (sb 2**1074), mean y = sb / (m 2**1074)
+    a = [int(Fraction(v) * 2 ** 1074) for v in x.tolist()]
+    b = [int(Fraction(v) * 2 ** 1074) for v in y.tolist()]
+    sa, sb, m = sum(a), sum(b), len(a)
+    var = Fraction(m * sum((sb * ai - sa * bi) ** 2 for ai, bi in zip(a, b)), (m - 1) * sb ** 4)
+    return float(Fraction(sa, sb)), math.sqrt(float(var))
+
+
+@pytest.mark.parametrize("perturbation, rel", [(1e-8, 1e-6), (None, 1e-12)])
+def test_ratio_stderr_against_exact_arithmetic(perturbation, rel):
+    # near-one pair: x differs from y by at most 1e-8 relative, so the error is
+    # tiny but not zero; generic pair: the jackknife test's law
+    rng = np.random.default_rng(6)
+    m = 20_000
+    y = rng.lognormal(0.0, 2.0, m)
+    if perturbation is None:
+        x = y * np.exp(rng.normal(0.0, 0.3, m))
+    else:
+        x = y * (1.0 - rng.uniform(0.0, perturbation, m))
+    r, se = ratio_with_stderr(x, y)
+    r_exact, se_exact = _exact_ratio_stderr(x, y)
+    assert r == pytest.approx(r_exact, rel=1e-14)
+    assert se_exact > 0.0
+    assert se == pytest.approx(se_exact, rel=rel)

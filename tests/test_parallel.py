@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -82,6 +83,47 @@ class TestMapBlocks:
     def test_results_in_block_order(self):
         assert map_blocks(lambda b: b * b, 7, 3) == [0, 1, 4, 9, 16, 25, 36]
         assert map_blocks(lambda b: b, 0, 2) == []
+
+    def test_no_per_block_state_held(self):
+        # workers claim block indices from one counter; only the result list grows with
+        # the block count (about 80 KB of pointers for 10 000 blocks)
+        tracemalloc.start()
+        try:
+            assert map_blocks(lambda b: None, 10_000, 2) == [None] * 10_000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_lowest_failing_block_reaches_the_caller(self):
+        ran = []
+
+        def fn(b):
+            ran.append(b)
+            if b in (3, 5):
+                raise ValueError(f"block {b}")
+            return b
+        with pytest.raises(ValueError, match="block 3"):
+            map_blocks(fn, 1000, 2)
+        # each worker stops at its first failure and no block is claimed after one is
+        # recorded, so block 5 is the last that can run; every block before 3 ran
+        assert sorted(ran) == list(range(len(ran))) and 4 <= len(ran) <= 6
+
+    def test_every_block_runs_once_under_contention(self):
+        # more workers than cores and a short switch interval: a block claimed
+        # twice or never would show in the counts
+        calls = [0] * 20_000
+
+        def fn(b):
+            calls[b] += 1
+            return b
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert map_blocks(fn, 20_000, 16) == list(range(20_000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [1] * 20_000
 
 
 def test_library_default_is_the_resolved_count(monkeypatch):
