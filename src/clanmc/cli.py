@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # a sample count whose block list or columns cannot be allocated
+    except MemoryError:  # a sample count whose block list cannot be allocated
         print("configuration error: the run needs more memory than it could allocate; "
               "lower m_samples", file=sys.stderr)
         return 2

@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .env_model import EnvironmentSpec, draw_increments
 from .errors import DomainError, NumericalFailureError, UnreliableRatioError
 from .logdomain import log1m_exp_neg_vec
-from .mcstats import MCEstimate, ratio_with_stderr
+from .mcstats import MCEstimate, paired_sums, ratio_with_stderr
 from .parallel import block_sizes, map_blocks, resolve_shards
 from .streams import RngStream
 
@@ -32,13 +33,9 @@ _SLAB_BYTES = 2 * 2**20
 # Largest observation time a sweep accepts, eight times the largest grid
 # point the scaling studies use; a slab there holds 3 rows.
 _MAX_N = 65536
-# Most bytes of replicate columns one event-probability grid sweep returns.
-# A sweep allocates every column it returns for all M replicates, so a
-# grid whose distinct n need more (8 bytes per replicate each) is swept in
-# chunks.
-_GRID_COLUMN_BYTES = 64 * 2**20
-# Rows per chunk of the column stage (_exp_column): a closed form's temporaries
-# stay at 128 KiB each, whatever M is.
+# Rows of a sweep thread's column buffers (_sweep_sums), at least the rows
+# of a slab: a chunk stage's temporaries stay at 128 KiB each, whatever M
+# is, and each exact-sum call gets enough values to amortise its fixed cost.
 _COLUMN_CHUNK = 16384
 # Smallest relative error a scaling fit weights: 1/rel^2 and the weighted
 # sums of log n and log mean stay finite above it.
@@ -102,30 +99,20 @@ class RegimeRule:
 
 
 # ---------------------------------------------------------------------------
-# Sweep engine: draw environments block by block and reduce each block's
-# (rows, n+1) walk matrix to per-replicate columns, fully vectorized.
+# Sweep engine: draw environments block by block, hand each row slab of walks
+# to a kernel, and reduce what it computes to exact statistics per thread.
 # ---------------------------------------------------------------------------
 
 
 def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
-           purpose: str, kernel, shards: int | None = None) -> dict[str, np.ndarray]:
-    """Columns of kernel(walk rows) over all M replicates, in block order.
+           purpose: str, kernel, shards: int | None = None) -> None:
+    """Call kernel(s) on the walks s, of shape (rows, n + 1), of all M replicates, slab by slab.
 
-    A kernel returns either finished values (the `prob` grid, `strata`) or
-    the per-row inputs of closed forms that run over the whole columns
-    after the sweep (_gather, for the transforms and `duality`).  Block b
-    draws from the substream (purpose, b) and runs in row slabs of at most
-    _SLAB_BYTES of walk, drawn in order from the block's generator, so the
-    block consumes its stream as one (rows, n) draw would.  Kernels are
-    row-wise, so the slabs change no number.  Each thread draws into one
-    slab increment buffer and cumsums into one slab walk buffer, reused by
-    every slab it runs.  Each output column is allocated once, M rows with
-    the dtype of the kernel's column, by whichever slab first returns its
-    key, and every slab writes its rows at its offset b * _SWEEP_BLOCK + lo.
-    The kernel contract: a kernel gets the slab's walk in a buffer that the
-    next slab overwrites.  It may modify that buffer in place and may return
-    views of it, since the write copies them before the next slab runs.  A
-    column with other than one value per row is refused.
+    Block b draws from the substream (purpose, b) in row slabs of at most
+    _SLAB_BYTES of walk, in order from the block's generator, so it consumes
+    its stream as one (rows, n) draw would and row-wise kernels see the same
+    numbers.  Each thread reuses one slab buffer for s: a kernel may modify
+    s and must copy what it keeps of it.
     """
     if n > _MAX_N:  # refused before any workspace is allocated
         raise DomainError(f"observation time n exceeds the limit of {_MAX_N}, eight times "
@@ -133,9 +120,8 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     sizes = block_sizes(m_samples, _SWEEP_BLOCK)
     slab = min(sizes[0], _SLAB_BYTES // (8 * (n + 1)))
     local = threading.local()
-    out: dict[str, np.ndarray] = {}
 
-    def run_slab(gen: np.random.Generator, at: int, rows: int) -> None:
+    def run_slab(gen: np.random.Generator, rows: int) -> None:
         x = draw_increments(spec, gen, local.x[:rows])
         s = local.s[:rows]
         s[:, 0] = 0.0
@@ -145,14 +131,7 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
             np.cumsum(x, axis=1, out=s[:, 1:])
         if not np.isfinite(s[:, n]).all():
             raise NumericalFailureError("environment walk overflowed the double range")
-        for key, col in kernel(s).items():
-            if col.shape != (rows,):
-                raise NumericalFailureError(
-                    f"sweep kernel column {key!r} has shape {col.shape} on a slab of {rows} rows")
-            dest = out.get(key)
-            if dest is None:  # setdefault is atomic, so racing threads share one column
-                dest = out.setdefault(key, np.empty(m_samples, dtype=col.dtype))
-            dest[at:at + rows] = col
+        kernel(s)
 
     def run_block(b: int) -> None:
         if not hasattr(local, "x"):
@@ -161,10 +140,56 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
             local.s = np.empty((slab, n + 1))
         gen = stream.substream(purpose, b)
         for lo in range(0, sizes[b], slab):
-            run_slab(gen, b * _SWEEP_BLOCK + lo, min(slab, sizes[b] - lo))
+            run_slab(gen, min(slab, sizes[b] - lo))
 
     map_blocks(run_block, len(sizes), resolve_shards(shards))
-    return out
+
+
+def _sweep_sums(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream, purpose: str,
+                shards: int | None, slab_stage, chunk_stage) -> dict:
+    """Exact statistics of a sweep, reduced per thread in chunks of at most _COLUMN_CHUNK rows.
+
+    slab_stage(s) maps a slab's walk to a dict of columns, one value per row
+    (views of s allowed).  Each sweep thread copies them into its own
+    buffers, and before a slab would overflow them chunk_stage reduces the
+    filled rows to a dict of exact statistics (MCEstimate, Fraction cross
+    sums), added key by key to the sweep's totals; after the sweep each
+    thread's last rows are reduced too.  Exact sums of the parts add up to
+    those of the whole in any order, so no shard count or chunk boundary
+    changes a bit, and no array grows with M.
+    """
+    rows = min(_COLUMN_CHUNK, m_samples)
+    local, lock = threading.local(), threading.Lock()
+    folds, total = [], {}  # folds: each thread's buffers; list.append is atomic
+
+    def reduce(fold: SimpleNamespace) -> None:
+        stats = chunk_stage({k: b[:fold.filled] for k, b in fold.buffers.items()})
+        fold.filled = 0
+        with lock:
+            for k, v in stats.items():
+                total[k] = total[k] + v if k in total else v
+
+    def kernel(s: np.ndarray) -> None:
+        cols, size = slab_stage(s), s.shape[0]
+        for key, col in cols.items():
+            if col.shape != (size,):
+                raise NumericalFailureError(
+                    f"sweep column {key!r} has shape {col.shape} on a slab of {size} rows")
+        if not hasattr(local, "fold"):
+            local.fold = SimpleNamespace(filled=0, buffers={
+                k: np.empty(rows, dtype=c.dtype) for k, c in cols.items()})
+            folds.append(local.fold)
+        fold = local.fold
+        if fold.filled + size > rows:
+            reduce(fold)
+        for key, col in cols.items():
+            fold.buffers[key][fold.filled:fold.filled + size] = col
+        fold.filled += size
+
+    _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
+    for fold in folds:
+        reduce(fold)
+    return total
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -227,7 +252,8 @@ class _ExpRows:
 
 
 # The clan formulas, one column per (i, n), read by key from an _ExpRows or a
-# _gather dict.  exact_fl evaluates its scalar closed forms as one-row calls of these.
+# dict of buffered columns (_closed_form_inputs).  exact_fl evaluates its
+# scalar closed forms as one-row calls of these.
 
 
 def _log_event_prob_cols(neg: _ExpRows | dict, i: int, n: int) -> np.ndarray:
@@ -291,45 +317,19 @@ def _exp_cols(log_cols: np.ndarray) -> np.ndarray:
         return np.exp(log_cols)
 
 
-def _h_inputs(i: int, n: int):
-    """Keys of the walk columns and slice log-sums that _log_yaglom_cols_from reads."""
-    return i, n, (i + 1, n + 1), (0, n + 1), (i, n), (i, n + 1)
-
-
-def _v_inputs(j: int, n: int):
-    """Keys of the walk column and slice log-sums that _log_v_cols_from reads."""
-    return j, (0, j), (0, n + 1), (0, j + 1), (1, j + 1)
-
-
-def _gather(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream, purpose: str,
-            shards: int | None, negate: bool, keys) -> dict:
-    """The block stage of a transform: one sweep that keeps only closed-form inputs.
-
-    Each block builds its _ExpRows (of the negated walk when `negate`) and
-    returns rows[k] for every key in `keys` (see _h_inputs, _v_inputs); a
-    walk column is a view of the slab, which the sweep copies into place.
-    The formulas read the returned dict of M-row columns by the same keys
-    (see _exp_column), through the same IEEE operations per element as on a
-    block's rows.
-    """
-    def kernel(s_mat: np.ndarray) -> dict:
+def _closed_form_inputs(negate: bool, keys):
+    """Slab stage: rows[k] for each key, rows the slab's _ExpRows (of the negated walk
+    when `negate`); the formulas read the buffers by the same keys, in the same IEEE steps."""
+    def slab_stage(s_mat: np.ndarray) -> dict:
         rows = _ExpRows(np.negative(s_mat, out=s_mat) if negate else s_mat)
         return {k: rows[k] for k in keys}
 
-    return _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
+    return slab_stage
 
 
-def _exp_column(log_formula, cols: dict, out: np.ndarray) -> np.ndarray:
-    """out = exp(log_formula(cols)) over gathered columns (_gather), _COLUMN_CHUNK rows at a time.
-
-    Each chunk hands log_formula row slices of every column, so its
-    temporaries are chunk-sized; the formulas are elementwise, so chunks
-    change no bit.
-    """
-    for lo in range(0, out.size, _COLUMN_CHUNK):
-        out[lo:lo + _COLUMN_CHUNK] = _exp_cols(log_formula({k: c[lo:lo + _COLUMN_CHUNK]
-                                                            for k, c in cols.items()}))
-    return out
+def _h_stage(i: int, n: int):
+    """Slab stage of the h side: the walk columns and slice log-sums _log_yaglom_cols_from reads."""
+    return _closed_form_inputs(True, (i, n, (i + 1, n + 1), (0, n + 1), (i, n), (i, n + 1)))
 
 
 def _first_max_index(s: np.ndarray, n: int) -> np.ndarray:
@@ -357,9 +357,7 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
     point n reads the first n steps of it (common random numbers across the
     grid).  One shifted exp pass over the full row serves every point.  The
     sweep's purpose is the one-point purpose at n_max, so the largest point
-    is bit for bit the estimate of a grid that holds only n_max.  A grid
-    whose columns would pass _GRID_COLUMN_BYTES is swept in chunks of
-    distinct n that replay the same walks, with the same results.  Results
+    is bit for bit the estimate of a grid that holds only n_max.  Results
     keep the order of n_values, repeats included.
     """
     n_values = [int(n) for n in n_values]
@@ -367,18 +365,14 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
         raise DomainError("the n grid must not be empty")
     distinct = sorted(set(n_values))
     index = {n: rule.clan_index(n) for n in distinct}
-    purpose = f"prob:{rule.describe()}:n={distinct[-1]}"
-    per_sweep = max(1, _GRID_COLUMN_BYTES // (8 * m_samples))
-    estimates = {}
-    for lo in range(0, len(distinct), per_sweep):
-        chunk = distinct[lo:lo + per_sweep]
 
-        def kernel(s_mat, chunk=chunk):
-            neg = _ExpRows(np.negative(s_mat, out=s_mat))
-            return {n: _exp_cols(_log_event_prob_cols(neg, index[n], n)) for n in chunk}
+    def slab_stage(s_mat):
+        neg = _ExpRows(np.negative(s_mat, out=s_mat))
+        return {n: _exp_cols(_log_event_prob_cols(neg, index[n], n)) for n in distinct}
 
-        cols = _sweep(spec, distinct[-1], m_samples, stream, purpose, kernel, shards)
-        estimates.update((n, MCEstimate.from_values(cols[n])) for n in chunk)
+    estimates = _sweep_sums(spec, distinct[-1], m_samples, stream,
+                            f"prob:{rule.describe()}:n={distinct[-1]}", shards, slab_stage,
+                            lambda cols: {n: MCEstimate.from_values(c) for n, c in cols.items()})
     return [EventProbResult(n=n, i=index[n], estimate=estimates[n]) for n in n_values]
 
 
@@ -394,28 +388,31 @@ class TransformResult:
 
 def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[float],
                         m_samples: int, stream: RngStream, purpose: str, shards: int | None,
-                        point_cols) -> list[TransformResult]:
+                        point_col) -> list[TransformResult]:
     """1 - E[h(param)] / E[h(0)] per grid point, all over the same environments.
 
-    Two stages: the sweep gathers per replicate the walk at i and n and
-    four slice log-sums (_gather), then each grid point's closed form runs
-    over those M-row columns in row chunks (_exp_column).  point_cols(neg, den,
-    num, param) gives one grid point's h column, written into the reused
-    M-row column num unless it is den itself or zero; den is the h(0)
-    column.  A denominator within three standard errors of zero refuses the
-    whole grid before any numerator column is computed.
+    Each chunk of closed-form inputs gives the exact sums of h(0) and, per
+    grid point, of h(param) and its cross sum with h(0); point_col(rows,
+    den, param) is a point's h column on a chunk whose h(0) column is den.
+    A denominator within three standard errors of zero refuses the grid.
     """
-    neg = _gather(spec, n, m_samples, stream, purpose, shards, True, _h_inputs(i, n))
-    den = _exp_column(lambda rows: _log_event_prob_cols(rows, i, n), neg, np.empty(m_samples))
-    den_est = MCEstimate.from_values(den)
-    if den_est.mean <= 3.0 * den_est.stderr:
+    def chunk_stage(rows):
+        den = _exp_cols(_log_event_prob_cols(rows, i, n))
+        stats = {"den": MCEstimate.from_values(den)}
+        for k, (num, sum_xy) in enumerate(paired_sums(den, (point_col(rows, den, p)
+                                                            for p in params))):
+            stats[k, "num"], stats[k, "xy"] = num, sum_xy
+        return stats
+
+    stats = _sweep_sums(spec, n, m_samples, stream, purpose, shards, _h_stage(i, n), chunk_stage)
+    den = stats["den"]
+    if den.mean <= 3.0 * den.stderr:
         raise UnreliableRatioError(
             "denominator estimate indistinguishable from zero at three standard errors")
-    num = np.empty_like(den)
     results = []
-    for p in params:
-        ratio, se = ratio_with_stderr(point_cols(neg, den, num, p), den)
-        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size))
+    for k, p in enumerate(params):
+        ratio, se = ratio_with_stderr(stats[k, "num"], den, stats[k, "xy"])
+        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.count))
     return results
 
 
@@ -433,15 +430,15 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
         if not 0.0 <= sv <= 1.0:
             raise DomainError(f"s grid must lie in [0, 1], got {sv}")
 
-    def point_cols(neg, den, num, sv):
+    def point_col(rows, den, sv):
         if sv == 0.0:
             return den
         if sv == 1.0:
             return np.zeros_like(den)
-        return _exp_column(lambda rows: _log_h_cols_from(rows, i, n, math.log1p(-sv)), neg, num)
+        return _exp_cols(_log_h_cols_from(rows, i, n, math.log1p(-sv)))
 
     return _estimate_transform(spec, i, n, s_values, m_samples, stream,
-                               f"theta:N={end_window}:n={n}", shards, point_cols)
+                               f"theta:N={end_window}:n={n}", shards, point_col)
 
 
 def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, m_samples: int,
@@ -458,11 +455,11 @@ def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, 
         if not b > 0:
             raise DomainError(f"beta grid must lie in (0, inf], got {b}")
 
-    def point_cols(neg, den, num, b):
-        return _exp_column(lambda rows: _log_yaglom_cols_from(rows, i, n, b), neg, num)
+    def point_col(rows, den, b):
+        return _exp_cols(_log_yaglom_cols_from(rows, i, n, b))
 
     return _estimate_transform(spec, i, n, betas, m_samples, stream,
-                               f"lambda:{rule.describe()}:n={n}", shards, point_cols)
+                               f"lambda:{rule.describe()}:n={n}", shards, point_col)
 
 
 @dataclass(frozen=True)
@@ -589,24 +586,24 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
     The direct form averages h(e^{-beta a}) over environments; the dual form
     averages the reflected-walk functional with j = n - i over independent
     environments.  Their difference is pure Monte Carlo noise.  One sweep
-    per orientation gathers the closed-form inputs (_gather), and each
-    beta's columns are then computed over all M replicates in row chunks
-    (_exp_column), into two M-row columns that every beta reuses.  Two forms
-    that differ with zero standard error have no finite z and are refused.
+    per orientation keeps the closed-form inputs (_closed_form_inputs), and
+    its chunk stage folds each beta's column.  Two forms that differ with
+    zero standard error have no finite z and are refused.
     """
     betas = [float(b) for b in beta_grid]
     j = _dual_index(i, n, betas)
-    neg = _gather(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}", shards, True,
-                  _h_inputs(i, n))
-    pos = _gather(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", shards, False,
-                  _v_inputs(j, n))
-    h_col, v_col = np.empty(m_samples), np.empty(m_samples)
+
+    def form(side, slab_stage, log_form):
+        return _sweep_sums(spec, n, m_samples, stream, f"duality.{side}:n={n}:i={i}", shards,
+                           slab_stage, lambda rows: {k: MCEstimate.from_values(
+                               _exp_cols(log_form(rows, b))) for k, b in enumerate(betas)})
+
+    h_ests = form("h", _h_stage(i, n), lambda rows, b: _log_yaglom_cols_from(rows, i, n, b))
+    # the walk column and slice log-sums that _log_v_cols_from reads
+    v_ests = form("v", _closed_form_inputs(False, (j, (0, j), (0, n + 1), (0, j + 1), (1, j + 1))),
+                  lambda rows, b: _log_v_cols_from(rows, j, n, b))
     results = []
-    for beta in betas:
-        h_est = MCEstimate.from_values(
-            _exp_column(lambda rows: _log_yaglom_cols_from(rows, i, n, beta), neg, h_col))
-        v_est = MCEstimate.from_values(
-            _exp_column(lambda rows: _log_v_cols_from(rows, j, n, beta), pos, v_col))
+    for beta, h_est, v_est in zip(betas, h_ests.values(), v_ests.values()):
         se = math.hypot(h_est.stderr, v_est.stderr)
         diff = h_est.mean - v_est.mean
         if se == 0.0 and diff != 0.0:
@@ -652,20 +649,21 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
         raise DomainError(f"strata window must satisfy 1 <= N < j/2 = {j / 2} with j = n - i "
                           f"at n={n}, i={i}, got {n_window}; {fix}")
 
-    def kernel(s_mat):
+    def slab_stage(s_mat):
         return {"v": _exp_cols(_log_v_cols_from(_ExpRows(s_mat), j, n, beta)),
                 "tau": _first_max_index(s_mat, n)}
 
-    cols = _sweep(spec, n, m_samples, stream, f"strata:n={n}:i={i}:beta={beta}", kernel, shards)
-    v, tau = cols["v"], cols["tau"]
-    masks = {
-        "early": tau < n_window,
-        "before_j": (tau > j - n_window) & (tau <= j),
-        "after_j": (tau > j) & (tau < j + n_window),
-    }
-    masks["middle"] = ~(masks["early"] | masks["before_j"] | masks["after_j"])
-    ests = {name: MCEstimate.from_values(np.where(mask, v, 0.0)) for name, mask in masks.items()}
-    return StrataReport(i=i, n=n, j=j, beta=beta, n_window=n_window,
-                        total=MCEstimate.from_values(v),
-                        early=ests["early"], middle=ests["middle"],
-                        before_j=ests["before_j"], after_j=ests["after_j"])
+    def chunk_stage(cols):
+        v, tau = cols["v"], cols["tau"]
+        masks = {
+            "early": tau < n_window,
+            "before_j": (tau > j - n_window) & (tau <= j),
+            "after_j": (tau > j) & (tau < j + n_window),
+        }
+        masks["middle"] = ~(masks["early"] | masks["before_j"] | masks["after_j"])
+        return {"total": MCEstimate.from_values(v), **{
+            name: MCEstimate.from_values(np.where(mask, v, 0.0)) for name, mask in masks.items()}}
+
+    ests = _sweep_sums(spec, n, m_samples, stream, f"strata:n={n}:i={i}:beta={beta}", shards,
+                       slab_stage, chunk_stage)
+    return StrataReport(i=i, n=n, j=j, beta=beta, n_window=n_window, **ests)

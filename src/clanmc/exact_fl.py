@@ -156,7 +156,7 @@ def yaglom_integrand(w: np.ndarray, i: int, n: int, beta: float) -> LogValue:
     probability (s = 0).
     """
     _check_clan_indices(w, i, n)
-    if beta < 0:
+    if not beta >= 0:  # refuses nan too
         raise DomainError(f"beta must be nonnegative, got {beta}")
     if beta == 0:
         return LogValue.zero()

@@ -10,8 +10,10 @@ The sums come from a vectorised superaccumulator (Neal, "Fast exact
 summation using small and large superaccumulators", arXiv:1505.05571):
 each value is split into a signed 53-bit integer mantissa and a binary
 exponent, the mantissa is cut into 18-bit limbs, and the limbs (and, for the
-squares, the limb products grouped by weight) are summed per exponent with
-np.bincount.  The per-exponent totals are folded into one Python integer.
+squares and the cross sums of paired samples, the limb products grouped by
+weight) are summed per exponent with np.bincount.  The per-exponent totals
+are folded into one Python integer.  Ratios of paired means and their
+errors are then computed exactly from these sums and rounded once.
 """
 
 from __future__ import annotations
@@ -31,15 +33,17 @@ _LIMB_SCALE = float(1 << _LIMB)
 # integer mantissa M = m * 2**53, |M| < 2**53, and e - 53 >= _MIN_EXP.
 _MIN_EXP = -1126
 # Float64 bincount sums stay exact while every partial sum is an integer
-# below 2**53.  A sum limb is below 2**18 in magnitude and a square group
-# (a0^2, 2 a0 a1, a1^2 + 2 a0 a2, 2 a1 a2, a2^2 with a2 < 2**17) below
-# 2**37, so 2**16 values per chunk keep every bucket below 2**53.
+# below 2**53.  In magnitude, a sum limb is below 2**18 and a product group
+# (a0 b0, a0 b1 + a1 b0, a0 b2 + a1 b1 + a2 b0, a1 b2 + a2 b1, a2 b2 with
+# a2, b2 < 2**17) below 2**37, so 2**16 values per chunk keep every bucket
+# below 2**53.
 _CHUNK = 1 << 16
+_ONE = 1 << -_MIN_EXP  # 1.0 in units of the lowest bucket's bit
 _TINY = Fraction(np.finfo(float).tiny)  # smallest normal double
 
 
-def _fold(groups, index_scale: int) -> int:
-    """sum over groups k and buckets j of c_kj * 2**(index_scale * j + LIMB * k).
+def _fold(groups) -> int:
+    """sum over groups k and buckets j of c_kj * 2**(j + LIMB * k).
 
     The float64 bucket totals are exact integers below 2**53, so the int64
     conversion is exact, and at most five of them meet at one power of two,
@@ -47,39 +51,57 @@ def _fold(groups, index_scale: int) -> int:
     added up in a Python int.
     """
     width = len(groups[0])
-    acc = np.zeros(index_scale * (width - 1) + _LIMB * (len(groups) - 1) + 1, dtype=np.int64)
+    acc = np.zeros(width + _LIMB * (len(groups) - 1), dtype=np.int64)
     for k, counts in enumerate(groups):
-        acc[_LIMB * k:_LIMB * k + index_scale * width:index_scale] += counts.astype(np.int64)
+        acc[_LIMB * k:_LIMB * k + width] += counts.astype(np.int64)
     nz = np.flatnonzero(acc)
     return sum(c << j for j, c in zip(nz.tolist(), acc[nz].tolist()))
 
 
-def _exact_sums(values: np.ndarray) -> tuple[Fraction, Fraction]:
-    """Exact sum and sum of squares of a float64 array, in bounded chunks."""
-    num = 0      # the sum is num / 2**(-_MIN_EXP)
-    num_sq = 0   # the square sum is num_sq / 2**(-2 * _MIN_EXP)
+def _splits(values: np.ndarray):
+    """Each chunk of at most _CHUNK values as (bucket index, limbs (a0, a1, a2)).
+
+    A value is (a0 + a1 2**18 + a2 2**36) * 2**(index + _MIN_EXP): the limbs
+    are cut toward zero from its integer mantissa M, and all carry its sign.
+    """
     for lo in range(0, values.size, _CHUNK):
         chunk = values[lo:lo + _CHUNK]
         # frexp maps inf and nan to garbage mantissas; refuse them first
         if not np.isfinite(chunk).all():
             raise NumericalFailureError("a Monte Carlo average got a non-finite sample value")
         m, e = np.frexp(chunk)
-        idx = e - (_MIN_EXP + 53)          # bucket of the unit bit of M; >= 0
-        # M as an exact float64 integer, cut toward zero into limbs that all
-        # carry its sign, so every limb product below is nonnegative
-        a0 = np.ldexp(m, 53, out=m)
+        a0 = np.ldexp(m, 53, out=m)        # M as an exact float64 integer
         a2 = np.trunc(a0 / _LIMB_SCALE ** 2)
         a0 -= a2 * _LIMB_SCALE ** 2
         a1 = np.trunc(a0 / _LIMB_SCALE)
         a0 -= a1 * _LIMB_SCALE
-        num += _fold([np.bincount(idx, weights=a) for a in (a0, a1, a2)], 1)
-        # M^2 by weight 2**(18 k); one product array is alive at a time
-        num_sq += _fold([np.bincount(idx, weights=a0 * a0),
-                         np.bincount(idx, weights=2.0 * a0 * a1),
-                         np.bincount(idx, weights=a1 * a1 + 2.0 * a0 * a2),
-                         np.bincount(idx, weights=2.0 * a1 * a2),
-                         np.bincount(idx, weights=a2 * a2)], 2)
-    return Fraction(num, 1 << -_MIN_EXP), Fraction(num_sq, 1 << (-2 * _MIN_EXP))
+        yield e - (_MIN_EXP + 53), (a0, a1, a2)
+
+
+def _cross(ix, a, iy, b) -> int:
+    """The sum of x y over two split chunks, in units of 2**(2 _MIN_EXP): the limb
+    products, grouped by weight 2**(18 k), fall in the buckets of the summed
+    indices; one product group is alive at a time."""
+    idx = ix + iy
+    return _fold([np.bincount(idx, weights=a[0] * b[0]),
+                  np.bincount(idx, weights=a[0] * b[1] + a[1] * b[0]),
+                  np.bincount(idx, weights=a[0] * b[2] + a[1] * b[1] + a[2] * b[0]),
+                  np.bincount(idx, weights=a[1] * b[2] + a[2] * b[1]),
+                  np.bincount(idx, weights=a[2] * b[2])])
+
+
+def _exact_sums(values: np.ndarray, splits_y=None) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact sum, sum of squares and cross sum of a float64 array, in bounded chunks.
+
+    The cross sum is with the paired array whose _splits are splits_y (else 0).
+    """
+    total = total_sq = total_xy = 0
+    for k, (idx, a) in enumerate(_splits(values)):
+        total += _fold([np.bincount(idx, weights=limb) for limb in a])
+        total_sq += _cross(idx, a, idx, a)
+        if splits_y:
+            total_xy += _cross(idx, a, *splits_y[k])
+    return Fraction(total, _ONE), Fraction(total_sq, _ONE ** 2), Fraction(total_xy, _ONE ** 2)
 
 
 @dataclass(frozen=True)
@@ -95,8 +117,12 @@ class MCEstimate:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("from_values needs a nonempty 1-d array")
-        total, total_sq = _exact_sums(values)
-        return cls(total, total_sq, values.size)
+        return cls(*_exact_sums(values)[:2], values.size)
+
+    def __add__(self, other: "MCEstimate") -> "MCEstimate":
+        """The statistics of the two samples pooled."""
+        return MCEstimate(self.sum + other.sum, self.sum_sq + other.sum_sq,
+                          self.count + other.count)
 
     @property
     def mean(self) -> float:
@@ -106,34 +132,56 @@ class MCEstimate:
     def stderr(self) -> float:
         denom = max(self.count - 1, 1)
         v = (self.sum_sq / self.count - (self.sum / self.count) ** 2) / denom
-        if 0 < v < _TINY:  # float(v) would lose digits or underflow; the root need not
-            k = (v.denominator.bit_length() - v.numerator.bit_length()) // 2 + 1
-            return math.ldexp(math.sqrt(float(v * 4**k)), -k)
-        return math.sqrt(float(v))
+        # below the normal range float(v) would lose digits; the exact root need not
+        return _sqrt(v) if v < _TINY else math.sqrt(float(v))
 
 
-def ratio_with_stderr(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
-    """Delta-method ratio of paired sample means, covariance term included.
+def paired_sums(y: np.ndarray, xs) -> list[tuple[MCEstimate, Fraction]]:
+    """The exact statistics of each float64 array x of `xs`, and its exact cross sum with y.
 
-    Both arrays must come from the same replicates (common random numbers).
-    The error is sqrt(sum d**2 / (m (m - 1))) / |mean(den)| over the residuals
-    d = (num - mean(num)) - r (den - mean(den)), r = sum(num) / sum(den).  For
-    num is den (r = 1) and num identically zero (r = 0) every residual is
-    exactly zero, so the error is exactly 0.
+    The arrays pair with y replicate by replicate.  y is cut into limbs
+    once for all of them, and each x once for its sums; xs is read one
+    array at a time, so a generator keeps one alive.
     """
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    if num.shape != den.shape or num.ndim != 1:
-        raise ValueError("paired arrays must be equal-length 1-d")
-    m = num.size
-    sx, sy = float(np.sum(num)), float(np.sum(den))
-    if sy == 0.0:
+    splits_y = list(_splits(y))
+    out = []
+    for x in xs:
+        if x.shape != y.shape:
+            raise ValueError("paired arrays must be equal-length 1-d")
+        total, total_sq, total_xy = _exact_sums(x, splits_y)
+        out.append((MCEstimate(total, total_sq, x.size), total_xy))
+    return out
+
+
+def _sqrt(v: Fraction) -> float:
+    """The double nearest the square root of an exact rational v >= 0."""
+    # 4**k v has at least 110 bits, so its root lies in [t, t + 1) with t of
+    # at least 55 bits; no rounding boundary of a double lies inside (t, t + 1),
+    # so every root in it rounds as t + 1/2 does
+    k = (112 - v.numerator.bit_length() + v.denominator.bit_length()) // 2
+    scaled = v * Fraction(4) ** k
+    t = math.isqrt(math.floor(scaled))
+    return float(Fraction(2 * t + (t * t != scaled)) / Fraction(2) ** (k + 1))
+
+
+def ratio_with_stderr(num: MCEstimate, den: MCEstimate, sum_xy: Fraction) -> tuple[float, float]:
+    """Delta-method ratio of paired sample means, covariance term included, from exact sums.
+
+    num and den are the statistics of samples x and y on the same
+    replicates (common random numbers), sum_xy their cross sum.  The ratio
+    r = sum(x) / sum(y) is rounded once.  The error is
+    sqrt(sum d**2 / (m (m - 1))) / |mean(y)| over the residuals
+    d = (x - mean(x)) - r (y - mean(y)) with the exact r, so that
+    sum(x - r y) = 0 and sum d**2 = sum(x**2) - 2 r sum(x y) + r**2 sum(y**2)
+    exactly; the error is rounded once too.  For x is y (r = 1) and x
+    identically zero (r = 0) that sum, and so the error, is exactly zero.
+    """
+    if num.count != den.count:
+        raise ValueError("paired statistics must count the same replicates")
+    if den.sum == 0:
         raise ZeroDivisionError("ratio denominator sums to zero")
-    r = sx / sy
+    r, m = num.sum / den.sum, den.count
     if m < 2:
-        return r, math.inf
-    d = num - sx / m
-    shifted = den - sy / m  # the second and last M-row temporary
-    d -= np.multiply(shifted, r, out=shifted)
-    ss = float(np.sum(np.square(d, out=d)))
-    return r, math.sqrt(ss / (m * (m - 1))) / abs(sy / m)
+        return float(r), math.inf
+    residual = num.sum_sq - 2 * r * sum_xy + r * r * den.sum_sq
+    return float(r), _sqrt(residual * m / ((m - 1) * den.sum ** 2))

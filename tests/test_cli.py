@@ -545,6 +545,39 @@ class TestDeterminism:
         assert rec1 == rec2
 
 
+def edge_argv(subcommand, n):
+    if subcommand == "prob":
+        return ["prob", "--n-grid", str(n)]
+    if subcommand == "scaling":
+        return ["scaling", "--n-grid", f"{n // 8},{n // 4},{n // 2},{n}"]
+    return [subcommand, "--n", str(n)] + (["--strata-N", "1"] if subcommand == "strata" else [])
+
+
+# walks of several row slabs, up to the walk-length limit and one past it; kept
+# out of the fuzz loop below, whose 500 examples draw n <= 64
+@pytest.mark.parametrize("subcommand, n", [
+    *[(sub, n) for n in (1024, 4095)
+      for sub in ("prob", "scaling", "pgf", "lst", "duality", "strata")],
+    *[(sub, n) for n in (65536, 65537) for sub in ("prob", "lst")],
+])
+def test_edge_walk_lengths(subcommand, n, tmp_path):
+    results = []
+    for shards in ("1", "2"):
+        out = tmp_path / f"shards{shards}.ndjson"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([*edge_argv(subcommand, n), "--seed", "1", "--m-samples", "300",
+                           "--shards", shards, "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3, 4) and (rc == 2) == (n > estimators._MAX_N), (rc, lines)
+        if rc:
+            assert len(lines) == 1, lines
+        for line in out.read_text().splitlines():  # strict JSON: no bare NaN or Infinity
+            json.loads(line, parse_constant=lambda token: pytest.fail(f"{token} in {line}"))
+        results.append(result_lines(out))
+    assert results[0] == results[1]
+
+
 def mostly(sane, extreme):
     """One value in ten from the extreme list, so most runs get past validation."""
     return st.integers(0, 9).flatmap(

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from clanmc import (DomainError, EnvironmentPath,
                     duality_check, estimate_event_prob_grid, estimate_lambda,
                     estimate_theta, scaling_study, strata_decomposition)
 from clanmc import estimators
+from clanmc.env_model import draw_increments
 from clanmc.errors import NumericalFailureError
 from clanmc.estimators import (DualityResult, EventProbResult, TransformResult, _sweep,
                                fit_scaling_points)
 from clanmc.mcstats import ratio_with_stderr
+from clanmc.parallel import block_sizes
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
 FLAT = EnvironmentSpec.two_point(0.0)
@@ -45,23 +49,29 @@ class TestRegimeRule:
             RegimeRule.end_window(4).clan_index(3)
 
 
+def sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
+
+
 class TestSweep:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_reused_buffers_give_each_block_its_own_walk(self, stream, shards):
         # 600 samples: two full blocks and a short last one, each drawn into
         # the thread's buffers; the kernel negates its walk in place
         n, sizes = 9, [256, 256, 88]
+        seen = []
 
         def kernel(s):
+            seen.append(s.copy())
             np.negative(s, out=s)
-            return {"end": -s[:, n], "min": s.min(axis=1)}
 
-        cols = _sweep(GAUSS, n, sum(sizes), stream, "test.sweep", kernel, shards)
+        _sweep(GAUSS, n, sum(sizes), stream, "test.sweep", kernel, shards)
         walks = np.concatenate([
             np.cumsum(stream.substream("test.sweep", b).normal(0.0, 1.0, (rows, n)), axis=1)
             for b, rows in enumerate(sizes)])
-        assert cols["end"].tobytes() == walks[:, -1].tobytes()
-        assert np.array_equal(cols["min"], -np.maximum(walks.max(axis=1), 0.0))
+        got = np.concatenate(seen)
+        assert not got[:, 0].any()
+        assert sorted_rows(got[:, 1:]).tobytes() == sorted_rows(walks).tobytes()
 
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("spec, draw", [
@@ -77,29 +87,70 @@ class TestSweep:
         # slab buffers from the block's one generator
         n, sizes = 9, [256, 256, 188]
         monkeypatch.setattr(estimators, "_SLAB_BYTES", 100 * 8 * (n + 1))
-        slab_rows = []
+        seen = []
 
         def kernel(s):
-            slab_rows.append(s.shape[0])
+            seen.append(s.copy())
             np.negative(s, out=s)
-            # "view" is a column of the reused slab buffer, copied into place;
-            # "tau" is strata's integer first-maximum index of the walk
-            return {"end": -s[:, n], "min": s.min(axis=1), "view": s[:, -1],
-                    "tau": estimators._first_max_index(-s, n)}
 
-        cols = _sweep(spec, n, sum(sizes), stream, "test.slabs", kernel, shards)
+        _sweep(spec, n, sum(sizes), stream, "test.slabs", kernel, shards)
         walks = np.concatenate([np.cumsum(draw(stream.substream("test.slabs", b), (rows, n)),
                                           axis=1) for b, rows in enumerate(sizes)])
-        assert sorted(slab_rows) == sorted([100, 100, 56] * 2 + [100, 88])
-        assert cols["end"].tobytes() == walks[:, -1].tobytes()
-        assert np.array_equal(cols["min"], -np.maximum(walks.max(axis=1), 0.0))
-        assert cols["view"].tobytes() == (-walks[:, -1]).tobytes()
-        assert cols["tau"].dtype == np.intp
-        assert np.array_equal(cols["tau"], np.argmax(np.hstack([np.zeros((len(walks), 1)), walks]),
-                                                     axis=1))
-        # one value per slab row, or the column's name in a numerical failure
-        with pytest.raises(NumericalFailureError, match="column 'x' has shape \\(97,\\)"):
-            _sweep(spec, n, sum(sizes), stream, "test.rows", lambda s: {"x": s[3:, -1]}, shards)
+        assert sorted(len(s) for s in seen) == sorted([100, 100, 56] * 2 + [100, 88])
+        got = np.concatenate(seen)
+        assert sorted_rows(got[:, 1:]).tobytes() == sorted_rows(walks).tobytes()
+
+
+class TestSweepSums:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_chunks_and_threads_change_no_bit(self, stream, monkeypatch, shards):
+        # 100-row slabs into 150-row buffers: each thread reduces a chunk
+        # before a slab would overflow it, and its last rows after the sweep
+        n, m = 9, 700
+        monkeypatch.setattr(estimators, "_SLAB_BYTES", 100 * 8 * (n + 1))
+        monkeypatch.setattr(estimators, "_COLUMN_CHUNK", 150)
+        chunks = []
+
+        def slab_stage(s):
+            np.negative(s, out=s)
+            # "end" is a column of the reused slab buffer, copied into the
+            # thread's buffer; "tau" is strata's integer first-maximum index
+            return {"end": s[:, n], "tau": estimators._first_max_index(-s, n)}
+
+        def chunk_stage(cols):
+            chunks.append((len(cols["end"]), cols["tau"].dtype))
+            return {"end": MCEstimate.from_values(cols["end"]),
+                    "tau": Counter(cols["tau"].tolist())}
+
+        got = estimators._sweep_sums(GAUSS, n, m, stream, "test.sums", shards, slab_stage,
+                                     chunk_stage)
+        walks = np.concatenate([
+            np.cumsum(stream.substream("test.sums", b).normal(0.0, 1.0, (rows, n)), axis=1)
+            for b, rows in enumerate([256, 256, 188])])
+        assert got["end"] == MCEstimate.from_values(-walks[:, -1])
+        assert got["tau"] == Counter(np.argmax(np.hstack([np.zeros((m, 1)), walks]),
+                                               axis=1).tolist())
+        assert sum(rows for rows, _ in chunks) == m
+        assert all(rows <= 150 and dtype == np.intp for rows, dtype in chunks)
+
+    def test_column_with_other_than_one_value_per_row_refused(self, stream):
+        with pytest.raises(NumericalFailureError, match="column 'x' has shape \\(253,\\)"):
+            estimators._sweep_sums(GAUSS, 9, 300, stream, "test.rows", 1,
+                                   lambda s: {"x": s[3:, -1]}, lambda cols: {})
+
+
+def peaks(run, sizes):
+    """tracemalloc peak of run(m) for each m, after one small run that warms up."""
+    run(300)
+    out = []
+    for m in sizes:
+        tracemalloc.start()
+        try:
+            run(m)
+            out.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return out
 
 
 def count_sweeps(monkeypatch):
@@ -138,16 +189,29 @@ class TestEventProb:
         assert res.estimate.mean == pytest.approx(cond_event_prob(w, 2, 6).value, rel=1e-12)
         assert res.estimate.stderr == 0.0
 
-    def test_long_grid_swept_in_chunks(self, stream, monkeypatch):
-        # chunks of distinct n replay the same walks: same estimates, bounded columns
+    def test_grid_swept_once_in_any_chunking(self, stream, monkeypatch):
+        # one sweep at n_max serves an unsorted grid with a repeated point, and
+        # 40-row slabs in 100-row chunks on two threads give the same estimates
         grid = [64, 8, 16, 32, 16]
         whole = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(2), grid, 300, stream)
         calls = count_sweeps(monkeypatch)
-        monkeypatch.setattr(estimators, "_GRID_COLUMN_BYTES", 2 * 8 * 300)
-        chunked = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(2), grid, 300, stream)
-        assert calls == [64, 64]
+        monkeypatch.setattr(estimators, "_SLAB_BYTES", 40 * 8 * 65)
+        monkeypatch.setattr(estimators, "_COLUMN_CHUNK", 100)
+        chunked = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(2), grid, 300, stream,
+                                           shards=2)
+        assert calls == [64]
         assert chunked == whole
         assert [r.n for r in chunked] == grid
+
+    def test_grid_memory_flat_in_m(self, stream):
+        # six buffered columns of 16 384 rows and the chunk stage's temporaries
+        # peak at about 2.1 MiB at both sizes; the block list and map_blocks'
+        # result list add 16 bytes per 256 replicates
+        low, high = peaks(lambda m: estimate_event_prob_grid(
+            GAUSS, RegimeRule.fixed_i(0), [1, 2, 4, 8, 16, 32], m, stream, shards=1),
+            [10**5, 10**6])
+        assert max(low, high) <= 3 * 2**20, (low, high)
+        assert abs(high - low) <= 2**17, (low, high)
 
     def test_grid_point_is_the_prefix_walk_value(self, stream):
         # the n = 8 point of an n_max = 16 grid reads the first 8 steps of each walk
@@ -194,9 +258,10 @@ class TestLambda:
         assert res.value >= 0.99
 
     def test_nine_beta_working_set_bounded(self, stream):
-        # the benchmark's grid at n = 256: one gathered sweep keeps six columns
-        # per replicate and peaks at about 3.6 MB; columns per beta and block
-        # (one per beta plus the denominator) peaked at about 4.9 MB
+        # the benchmark's grid at n = 256: six buffered columns of 16 384 rows,
+        # the slab arrays and the chunk stage peak at about 3.8 MiB; columns
+        # per beta and block (one per beta plus the denominator) peaked at
+        # about 4.9 MB
         tracemalloc.start()
         try:
             estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, NINE_BETAS, 20_000, stream,
@@ -208,10 +273,9 @@ class TestLambda:
 
     @pytest.mark.parametrize("betas", [NINE_BETAS, [1.0]], ids=["nine", "one"])
     def test_benchmark_size_working_set_bounded(self, stream, betas):
-        # the benchmark's lst at n = 256 and M = 100 000: six gathered columns
-        # (4.6 MiB), the h(0) and one reused numerator column, and the paired
-        # sums' temporaries peak at about 8.4 MiB; concatenated slab columns
-        # and whole-column closed forms peaked at about 10.7 MiB
+        # the benchmark's lst at n = 256 and M = 100 000 peaks at about 3.8 MiB
+        # (nine beta) and 3.6 MiB (one); six gathered M-row columns and
+        # whole-column sums peaked at about 8.4 MiB
         tracemalloc.start()
         try:
             estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, betas, 100_000, stream,
@@ -220,6 +284,14 @@ class TestLambda:
         finally:
             tracemalloc.stop()
         assert peak <= 9 * 2**20, peak
+
+    def test_nine_beta_memory_flat_in_m(self, stream):
+        # about 2.9 MiB at both sizes; see test_grid_memory_flat_in_m
+        low, high = peaks(lambda m: estimate_lambda(
+            GAUSS, RegimeRule.proportional(0.5), 16, NINE_BETAS, m, stream, shards=1),
+            [10**5, 10**6])
+        assert max(low, high) <= 9 * 2**20, (low, high)
+        assert abs(high - low) <= 2**17, (low, high)
 
     def test_beta_domain(self, stream):
         with pytest.raises(DomainError):
@@ -381,33 +453,40 @@ class TestTransformAgainstRejectionOracle:
 
 
 # Reference routes: the per-block kernels that evaluated every grid point's
-# closed form inside each 256-row block, on 256-element columns.
+# closed form inside each 256-row block, on 256-element columns, and reduced
+# whole M-row columns; the cross sums come from Fractions.
 
 
-def per_block_transform(spec, i, n, params, m_samples, stream, purpose, shards, point_cols):
+def block_walks(spec, n, m_samples, stream, purpose):
+    """The walks a sweep draws, one (rows, n + 1) array per block of the substream (purpose, b)."""
+    for b, rows in enumerate(block_sizes(m_samples, estimators._SWEEP_BLOCK)):
+        x = draw_increments(spec, stream.substream(purpose, b), np.empty((rows, n)))
+        yield np.hstack([np.zeros((rows, 1)), np.cumsum(x, axis=1)])
+
+
+def per_block_transform(spec, i, n, params, m_samples, stream, purpose, point_col):
     """_estimate_transform with every grid point's column computed per block."""
-    def kernel(s_mat):
-        neg = estimators._ExpRows(np.negative(s_mat, out=s_mat))
-        out = {"den": np.exp(estimators._log_event_prob_cols(neg, i, n))}
-        for idx, p in enumerate(params):
-            out[f"num{idx}"] = point_cols(neg, out["den"], p)
-        return out
-
-    cols = _sweep(spec, n, m_samples, stream, purpose, kernel, shards)
-    den = cols["den"]
+    den, nums = [], []
+    for s_mat in block_walks(spec, n, m_samples, stream, purpose):
+        neg = estimators._ExpRows(-s_mat)
+        den.append(np.exp(estimators._log_event_prob_cols(neg, i, n)))
+        nums.append([point_col(neg, den[-1], p) for p in params])
+    den = np.concatenate(den)
     den_est = MCEstimate.from_values(den)
     assert den_est.mean > 3.0 * den_est.stderr
     results = []
-    for idx, p in enumerate(params):
-        ratio, se = ratio_with_stderr(cols[f"num{idx}"], den)
+    for k, p in enumerate(params):
+        num = np.concatenate([cols[k] for cols in nums])
+        sum_xy = sum(Fraction(x) * Fraction(y) for x, y in zip(num.tolist(), den.tolist()))
+        ratio, se = ratio_with_stderr(MCEstimate.from_values(num), den_est, sum_xy)
         results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size))
     return results
 
 
-def per_block_theta(spec, end_window, n, s_values, m_samples, stream, shards):
+def per_block_theta(spec, end_window, n, s_values, m_samples, stream):
     i = n - end_window
 
-    def point_cols(neg, den, sv):
+    def point_col(neg, den, sv):
         if sv == 0.0:
             return den
         if sv == 1.0:
@@ -415,37 +494,31 @@ def per_block_theta(spec, end_window, n, s_values, m_samples, stream, shards):
         return np.exp(estimators._log_h_cols_from(neg, i, n, math.log1p(-sv)))
 
     return per_block_transform(spec, i, n, s_values, m_samples, stream,
-                               f"theta:N={end_window}:n={n}", shards, point_cols)
+                               f"theta:N={end_window}:n={n}", point_col)
 
 
-def per_block_lambda(spec, rule, n, betas, m_samples, stream, shards):
+def per_block_lambda(spec, rule, n, betas, m_samples, stream):
     i = rule.clan_index(n)
 
-    def point_cols(neg, den, b):
+    def point_col(neg, den, b):
         return np.exp(estimators._log_yaglom_cols_from(neg, i, n, b))
 
     return per_block_transform(spec, i, n, betas, m_samples, stream,
-                               f"lambda:{rule.describe()}:n={n}", shards, point_cols)
+                               f"lambda:{rule.describe()}:n={n}", point_col)
 
 
-def per_block_duality(spec, i, n, betas, m_samples, stream, shards):
+def per_block_duality(spec, i, n, betas, m_samples, stream):
     j = n - i
-
-    def kernel_h(s_mat):
-        neg = estimators._ExpRows(np.negative(s_mat, out=s_mat))
-        return {k: np.exp(estimators._log_yaglom_cols_from(neg, i, n, b))
-                for k, b in enumerate(betas)}
-
-    def kernel_v(s_mat):
-        pos = estimators._ExpRows(s_mat)
-        return {k: np.exp(estimators._log_v_cols_from(pos, j, n, b)) for k, b in enumerate(betas)}
-
-    h_cols = _sweep(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}", kernel_h, shards)
-    v_cols = _sweep(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}", kernel_v, shards)
+    h_cols = [[np.exp(estimators._log_yaglom_cols_from(estimators._ExpRows(-s_mat), i, n, b))
+               for b in betas]
+              for s_mat in block_walks(spec, n, m_samples, stream, f"duality.h:n={n}:i={i}")]
+    v_cols = [[np.exp(estimators._log_v_cols_from(estimators._ExpRows(s_mat), j, n, b))
+               for b in betas]
+              for s_mat in block_walks(spec, n, m_samples, stream, f"duality.v:n={n}:i={i}")]
     results = []
     for k, beta in enumerate(betas):
-        h_est = MCEstimate.from_values(h_cols[k])
-        v_est = MCEstimate.from_values(v_cols[k])
+        h_est = MCEstimate.from_values(np.concatenate([cols[k] for cols in h_cols]))
+        v_est = MCEstimate.from_values(np.concatenate([cols[k] for cols in v_cols]))
         se = math.hypot(h_est.stderr, v_est.stderr)
         diff = h_est.mean - v_est.mean
         z = 0.0 if diff == 0.0 else diff / se
@@ -465,18 +538,18 @@ class TestTransformsMatchPerBlockKernels:
     def test_theta(self, family, shards, stream):
         spec, s_values = FAMILIES[family], [0.0, 0.5, 1.0]
         got = estimate_theta(spec, 3, 40, s_values, 700, stream, shards)
-        assert got == per_block_theta(spec, 3, 40, s_values, 700, stream, shards)
+        assert got == per_block_theta(spec, 3, 40, s_values, 700, stream)
 
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_lambda(self, family, shards, stream):
         spec, rule = FAMILIES[family], RegimeRule.fixed_i(12)
         got = estimate_lambda(spec, rule, 40, NINE_BETAS, 700, stream, shards)
-        assert got == per_block_lambda(spec, rule, 40, NINE_BETAS, 700, stream, shards)
+        assert got == per_block_lambda(spec, rule, 40, NINE_BETAS, 700, stream)
 
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_duality(self, family, shards, stream):
         spec = FAMILIES[family]
         got = duality_check(spec, 20, 40, NINE_BETAS, 700, stream, shards)
-        assert got == per_block_duality(spec, 20, 40, NINE_BETAS, 700, stream, shards)
+        assert got == per_block_duality(spec, 20, 40, NINE_BETAS, 700, stream)

@@ -179,6 +179,12 @@ class TestYaglomIntegrand:
         inf_val = yaglom_integrand(w, 3, 10, math.inf)
         assert inf_val.log == cond_event_prob(w, 3, 10).log
 
+    @pytest.mark.parametrize("beta", [-1.0, -math.inf, math.nan])
+    def test_beta_domain(self, beta):
+        _, w = random_case(40, 10)
+        with pytest.raises(DomainError, match="beta must be nonnegative"):
+            yaglom_integrand(w, 2, 8, beta)
+
     def test_monotone_in_beta(self):
         _, w = random_case(41, 12)
         betas = [0.0, 1e-6, 1e-3, 0.1, 1.0, 100.0, math.inf]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clanmc.errors import NumericalFailureError
-from clanmc.mcstats import _CHUNK, MCEstimate, ratio_with_stderr
+from clanmc.mcstats import _CHUNK, MCEstimate, _sqrt, paired_sums, ratio_with_stderr
 
 
 def test_exact_float_sum_is_exact():
@@ -96,19 +96,84 @@ def test_merge_any_order_identical():
         assert pooled.sum == part_sum and pooled.sum_sq == part_sum_sq
 
 
+def paired(x, y):
+    """ratio_with_stderr of paired arrays, through their exact sums."""
+    (num, sum_xy), = paired_sums(y, [x])
+    return ratio_with_stderr(num, MCEstimate.from_values(y), sum_xy)
+
+
+def nearest(value, exact_square):
+    """Whether the double `value` is the one nearest the root of an exact rational."""
+    below = max(float(np.nextafter(value, -math.inf)), 0.0)
+    above = float(np.nextafter(value, math.inf))
+    low, high = (Fraction(below) + Fraction(value)) / 2, (Fraction(value) + Fraction(above)) / 2
+    return low * low <= exact_square <= high * high
+
+
+def test_root_correctly_rounded():
+    # across the double range, subnormal roots and roots that round to zero included
+    rng = np.random.default_rng(10)
+    for _ in range(2000):
+        v = Fraction(int(rng.integers(1, 2 ** 62)), int(rng.integers(1, 2 ** 62)))
+        v *= Fraction(2) ** int(rng.integers(-2200, 2000))
+        assert nearest(_sqrt(v), v), v
+    assert _sqrt(Fraction(0)) == 0.0 and _sqrt(Fraction(4)) == 2.0
+
+
+SPREADS = {
+    "unit": lambda rng, m: rng.standard_normal(m),
+    # exponents from 2**-1000 to 2**1000, zeros and subnormals mixed in
+    "wide": lambda rng, m: np.where(rng.random(m) < 0.1, 0.0, rng.standard_normal(m)
+                                    * 2.0 ** rng.integers(-1000, 1000, m)),
+    "subnormal": lambda rng, m: rng.integers(-2 ** 40, 2 ** 40, m) * 5e-324,
+}
+
+
+@pytest.mark.parametrize("spread", sorted(SPREADS))
+@pytest.mark.parametrize("m", [1, 3, 2000, _CHUNK + 7])
+def test_cross_sum_equals_fraction_sum(spread, m):
+    rng = np.random.default_rng(7 + m)
+    x, y = SPREADS[spread](rng, m), SPREADS[spread](rng, m)
+    if m > 2000:  # the Fraction reference of a chunk-crossing size on a cheap pool of values
+        x, y = x[:50][rng.integers(50, size=m)], y[:50][rng.integers(50, size=m)]
+    (num, sum_xy), = paired_sums(y, [x])
+    assert num == MCEstimate.from_values(x)
+    pairs = Counter(zip(x.tolist(), y.tolist()))
+    assert sum_xy == sum(c * Fraction(a) * Fraction(b) for (a, b), c in pairs.items())
+
+
+def test_paired_sums_of_partitions_add_up():
+    # any split of the replicates gives the pooled statistics exactly
+    rng = np.random.default_rng(8)
+    m = 5000
+    y = SPREADS["wide"](rng, m)
+    xs = [SPREADS["wide"](rng, m), y * 3.0, np.zeros(m)]
+    whole = paired_sums(y, xs)
+    for _ in range(5):
+        cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(1, 6)), replace=False))
+        order = rng.permutation(m)
+        parts = [paired_sums(y[idx], [x[idx] for x in xs])
+                 for idx in np.split(order, cuts)]
+        for k, (num, sum_xy) in enumerate(whole):
+            assert sum((p[k][0] for p in parts[1:]), parts[0][k][0]) == num
+            assert sum(p[k][1] for p in parts) == sum_xy
+
+
 def test_ratio_exact_cases():
-    x = np.array([0.5, 0.25, 0.125])
-    r, se = ratio_with_stderr(x, x)
-    assert r == 1.0 and se == 0.0
-    r0, se0 = ratio_with_stderr(np.zeros(3), x)
-    assert r0 == 0.0 and se0 == 0.0
+    # x is y (r = 1) and x = 0 (r = 0): every residual, and so the error, is exactly 0
+    for spread in SPREADS.values():
+        y = np.abs(spread(np.random.default_rng(9), 3000)) + 5e-324
+        assert paired(y, y) == (1.0, 0.0)
+        assert paired(np.zeros_like(y), y) == (0.0, 0.0)
+        est = MCEstimate.from_values(y)
+        assert ratio_with_stderr(est, est, est.sum_sq) == (1.0, 0.0)
 
 
 def test_ratio_stderr_against_jackknife():
     rng = np.random.default_rng(5)
     y = rng.lognormal(0.0, 1.0, 4000)
     x = y * np.exp(rng.normal(0.0, 0.3, 4000))
-    r, se = ratio_with_stderr(x, y)
+    r, se = paired(x, y)
     n = x.size
     jack = (x.sum() - x) / (y.sum() - y)  # delete-one ratios
     se_jack = math.sqrt((n - 1) / n * float(np.sum((jack - jack.mean()) ** 2)))
@@ -117,19 +182,20 @@ def test_ratio_stderr_against_jackknife():
     assert r == pytest.approx(x.sum() / y.sum())
 
 
-def _exact_ratio_stderr(x, y):
-    """r = sum x / sum y and sqrt(sum (x - r y)**2 / (m (m - 1))) / mean y, in exact arithmetic."""
+def _exact_ratio_variance(x, y):
+    """r = sum x / sum y and sum (x - r y)**2 / (m (m - 1)) / mean(y)**2, in exact arithmetic."""
     # every double is an integer multiple of 2**-1074: a = x 2**1074, b = y 2**1074, and
     # x - r y = (sb a - sa b) / (sb 2**1074), mean y = sb / (m 2**1074)
     a = [int(Fraction(v) * 2 ** 1074) for v in x.tolist()]
     b = [int(Fraction(v) * 2 ** 1074) for v in y.tolist()]
     sa, sb, m = sum(a), sum(b), len(a)
     var = Fraction(m * sum((sb * ai - sa * bi) ** 2 for ai, bi in zip(a, b)), (m - 1) * sb ** 4)
-    return float(Fraction(sa, sb)), math.sqrt(float(var))
+    return Fraction(sa, sb), var
 
 
-@pytest.mark.parametrize("perturbation, rel", [(1e-8, 1e-6), (None, 1e-12)])
-def test_ratio_stderr_against_exact_arithmetic(perturbation, rel):
+@pytest.mark.parametrize("perturbation, scale", [(1e-8, 1.0), (None, 1.0), (None, 2.0 ** -1000),
+                                                 (None, 2.0 ** 1000), (None, 2.0 ** -1060)])
+def test_ratio_stderr_correctly_rounded(perturbation, scale):
     # near-one pair: x differs from y by at most 1e-8 relative, so the error is
     # tiny but not zero; generic pair: the jackknife test's law
     rng = np.random.default_rng(6)
@@ -139,8 +205,9 @@ def test_ratio_stderr_against_exact_arithmetic(perturbation, rel):
         x = y * np.exp(rng.normal(0.0, 0.3, m))
     else:
         x = y * (1.0 - rng.uniform(0.0, perturbation, m))
-    r, se = ratio_with_stderr(x, y)
-    r_exact, se_exact = _exact_ratio_stderr(x, y)
-    assert r == pytest.approx(r_exact, rel=1e-14)
-    assert se_exact > 0.0
-    assert se == pytest.approx(se_exact, rel=rel)
+    x = x * scale  # r and its error near the top and the bottom of the double range
+    r, se = paired(x, y)
+    r_exact, var = _exact_ratio_variance(x, y)
+    assert r == float(r_exact)
+    assert var > 0 and se > 0.0
+    assert nearest(se, var)

@@ -8,7 +8,8 @@ import pytest
 from clanmc import EnvironmentSpec, RngStream, assoc_walk, estimators, parallel
 from clanmc.cli import RunConfig
 from clanmc.estimators import (_MAX_N, _SLAB_BYTES, _ExpRows, _log_event_prob_cols,
-                               _sweep)
+                               _sweep, _sweep_sums)
+from clanmc.mcstats import MCEstimate
 from clanmc.parallel import _MAX_SHARDS, map_blocks, resolve_shards
 
 
@@ -58,19 +59,22 @@ class TestResolveShards:
 class TestSweepWorkspace:
     def test_peak_memory_bounded_at_the_largest_walk(self):
         # three slab arrays (increments, walk, exponentials) of 3 x 65537
-        # doubles each, about 4.5 MiB
+        # doubles each, about 4.5 MiB, and two buffered columns of m rows
         n, m = _MAX_N, 512
 
-        def kernel(s):
+        def slab_stage(s):
             neg = _ExpRows(np.negative(s, out=s))
-            return {"p": np.exp(_log_event_prob_cols(neg, n // 2, n)), "end": neg.a[:, n].copy()}
+            return {"p": np.exp(_log_event_prob_cols(neg, n // 2, n)), "end": neg.a[:, n]}
+
+        def chunk_stage(cols):
+            return {k: MCEstimate.from_values(c) for k, c in cols.items()}
         tracemalloc.start()
         try:
-            cols = _sweep(GAUSS, n, m, RngStream(3), "test.peak", kernel, 1)
+            stats = _sweep_sums(GAUSS, n, m, RngStream(3), "test.peak", 1, slab_stage, chunk_stage)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cols["p"].shape == cols["end"].shape == (m,)
+        assert stats["p"].count == stats["end"].count == m
         assert peak < 4 * _SLAB_BYTES + 2 * 8 * m
 
 

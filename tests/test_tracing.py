@@ -4,13 +4,19 @@ perfbench/tracing.py patches module attributes of clanmc by name from
 outside the package.  This test loads it from its path, traces one small
 `lst` estimate and one scalar closed-form call, and checks that the layers
 counted work and that uninstalling restores every attribute, so renaming a
-traced name fails here and not only in a traced benchmark run.
+traced name fails here and not only in a traced benchmark run.  The
+wrappers rebind `_sweep` by position, so every sweep route also runs
+traced and must give the untraced results: a parameter added to `_sweep`
+would otherwise be taken as its shard count without any error.
 """
 
 import importlib.util
 from pathlib import Path
 
+import math
+
 import numpy as np
+import pytest
 
 from clanmc import (EnvironmentPath, EnvironmentSpec, RegimeRule, RngStream, assoc_walk,
                     estimators, exact_fl)
@@ -44,3 +50,30 @@ def test_tracer_wraps_and_restores_the_traced_names():
     for owner, attr, wrapper, original in patched:
         assert wrapper is not original, attr
         assert owner.__dict__[attr] is original, attr
+
+
+GAUSS = EnvironmentSpec.gaussian(1.0)
+ROUTES = {
+    "prob-grid": lambda stream: estimators.estimate_event_prob_grid(
+        GAUSS, RegimeRule.fixed_i(2), [32, 8, 16, 8], 700, stream, shards=2),
+    "strata": lambda stream: estimators.strata_decomposition(
+        GAUSS, 48, 64, 1.0, 3, 700, stream, shards=2),
+    "duality": lambda stream: estimators.duality_check(
+        GAUSS, 12, 16, [0.5, math.inf], 700, stream, shards=2),
+    "pgf": lambda stream: estimators.estimate_theta(
+        GAUSS, 3, 32, [0.0, 0.5, 1.0], 700, stream, shards=2),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_traced_routes_give_untraced_results(route):
+    untraced = ROUTES[route](RngStream(8))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        traced = ROUTES[route](RngStream(8))
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert metrics["estimators.sweep_cells"] > 0 and metrics["mcstats.exact_sum_values"] > 0
