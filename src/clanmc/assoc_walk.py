@@ -17,7 +17,7 @@ import numpy as np
 
 from .env_model import EnvironmentSpec, EnvironmentPath, draw_increments
 from .errors import DomainError
-from .parallel import block_sizes, map_blocks, resolve_shards
+from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
 
 _WALK_BLOCK = 4096
@@ -102,14 +102,16 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     """
     grid = np.asarray(grid, dtype=float)
     width = grid.size + 1
-    sizes = block_sizes(m_samples, _WALK_BLOCK)
+    n_blocks = block_count(m_samples, _WALK_BLOCK)
+    block_paths = np.minimum(m_samples - np.arange(0, m_samples, _WALK_BLOCK), _WALK_BLOCK)
+    block_sums = np.zeros((n_blocks, grid.size), dtype=np.int64)
+    block_sumsq = np.zeros((n_blocks, grid.size), dtype=np.int64)
 
-    def run_block(b: int):
+    def run_block(b: int) -> None:
         gen = stream.substream(purpose, b)
-        buf = np.empty(min(sizes[b], _ROW_BATCH) * _WALK_CHUNK)
-        sums = np.zeros(grid.size, dtype=np.int64)
-        sumsq = np.zeros(grid.size, dtype=np.int64)
-        level = np.zeros(sizes[b])  # S at the last chunk's end, per path still on its side
+        buf = np.empty(min(block_paths[b], _ROW_BATCH) * _WALK_CHUNK)
+        sums, sumsq = block_sums[b], block_sumsq[b]
+        level = np.zeros(block_paths[b])  # S at the last chunk's end, per path still on its side
         counts = None               # their bin counts so far, once a chunk is done
         done = 0
         while level.size and done < horizon:
@@ -138,13 +140,9 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
             done += k
         if counts is not None:  # the paths still on their side at the horizon
             _add_paths(counts, side, sums, sumsq)
-        return sizes[b], sums, sumsq
 
-    results = map_blocks(run_block, len(sizes), resolve_shards(shards))
-    block_paths = np.array([r[0] for r in results], dtype=np.int64)
-    block_sums = np.stack([r[1] for r in results])
-    total_sumsq = np.sum([r[2] for r in results], axis=0)
-    return block_paths, block_sums, total_sumsq
+    map_blocks(run_block, n_blocks, resolve_shards(shards))
+    return block_paths, block_sums, block_sumsq.sum(axis=0)
 
 
 def _add_paths(counts: np.ndarray, side: str, sums: np.ndarray, sumsq: np.ndarray) -> None:
@@ -293,21 +291,14 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
     groups = min(n_jackknife, n_blocks)
     block_group = np.arange(n_blocks) % groups
 
-    def table_means(excluded: int | None) -> np.ndarray:
-        if excluded is None:
-            sums = table.block_sums.sum(axis=0)
-            paths = int(table.block_paths.sum())
-        else:
-            keep = block_group != excluded
-            sums = table.block_sums[keep].sum(axis=0)
-            paths = int(table.block_paths[keep].sum())
-        return ind + sums / paths
+    def table_means(excluded: int) -> np.ndarray:
+        keep = block_group != excluded
+        return ind + table.block_sums[keep].sum(axis=0) / int(table.block_paths[keep].sum())
 
     # the full table (None) and the table without each group
-    means_of = {g: table_means(g) for g in (None, *range(groups))}
+    means_of = {None: table.means, **{g: table_means(g) for g in range(groups)}}
     slopes_of = {g: _slopes(nodes, mu) for g, mu in means_of.items()}
-    full_means = means_of[None]
-    allowance = 0.5 * float(np.max(np.abs(np.diff(full_means)))) if nodes.size >= 2 else 0.0
+    allowance = 0.5 * float(np.max(np.abs(np.diff(table.means)))) if nodes.size >= 2 else 0.0
     # draw groups are contiguous: group g is draws edges[g]..edges[g + 1] - 1
     edges = [(g * m_samples + groups - 1) // groups for g in range(groups + 1)]
 
@@ -343,7 +334,7 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
         jk = np.array([residual(g)[1] for g in range(groups)])
         se = math.sqrt((groups - 1) / groups * float(np.sum((jk - jk.mean()) ** 2)))
         return HarmonicityPoint(
-            x=x, table_value=float(_interpolate(nodes, full_means, x)[0]),
+            x=x, table_value=float(_interpolate(nodes, table.means, x)[0]),
             table_stderr=float(_interpolate(nodes, table.stderrs, x)[0]),
             expectation_value=expect, residual=abs(res), stderr=se,
             allowance=allowance, bound=3.0 * se + allowance,

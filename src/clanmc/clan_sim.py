@@ -15,7 +15,7 @@ import numpy as np
 
 from .env_model import EnvironmentPath, offspring_params
 from .errors import DomainError, NumericalFailureError
-from .parallel import block_sizes, map_blocks, resolve_shards
+from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
 
 # Abort rather than saturate: a clipped trajectory would silently corrupt
@@ -63,19 +63,19 @@ def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
     only-surviving-clan event definition.
     """
     n = path.n
-    sizes = block_sizes(m_reps, _SIM_BLOCK)
+    n_blocks = block_count(m_reps, _SIM_BLOCK)
     clans = np.zeros((m_reps, n), dtype=np.int64)
 
     def run_block(b: int) -> None:
         rng = stream.substream("clan_sim.ensemble", b)
-        block = clans[b * _SIM_BLOCK:b * _SIM_BLOCK + sizes[b]]
+        block = clans[b * _SIM_BLOCK:(b + 1) * _SIM_BLOCK]
         block[:, 0] = 1
         for t in range(1, n + 1):
             _reproduce(block[:, :t], float(np.exp(path.x[t - 1])), rng)
             if t < n:
                 block[:, t] = 1
 
-    map_blocks(run_block, len(sizes), resolve_shards(shards))
+    map_blocks(run_block, n_blocks, resolve_shards(shards))
     return clans
 
 

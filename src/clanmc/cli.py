@@ -26,6 +26,8 @@ from .parallel import _MAX_SHARDS, resolve_shards
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
+# Most samples a run accepts: 2^53, the largest count a double holds exactly.
+_MAX_SAMPLES = 2**53
 # Most samples the oracle suite draws; a larger m_samples is cut to this.
 _ORACLE_MAX_SAMPLES = 50_000
 
@@ -117,8 +119,11 @@ class RunConfig:
     def __post_init__(self):
         if self.format not in ("json", "csv"):
             raise ConfigurationError(f"format must be json or csv, got {self.format!r}")
-        if self.m_samples < 2:  # one sample has no standard error
-            raise ConfigurationError(f"m_samples must be at least 2, got {self.m_samples}")
+        # one sample has no standard error; every record echoes the count, which
+        # JSON readers holding numbers as doubles keep exact only up to 2^53
+        if not 2 <= self.m_samples <= _MAX_SAMPLES:
+            raise ConfigurationError(f"m_samples must be between 2 and 2^53 = {_MAX_SAMPLES}, "
+                                     f"got {self.m_samples}")
         if not self.n_grid or not self.s_grid or not self.beta_grid:
             raise ConfigurationError("grids must be nonempty")
         if self.shards is None:
@@ -196,7 +201,12 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _record(quantity, n=None, i=None, param=None, mean=None, stderr=None, count=None, tag=""):
+def _record(quantity, n=None, i=None, param=None, mean=None, stderr=None, count=None,
+            tag=None, est=None):
+    """One result record.  est, an MCEstimate, supplies mean, stderr and count;
+    run() gives a record still tagged None the run's tag."""
+    if est is not None:
+        mean, stderr, count = est.mean, est.stderr, est.count
     if param is not None and isinstance(param, float) and math.isinf(param):
         param = "inf"
     return {
@@ -208,8 +218,8 @@ def _record(quantity, n=None, i=None, param=None, mean=None, stderr=None, count=
 @dataclass(frozen=True)
 class RunOutcome:
     records: list
-    report_lines: list
-    exit_code: int
+    report_lines: list = field(default_factory=list)
+    exit_code: int = 0
     run_info: dict = field(default_factory=dict)  # extra keys of the closing run record
 
 
@@ -217,24 +227,19 @@ def _run_validate(config: RunConfig, stream: RngStream) -> RunOutcome:
     report = validate_spec(config.env_spec())
     records = [_record("validate", mean=1.0 if report.conforms else 0.0,
                        tag="conforms" if report.conforms else "non-conforming")]
-    lines = [f"{k}: {v}" for k, v in report.as_dict().items()]
-    return RunOutcome(records, lines, 0)
+    return RunOutcome(records, [f"{k}: {v}" for k, v in report.as_dict().items()])
 
 
 def _run_prob(config: RunConfig, stream: RngStream) -> RunOutcome:
     results = estimators.estimate_event_prob_grid(
         config.env_spec(), config.rule(), config.n_grid, config.m_samples, stream,
         config.shards)
-    tag = config.tag()
-    return RunOutcome([_record("prob", n=res.n, i=res.i, mean=res.estimate.mean,
-                               stderr=res.estimate.stderr, count=res.estimate.count, tag=tag)
-                       for res in results], [], 0)
+    return RunOutcome([_record("prob", n=res.n, i=res.i, est=res.estimate) for res in results])
 
 
-def _transform_outcome(quantity: str, n: int, i: int, results, tag: str) -> RunOutcome:
+def _transform_outcome(quantity: str, n: int, i: int, results) -> RunOutcome:
     return RunOutcome([_record(quantity, n=n, i=i, param=r.param, mean=r.value,
-                               stderr=r.stderr, count=r.count, tag=tag)
-                       for r in results], [], 0)
+                               stderr=r.stderr, count=r.count) for r in results])
 
 
 def _run_pgf(config: RunConfig, stream: RngStream) -> RunOutcome:
@@ -243,67 +248,59 @@ def _run_pgf(config: RunConfig, stream: RngStream) -> RunOutcome:
     n, end_window = config.single_n(), int(config.rule().param)
     return _transform_outcome("pgf", n, n - end_window, estimators.estimate_theta(
         config.env_spec(), end_window, n, config.s_grid, config.m_samples, stream,
-        config.shards), config.tag())
+        config.shards))
 
 
 def _run_lst(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     n = config.single_n()
     return _transform_outcome("lst", n, rule.clan_index(n), estimators.estimate_lambda(
-        spec, rule, n, config.beta_grid, config.m_samples, stream, config.shards),
-        config.tag())
+        spec, rule, n, config.beta_grid, config.m_samples, stream, config.shards))
 
 
 def _run_scaling(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     fit = estimators.scaling_study(spec, rule, config.n_grid, config.m_samples, stream,
                                    config.shards)
-    tag = config.tag()
-    records = []
-    for quantity, points in (("scaling-point", fit.points), ("scaling-dropped", fit.dropped)):
-        for p in points:
-            e = p.estimate
-            records.append(_record(quantity, n=p.n, i=p.i, mean=e.mean,
-                                   stderr=e.stderr, count=e.count, tag=tag))
-    records.append(_record("scaling-slope", mean=fit.slope, stderr=fit.slope_stderr, tag=tag))
-    records.append(_record("scaling-intercept", mean=fit.intercept, tag=tag))
-    records.append(_record("scaling-plateau", mean=fit.plateau, tag=tag))
+    records = [_record(quantity, n=p.n, i=p.i, est=p.estimate)
+               for quantity, points in (("scaling-point", fit.points),
+                                        ("scaling-dropped", fit.dropped))
+               for p in points]
+    records.append(_record("scaling-slope", mean=fit.slope, stderr=fit.slope_stderr))
+    records.append(_record("scaling-intercept", mean=fit.intercept))
+    records.append(_record("scaling-plateau", mean=fit.plateau))
     for k, r in enumerate(fit.ratios):
-        records.append(_record("scaling-ratio", n=fit.points[k + 1].n, mean=r, tag=tag))
+        records.append(_record("scaling-ratio", n=fit.points[k + 1].n, mean=r))
     lines = [f"regime {fit.regime}: slope {fit.slope:.4f} +- {fit.slope_stderr:.4f}, "
              f"plateau {fit.plateau:.6g}"]
-    return RunOutcome(records, lines, 0)
+    return RunOutcome(records, lines)
 
 
 def _run_duality(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     n = config.single_n()
-    i, tag = rule.clan_index(n), config.tag()
+    i = rule.clan_index(n)
     records = []
     for res in estimators.duality_check(spec, i, n, config.beta_grid, config.m_samples, stream,
                                         config.shards):
-        records.append(_record("duality-h", n=n, i=i, param=res.beta, mean=res.h_form.mean,
-                               stderr=res.h_form.stderr, count=res.h_form.count, tag=tag))
-        records.append(_record("duality-v", n=n, i=i, param=res.beta, mean=res.v_form.mean,
-                               stderr=res.v_form.stderr, count=res.v_form.count, tag=tag))
-        records.append(_record("duality-z", n=n, i=i, param=res.beta, mean=res.z_score,
-                               tag=tag))
-    return RunOutcome(records, [], 0)
+        records.append(_record("duality-h", n=n, i=i, param=res.beta, est=res.h_form))
+        records.append(_record("duality-v", n=n, i=i, param=res.beta, est=res.v_form))
+        records.append(_record("duality-z", n=n, i=i, param=res.beta, mean=res.z_score))
+    return RunOutcome(records)
 
 
 def _run_strata(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
     n = config.single_n()
-    i, tag = rule.clan_index(n), config.tag()
+    i = rule.clan_index(n)
     records = []
     for beta in config.beta_grid:
         rep = estimators.strata_decomposition(
             spec, i, n, beta, config.strata_N, config.m_samples, stream, config.shards)
         for name, est in (("total", rep.total), ("early", rep.early), ("middle", rep.middle),
                           ("before_j", rep.before_j), ("after_j", rep.after_j)):
-            records.append(_record(f"strata-{name}", n=n, i=i, param=beta, mean=est.mean,
-                                   stderr=est.stderr, count=est.count, tag=tag))
-    return RunOutcome(records, [], 0)
+            records.append(_record(f"strata-{name}", n=n, i=i, param=beta, est=est))
+    return RunOutcome(records)
 
 
 def _run_oracle(config: RunConfig, stream: RngStream) -> RunOutcome:
@@ -343,6 +340,9 @@ def run(subcommand: str, config: RunConfig) -> tuple[RunOutcome, dict]:
     outcome = _RUNNERS[subcommand](config, stream)
     elapsed = time.perf_counter() - started
     tag = config.tag()
+    for r in outcome.records:
+        if r["tag"] is None:
+            r["tag"] = tag
     run_record = {
         "kind": "run_record",
         "subcommand": subcommand,
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # a sample count whose block list cannot be allocated
+    except MemoryError:  # a run whose arrays cannot be allocated
         print("configuration error: the run needs more memory than it could allocate; "
               "lower m_samples", file=sys.stderr)
         return 2

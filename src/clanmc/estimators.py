@@ -22,7 +22,7 @@ from .env_model import EnvironmentSpec, draw_increments
 from .errors import DomainError, NumericalFailureError, UnreliableRatioError
 from .logdomain import log1m_exp_neg_vec
 from .mcstats import MCEstimate, paired_sums, ratio_with_stderr
-from .parallel import block_sizes, map_blocks, resolve_shards
+from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
 
 _SWEEP_BLOCK = 256
@@ -117,17 +117,17 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     if n > _MAX_N:  # refused before any workspace is allocated
         raise DomainError(f"observation time n exceeds the limit of {_MAX_N}, eight times "
                           f"the largest grid point of the scaling studies")
-    sizes = block_sizes(m_samples, _SWEEP_BLOCK)
-    slab = min(sizes[0], _SLAB_BYTES // (8 * (n + 1)))
+    n_blocks = block_count(m_samples, _SWEEP_BLOCK)
+    slab = min(_SWEEP_BLOCK, m_samples, _SLAB_BYTES // (8 * (n + 1)))
     local = threading.local()
 
     def run_slab(gen: np.random.Generator, rows: int) -> None:
-        x = draw_increments(spec, gen, local.x[:rows])
         s = local.s[:rows]
         s[:, 0] = 0.0
-        # an overflowed partial sum stays +-inf or nan to the end of its row,
-        # so the check below catches every such row without the warning
+        # an increment or partial sum that overflows stays +-inf or nan to the
+        # end of its row, so the check below catches every such row without the warning
         with np.errstate(over="ignore", invalid="ignore"):
+            x = draw_increments(spec, gen, local.x[:rows])
             np.cumsum(x, axis=1, out=s[:, 1:])
         if not np.isfinite(s[:, n]).all():
             raise NumericalFailureError("environment walk overflowed the double range")
@@ -139,10 +139,11 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
             local.x = np.empty((slab, n))
             local.s = np.empty((slab, n + 1))
         gen = stream.substream(purpose, b)
-        for lo in range(0, sizes[b], slab):
-            run_slab(gen, min(slab, sizes[b] - lo))
+        rows = min(_SWEEP_BLOCK, m_samples - b * _SWEEP_BLOCK)
+        for lo in range(0, rows, slab):
+            run_slab(gen, min(slab, rows - lo))
 
-    map_blocks(run_block, len(sizes), resolve_shards(shards))
+    map_blocks(run_block, n_blocks, resolve_shards(shards))
 
 
 def _sweep_sums(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream, purpose: str,

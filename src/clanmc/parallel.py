@@ -1,8 +1,9 @@
 """Deterministic block scheduling for shardable Monte Carlo loops.
 
 Replicates are grouped into fixed-size blocks keyed by block index, and
-blocks are what workers execute.  Results are always assembled in block
-order, so the worker count never touches the numbers.
+blocks are what workers execute.  A block is only its index: it derives
+its replicates and writes its output from that, so the worker count
+never touches the numbers.
 """
 
 from __future__ import annotations
@@ -35,32 +36,28 @@ def resolve_shards(shards: int | None) -> int:
     return max(1, min(usable_cpus(), _MAX_SHARDS))
 
 
-def block_sizes(total: int, block: int) -> list[int]:
-    """Split `total` replicates into fixed blocks; only the last may be short."""
+def block_count(total: int, block: int) -> int:
+    """Blocks of `total` replicates: block b holds b*block up to min((b+1)*block, total)."""
     if total < 1:
         raise ValueError(f"need at least one replicate, got {total}")
-    full, rem = divmod(total, block)
-    sizes = [block] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
+    return -(-total // block)
 
 
-def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int = 1) -> list:
-    """Run fn(block_index) for every block, in block order.
+def map_blocks(fn: Callable[[int], None], n_blocks: int, shards: int = 1) -> None:
+    """Run fn(block_index) once for every block; each block writes its own output.
 
     shards is a resolved count (see resolve_shards).  shards > 1 runs the
     blocks on min(shards, n_blocks) worker threads (numpy kernels release
     the GIL), a single block too: its temporaries then live in a worker's
     malloc arena, not stacked on the caller's.  Each worker claims the next
-    block index from one shared counter and writes its result at that
-    index, so the result list is ordered by block index regardless and no
-    per-block future is held.  After a block raises, no further block is
-    claimed, and the caller gets the exception of the lowest failing block.
+    block index from one shared counter, so nothing is held per block.
+    After a block raises, no further block is claimed, and the caller gets
+    the exception of the lowest failing block.
     """
     if shards <= 1 or n_blocks < 1:
-        return [fn(b) for b in range(n_blocks)]
-    results: list = [None] * n_blocks
+        for b in range(n_blocks):
+            fn(b)
+        return
     failed: dict[int, Exception] = {}
     pending = iter(range(n_blocks))
     lock = threading.Lock()
@@ -72,7 +69,7 @@ def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int = 1) -> l
             if b is None:
                 return
             try:
-                results[b] = fn(b)
+                fn(b)
             except Exception as exc:
                 with lock:
                     failed[b] = exc
@@ -84,4 +81,3 @@ def map_blocks(fn: Callable[[int], object], n_blocks: int, shards: int = 1) -> l
             future.result()
     if failed:
         raise failed[min(failed)]
-    return results

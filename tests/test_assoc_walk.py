@@ -10,7 +10,6 @@ from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream, as
                     build_walk, estimate_table, harmonicity_residual)
 from clanmc.env_model import draw_increments
 from clanmc.estimators import _ExpRows, _first_max_index
-from clanmc.parallel import block_sizes
 
 
 @pytest.fixture
@@ -183,7 +182,9 @@ def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
     grid = np.asarray(grid, dtype=float)
     ngrid = grid.size
     results = []
-    for b, rows in enumerate(block_sizes(m_samples, assoc_walk._WALK_BLOCK)):
+    block = assoc_walk._WALK_BLOCK
+    for b, lo in enumerate(range(0, m_samples, block)):
+        rows = min(block, m_samples - lo)
         gen = stream.substream(purpose, b)
         counts = np.zeros((rows, ngrid + 1), dtype=np.int32)
         s_cur = np.zeros(rows)

@@ -10,7 +10,6 @@ from clanmc import (DomainError, EnvironmentPath, NumericalFailureError, RngStre
 from clanmc import clan_sim
 from clanmc.clan_sim import _reproduce, final_clans_ensemble
 from clanmc.env_model import offspring_params
-from clanmc.parallel import block_sizes
 
 
 @pytest.fixture
@@ -88,7 +87,9 @@ def reference_ensemble(path, m_reps, stream):
     """final_clans_ensemble with whole-matrix generations and one matrix per block."""
     n = path.n
     blocks = []
-    for b, rows in enumerate(block_sizes(m_reps, clan_sim._SIM_BLOCK)):
+    block = clan_sim._SIM_BLOCK
+    for b, lo in enumerate(range(0, m_reps, block)):
+        rows = min(block, m_reps - lo)
         rng = stream.substream("clan_sim.ensemble", b)
         clans = np.zeros((rows, n), dtype=np.int64)
         clans[:, 0] = 1
@@ -107,7 +108,7 @@ class TestBatchedGenerations:
         # 8192-row block spans several batches of _REPRODUCE_CELLS cells
         path = EnvironmentPath(np.array([0.4, -0.3, 0.2, 0.1, -0.5, 0.3,
                                          0.2, -0.1, 0.3, -0.4, 0.1, 0.2]))
-        assert block_sizes(20_000, clan_sim._SIM_BLOCK) == [8192, 8192, 3616]
+        assert 2 * clan_sim._SIM_BLOCK < 20_000 < 3 * clan_sim._SIM_BLOCK
         assert clan_sim._SIM_BLOCK * path.n >= 3 * clan_sim._REPRODUCE_CELLS
         got = final_clans_ensemble(path, 20_000, stream, shards=shards)
         assert got.dtype == np.int64
@@ -143,7 +144,7 @@ class TestSimulate:
     def test_oracle_run_same_bytes_at_any_shard_count(self, stream):
         # the oracle's n = 8 run: 50 000 replicates make seven blocks
         path = EnvironmentPath(np.zeros(8))
-        assert len(block_sizes(50_000, clan_sim._SIM_BLOCK)) == 7
+        assert 6 * clan_sim._SIM_BLOCK < 50_000 <= 7 * clan_sim._SIM_BLOCK
         one = simulate_ensemble(path, 3, 50_000, stream, shards=1)
         two = simulate_ensemble(path, 3, 50_000, stream, shards=2)
         for a, b in zip(one, two):

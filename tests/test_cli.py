@@ -388,12 +388,33 @@ class TestSubcommands:
                        "--out", str(tmp_path / "x.ndjson")])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            "configuration error: m_samples must be at least 2, got 1"]
+            "configuration error: m_samples must be between 2 and 2^53 = 9007199254740992, "
+            "got 1"]
 
-    def test_oversized_sample_count_exit_two(self, tmp_path, capsys):
-        # the block list alone would need petabytes, which no allocator maps
+    def test_oversized_sample_count_exit_two(self, tmp_path, capsys, monkeypatch):
+        # every record echoes the count, which a JSON reader holding doubles keeps
+        # exact only up to 2^53; the count is refused before any sampling
+        def run(*args, **kwargs):
+            raise AssertionError("the run started before the sample count was refused")
+        monkeypatch.setattr(cli, "run", run)
         rc = cli.main(["prob", "--seed", "1", "--n-grid", "8", "--regime", "fixed_i",
                        "--regime-param", "2", "--m-samples", "100000000000000000",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: m_samples must be between 2 and 2^53 = 9007199254740992, "
+            "got 100000000000000000"]
+
+    def test_sample_count_limit_is_two_to_the_53(self):
+        assert RunConfig.from_strings({"seed": "1", "m_samples": str(2**53)}).m_samples == 2**53
+        with pytest.raises(ConfigurationError, match="2\\^53"):
+            RunConfig.from_strings({"seed": "1", "m_samples": str(2**53 + 1)})
+
+    def test_unallocatable_run_exit_two(self, tmp_path, capsys, monkeypatch):
+        def estimate(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(estimators, "estimate_event_prob_grid", estimate)
+        rc = cli.main(["prob", "--seed", "1", "--n-grid", "8", "--m-samples", "10",
                        "--out", str(tmp_path / "x.ndjson")])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -436,15 +457,21 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [
         ["prob", "--sigma", "1e200", "--n-grid", "8", "--m-samples", "50"],
         ["lst", "--sigma", "1e20", "--n", "8", "--m-samples", "200", "--beta-grid", "1,inf"],
+        # here a drawn increment itself leaves the double range
+        ["prob", "--sigma", "1e308", "--n-grid", "8", "--m-samples", "10"],
+        ["lst", "--sigma", "1.7e308", "--n", "8", "--m-samples", "10"],
     ])
     def test_overflowing_probability_column_exit_three(self, argv, shards, tmp_path, capsys):
-        # exp of a log-probability column overflows to inf; no numpy warning may leak
+        # exp of a log-probability column, or an increment, overflows to inf;
+        # no numpy warning may leak
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main([*argv, "--seed", "1", "--shards", shards,
                            "--out", str(tmp_path / "x.ndjson")])
         assert rc == 3
+        walk = float(argv[2]) > 1e300
         assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: environment walk overflowed the double range" if walk else
             "numerical failure: a Monte Carlo average got a non-finite sample value"]
 
     @pytest.mark.parametrize("argv", [

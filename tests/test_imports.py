@@ -17,3 +17,39 @@ def test_every_import_is_used(path):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, sorted(imported - used)
+
+
+def _top_level_private(stmt) -> list[str]:
+    """The private names (one leading underscore) a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reached(stmt) -> set[str]:
+    """The names a statement loads, reaches as an attribute or imports."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_name_has_a_caller():
+    # code whose only caller is its own unit test goes: every private top-level
+    # name must be used somewhere in the package outside its own definition
+    statements = [stmt for path in sorted(MODULES[0].parent.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    reached = [_reached(stmt) for stmt in statements]
+    unused = [name for k, stmt in enumerate(statements) for name in _top_level_private(stmt)
+              if not any(name in r for j, r in enumerate(reached) if j != k)]
+    assert not unused, unused
