@@ -11,6 +11,7 @@ Monte Carlo, and checks their harmonicity under one step of the walk.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +26,14 @@ _WALK_BLOCK = 4096
 # double up to _WALK_CHUNK (see _chunk_steps).
 _WALK_CHUNK = 128
 _FIRST_CHUNK = 16
-# Paths a scan block draws, cumsums and bins at a time.  A block's working
-# set is one batch's temporaries plus the bin counts of the paths still on
-# their side: about 3 MB against a 161-node table.
-_ROW_BATCH = 256
+# Steps a scan block draws, cumsums and bins at a time: _ROW_BATCH // k paths
+# of a k-step chunk, so 1024 paths of a first chunk and 128 of a full one.
+# A batch's temporaries are a few arrays of this many values (128 kB each).
+_ROW_BATCH = 16384
 # Largest harmonicity table.  A block holds (paths, nodes + 1) int64 bin
-# counts for a batch and for the paths still on their side: about 8 MB of
-# peak memory per block at this size, against hundreds of MB per block at
-# sigma = 100.
+# counts for the paths still on their side after their first chunk (about
+# 14 % of a Gaussian block): about 6 MB of peak memory per block at this
+# size, against hundreds of MB per block at sigma = 100.
 _MAX_TABLE_NODES = 1024
 
 
@@ -87,6 +88,39 @@ def _indicator(side: str, x: float) -> int:
     return int(x >= 0) if side == "u" else int(x < 0)
 
 
+def _bin_index(grid: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.searchsorted(grid, v, "left") for a strictly increasing grid: the grid points below each v.
+
+    A guess from the grid's mean step is fixed by exact compares, one slot
+    at a time, until grid[idx - 1] < v <= grid[idx].  On a uniform grid the
+    guess is at most one slot off, next to a node; an uneven grid takes more
+    steps, never a different index.  A nan has every grid point below it,
+    as numpy sorts it.
+    """
+    size = grid.size
+    # grid[j] is above[j] and grid[j - 1] is below[j]; the nan ends compare false
+    ext = np.concatenate(([np.nan], grid, [np.nan]))
+    above, below = ext[1:], ext[:-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = np.float64(size - 1) / (grid[-1] - grid[0]) if size > 1 else 0.0
+        guess = v - (grid[0] if size else 0.0)
+        guess *= scale
+        guess += 1.0                      # truncated below: floor + 1, the count for v off the nodes
+        np.fmin(guess, size, out=guess)   # a nan guess goes to the top
+        np.fmax(guess, 0.0, out=guess)
+    idx = guess.astype(np.intp)
+    low = np.take(above, idx, out=guess) < v
+    low |= np.take(below, idx, out=guess) >= v
+    wrong = np.flatnonzero(low)
+    flat_idx, flat_v = idx.reshape(-1), v.reshape(-1)
+    while wrong.size:
+        i, x = flat_idx[wrong], flat_v[wrong]
+        step = (np.take(above, i) < x).astype(np.intp) - (np.take(below, i) >= x)
+        flat_idx[wrong] = i + step
+        wrong = wrong[step != 0]
+    return idx
+
+
 def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizon: int,
                       m_samples: int, stream: RngStream, purpose: str, shards: int | None = None):
     """Count per-path side-persistence events against a threshold grid.
@@ -95,10 +129,17 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     is the summed per-path event count of block b at grid point g.
 
     A block walks its paths in chunks of _chunk_steps steps, drawing and
-    tallying _ROW_BATCH paths at once; a path's steps are binned by the
-    number of grid points below their value.  Only the paths still on
-    their side keep their bin counts: a path that leaves is added to the
-    block's sums at once.
+    tallying _ROW_BATCH steps at once.  A step's bin is `_bin_index` of its
+    threshold -S, counted from the top on side "v", and a path's event
+    count at grid point g is its steps in bins up to g's (bin g on side
+    "u", top - 1 - g on side "v").  So a block keeps two tallies per bin b:
+    the steps, sum_p h_p(b), and the growth of the squared counts,
+    sum_p h_p(b) * (2 c_p(b) + h_p(b)), with c_p(b) path p's steps in the
+    bins below b.  Their cumulative sums are the block's sums and sums of
+    squares per grid point.  A path that leaves in its first chunk adds
+    2 r + 1 at the bin of its r-th step in bin order (r from 0); only the
+    paths still on their side after it keep bin counts, and such a path
+    adds its counts to the tallies when it leaves.
     """
     grid = np.asarray(grid, dtype=float)
     width = grid.size + 1
@@ -107,55 +148,88 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     block_sums = np.zeros((n_blocks, grid.size), dtype=np.int64)
     block_sumsq = np.zeros((n_blocks, grid.size), dtype=np.int64)
 
+    # the last bin counts at no grid point: the steps past the grid go there,
+    # and so do the steps drawn after a path left
+    top = grid.size
+
     def run_block(b: int) -> None:
         gen = stream.substream(purpose, b)
-        buf = np.empty(min(block_paths[b], _ROW_BATCH) * _WALK_CHUNK)
-        sums, sumsq = block_sums[b], block_sumsq[b]
+        buf = np.empty(_ROW_BATCH)
+        steps = np.zeros(width, dtype=np.int64)    # sum_p h_p(bin)
+        growth = np.zeros(width, dtype=np.int64)   # sum_p h_p(bin) * (2 c_p(bin) + h_p(bin))
         level = np.zeros(block_paths[b])  # S at the last chunk's end, per path still on its side
-        counts = None               # their bin counts so far, once a chunk is done
+        counts = None   # bin counts of the paths that stayed through the first chunk
+        row_of = None   # the counts row of each path still on its side
         done = 0
         while level.size and done < horizon:
             k = _chunk_steps(done, horizon)
-            next_level, next_counts = [], []
+            batch = _ROW_BATCH // k
+            cols = np.arange(k)
+            if counts is None:
+                rank_weight = np.tile(2.0 * cols + 1.0, batch)  # 2 r + 1 at column r
+            next_level, next_rows = [], []
             # row batches draw the stream in the order of one (paths, k) draw
-            for lo in range(0, level.size, _ROW_BATCH):
-                rows = min(_ROW_BATCH, level.size - lo)
+            for lo in range(0, level.size, batch):
+                rows = min(batch, level.size - lo)
                 seg = draw_increments(spec, gen, buf[:rows * k].reshape(rows, k))
                 np.cumsum(seg, axis=1, out=seg)
                 seg += level[lo:lo + rows, None]
                 bad = seg >= 0.0 if side == "u" else seg < 0.0
-                left = bad.any(axis=1)
-                first = np.where(left, bad.argmax(axis=1), k)
-                vals = seg[np.arange(k) < first[:, None]]
-                idx = np.repeat(np.arange(0, rows * width, width), first)
-                idx += np.searchsorted(grid, np.negative(vals, out=vals), side="left")
-                hist = np.bincount(idx, minlength=rows * width).reshape(rows, width)
-                if counts is not None:
-                    hist += counts[lo:lo + rows]
-                _add_paths(hist[left], side, sums, sumsq)
-                next_level.append(seg[~left, k - 1])
-                next_counts.append(hist[~left])
+                first = bad.argmax(axis=1)
+                left = bad[np.arange(rows), first]
+                first[~left] = k
+                stay = ~left
+                next_level.append(seg[stay, k - 1])
+                bins = _bin_index(grid, np.negative(seg, out=seg))
+                if side == "v":  # count bins from the top
+                    np.subtract(top, bins, out=bins)
+                np.copyto(bins, top, where=cols >= first[:, None])
+                if counts is None:
+                    # a path that leaves in its first chunk: its steps in bin order
+                    # have ranks 0, 1, ..., the dumped steps last
+                    gone = np.sort(bins[left], axis=1).ravel()
+                    steps += np.bincount(gone, minlength=width)
+                    growth += np.bincount(gone, rank_weight[:gone.size],
+                                          minlength=width).astype(np.int64)
+                    next_rows.append(bins[stay])
+                else:
+                    mine = row_of[lo:lo + rows]
+                    bins += (mine * width)[:, None]
+                    np.add.at(counts.reshape(-1), bins.ravel(), 1)
+                    _add_rows(counts[mine[left]], steps, growth)
+                    next_rows.append(mine[stay])
             level = np.concatenate(next_level)
-            counts = np.concatenate(next_counts)
+            if counts is None:
+                stayed = np.concatenate(next_rows)
+                row_of = np.arange(stayed.shape[0])
+                stayed += (row_of * width)[:, None]
+                counts = np.bincount(stayed.ravel(), minlength=row_of.size * width)
+                counts = counts.reshape(-1, width)
+            else:
+                row_of = np.concatenate(next_rows)
             done += k
         if counts is not None:  # the paths still on their side at the horizon
-            _add_paths(counts, side, sums, sumsq)
+            _add_rows(counts[row_of], steps, growth)
+        cum_steps, cum_growth = np.cumsum(steps)[:-1], np.cumsum(growth)[:-1]
+        if side == "v":  # grid point g is bin top - 1 - g
+            cum_steps, cum_growth = cum_steps[::-1], cum_growth[::-1]
+        block_sums[b], block_sumsq[b] = cum_steps, cum_growth
 
     map_blocks(run_block, n_blocks, resolve_shards(shards))
     return block_paths, block_sums, block_sumsq.sum(axis=0)
 
 
-def _add_paths(counts: np.ndarray, side: str, sums: np.ndarray, sumsq: np.ndarray) -> None:
-    """Add finished paths' event counts per grid point, and their squares, to the sums.
+def _add_rows(counts: np.ndarray, steps: np.ndarray, growth: np.ndarray) -> None:
+    """Add finished paths' bin counts to a block's per-bin tallies; counts is overwritten.
 
-    counts[r, j] is path r's number of steps in bin j; its event count at
-    grid point g is its steps in bins <= g (side "u") or above g (side "v").
-    counts is overwritten.
+    With C_p(j) path p's steps in bins <= j, the growth at bin j is
+    sum_p C_p(j)^2 - C_p(j - 1)^2.
     """
+    steps += counts.sum(axis=0)
     cum = np.cumsum(counts, axis=1, out=counts)
-    per_path = cum[:, :-1] if side == "u" else cum[:, -1:] - cum[:, :-1]
-    sums += per_path.sum(axis=0)
-    sumsq += np.square(per_path, out=per_path).sum(axis=0)
+    squares = np.square(cum, out=cum).sum(axis=0)
+    growth[0] += squares[0]
+    growth[1:] += np.diff(squares)
 
 
 def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_samples: int,
@@ -164,11 +238,15 @@ def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_sam
     """Estimate a harmonic function on a strictly increasing grid.
 
     side "u" is the staying-negative function on x >= 0, side "v" the
-    staying-nonnegative one on x < 0.  The purpose keys the walks' streams
-    and defaults to "assoc_walk.<side>".
+    staying-nonnegative one on x < 0, each truncated after `horizon` steps,
+    a positive integer.  The purpose keys the walks' streams and defaults
+    to "assoc_walk.<side>".
     """
     if side not in ("u", "v"):
         raise DomainError(f"side must be 'u' or 'v', got {side}")
+    # a bool is an int, but no step count
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise DomainError(f"horizon must be a positive integer, got {horizon!r}")
     grid = np.asarray(x_grid, dtype=float)
     if side == "u" and np.any(grid < 0):
         raise DomainError("u-table grid must be nonnegative")

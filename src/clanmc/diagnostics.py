@@ -17,6 +17,8 @@ import numpy as np
 
 from . import assoc_walk, clan_sim, exact_fl
 from .env_model import EnvironmentPath, EnvironmentSpec
+from .estimators import (_ExpRows, _log_event_prob_cols, _log_extinction_cols, _log_h_cols_from,
+                         _log_survival_cols)
 from .streams import RngStream
 
 
@@ -27,21 +29,69 @@ class CheckResult:
     detail: str
 
 
+def _worst(deviations) -> float:
+    """The largest deviation, nan if any is nan: a nan closed form fails its check."""
+    return float(np.max(deviations))
+
+
+def _walk_groups(paths: list[EnvironmentPath], clans: list[int]):
+    """(n, i, case indices, _ExpRows of the negated walks) per (path length n, clan i) group."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for r, (path, i) in enumerate(zip(paths, clans)):
+        groups.setdefault((path.n, i), []).append(r)
+    for (n, i), rows in groups.items():
+        walks = np.stack([assoc_walk.build_walk(paths[r]) for r in rows])
+        yield n, i, rows, _ExpRows(np.negative(walks, out=walks))
+
+
+def _values(log_cols: np.ndarray) -> list[float]:
+    return [math.exp(v) for v in log_cols.tolist()]  # as LogValue.value
+
+
+def _survival_closed_rows(paths: list[EnvironmentPath], clans: list[int],
+                          s_values: list[float]) -> np.ndarray:
+    """exact_fl.survival_closed(w, i, n, s).value per case, w the walk of a path of length n.
+
+    Each row is the scalar call's arithmetic, so each value has its bits; s < 1.
+    """
+    out = np.empty(len(paths))
+    for n, i, rows, neg in _walk_groups(paths, clans):
+        log1ms = np.array([math.log1p(-s_values[r]) for r in rows])
+        out[rows] = _values(_log_survival_cols(neg, i, n, log1ms))
+    return out
+
+
+def _h_closed_rows(paths: list[EnvironmentPath], clans: list[int], s_grid) -> tuple:
+    """exact_fl.h_functional(w, i, n, s).value per case and s < 1, and the fsum of
+    exact_fl.extinction_step_log(w, j, n) over j < n per case, with the scalar calls' bits."""
+    h, telescoped = np.empty((len(paths), len(s_grid))), np.empty(len(paths))
+    for n, i, rows, neg in _walk_groups(paths, clans):
+        for c, s in enumerate(s_grid):
+            log1ms = math.log1p(-s)
+            # s = 0 takes the event probability, as h_functional does
+            cols = (_log_event_prob_cols(neg, i, n) if log1ms == 0.0
+                    else _log_h_cols_from(neg, i, n, log1ms))
+            h[rows, c] = _values(cols)
+        steps = np.array([_log_extinction_cols(neg, j, n) for j in range(n)])
+        telescoped[rows] = [math.fsum(col) for col in steps.T.tolist()]
+    return h, telescoped
+
+
 def mobius_equivalence_check(stream: RngStream) -> CheckResult:
     """Closed survival form against the brute-force composition fold."""
     tuples, max_n, tol = 1000, 20, 1e-10
     gen = stream.substream("diagnostics.mobius", 0)
     s_grid = (0.0, 0.25, 0.5, 0.9)
-    worst = 0.0
+    paths, clans, s_values = [], [], []
     for _ in range(tuples):
         n = int(gen.integers(1, max_n + 1))
-        i = int(gen.integers(0, n))
-        path = EnvironmentPath(gen.normal(0.0, 1.0, n))
-        w = assoc_walk.build_walk(path)
-        s = s_grid[int(gen.integers(0, len(s_grid)))]
-        direct = exact_fl.survival_bruteforce(path, i, n, s)
-        closed = exact_fl.survival_closed(w, i, n, s).value
-        worst = max(worst, abs(closed - direct) / max(abs(direct), 1e-300))
+        clans.append(int(gen.integers(0, n)))
+        paths.append(EnvironmentPath(gen.normal(0.0, 1.0, n)))
+        s_values.append(s_grid[int(gen.integers(0, len(s_grid)))])
+    direct = np.array([exact_fl.survival_bruteforce(path, i, path.n, s)
+                       for path, i, s in zip(paths, clans, s_values)])
+    closed = _survival_closed_rows(paths, clans, s_values)
+    worst = _worst(np.abs(closed - direct) / np.maximum(np.abs(direct), 1e-300))
     return CheckResult(
         "mobius-equivalence", worst <= tol,
         f"max relative deviation {worst:.3e} over {tuples} tuples (tol {tol:.0e})")
@@ -52,26 +102,28 @@ def definitional_h_check(stream: RngStream) -> CheckResult:
     max_n, trials, tol, tol_telescope = 12, 60, 1e-9, 1e-10
     gen = stream.substream("diagnostics.h_definition", 0)
     s_grid = (0.0, 0.3, 0.5, 0.9)
-    worst = 0.0
-    worst_tel = 0.0
+    paths, clans = [], []
     for trial in range(trials):
         n = int(gen.integers(1, max_n + 1))
-        i = int(gen.integers(0, n))
+        clans.append(int(gen.integers(0, n)))
         if trial % 3 == 0:
-            path = EnvironmentPath(np.zeros(n))  # flat environment
+            paths.append(EnvironmentPath(np.zeros(n)))  # flat environment
         else:
-            path = EnvironmentPath(gen.normal(0.0, 1.0, n))
+            paths.append(EnvironmentPath(gen.normal(0.0, 1.0, n)))
+    closed, telescoped = _h_closed_rows(paths, clans, s_grid)
+    direct = np.empty_like(closed)
+    direct_log = np.empty(trials)
+    for r, (path, i) in enumerate(zip(paths, clans)):
+        n = path.n
+        extinct = [exact_fl.compose_pgf_bruteforce(path, jj, n, 0.0) for jj in range(n) if jj != i]
+        for c, s in enumerate(s_grid):
+            direct[r, c] = exact_fl.survival_bruteforce(path, i, n, s)
+            for f in extinct:
+                direct[r, c] *= f
         w = assoc_walk.build_walk(path)
-        for s in s_grid:
-            direct = exact_fl.survival_bruteforce(path, i, n, s)
-            for jj in range(n):
-                if jj != i:
-                    direct *= exact_fl.compose_pgf_bruteforce(path, jj, n, 0.0)
-            closed = exact_fl.h_functional(w, i, n, s).value
-            worst = max(worst, abs(closed - direct) / max(abs(direct), 1e-300))
-        prod = math.fsum(exact_fl.extinction_step_log(w, jj, n) for jj in range(n))
-        direct_log = -float(w[n]) - float(np.logaddexp.reduce(-w[:n + 1]))
-        worst_tel = max(worst_tel, abs(prod - direct_log))
+        direct_log[r] = -float(w[n]) - float(np.logaddexp.reduce(-w[:n + 1]))
+    worst = _worst(np.abs(closed - direct) / np.maximum(np.abs(direct), 1e-300))
+    worst_tel = _worst(np.abs(telescoped - direct_log))
     passed = worst <= tol and worst_tel <= tol_telescope
     return CheckResult(
         "h-definitional", passed,
@@ -126,14 +178,15 @@ def reversed_product_check(stream: RngStream) -> CheckResult:
     """Sign-flipped reversed composition product against its prefix-sum closed form."""
     max_i, trials, tol = 15, 40, 1e-10
     gen = stream.substream("diagnostics.reversed_product", 0)
-    worst = 0.0
+    deviations = []
     for _ in range(trials):
         i = int(gen.integers(2, max_i + 1))
         path = EnvironmentPath(gen.normal(0.0, 1.0, i))
         for z in (0.0, 0.3, 0.7):
             lhs = exact_fl.reversed_product_bruteforce(path, i, z)
             rhs = exact_fl.reversed_product_closed(path, i, z)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+            deviations.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    worst = _worst(deviations)
     return CheckResult(
         "reversed-product-identity", worst <= tol,
         f"max relative deviation {worst:.3e} over {trials} trials (tol {tol:.0e})")

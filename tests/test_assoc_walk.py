@@ -12,6 +12,11 @@ from clanmc.env_model import draw_increments
 from clanmc.estimators import _ExpRows, _first_max_index
 
 
+# the node tables `oracle` builds for the u and v harmonicity checks
+ORACLE_U_TABLE = np.arange(161) * 0.05
+ORACLE_V_TABLE = -np.arange(160, 0, -1) * 0.05
+
+
 @pytest.fixture
 def stream():
     return RngStream(77001)
@@ -129,6 +134,23 @@ class TestHarmonicSeries:
             with pytest.raises(DomainError):
                 estimate_table(spec, "v", bad, horizon=50, m_samples=100, stream=stream)
 
+    @pytest.mark.parametrize("horizon", [0, -3, 2.5, 10.0, True, "10", None])
+    def test_bad_horizon_refused_before_drawing(self, horizon, stream, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before refusing the horizon")
+        monkeypatch.setattr(assoc_walk, "draw_increments", no_draw)
+        spec = EnvironmentSpec.gaussian(1.0)
+        with pytest.raises(DomainError, match="horizon must be a positive integer"):
+            estimate_table(spec, "u", [0.0, 1.0], horizon=horizon, m_samples=100, stream=stream)
+        with pytest.raises(DomainError, match="horizon must be a positive integer"):
+            harmonicity_residual(spec, [0.0], horizon=horizon, m_samples=5000, stream=stream)
+
+    def test_integer_horizon_types(self, stream):
+        spec = EnvironmentSpec.gaussian(1.0)
+        a = estimate_table(spec, "u", [1.0], horizon=np.int64(20), m_samples=100, stream=stream)
+        b = estimate_table(spec, "u", [1.0], horizon=20, m_samples=100, stream=stream)
+        assert a.means.tolist() == b.means.tolist()
+
     def test_u_against_lattice_dp(self, stream):
         spec = EnvironmentSpec.two_point(1.0)
         horizon = 2000
@@ -242,6 +264,32 @@ class TestPersistenceScan:
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert want[1].sum() > 0
 
+    # horizons that end inside, on and just past the first chunk of 16 steps
+    @pytest.mark.parametrize("horizon", [1, 15, 16, 17])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_same_integers_at_edge_horizons(self, side, horizon, stream):
+        grid = np.arange(0, 41) * 0.1 if side == "u" else -np.arange(40, 0, -1) * 0.1
+        args = (EnvironmentSpec.gaussian(1.0), side, grid, horizon, 4796, stream,
+                f"test.edge.{side}")
+        got = assoc_walk._persistence_scan(*args, shards=1)
+        want = reference_scan(*args)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert want[1].sum() > 0
+
+    # the 161-node table of `oracle` over two blocks; two-point walks land on its nodes
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0), EnvironmentSpec.two_point(1.0)],
+                             ids=["gaussian", "twopoint"])
+    def test_same_integers_on_oracle_table(self, spec, side, stream):
+        grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
+        args = (spec, side, grid, 2000, 4796, stream, f"test.table.{side}")
+        got = assoc_walk._persistence_scan(*args, shards=2)
+        want = reference_scan(*args)
+        assert got[0].tolist() == [4096, 700]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
     @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
                                       EnvironmentSpec.uniform_symmetric(1.5),
@@ -275,6 +323,30 @@ class TestPersistenceScan:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20, peak
+
+
+@pytest.mark.parametrize("grid", [
+    ORACLE_U_TABLE, ORACLE_V_TABLE, np.arange(0, 41) * 0.1, np.array([0.0]), np.array([-0.05]),
+    np.array([1e300]), np.array([0.0, 0.1, 0.15, 1.0, 7.5, 7.5000001, 300.0]),
+    np.array([-np.inf, 0.0, np.inf]),
+], ids=["u-table", "v-table", "41-node", "node-0", "node-neg", "node-huge", "uneven", "inf-ends"])
+def test_bin_index_is_searchsorted_left(grid):
+    finite = grid[np.isfinite(grid)]
+    mids = (finite[:-1] + finite[1:]) / 2
+    near = np.concatenate([np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)])
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324]
+    spread = np.random.default_rng(3).normal(0.0, 5.0, 2000)
+    # the walk's thresholds come in as a (paths, steps) block
+    for v in (grid, mids, near, np.array(edges), finite - 1.0, finite + 1.0, spread,
+              spread.reshape(40, 50), np.arange(-12, 13) * 0.25):
+        v = np.asarray(v, dtype=float)
+        got = assoc_walk._bin_index(grid, v.copy())
+        assert got.shape == v.shape
+        assert np.array_equal(got, np.searchsorted(grid, v, side="left")), v
+
+
+def test_bin_index_empty_grid():
+    assert assoc_walk._bin_index(np.array([]), np.array([-1.0, 0.0, np.nan])).tolist() == [0, 0, 0]
 
 
 def reference_interp_extrap(xs, ys, q):
