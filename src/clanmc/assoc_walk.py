@@ -28,12 +28,15 @@ _WALK_CHUNK = 128
 _FIRST_CHUNK = 16
 # Steps a scan block draws, cumsums and bins at a time: _ROW_BATCH // k paths
 # of a k-step chunk, so 1024 paths of a first chunk and 128 of a full one.
-# A batch's temporaries are a few arrays of this many values (128 kB each).
+# A batch's temporaries are a few arrays of this many values (128 kB each),
+# and the block-end tallies take this many sorted keys at a time.
 _ROW_BATCH = 16384
-# Largest harmonicity table.  A block holds (paths, nodes + 1) int64 bin
-# counts for the paths still on their side after their first chunk (about
-# 14 % of a Gaussian block): about 6 MB of peak memory per block at this
-# size, against hundreds of MB per block at sigma = 100.
+# Largest harmonicity table.  A scan block's memory follows its tallied
+# steps, not the table, so the limit no longer guards the scan:
+# it keeps the table's own arrays small (the per-block sums and squared
+# sums, and the means and slopes of each jackknife table) and refuses
+# environment scales whose table of step 0.05 would need thousands of
+# nodes (about 12 000 for a Gaussian at sigma = 100).
 _MAX_TABLE_NODES = 1024
 
 
@@ -129,45 +132,41 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     is the summed per-path event count of block b at grid point g.
 
     A block walks its paths in chunks of _chunk_steps steps, drawing and
-    tallying _ROW_BATCH steps at once.  A step's bin is `_bin_index` of its
+    binning _ROW_BATCH steps at once, and keeps only each path's level and
+    its index p in the block.  A step's bin is `_bin_index` of its
     threshold -S, counted from the top on side "v", and a path's event
     count at grid point g is its steps in bins up to g's (bin g on side
-    "u", top - 1 - g on side "v").  So a block keeps two tallies per bin b:
-    the steps, sum_p h_p(b), and the growth of the squared counts,
-    sum_p h_p(b) * (2 c_p(b) + h_p(b)), with c_p(b) path p's steps in the
-    bins below b.  Their cumulative sums are the block's sums and sums of
-    squares per grid point.  A path that leaves in its first chunk adds
-    2 r + 1 at the bin of its r-th step in bin order (r from 0); only the
-    paths still on their side after it keep bin counts, and such a path
-    adds its counts to the tallies when it leaves.
+    "u", top - 1 - g on side "v").  Each step taken before its path left
+    adds one int32 key p * 2^s + bin, 2^s the least power of two above
+    the last bin; the steps drawn after are not binned.  At the block's
+    end the keys are sorted once: a path's steps then lie together in bin
+    order, and the step of rank r (its distance from the path's first key)
+    raises the path's squared count from r^2 to (r + 1)^2 at its bin.  So
+    per bin the block tallies the steps and their 2 r + 1, whose
+    cumulative sums are the block's sums and sums of squares per grid
+    point.  The steps past the grid go to the last bin, which counts at
+    no grid point and sorts last within its path.
     """
     grid = np.asarray(grid, dtype=float)
-    width = grid.size + 1
+    top = grid.size                 # the last bin, past every grid point
+    shift = top.bit_length()        # a key is p << shift | bin
     n_blocks = block_count(m_samples, _WALK_BLOCK)
     block_paths = np.minimum(m_samples - np.arange(0, m_samples, _WALK_BLOCK), _WALK_BLOCK)
     block_sums = np.zeros((n_blocks, grid.size), dtype=np.int64)
     block_sumsq = np.zeros((n_blocks, grid.size), dtype=np.int64)
 
-    # the last bin counts at no grid point: the steps past the grid go there,
-    # and so do the steps drawn after a path left
-    top = grid.size
-
     def run_block(b: int) -> None:
         gen = stream.substream(purpose, b)
         buf = np.empty(_ROW_BATCH)
-        steps = np.zeros(width, dtype=np.int64)    # sum_p h_p(bin)
-        growth = np.zeros(width, dtype=np.int64)   # sum_p h_p(bin) * (2 c_p(bin) + h_p(bin))
         level = np.zeros(block_paths[b])  # S at the last chunk's end, per path still on its side
-        counts = None   # bin counts of the paths that stayed through the first chunk
-        row_of = None   # the counts row of each path still on its side
+        path = np.arange(block_paths[b])  # the block index of each path still on its side
+        keys = []
         done = 0
         while level.size and done < horizon:
             k = _chunk_steps(done, horizon)
             batch = _ROW_BATCH // k
             cols = np.arange(k)
-            if counts is None:
-                rank_weight = np.tile(2.0 * cols + 1.0, batch)  # 2 r + 1 at column r
-            next_level, next_rows = [], []
+            next_level, next_path = [], []
             # row batches draw the stream in the order of one (paths, k) draw
             for lo in range(0, level.size, batch):
                 rows = min(batch, level.size - lo)
@@ -176,41 +175,31 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
                 seg += level[lo:lo + rows, None]
                 bad = seg >= 0.0 if side == "u" else seg < 0.0
                 first = bad.argmax(axis=1)
-                left = bad[np.arange(rows), first]
-                first[~left] = k
-                stay = ~left
+                stay = ~bad[np.arange(rows), first]
+                first[stay] = k
                 next_level.append(seg[stay, k - 1])
-                bins = _bin_index(grid, np.negative(seg, out=seg))
+                next_path.append(path[lo:lo + rows][stay])
+                bins = _bin_index(grid, np.negative(seg, out=seg)[cols < first[:, None]])
                 if side == "v":  # count bins from the top
                     np.subtract(top, bins, out=bins)
-                np.copyto(bins, top, where=cols >= first[:, None])
-                if counts is None:
-                    # a path that leaves in its first chunk: its steps in bin order
-                    # have ranks 0, 1, ..., the dumped steps last
-                    gone = np.sort(bins[left], axis=1).ravel()
-                    steps += np.bincount(gone, minlength=width)
-                    growth += np.bincount(gone, rank_weight[:gone.size],
-                                          minlength=width).astype(np.int64)
-                    next_rows.append(bins[stay])
-                else:
-                    mine = row_of[lo:lo + rows]
-                    bins += (mine * width)[:, None]
-                    np.add.at(counts.reshape(-1), bins.ravel(), 1)
-                    _add_rows(counts[mine[left]], steps, growth)
-                    next_rows.append(mine[stay])
-            level = np.concatenate(next_level)
-            if counts is None:
-                stayed = np.concatenate(next_rows)
-                row_of = np.arange(stayed.shape[0])
-                stayed += (row_of * width)[:, None]
-                counts = np.bincount(stayed.ravel(), minlength=row_of.size * width)
-                counts = counts.reshape(-1, width)
-            else:
-                row_of = np.concatenate(next_rows)
+                bins += np.repeat(path[lo:lo + rows] << shift, first)
+                keys.append(bins.astype(np.int32))
+            level, path = np.concatenate(next_level), np.concatenate(next_path)
             done += k
-        if counts is not None:  # the paths still on their side at the horizon
-            _add_rows(counts[row_of], steps, growth)
-        cum_steps, cum_growth = np.cumsum(steps)[:-1], np.cumsum(growth)[:-1]
+        keys = np.concatenate(keys)
+        keys.sort()
+        steps = np.zeros(top + 1, dtype=np.int64)   # tallied steps per bin
+        ranks = np.zeros(top + 1, dtype=np.int64)   # their summed r per bin
+        # path p's keys start at start[p]; a key's rank is its distance from there
+        start = np.searchsorted(keys, np.arange(block_paths[b], dtype=np.int32) << shift)
+        for lo in range(0, keys.size, _ROW_BATCH):
+            part = keys[lo:lo + _ROW_BATCH].astype(np.intp)
+            bins = part & ((1 << shift) - 1)
+            rank = np.arange(lo, lo + part.size) - np.take(start, part >> shift)
+            steps += np.bincount(bins, minlength=top + 1)
+            ranks += np.bincount(bins, rank, minlength=top + 1).astype(np.int64)
+        # per bin the summed 2 r + 1 is 2 * ranks + steps
+        cum_steps, cum_growth = np.cumsum(steps)[:-1], np.cumsum(2 * ranks + steps)[:-1]
         if side == "v":  # grid point g is bin top - 1 - g
             cum_steps, cum_growth = cum_steps[::-1], cum_growth[::-1]
         block_sums[b], block_sumsq[b] = cum_steps, cum_growth
@@ -219,17 +208,10 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     return block_paths, block_sums, block_sumsq.sum(axis=0)
 
 
-def _add_rows(counts: np.ndarray, steps: np.ndarray, growth: np.ndarray) -> None:
-    """Add finished paths' bin counts to a block's per-bin tallies; counts is overwritten.
-
-    With C_p(j) path p's steps in bins <= j, the growth at bin j is
-    sum_p C_p(j)^2 - C_p(j - 1)^2.
-    """
-    steps += counts.sum(axis=0)
-    cum = np.cumsum(counts, axis=1, out=counts)
-    squares = np.square(cum, out=cum).sum(axis=0)
-    growth[0] += squares[0]
-    growth[1:] += np.diff(squares)
+def _check_count(name: str, value) -> None:
+    # a bool is an int, but no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
 def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_samples: int,
@@ -238,16 +220,19 @@ def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_sam
     """Estimate a harmonic function on a strictly increasing grid.
 
     side "u" is the staying-negative function on x >= 0, side "v" the
-    staying-nonnegative one on x < 0, each truncated after `horizon` steps,
-    a positive integer.  The purpose keys the walks' streams and defaults
-    to "assoc_walk.<side>".
+    staying-nonnegative one on x < 0, from `m_samples` walks truncated
+    after `horizon` steps; both are positive integers.  The purpose keys
+    the walks' streams and defaults to "assoc_walk.<side>".
     """
     if side not in ("u", "v"):
         raise DomainError(f"side must be 'u' or 'v', got {side}")
-    # a bool is an int, but no step count
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 1:
-        raise DomainError(f"horizon must be a positive integer, got {horizon!r}")
+    _check_count("horizon", horizon)
+    _check_count("m_samples", m_samples)
     grid = np.asarray(x_grid, dtype=float)
+    # a scan key p << nodes.bit_length() | bin, with p < _WALK_BLOCK, must fit in an int32
+    if _WALK_BLOCK << grid.size.bit_length() > 2**31:
+        raise DomainError(f"grid has {grid.size} nodes, more than the limit of "
+                          f"{2**31 // _WALK_BLOCK - 1}")
     if side == "u" and np.any(grid < 0):
         raise DomainError("u-table grid must be nonnegative")
     if side == "v" and np.any(grid >= 0):
@@ -338,10 +323,13 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
     if side not in ("u", "v"):
         raise DomainError(f"side must be 'u' or 'v', got {side}")
     x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.size == 0:
+        raise DomainError("harmonicity grid must not be empty")
     if side == "u" and np.any(x_grid < 0):
         raise DomainError("u-harmonicity grid must be nonnegative")
     if side == "v" and np.any(x_grid > -1e-12):
         raise DomainError("v-harmonicity grid must be strictly negative")
+    _check_count("m_samples", m_samples)
     if m_samples <= _WALK_BLOCK:  # one persistence block leaves nothing to jackknife against
         raise DomainError(f"harmonicity jackknife needs at least 2 persistence blocks: "
                           f"m_samples must be >= {_WALK_BLOCK + 1}, got {m_samples}")

@@ -9,21 +9,27 @@ reproduce bit for bit at any parallelism degree.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 
+def _is_int(value) -> bool:
+    # a bool is an int, but no seed or index; int() would truncate a float
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class RngStream:
     """Derives independent numpy generators from (purpose, index) labels."""
 
     def __init__(self, master_seed: int):
-        seed = int(master_seed)
-        if not 0 <= seed < 2**64:
-            raise ConfigurationError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")
-        self.master_seed = seed
-        self._key = seed.to_bytes(8, "little")
+        if not _is_int(master_seed) or not 0 <= master_seed < 2**64:
+            raise ConfigurationError(f"master seed must be a 64-bit unsigned integer, "
+                                     f"got {master_seed!r}")
+        self.master_seed = int(master_seed)
+        self._key = self.master_seed.to_bytes(8, "little")
 
     def substream(self, purpose: str, index: int = 0) -> np.random.Generator:
         """Return a fresh generator for the given label.
@@ -32,8 +38,9 @@ class RngStream:
         same initial state; distinct labels yield statistically independent
         streams.
         """
-        if index < 0:
-            raise ConfigurationError(f"substream index must be nonnegative, got {index}")
+        if not _is_int(index) or index < 0:
+            raise ConfigurationError(f"substream index must be a nonnegative integer, "
+                                     f"got {index!r}")
         msg = purpose.encode("utf-8") + b"\x1f" + int(index).to_bytes(8, "little")
         digest = hashlib.blake2b(msg, digest_size=16, key=self._key).digest()
         return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))

@@ -22,6 +22,14 @@ def stream():
     return RngStream(77001)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any draw of the walks, so a refusal must come before the first one."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing the input")
+    monkeypatch.setattr(assoc_walk, "draw_increments", no_draw)
+
+
 def random_walk(seed, n, sigma=1.0):
     x = np.random.default_rng(seed).normal(0.0, sigma, n)
     return EnvironmentPath(x), build_walk(EnvironmentPath(x))
@@ -144,6 +152,36 @@ class TestHarmonicSeries:
             estimate_table(spec, "u", [0.0, 1.0], horizon=horizon, m_samples=100, stream=stream)
         with pytest.raises(DomainError, match="horizon must be a positive integer"):
             harmonicity_residual(spec, [0.0], horizon=horizon, m_samples=5000, stream=stream)
+
+    @pytest.mark.parametrize("m_samples", [0, -3, 1.5, 5000.5, True, "10", None])
+    @pytest.mark.usefixtures("no_draws")
+    def test_bad_m_samples_refused_before_drawing(self, m_samples, stream):
+        spec = EnvironmentSpec.gaussian(1.0)
+        with pytest.raises(DomainError, match="m_samples must be a positive integer"):
+            estimate_table(spec, "u", [0.0, 1.0], horizon=20, m_samples=m_samples, stream=stream)
+        with pytest.raises(DomainError, match="m_samples must be a positive integer"):
+            harmonicity_residual(spec, [0.0], horizon=20, m_samples=m_samples, stream=stream)
+
+    def test_integer_m_samples_types(self, stream):
+        spec = EnvironmentSpec.gaussian(1.0)
+        a = estimate_table(spec, "u", [1.0], horizon=20, m_samples=np.int64(100), stream=stream)
+        b = estimate_table(spec, "u", [1.0], horizon=20, m_samples=100, stream=stream)
+        assert a.means.tolist() == b.means.tolist() and a.stderrs.tolist() == b.stderrs.tolist()
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.usefixtures("no_draws")
+    def test_empty_harmonicity_grid_refused_before_drawing(self, side, stream):
+        with pytest.raises(DomainError, match="must not be empty"):
+            harmonicity_residual(EnvironmentSpec.gaussian(1.0), [], horizon=20, m_samples=5000,
+                                 stream=stream, side=side)
+
+    @pytest.mark.usefixtures("no_draws")
+    def test_grid_past_the_scan_key_range_refused(self, stream):
+        # a scan key p << nodes.bit_length() | bin of a 4096-path block must fit in an int32
+        nodes = 2**31 // assoc_walk._WALK_BLOCK
+        with pytest.raises(DomainError, match=f"more than the limit of {nodes - 1}"):
+            estimate_table(EnvironmentSpec.gaussian(1.0), "u", np.arange(nodes) * 1e-3,
+                           horizon=20, m_samples=100, stream=stream)
 
     def test_integer_horizon_types(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
@@ -312,6 +350,20 @@ class TestPersistenceScan:
         tallied = int(block_sums.sum())
         assert 0 < drawn[0] <= 2 * tallied + assoc_walk._FIRST_CHUNK * paths, (drawn, tallied)
 
+    # a 1024-node table, the widest `oracle` builds, and an uneven grid
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("nodes", [np.arange(1024) * 0.05,
+                                       np.array([0.05, 0.1, 0.15, 1.0, 7.5, 7.5000001, 300.0])],
+                             ids=["1024-node", "uneven"])
+    def test_same_integers_on_wide_and_uneven_grids(self, nodes, side, stream):
+        grid = nodes if side == "u" else -nodes[::-1]
+        args = (EnvironmentSpec.gaussian(1.0), side, grid, 2000, 4796, stream, f"test.wide.{side}")
+        got = assoc_walk._persistence_scan(*args, shards=2)
+        want = reference_scan(*args)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert want[1].sum() > 0
+
     def test_block_working_set_bounded(self, stream):
         # a full block against a 161-node table: the dense per-chunk tallies
         # of the reference peak at about 13 MB
@@ -323,6 +375,35 @@ class TestPersistenceScan:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20, peak
+
+    def test_block_working_set_flat_in_table_width(self, stream):
+        # a block keeps one int32 key per tallied step, whatever the table:
+        # about 1.7 MiB against 1024 nodes, where per-path bin-count rows took 6 MiB
+        peak = scan_peak(EnvironmentSpec.gaussian(1.0), "u", np.arange(1024) * 0.05, 2000, 4096,
+                         stream, "test.mem", shards=1)
+        assert peak <= 3 * 2**20, peak
+
+    def test_block_working_set_follows_tallied_steps(self, stream):
+        # the keys and their one concatenation: at most 8 B per tallied step
+        # plus a fixed 1 MiB; about 4.0 MiB for 0.5 M steps at this horizon
+        spec = EnvironmentSpec.gaussian(1.0)
+        peak = scan_peak(spec, "v", -np.arange(161, 0, -1) * 0.05, 10_000, 4096, stream,
+                         "test.long", shards=1)
+        _, every, _ = assoc_walk._persistence_scan(spec, "v", np.array([-1e300]), 10_000, 4096,
+                                                   stream, "test.long", shards=1)
+        tallied = int(every.sum())
+        assert tallied > 300_000, tallied
+        assert peak <= 8 * tallied + 2**20, (peak, tallied)
+
+
+def scan_peak(*args, **kwargs):
+    """The tracemalloc peak of one persistence scan."""
+    tracemalloc.start()
+    try:
+        assoc_walk._persistence_scan(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("grid", [

@@ -32,3 +32,23 @@ def test_seed_validation():
         RngStream(2**64)
     with pytest.raises(ConfigurationError):
         RngStream(5).substream("p", -2)
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, "5", None])
+def test_non_integer_seed_refused(seed):
+    with pytest.raises(ConfigurationError, match="master seed"):
+        RngStream(seed)
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
+def test_non_integer_index_refused(index):
+    # int(1.5) would give the generator of index 1
+    with pytest.raises(ConfigurationError, match="substream index"):
+        RngStream(5).substream("p", index)
+
+
+def test_numpy_integers_accepted():
+    s = RngStream(np.uint64(5))
+    assert s.master_seed == 5 and type(s.master_seed) is int
+    a = s.substream("p", np.int64(3)).normal(size=4)
+    assert np.array_equal(a, RngStream(5).substream("p", 3).normal(size=4))
