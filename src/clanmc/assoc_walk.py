@@ -124,6 +124,21 @@ def _bin_index(grid: np.ndarray, v: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _in_grid(side: str, grid: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Where the threshold -seg has a bin that counts at some grid point.
+
+    That bin (`_bin_index`, counted from the top on side "v") is below the
+    last one: -seg <= grid[-1] on side "u", and not -seg <= grid[0] on
+    side "v".  A nan threshold is in the top bin, so it is out on side "u"
+    and in on side "v".  An empty grid has no bin that counts.
+    """
+    if not grid.size:
+        return np.zeros(seg.shape, dtype=bool)
+    if side == "u":
+        return seg >= -grid[-1]
+    return ~(seg >= -grid[0])
+
+
 def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizon: int,
                       m_samples: int, stream: RngStream, purpose: str, shards: int | None = None):
     """Count per-path side-persistence events against a threshold grid.
@@ -131,24 +146,25 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     Returns (block_paths, block_sums, total_sumsq) where block_sums[b, g]
     is the summed per-path event count of block b at grid point g.
 
-    A block walks its paths in chunks of _chunk_steps steps, drawing and
-    binning _ROW_BATCH steps at once, and keeps only each path's level and
-    its index p in the block.  A step's bin is `_bin_index` of its
-    threshold -S, counted from the top on side "v", and a path's event
-    count at grid point g is its steps in bins up to g's (bin g on side
-    "u", top - 1 - g on side "v").  Each step taken before its path left
-    adds one int32 key p * 2^s + bin, 2^s the least power of two above
-    the last bin; the steps drawn after are not binned.  At the block's
-    end the keys are sorted once: a path's steps then lie together in bin
-    order, and the step of rank r (its distance from the path's first key)
-    raises the path's squared count from r^2 to (r + 1)^2 at its bin.  So
-    per bin the block tallies the steps and their 2 r + 1, whose
-    cumulative sums are the block's sums and sums of squares per grid
-    point.  The steps past the grid go to the last bin, which counts at
-    no grid point and sorts last within its path.
+    A block walks its paths in chunks of _chunk_steps steps, drawing
+    _ROW_BATCH steps at once, and keeps only each path's level and its
+    index p in the block.  A step's bin is `_bin_index` of its threshold
+    -S, counted from the top on side "v", and a path's event count at grid
+    point g is its steps in bins up to g's (bin g on side "u", top - 1 - g
+    on side "v").  The top bin counts at no grid point, so only the steps
+    taken before their path left whose bin is below it (`_in_grid`) are
+    binned; each adds one int32 key p * 2^s + bin, 2^s the least power of
+    two above the grid size.  At the block's end the keys are sorted
+    once: a path's steps then lie together in bin order, and the step of
+    rank r (its distance from the path's first key) raises the path's
+    squared count from r^2 to (r + 1)^2 at its bin.  So per bin the block
+    tallies the steps and their 2 r + 1, whose cumulative sums are the
+    block's sums and sums of squares per grid point.  A step in the top
+    bin would sort last within its path, so leaving it out changes no
+    other step's rank.
     """
     grid = np.asarray(grid, dtype=float)
-    top = grid.size                 # the last bin, past every grid point
+    top = grid.size                 # the bin past every grid point, never tallied
     shift = top.bit_length()        # a key is p << shift | bin
     n_blocks = block_count(m_samples, _WALK_BLOCK)
     block_paths = np.minimum(m_samples - np.arange(0, m_samples, _WALK_BLOCK), _WALK_BLOCK)
@@ -179,27 +195,30 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
                 first[stay] = k
                 next_level.append(seg[stay, k - 1])
                 next_path.append(path[lo:lo + rows][stay])
-                bins = _bin_index(grid, np.negative(seg, out=seg)[cols < first[:, None]])
+                # the steps taken before the path left whose threshold -S is in the grid
+                inside = _in_grid(side, grid, seg)
+                inside &= cols < first[:, None]
+                bins = _bin_index(grid, np.negative(seg[inside]))
                 if side == "v":  # count bins from the top
                     np.subtract(top, bins, out=bins)
-                bins += np.repeat(path[lo:lo + rows] << shift, first)
+                bins += np.broadcast_to(path[lo:lo + rows, None] << shift, (rows, k))[inside]
                 keys.append(bins.astype(np.int32))
             level, path = np.concatenate(next_level), np.concatenate(next_path)
             done += k
         keys = np.concatenate(keys)
         keys.sort()
-        steps = np.zeros(top + 1, dtype=np.int64)   # tallied steps per bin
-        ranks = np.zeros(top + 1, dtype=np.int64)   # their summed r per bin
+        steps = np.zeros(top, dtype=np.int64)   # tallied steps per bin
+        ranks = np.zeros(top, dtype=np.int64)   # their summed r per bin
         # path p's keys start at start[p]; a key's rank is its distance from there
         start = np.searchsorted(keys, np.arange(block_paths[b], dtype=np.int32) << shift)
         for lo in range(0, keys.size, _ROW_BATCH):
             part = keys[lo:lo + _ROW_BATCH].astype(np.intp)
             bins = part & ((1 << shift) - 1)
             rank = np.arange(lo, lo + part.size) - np.take(start, part >> shift)
-            steps += np.bincount(bins, minlength=top + 1)
-            ranks += np.bincount(bins, rank, minlength=top + 1).astype(np.int64)
+            steps += np.bincount(bins, minlength=top)
+            ranks += np.bincount(bins, rank, minlength=top).astype(np.int64)
         # per bin the summed 2 r + 1 is 2 * ranks + steps
-        cum_steps, cum_growth = np.cumsum(steps)[:-1], np.cumsum(2 * ranks + steps)[:-1]
+        cum_steps, cum_growth = np.cumsum(steps), np.cumsum(2 * ranks + steps)
         if side == "v":  # grid point g is bin top - 1 - g
             cum_steps, cum_growth = cum_steps[::-1], cum_growth[::-1]
         block_sums[b], block_sumsq[b] = cum_steps, cum_growth

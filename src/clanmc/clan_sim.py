@@ -24,7 +24,7 @@ _COUNT_LIMIT = np.int64(2) ** 62
 _MEAN_LIMIT = 1e15
 # Replicates per substream block, small enough that the oracle's 50 000
 # replicates make several blocks to thread, and clan cells reproduced per
-# batch: a batch's mask, sizes, draws and their indices take about 1 MB.
+# batch: a batch's living-cell indices, sizes and draws take about 0.8 MB.
 _SIM_BLOCK = 8192
 _REPRODUCE_CELLS = 32768
 
@@ -35,22 +35,24 @@ def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> None:
     The sum of y i.i.d. geometrics is negative binomial with y successes:
     one draw per living clan, in row-major order, rather than per
     individual.  clans (replicates along the first axis) is updated in
-    place, a batch of rows at a time; the batches draw the stream in the
-    order of one draw over the whole matrix.
+    place, _REPRODUCE_CELLS cells at a time; the batches draw the stream in
+    the order of one draw over the whole matrix.  Sizes are nonnegative,
+    so the living clans are the nonzero cells.
     """
+    if not clans.flags.c_contiguous:
+        raise ValueError("clans must be C-contiguous to be updated in place")
     _, q = offspring_params(m)
     if float(clans.max(initial=0)) * m > _MEAN_LIMIT:
         raise NumericalFailureError("clan size beyond reliable 64-bit sampling range")
-    step = max(1, _REPRODUCE_CELLS // clans[0].size)
-    for lo in range(0, len(clans), step):
-        rows = clans[lo:lo + step]
-        alive = rows > 0
-        y = rows[alive]
-        if y.size:
-            draws = rng.negative_binomial(y, q)
+    flat = clans.reshape(-1)
+    for lo in range(0, flat.size, _REPRODUCE_CELLS):
+        cells = flat[lo:lo + _REPRODUCE_CELLS]
+        alive = np.flatnonzero(cells)
+        if alive.size:
+            draws = rng.negative_binomial(cells[alive], q)
             if draws.max() > _COUNT_LIMIT:
                 raise NumericalFailureError("clan count overflow")
-            rows[alive] = draws
+            cells[alive] = draws
 
 
 def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
@@ -70,8 +72,10 @@ def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
         rng = stream.substream("clan_sim.ensemble", b)
         block = clans[b * _SIM_BLOCK:(b + 1) * _SIM_BLOCK]
         block[:, 0] = 1
+        # the clans founded after generation t - 1 are still 0, so reproducing
+        # the whole contiguous block draws what block[:, :t] would
         for t in range(1, n + 1):
-            _reproduce(block[:, :t], float(np.exp(path.x[t - 1])), rng)
+            _reproduce(block, float(np.exp(path.x[t - 1])), rng)
             if t < n:
                 block[:, t] = 1
 

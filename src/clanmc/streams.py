@@ -38,8 +38,10 @@ class RngStream:
         same initial state; distinct labels yield statistically independent
         streams.
         """
-        if not _is_int(index) or index < 0:
-            raise ConfigurationError(f"substream index must be a nonnegative integer, "
+        if not isinstance(purpose, str):
+            raise ConfigurationError(f"substream purpose must be a str, got {purpose!r}")
+        if not _is_int(index) or not 0 <= index < 2**64:
+            raise ConfigurationError(f"substream index must be a 64-bit unsigned integer, "
                                      f"got {index!r}")
         msg = purpose.encode("utf-8") + b"\x1f" + int(index).to_bytes(8, "little")
         digest = hashlib.blake2b(msg, digest_size=16, key=self._key).digest()

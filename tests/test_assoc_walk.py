@@ -395,6 +395,56 @@ class TestPersistenceScan:
         assert tallied > 300_000, tallied
         assert peak <= 8 * tallied + 2**20, (peak, tallied)
 
+    # an empty grid has no bin that counts; grids that almost every step
+    # overshoots leave a few in-grid steps per block
+    @pytest.mark.parametrize("side, grid, horizon", [
+        ("u", np.array([]), 300), ("v", np.array([]), 300),
+        ("u", np.array([0.0, 0.05]), 2000), ("v", np.array([-0.05]), 2000),
+    ], ids=["u-empty", "v-empty", "u-overshot", "v-overshot"])
+    def test_same_integers_on_empty_and_overshot_grids(self, side, grid, horizon, stream):
+        args = (EnvironmentSpec.gaussian(1.0), side, grid, horizon, 4796, stream,
+                f"test.over.{side}")
+        got = assoc_walk._persistence_scan(*args, shards=2)
+        want = reference_scan(*args)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[1].shape == (2, grid.size)
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_bins_only_in_grid_steps(self, side, stream, monkeypatch):
+        # the table's last node counts every in-grid step, so what `_bin_index`
+        # sees is exactly the steps some node counts
+        binned, bin_index = [], assoc_walk._bin_index
+
+        def recorded(grid, v):
+            binned.append(v.copy())
+            return bin_index(grid, v)
+
+        monkeypatch.setattr(assoc_walk, "_bin_index", recorded)
+        grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
+        _, block_sums, _ = assoc_walk._persistence_scan(
+            EnvironmentSpec.gaussian(1.0), side, grid, 2000, 4796, stream, f"test.count.{side}",
+            shards=2)
+        thresholds = np.concatenate(binned)
+        if side == "u":
+            assert np.all(thresholds <= grid[-1])
+            assert thresholds.size == block_sums[:, -1].sum()
+        else:
+            assert not np.any(thresholds <= grid[0])
+            assert thresholds.size == block_sums[:, 0].sum()
+        assert thresholds.size > 0
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_block_working_set_follows_in_grid_steps(self, side, stream):
+        # at horizon 10 000 a block takes 0.4-0.5 M steps but only about
+        # 50 000 fall in the 161-node table: about 1.1 MiB after one-time
+        # state, where keying every taken step peaked at 3.2-3.7 MiB
+        spec = EnvironmentSpec.gaussian(1.0)
+        grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
+        assoc_walk._persistence_scan(spec, side, grid, 16, 64, stream, "test.warm", shards=1)
+        peak = scan_peak(spec, side, grid, 10_000, 4096, stream, "test.long", shards=1)
+        assert peak <= 2 * 2**20, peak
+
 
 def scan_peak(*args, **kwargs):
     """The tracemalloc peak of one persistence scan."""

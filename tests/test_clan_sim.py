@@ -121,6 +121,15 @@ class TestBatchedGenerations:
         _reproduce(clans, 1.3, stream.substream("t.batch", 1))
         assert np.array_equal(clans, want)
 
+    def test_non_contiguous_matrix_refused(self, stream):
+        # reshape(-1) would copy a strided view, and the update would be lost
+        clans = np.ones((4, 6), dtype=np.int64)
+        gen = stream.substream("t.strided", 0)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _reproduce(clans[:, :3], 1.3, gen)
+        assert np.array_equal(clans, np.ones((4, 6)))
+        assert gen.random() == stream.substream("t.strided", 0).random()  # drew nothing
+
     def test_working_set_bounded(self, stream):
         # n = 8 and 50 000 replicates, as the oracle suite runs it: the output
         # matrix is 3.2 MB; whole-matrix generations peaked at about 11 MB

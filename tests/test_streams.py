@@ -52,3 +52,16 @@ def test_numpy_integers_accepted():
     assert s.master_seed == 5 and type(s.master_seed) is int
     a = s.substream("p", np.int64(3)).normal(size=4)
     assert np.array_equal(a, RngStream(5).substream("p", 3).normal(size=4))
+
+
+@pytest.mark.parametrize("index", [2**64, 2**70])
+def test_index_past_64_bits_refused(index):
+    with pytest.raises(ConfigurationError, match="substream index"):
+        RngStream(5).substream("p", index)
+    RngStream(5).substream("p", 2**64 - 1)
+
+
+@pytest.mark.parametrize("purpose", [5, None, b"p", ("p",)])
+def test_non_str_purpose_refused(purpose):
+    with pytest.raises(ConfigurationError, match="substream purpose"):
+        RngStream(5).substream(purpose, 0)
