@@ -66,12 +66,8 @@ def build_walk(path: EnvironmentPath) -> np.ndarray:
 class UVTable:
     """A harmonic-function estimate on a grid, with per-block sums for resampling."""
 
-    side: str  # "u" or "v"
-    xs: np.ndarray
     means: np.ndarray
     stderrs: np.ndarray
-    horizon: int
-    samples: int
     block_sums: np.ndarray = field(repr=False)   # (n_blocks, G) int64 count sums
     block_paths: np.ndarray = field(repr=False)  # (n_blocks,) paths per block
 
@@ -91,46 +87,14 @@ def _indicator(side: str, x: float) -> int:
     return int(x >= 0) if side == "u" else int(x < 0)
 
 
-def _bin_index(grid: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """np.searchsorted(grid, v, "left") for a strictly increasing grid: the grid points below each v.
-
-    A guess from the grid's mean step is fixed by exact compares, one slot
-    at a time, until grid[idx - 1] < v <= grid[idx].  On a uniform grid the
-    guess is at most one slot off, next to a node; an uneven grid takes more
-    steps, never a different index.  A nan has every grid point below it,
-    as numpy sorts it.
-    """
-    size = grid.size
-    # grid[j] is above[j] and grid[j - 1] is below[j]; the nan ends compare false
-    ext = np.concatenate(([np.nan], grid, [np.nan]))
-    above, below = ext[1:], ext[:-1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = np.float64(size - 1) / (grid[-1] - grid[0]) if size > 1 else 0.0
-        guess = v - (grid[0] if size else 0.0)
-        guess *= scale
-        guess += 1.0                      # truncated below: floor + 1, the count for v off the nodes
-        np.fmin(guess, size, out=guess)   # a nan guess goes to the top
-        np.fmax(guess, 0.0, out=guess)
-    idx = guess.astype(np.intp)
-    low = np.take(above, idx, out=guess) < v
-    low |= np.take(below, idx, out=guess) >= v
-    wrong = np.flatnonzero(low)
-    flat_idx, flat_v = idx.reshape(-1), v.reshape(-1)
-    while wrong.size:
-        i, x = flat_idx[wrong], flat_v[wrong]
-        step = (np.take(above, i) < x).astype(np.intp) - (np.take(below, i) >= x)
-        flat_idx[wrong] = i + step
-        wrong = wrong[step != 0]
-    return idx
-
-
 def _in_grid(side: str, grid: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Where the threshold -seg has a bin that counts at some grid point.
 
-    That bin (`_bin_index`, counted from the top on side "v") is below the
-    last one: -seg <= grid[-1] on side "u", and not -seg <= grid[0] on
-    side "v".  A nan threshold is in the top bin, so it is out on side "u"
-    and in on side "v".  An empty grid has no bin that counts.
+    That bin (np.searchsorted side "left", counted from the top on side
+    "v") is below the last one: -seg <= grid[-1] on side "u", and not
+    -seg <= grid[0] on side "v".  numpy sorts a nan last, so a nan
+    threshold is in the top bin: out on side "u" and in on side "v".  An
+    empty grid has no bin that counts.
     """
     if not grid.size:
         return np.zeros(seg.shape, dtype=bool)
@@ -148,16 +112,17 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
 
     A block walks its paths in chunks of _chunk_steps steps, drawing
     _ROW_BATCH steps at once, and keeps only each path's level and its
-    index p in the block.  A step's bin is `_bin_index` of its threshold
-    -S, counted from the top on side "v", and a path's event count at grid
-    point g is its steps in bins up to g's (bin g on side "u", top - 1 - g
-    on side "v").  The top bin counts at no grid point, so only the steps
-    taken before their path left whose bin is below it (`_in_grid`) are
-    binned; each adds one int32 key p * 2^s + bin, 2^s the least power of
-    two above the grid size.  At the block's end the keys are sorted
-    once: a path's steps then lie together in bin order, and the step of
-    rank r (its distance from the path's first key) raises the path's
-    squared count from r^2 to (r + 1)^2 at its bin.  So per bin the block
+    index p in the block.  A step's bin is the number of grid points
+    below its threshold -S (np.searchsorted side "left"), counted from the
+    top on side "v", and a path's event count at grid point g is its
+    steps in bins up to g's (bin g on side "u", top - 1 - g on side "v").
+    The top bin counts at no grid point, so only the steps taken before
+    their path left whose bin is below it (`_in_grid`) are binned; each
+    adds one int32 key p * 2^s + bin, 2^s the least power of two above
+    the grid size.  At the block's end the keys are sorted once: a path's
+    steps then lie together in bin order, and the step of rank r (its
+    distance from the path's first key) raises the path's squared count
+    from r^2 to (r + 1)^2 at its bin.  So per bin the block
     tallies the steps and their 2 r + 1, whose cumulative sums are the
     block's sums and sums of squares per grid point.  A step in the top
     bin would sort last within its path, so leaving it out changes no
@@ -198,7 +163,7 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
                 # the steps taken before the path left whose threshold -S is in the grid
                 inside = _in_grid(side, grid, seg)
                 inside &= cols < first[:, None]
-                bins = _bin_index(grid, np.negative(seg[inside]))
+                bins = np.searchsorted(grid, np.negative(seg[inside]))
                 if side == "v":  # count bins from the top
                     np.subtract(top, bins, out=bins)
                 bins += np.broadcast_to(path[lo:lo + rows, None] << shift, (rows, k))[inside]
@@ -265,7 +230,7 @@ def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_sam
     # the indicator shifts every path's value equally, so the spread is the counts'
     var = (total_sumsq / m_samples - (total / m_samples) ** 2) / max(m_samples - 1, 1)
     stderrs = np.sqrt(np.maximum(var, 0.0))
-    return UVTable(side, grid, means, stderrs, horizon, m_samples, block_sums, block_paths)
+    return UVTable(means, stderrs, block_sums, block_paths)
 
 
 @dataclass(frozen=True)

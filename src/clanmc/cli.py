@@ -196,7 +196,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                     raise ConfigurationError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
                 key, value = line.split("=", 1)
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return out
 

@@ -43,7 +43,12 @@ class RngStream:
         if not _is_int(index) or not 0 <= index < 2**64:
             raise ConfigurationError(f"substream index must be a 64-bit unsigned integer, "
                                      f"got {index!r}")
-        msg = purpose.encode("utf-8") + b"\x1f" + int(index).to_bytes(8, "little")
+        try:
+            label = purpose.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise ConfigurationError(f"substream purpose must be valid UTF-8 text, "
+                                     f"got {purpose!r}") from exc
+        msg = label + b"\x1f" + int(index).to_bytes(8, "little")
         digest = hashlib.blake2b(msg, digest_size=16, key=self._key).digest()
         return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 

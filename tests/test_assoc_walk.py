@@ -231,6 +231,48 @@ class TestHarmonicSeries:
 
 
 
+def persistence_total(horizon):
+    """1 + sum_{k=1}^{horizon} C(2k, k) / 4^k, by u_k = u_{k-1} (2k - 1) / (2k).
+
+    For i.i.d. steps of a continuous symmetric law, Sparre Andersen's
+    theorem gives P(S_1 < 0, ..., S_k < 0) = C(2k, k) / 4^k whatever the
+    law, and P(S_1 >= 0, ..., S_k >= 0) is the same by symmetry.
+    """
+    total, u_k = 1.0, 1.0
+    for k in range(1, horizon + 1):
+        u_k *= (2 * k - 1) / (2 * k)
+        total += u_k
+    return total
+
+
+class TestSparreAndersen:
+    """The scan against a distribution-free exact value.
+
+    A node above every threshold counts each step a path takes before it
+    leaves its side, so the table there is one plus the mean persistence
+    time: 1 + sum_{k<=H} C(2k, k) / 4^k for any continuous symmetric law.
+    It checks the chunk schedule, the leave test, the in-grid mask, the
+    bins and the block-end tally at once.
+    """
+
+    def test_exact_totals(self):
+        assert persistence_total(16) == pytest.approx(4.6183, abs=1e-4)
+        assert persistence_total(2000) == pytest.approx(50.4721, abs=1e-4)
+
+    @pytest.mark.parametrize("horizon", [16, 2000])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
+                                      EnvironmentSpec.uniform_symmetric(1.5)],
+                             ids=["gaussian", "uniform"])
+    def test_table_at_the_far_node(self, spec, side, horizon):
+        grid = [0.0, 1e300] if side == "u" else [-1e300, -1e-300]
+        far = -1 if side == "u" else 0
+        table = estimate_table(spec, side, grid, horizon=horizon, m_samples=200_000,
+                               stream=RngStream(27_000 + horizon), shards=2)
+        z = (table.means[far] - persistence_total(horizon)) / table.stderrs[far]
+        assert abs(z) <= 4.0, (table.means[far], table.stderrs[far], z)
+
+
 def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
     """The dense per-chunk persistence scan, one block after another.
 
@@ -412,15 +454,17 @@ class TestPersistenceScan:
 
     @pytest.mark.parametrize("side", ["u", "v"])
     def test_bins_only_in_grid_steps(self, side, stream, monkeypatch):
-        # the table's last node counts every in-grid step, so what `_bin_index`
-        # sees is exactly the steps some node counts
-        binned, bin_index = [], assoc_walk._bin_index
+        # the table's last node counts every in-grid step, so the thresholds
+        # the scan bins are exactly the steps some node counts; the block-end
+        # search of the int32 keys passes through unrecorded
+        binned, searchsorted = [], np.searchsorted
 
-        def recorded(grid, v):
-            binned.append(v.copy())
-            return bin_index(grid, v)
+        def recorded(a, v, *args, **kwargs):
+            if v.dtype == np.float64:
+                binned.append(v.copy())
+            return searchsorted(a, v, *args, **kwargs)
 
-        monkeypatch.setattr(assoc_walk, "_bin_index", recorded)
+        monkeypatch.setattr(np, "searchsorted", recorded)
         grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
         _, block_sums, _ = assoc_walk._persistence_scan(
             EnvironmentSpec.gaussian(1.0), side, grid, 2000, 4796, stream, f"test.count.{side}",
@@ -454,30 +498,6 @@ def scan_peak(*args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize("grid", [
-    ORACLE_U_TABLE, ORACLE_V_TABLE, np.arange(0, 41) * 0.1, np.array([0.0]), np.array([-0.05]),
-    np.array([1e300]), np.array([0.0, 0.1, 0.15, 1.0, 7.5, 7.5000001, 300.0]),
-    np.array([-np.inf, 0.0, np.inf]),
-], ids=["u-table", "v-table", "41-node", "node-0", "node-neg", "node-huge", "uneven", "inf-ends"])
-def test_bin_index_is_searchsorted_left(grid):
-    finite = grid[np.isfinite(grid)]
-    mids = (finite[:-1] + finite[1:]) / 2
-    near = np.concatenate([np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)])
-    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324]
-    spread = np.random.default_rng(3).normal(0.0, 5.0, 2000)
-    # the walk's thresholds come in as a (paths, steps) block
-    for v in (grid, mids, near, np.array(edges), finite - 1.0, finite + 1.0, spread,
-              spread.reshape(40, 50), np.arange(-12, 13) * 0.25):
-        v = np.asarray(v, dtype=float)
-        got = assoc_walk._bin_index(grid, v.copy())
-        assert got.shape == v.shape
-        assert np.array_equal(got, np.searchsorted(grid, v, side="left")), v
-
-
-def test_bin_index_empty_grid():
-    assert assoc_walk._bin_index(np.array([]), np.array([-1.0, 0.0, np.nan])).tolist() == [0, 0, 0]
 
 
 def reference_interp_extrap(xs, ys, q):

@@ -80,6 +80,17 @@ class TestConfig:
         values = parse_config_file(str(p))
         assert values == {"seed": "42", "m_samples": "1000", "family": "gaussian"}
 
+    def test_config_file_not_utf8_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"seed = 1\xff\n")
+        rc = cli.main(["prob", "--config", str(p), "--m-samples", "200",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"configuration error: cannot read config "
+                                                   f"file {p}: ")
+        assert not (tmp_path / "x.ndjson").exists()
+
     def test_single_n_defaults_to_grid_max(self):
         cfg = make_config(n_grid="8,64,32")
         assert cfg.single_n() == 64

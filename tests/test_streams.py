@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,18 @@ def test_index_past_64_bits_refused(index):
 def test_non_str_purpose_refused(purpose):
     with pytest.raises(ConfigurationError, match="substream purpose"):
         RngStream(5).substream(purpose, 0)
+
+
+@pytest.mark.parametrize("purpose", ["\ud800", "walk\udfff", "\udc80\ud800"])
+def test_unencodable_purpose_refused(purpose):
+    with pytest.raises(ConfigurationError, match="substream purpose"):
+        RngStream(5).substream(purpose, 0)
+
+
+def test_non_ascii_purpose_keeps_its_stream():
+    # the key is blake2b of the UTF-8 purpose, a 0x1f and the little-endian index
+    msg = "Überlebensmaß".encode("utf-8") + b"\x1f" + (7).to_bytes(8, "little")
+    digest = hashlib.blake2b(msg, digest_size=16, key=(5).to_bytes(8, "little")).digest()
+    want = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    got = RngStream(5).substream("Überlebensmaß", 7)
+    assert np.array_equal(got.normal(size=4), want.normal(size=4))
