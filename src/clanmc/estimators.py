@@ -33,10 +33,11 @@ _SLAB_BYTES = 2 * 2**20
 # Largest observation time a sweep accepts, eight times the largest grid
 # point the scaling studies use; a slab there holds 3 rows.
 _MAX_N = 65536
-# Rows of a sweep thread's column buffers (_sweep_sums), at least the rows
-# of a slab: a chunk stage's temporaries stay at 128 KiB each, whatever M
-# is, and each exact-sum call gets enough values to amortise its fixed cost.
-_COLUMN_CHUNK = 16384
+# Values a sweep thread buffers (_sweep_sums), six columns of 16 384 rows:
+# a sweep of k keys buffers the budget's k-th part in rows, never less than
+# a block, so a chunk stage's temporaries stay small whatever M is, and each
+# exact-sum call gets enough values to amortise its fixed cost.
+_COLUMN_CHUNK = 6 * 16384
 # Smallest relative error a scaling fit weights: 1/rel^2 and the weighted
 # sums of log n and log mean stay finite above it.
 _MIN_REL_ERR = 1e-150
@@ -147,19 +148,23 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
 
 
 def _sweep_sums(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream, purpose: str,
-                shards: int | None, slab_stage, chunk_stage) -> dict:
-    """Exact statistics of a sweep, reduced per thread in chunks of at most _COLUMN_CHUNK rows.
+                shards: int | None, negate: bool, keys, chunk_stage) -> dict:
+    """Exact statistics of a sweep: closed-form inputs buffered by key, reduced chunk by chunk.
 
-    slab_stage(s) maps a slab's walk to a dict of columns, one value per row
-    (views of s allowed).  Each sweep thread copies them into its own
-    buffers, and before a slab would overflow them chunk_stage reduces the
-    filled rows to a dict of exact statistics (MCEstimate, Fraction cross
-    sums), added key by key to the sweep's totals; after the sweep each
-    thread's last rows are reduced too.  Exact sums of the parts add up to
-    those of the whole in any order, so no shard count or chunk boundary
-    changes a bit, and no array grows with M.
+    Each slab's walk (negated in place when `negate`) becomes one _ExpRows,
+    read at each of `keys` into the sweep thread's buffers, one per key.
+    The buffers hold _COLUMN_CHUNK values over all keys, and never fewer
+    rows than a block, so a slab always fits.  Before a slab would overflow
+    them, chunk_stage(rows) reduces the filled rows to a dict of exact
+    statistics (MCEstimate, Fraction cross sums), added key by key to the
+    sweep's totals; rows is a dict that answers the same keys, so the
+    formulas read it as they would an _ExpRows, in the same IEEE steps.
+    After the sweep each thread's last rows are reduced too.  Exact sums
+    of the parts add up to those of the whole in any order, so no shard
+    count or chunk boundary changes a bit, and no array grows with M.
     """
-    rows = min(_COLUMN_CHUNK, m_samples)
+    keys = tuple(dict.fromkeys(keys))
+    rows = min(max(_COLUMN_CHUNK // len(keys), _SWEEP_BLOCK), m_samples)
     local, lock = threading.local(), threading.Lock()
     folds, total = [], {}  # folds: each thread's buffers; list.append is atomic
 
@@ -171,19 +176,17 @@ def _sweep_sums(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream
                 total[k] = total[k] + v if k in total else v
 
     def kernel(s: np.ndarray) -> None:
-        cols, size = slab_stage(s), s.shape[0]
-        for key, col in cols.items():
-            if col.shape != (size,):
-                raise NumericalFailureError(
-                    f"sweep column {key!r} has shape {col.shape} on a slab of {size} rows")
         if not hasattr(local, "fold"):
-            local.fold = SimpleNamespace(filled=0, buffers={
-                k: np.empty(rows, dtype=c.dtype) for k, c in cols.items()})
+            local.fold = SimpleNamespace(filled=0, buffers={})
             folds.append(local.fold)
-        fold = local.fold
+        fold, size = local.fold, s.shape[0]
         if fold.filled + size > rows:
-            reduce(fold)
-        for key, col in cols.items():
+            reduce(fold)  # before this slab's exponentials exist
+        exp_rows = _ExpRows(np.negative(s, out=s) if negate else s)
+        for key in keys:
+            col = exp_rows[key]
+            if key not in fold.buffers:
+                fold.buffers[key] = np.empty(rows, dtype=col.dtype)
             fold.buffers[key][fold.filled:fold.filled + size] = col
         fold.filled += size
 
@@ -213,7 +216,8 @@ class _ExpRows:
 
     One exp pass serves every slice log-sum, instead of one full
     max/exp/sum/log cycle per slice.  The clan formulas read it by key:
-    rows[k] is walk column k and rows[lo, hi] is lse(lo, hi).
+    rows[k] is walk column k, rows[lo, hi] is lse(lo, hi) and
+    rows["argmax"] is the first index of each row's maximum.
     A slice more than ~708 log units below its row maximum sums to a
     subnormal (or zero) shifted total that keeps too few digits, so such
     rows are re-summed with their own shift by the module's `logsumexp`
@@ -239,6 +243,8 @@ class _ExpRows:
     def __getitem__(self, key) -> np.ndarray:
         if isinstance(key, tuple):
             return self.lse(*key)  # through the method, which a tracer may wrap
+        if key == "argmax":
+            return np.argmax(self.a, axis=1)
         return self.a[:, key]
 
     def lse(self, lo: int, hi: int) -> np.ndarray:
@@ -252,9 +258,9 @@ class _ExpRows:
         return out
 
 
-# The clan formulas, one column per (i, n), read by key from an _ExpRows or a
-# dict of buffered columns (_closed_form_inputs).  exact_fl evaluates its
-# scalar closed forms as one-row calls of these.
+# The clan formulas, one column per (i, n), read by key from an _ExpRows or
+# from the dict of buffered columns a chunk stage of _sweep_sums gets.
+# exact_fl evaluates its scalar closed forms as one-row calls of these.
 
 
 def _log_event_prob_cols(neg: _ExpRows | dict, i: int, n: int) -> np.ndarray:
@@ -318,24 +324,19 @@ def _exp_cols(log_cols: np.ndarray) -> np.ndarray:
         return np.exp(log_cols)
 
 
-def _closed_form_inputs(negate: bool, keys):
-    """Slab stage: rows[k] for each key, rows the slab's _ExpRows (of the negated walk
-    when `negate`); the formulas read the buffers by the same keys, in the same IEEE steps."""
-    def slab_stage(s_mat: np.ndarray) -> dict:
-        rows = _ExpRows(np.negative(s_mat, out=s_mat) if negate else s_mat)
-        return {k: rows[k] for k in keys}
-
-    return slab_stage
+def _event_keys(i: int, n: int) -> tuple:
+    """The negated-walk columns and slice log-sums _log_event_prob_cols reads."""
+    return (i, n, (i + 1, n + 1), (0, n + 1))
 
 
-def _h_stage(i: int, n: int):
-    """Slab stage of the h side: the walk columns and slice log-sums _log_yaglom_cols_from reads."""
-    return _closed_form_inputs(True, (i, n, (i + 1, n + 1), (0, n + 1), (i, n), (i, n + 1)))
+def _h_keys(i: int, n: int) -> tuple:
+    """The negated-walk inputs of every h-side formula (_log_yaglom_cols_from, _log_h_cols_from)."""
+    return _event_keys(i, n) + ((i, n), (i, n + 1))
 
 
-def _first_max_index(s: np.ndarray, n: int) -> np.ndarray:
-    """First index attaining max(S_0..S_n) = first minimum of the reflected walk."""
-    return np.argmax(s[:, 0:n + 1], axis=1)
+def _v_keys(j: int, n: int) -> tuple:
+    """The walk column and slice log-sums _log_v_cols_from reads; at beta = inf, the first three."""
+    return (j, (0, j), (0, n + 1), (0, j + 1), (1, j + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +367,11 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
         raise DomainError("the n grid must not be empty")
     distinct = sorted(set(n_values))
     index = {n: rule.clan_index(n) for n in distinct}
-
-    def slab_stage(s_mat):
-        neg = _ExpRows(np.negative(s_mat, out=s_mat))
-        return {n: _exp_cols(_log_event_prob_cols(neg, index[n], n)) for n in distinct}
-
-    estimates = _sweep_sums(spec, distinct[-1], m_samples, stream,
-                            f"prob:{rule.describe()}:n={distinct[-1]}", shards, slab_stage,
-                            lambda cols: {n: MCEstimate.from_values(c) for n, c in cols.items()})
+    estimates = _sweep_sums(
+        spec, distinct[-1], m_samples, stream, f"prob:{rule.describe()}:n={distinct[-1]}",
+        shards, True, [k for n in distinct for k in _event_keys(index[n], n)],
+        lambda rows: {n: MCEstimate.from_values(_exp_cols(_log_event_prob_cols(rows, index[n], n)))
+                      for n in distinct})
     return [EventProbResult(n=n, i=index[n], estimate=estimates[n]) for n in n_values]
 
 
@@ -405,7 +403,8 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
             stats[k, "num"], stats[k, "xy"] = num, sum_xy
         return stats
 
-    stats = _sweep_sums(spec, n, m_samples, stream, purpose, shards, _h_stage(i, n), chunk_stage)
+    stats = _sweep_sums(spec, n, m_samples, stream, purpose, shards, True, _h_keys(i, n),
+                        chunk_stage)
     den = stats["den"]
     if den.mean <= 3.0 * den.stderr:
         raise UnreliableRatioError(
@@ -587,22 +586,20 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
     The direct form averages h(e^{-beta a}) over environments; the dual form
     averages the reflected-walk functional with j = n - i over independent
     environments.  Their difference is pure Monte Carlo noise.  One sweep
-    per orientation keeps the closed-form inputs (_closed_form_inputs), and
-    its chunk stage folds each beta's column.  Two forms that differ with
-    zero standard error have no finite z and are refused.
+    per orientation buffers the closed-form inputs by key, and its chunk
+    stage folds each beta's column.  Two forms that differ with zero
+    standard error have no finite z and are refused.
     """
     betas = [float(b) for b in beta_grid]
     j = _dual_index(i, n, betas)
 
-    def form(side, slab_stage, log_form):
+    def form(side, negate, keys, log_form):
         return _sweep_sums(spec, n, m_samples, stream, f"duality.{side}:n={n}:i={i}", shards,
-                           slab_stage, lambda rows: {k: MCEstimate.from_values(
+                           negate, keys, lambda rows: {k: MCEstimate.from_values(
                                _exp_cols(log_form(rows, b))) for k, b in enumerate(betas)})
 
-    h_ests = form("h", _h_stage(i, n), lambda rows, b: _log_yaglom_cols_from(rows, i, n, b))
-    # the walk column and slice log-sums that _log_v_cols_from reads
-    v_ests = form("v", _closed_form_inputs(False, (j, (0, j), (0, n + 1), (0, j + 1), (1, j + 1))),
-                  lambda rows, b: _log_v_cols_from(rows, j, n, b))
+    h_ests = form("h", True, _h_keys(i, n), lambda rows, b: _log_yaglom_cols_from(rows, i, n, b))
+    v_ests = form("v", False, _v_keys(j, n), lambda rows, b: _log_v_cols_from(rows, j, n, b))
     results = []
     for beta, h_est, v_est in zip(betas, h_ests.values(), v_ests.values()):
         se = math.hypot(h_est.stderr, v_est.stderr)
@@ -650,12 +647,9 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
         raise DomainError(f"strata window must satisfy 1 <= N < j/2 = {j / 2} with j = n - i "
                           f"at n={n}, i={i}, got {n_window}; {fix}")
 
-    def slab_stage(s_mat):
-        return {"v": _exp_cols(_log_v_cols_from(_ExpRows(s_mat), j, n, beta)),
-                "tau": _first_max_index(s_mat, n)}
-
-    def chunk_stage(cols):
-        v, tau = cols["v"], cols["tau"]
+    def chunk_stage(rows):
+        # the first maximum of S_0..S_n is the first minimum of the reflected walk
+        v, tau = _exp_cols(_log_v_cols_from(rows, j, n, beta)), rows["argmax"]
         masks = {
             "early": tau < n_window,
             "before_j": (tau > j - n_window) & (tau <= j),
@@ -665,6 +659,7 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
         return {"total": MCEstimate.from_values(v), **{
             name: MCEstimate.from_values(np.where(mask, v, 0.0)) for name, mask in masks.items()}}
 
+    keys = _v_keys(j, n)[:3 if math.isinf(beta) else None] + ("argmax",)
     ests = _sweep_sums(spec, n, m_samples, stream, f"strata:n={n}:i={i}:beta={beta}", shards,
-                       slab_stage, chunk_stage)
+                       False, keys, chunk_stage)
     return StrataReport(i=i, n=n, j=j, beta=beta, n_window=n_window, **ests)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 # Most worker threads a run may ask for.  The shard count never changes a
@@ -51,14 +50,15 @@ def map_blocks(fn: Callable[[int], None], n_blocks: int, shards: int = 1) -> Non
     the GIL), a single block too: its temporaries then live in a worker's
     malloc arena, not stacked on the caller's.  Each worker claims the next
     block index from one shared counter, so nothing is held per block.
-    After a block raises, no further block is claimed, and the caller gets
-    the exception of the lowest failing block.
+    After a block raises (any BaseException), no further block is claimed,
+    and once every worker has stopped the caller gets the exception of the
+    lowest failing block.
     """
     if shards <= 1 or n_blocks < 1:
         for b in range(n_blocks):
             fn(b)
         return
-    failed: dict[int, Exception] = {}
+    failed: dict[int, BaseException] = {}
     pending = iter(range(n_blocks))
     lock = threading.Lock()
 
@@ -70,14 +70,15 @@ def map_blocks(fn: Callable[[int], None], n_blocks: int, shards: int = 1) -> Non
                 return
             try:
                 fn(b)
-            except Exception as exc:
+            except BaseException as exc:
                 with lock:
                     failed[b] = exc
                 return
 
-    workers = min(shards, n_blocks)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(work) for _ in range(workers)]:
-            future.result()
+    workers = [threading.Thread(target=work) for _ in range(min(shards, n_blocks))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
     if failed:
         raise failed[min(failed)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream, assoc_walk,
                     build_walk, estimate_table, harmonicity_residual)
 from clanmc.env_model import draw_increments
-from clanmc.estimators import _ExpRows, _first_max_index
+from clanmc.estimators import _ExpRows
 
 
 # the node tables `oracle` builds for the u and v harmonicity checks
@@ -43,7 +43,7 @@ def prefix_log_sums(w):
 
 def first_min_index(w):
     """The smallest index attaining min(S_0..S_n): the first maximum of the negated walk."""
-    return int(_first_max_index(-w[None, :], w.size - 1)[0])
+    return int(np.argmax(-w))
 
 
 class TestBuildWalk:

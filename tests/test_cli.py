@@ -124,6 +124,19 @@ class TestSubcommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_import_loads_no_thread_pool(self, tmp_path):
+        # map_blocks starts plain threads; concurrent.futures and the logging it
+        # imports cost about 7-10 ms per start
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                "import clanmc, clanmc.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('concurrent', 'logging')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     @pytest.mark.parametrize("out", [False, True], ids=["records", "report-lines"])
     def test_closed_stdout_exits_one_without_traceback(self, out, tmp_path):
         # the records, or with --out only the report lines, meet a closed pipe
@@ -356,9 +369,9 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("shards", ["65", "100000"])
     def test_shard_count_bounded_before_threads(self, shards, tmp_path, capsys, monkeypatch):
-        def pool(*args, **kwargs):
-            raise AssertionError("a thread pool started before the shard-count refusal")
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", pool)
+        def thread(*args, **kwargs):
+            raise AssertionError("a worker thread started before the shard-count refusal")
+        monkeypatch.setattr(parallel.threading, "Thread", thread)
         rc = cli.main(["prob", "--seed", "1", "--shards", shards, "--m-samples", "10000000",
                        "--n-grid", "256", "--out", str(tmp_path / "x.ndjson")])
         assert rc == 2

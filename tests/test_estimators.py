@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import chi2
 
 from clanmc import (DomainError, EnvironmentPath,
                     EnvironmentSpec, MCEstimate, RegimeRule, RngStream,
@@ -22,6 +23,8 @@ from clanmc.mcstats import ratio_with_stderr
 GAUSS = EnvironmentSpec.gaussian(1.0)
 FLAT = EnvironmentSpec.two_point(0.0)
 NINE_BETAS = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, math.inf]
+FAMILIES = {"gaussian": GAUSS, "uniform": EnvironmentSpec.uniform_symmetric(1.5),
+            "twopoint": EnvironmentSpec.two_point(0.7)}
 
 
 @pytest.fixture
@@ -103,39 +106,80 @@ class TestSweep:
 class TestSweepSums:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_chunks_and_threads_change_no_bit(self, stream, monkeypatch, shards):
-        # 100-row slabs into 150-row buffers: each thread reduces a chunk
-        # before a slab would overflow it, and its last rows after the sweep
+        # 100-row slabs into 400-row buffers (two keys share an 800-value
+        # budget): each thread reduces a chunk before a slab would overflow
+        # it, and its last rows after the sweep.  Two-point steps tie, so
+        # "argmax" must give the first index of each row's maximum.
         n, m = 9, 700
         monkeypatch.setattr(estimators, "_SLAB_BYTES", 100 * 8 * (n + 1))
-        monkeypatch.setattr(estimators, "_COLUMN_CHUNK", 150)
+        monkeypatch.setattr(estimators, "_COLUMN_CHUNK", 800)
         chunks = []
 
-        def slab_stage(s):
-            np.negative(s, out=s)
-            # "end" is a column of the reused slab buffer, copied into the
-            # thread's buffer; "tau" is strata's integer first-maximum index
-            return {"end": s[:, n], "tau": estimators._first_max_index(-s, n)}
+        def chunk_stage(rows):
+            chunks.append((len(rows[n]), rows["argmax"].dtype))
+            return {"end": MCEstimate.from_values(rows[n]),
+                    "tau": Counter(rows["argmax"].tolist())}
 
-        def chunk_stage(cols):
-            chunks.append((len(cols["end"]), cols["tau"].dtype))
-            return {"end": MCEstimate.from_values(cols["end"]),
-                    "tau": Counter(cols["tau"].tolist())}
-
-        got = estimators._sweep_sums(GAUSS, n, m, stream, "test.sums", shards, slab_stage,
-                                     chunk_stage)
-        walks = np.concatenate([
-            np.cumsum(stream.substream("test.sums", b).normal(0.0, 1.0, (rows, n)), axis=1)
+        got = estimators._sweep_sums(FAMILIES["twopoint"], n, m, stream, "test.sums", shards,
+                                     True, (n, "argmax", n), chunk_stage)
+        walks = np.concatenate([np.cumsum(
+            (2 * stream.substream("test.sums", b).integers(0, 2, (rows, n)) - 1.0) * 0.7, axis=1)
             for b, rows in enumerate([256, 256, 188])])
         assert got["end"] == MCEstimate.from_values(-walks[:, -1])
-        assert got["tau"] == Counter(np.argmax(np.hstack([np.zeros((m, 1)), walks]),
+        assert got["tau"] == Counter(np.argmax(-np.hstack([np.zeros((m, 1)), walks]),
                                                axis=1).tolist())
         assert sum(rows for rows, _ in chunks) == m
-        assert all(rows <= 150 and dtype == np.intp for rows, dtype in chunks)
+        assert all(rows <= 400 and dtype == np.intp for rows, dtype in chunks)
+        if shards == 1:
+            assert [rows for rows, _ in chunks] == [356, 344]
 
-    def test_column_with_other_than_one_value_per_row_refused(self, stream):
-        with pytest.raises(NumericalFailureError, match="column 'x' has shape \\(253,\\)"):
-            estimators._sweep_sums(GAUSS, 9, 300, stream, "test.rows", 1,
-                                   lambda s: {"x": s[3:, -1]}, lambda cols: {})
+
+def arcsine_law(n):
+    """P(the first maximum of S_0..S_n falls at k) = u_k u_{n-k}, u_k = C(2k, k)/4^k.
+
+    Sparre Andersen's discrete arcsine law, the same for every continuous
+    symmetric step law (Feller, Vol. II, ch. XII).
+    """
+    r = np.arange(1, n + 1)
+    u = np.concatenate([[1.0], np.cumprod((2 * r - 1) / (2 * r))])
+    return u * u[::-1]
+
+
+def merged_windows(observed, expected, least=5.0):
+    """Merge each window into the one before it until every window expects at least `least`."""
+    obs, exp = [], []
+    for o, e in zip(observed, expected):
+        if exp and exp[-1] < least:
+            obs[-1], exp[-1] = obs[-1] + o, exp[-1] + e
+        else:
+            obs.append(o)
+            exp.append(e)
+    if len(exp) > 1 and exp[-1] < least:
+        obs[-2:], exp[-2:] = [sum(obs[-2:])], [sum(exp[-2:])]
+    return np.array(obs, dtype=float), np.array(exp)
+
+
+class TestArcsineLaw:
+    # production draws, slabs, cumsum, shard merge and buffers at n = 64 (one
+    # slab per block), 5000 (52-row slabs) and 65 536 (3-row slabs), against
+    # an exact law: the share of first maxima in each decile and in the
+    # cells 0, 1, n - 1 and n, chi-squared at its 0.1 % point
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("n, m", [(64, 100_000), (5000, 4000), (65536, 512)])
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_first_maximum_follows_the_discrete_arcsine_law(self, family, n, m, shards):
+        counts = estimators._sweep_sums(
+            FAMILIES[family], n, m, RngStream(20260), f"test.arcsine:n={n}", shards, False,
+            ("argmax",), lambda rows: {"tau": np.bincount(rows["argmax"], minlength=n + 1)})
+        law = arcsine_law(n)
+        assert math.isclose(math.fsum(law), 1.0, rel_tol=1e-12)
+        edges = sorted({0, 1, 2, n - 1, n, n + 1} | {k * n // 10 for k in range(1, 10)})
+        obs, exp = merged_windows(
+            [counts["tau"][lo:hi].sum() for lo, hi in zip(edges, edges[1:])],
+            [m * math.fsum(law[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        assert counts["tau"].sum() == m and len(edges) == 15
+        assert stat < chi2.ppf(0.999, len(obs) - 1), (stat, len(obs))
 
 
 def peaks(run, sizes, warm=300):
@@ -190,7 +234,8 @@ class TestEventProb:
 
     def test_grid_swept_once_in_any_chunking(self, stream, monkeypatch):
         # one sweep at n_max serves an unsorted grid with a repeated point, and
-        # 40-row slabs in 100-row chunks on two threads give the same estimates
+        # 40-row slabs in one-block chunks (a 100-value budget over 13 keys is
+        # below a block) on two threads give the same estimates
         grid = [64, 8, 16, 32, 16]
         whole = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(2), grid, 300, stream)
         calls = count_sweeps(monkeypatch)
@@ -203,13 +248,27 @@ class TestEventProb:
         assert [r.n for r in chunked] == grid
 
     def test_grid_memory_flat_in_m(self, stream):
-        # six buffered columns of 16 384 rows and the chunk stage's temporaries
+        # 19 buffered inputs of 5173 rows and the chunk stage's temporaries
         # peak at about 1.9 MiB at both sizes; nothing is held per block
         low, high = peaks(lambda m: estimate_event_prob_grid(
             GAUSS, RegimeRule.fixed_i(0), [1, 2, 4, 8, 16, 32], m, stream, shards=1),
             [10**5, 10**6])
         assert max(low, high) <= 3 * 2**20, (low, high)
         assert abs(high - low) <= 2**14, (low, high)
+
+    def test_buffers_never_shorter_than_a_block(self, stream, monkeypatch):
+        # 128 points read 385 inputs: the budget alone gives 255 rows, and a
+        # slab at n = 128 holds 256; neither shards nor a small budget change a
+        # record, and the buffers of one block stay under the 3 MiB bound above
+        def run(m, shards):
+            return estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(0), range(1, 129), m,
+                                            stream, shards)
+        whole = run(700, 1)
+        assert run(700, 2) == whole
+        monkeypatch.setattr(estimators, "_COLUMN_CHUNK", 1000)
+        assert run(700, 2) == whole
+        monkeypatch.undo()
+        assert max(peaks(lambda m: run(m, 1), [1000])) <= 3 * 2**20
 
     def test_grid_point_is_the_prefix_walk_value(self, stream):
         # the n = 8 point of an n_max = 16 grid reads the first 8 steps of each walk
@@ -523,10 +582,6 @@ def per_block_duality(spec, i, n, betas, m_samples, stream):
         results.append(DualityResult(i=i, n=n, beta=beta, h_form=h_est, v_form=v_est,
                                      z_score=z))
     return results
-
-
-FAMILIES = {"gaussian": GAUSS, "uniform": EnvironmentSpec.uniform_symmetric(1.5),
-            "twopoint": EnvironmentSpec.two_point(0.7)}
 
 
 class TestTransformsMatchPerBlockKernels:

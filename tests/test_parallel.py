@@ -7,13 +7,17 @@ import pytest
 
 from clanmc import EnvironmentSpec, RngStream, assoc_walk, estimators, parallel
 from clanmc.cli import RunConfig
-from clanmc.estimators import (_MAX_N, _SLAB_BYTES, _ExpRows, _log_event_prob_cols,
+from clanmc.estimators import (_MAX_N, _SLAB_BYTES, _event_keys, _log_event_prob_cols,
                                _sweep, _sweep_sums)
 from clanmc.mcstats import MCEstimate
 from clanmc.parallel import _MAX_SHARDS, map_blocks, resolve_shards
 
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
+
+
+class Interrupt(BaseException):
+    """A BaseException that is not an Exception, like KeyboardInterrupt."""
 
 
 @pytest.fixture
@@ -58,18 +62,16 @@ class TestResolveShards:
 class TestSweepWorkspace:
     def test_peak_memory_bounded_at_the_largest_walk(self):
         # three slab arrays (increments, walk, exponentials) of 3 x 65537
-        # doubles each, about 4.5 MiB, and two buffered columns of m rows
+        # doubles each, about 4.5 MiB, and four buffered inputs of m rows
         n, m = _MAX_N, 512
 
-        def slab_stage(s):
-            neg = _ExpRows(np.negative(s, out=s))
-            return {"p": np.exp(_log_event_prob_cols(neg, n // 2, n)), "end": neg.a[:, n]}
-
-        def chunk_stage(cols):
-            return {k: MCEstimate.from_values(c) for k, c in cols.items()}
+        def chunk_stage(rows):
+            return {"p": MCEstimate.from_values(np.exp(_log_event_prob_cols(rows, n // 2, n))),
+                    "end": MCEstimate.from_values(rows[n])}
         tracemalloc.start()
         try:
-            stats = _sweep_sums(GAUSS, n, m, RngStream(3), "test.peak", 1, slab_stage, chunk_stage)
+            stats = _sweep_sums(GAUSS, n, m, RngStream(3), "test.peak", 1, True,
+                                _event_keys(n // 2, n), chunk_stage)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -115,6 +117,19 @@ class TestMapBlocks:
             map_blocks(fn, 1000, 2)
         # each worker stops at its first failure and no block is claimed after one is
         # recorded, so block 5 is the last that can run; every block before 3 ran
+        assert sorted(ran) == list(range(len(ran))) and 4 <= len(ran) <= 6
+
+    def test_base_exception_of_the_lowest_failing_block_reaches_the_caller(self):
+        # an exception that is not an Exception, like KeyboardInterrupt, is
+        # recorded too: the caller gets the lowest failing block's
+        ran = []
+
+        def fn(b):
+            ran.append(b)
+            if b in (3, 5):
+                raise Interrupt(f"block {b}")
+        with pytest.raises(Interrupt, match="block 3"):
+            map_blocks(fn, 1000, 2)
         assert sorted(ran) == list(range(len(ran))) and 4 <= len(ran) <= 6
 
     def test_every_block_runs_once_under_contention(self):
