@@ -28,15 +28,14 @@ _WALK_CHUNK = 128
 _FIRST_CHUNK = 16
 # Steps a scan block draws, cumsums and bins at a time: _ROW_BATCH // k paths
 # of a k-step chunk, so 1024 paths of a first chunk and 128 of a full one.
-# A batch's temporaries are a few arrays of this many values (128 kB each),
-# and the block-end tallies take this many sorted keys at a time.
+# A batch's temporaries are a few arrays of this many values (128 kB each).
 _ROW_BATCH = 16384
-# Largest harmonicity table.  A scan block's memory follows its tallied
-# steps, not the table, so the limit no longer guards the scan:
-# it keeps the table's own arrays small (the per-block sums and squared
-# sums, and the means and slopes of each jackknife table) and refuses
-# environment scales whose table of step 0.05 would need thousands of
-# nodes (about 12 000 for a Gaussian at sigma = 100).
+# Largest harmonicity table.  A scan block holds one count per node beside
+# its batch temporaries, so the limit does not guard the scan: it keeps the
+# table's own arrays small (the per-block sums, and the means and slopes of
+# each jackknife table) and refuses environment scales whose table of step
+# 0.05 would need thousands of nodes (about 12 000 for a Gaussian at
+# sigma = 100).
 _MAX_TABLE_NODES = 1024
 
 
@@ -64,10 +63,13 @@ def build_walk(path: EnvironmentPath) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UVTable:
-    """A harmonic-function estimate on a grid, with per-block sums for resampling."""
+    """A harmonic-function estimate on a grid, with per-block sums for resampling.
+
+    Its uncertainty is the delete-one-group jackknife's over the blocks
+    (see `harmonicity_residual`).
+    """
 
     means: np.ndarray
-    stderrs: np.ndarray
     block_sums: np.ndarray = field(repr=False)   # (n_blocks, G) int64 count sums
     block_paths: np.ndarray = field(repr=False)  # (n_blocks,) paths per block
 
@@ -107,47 +109,36 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
                       m_samples: int, stream: RngStream, purpose: str, shards: int | None = None):
     """Count per-path side-persistence events against a threshold grid.
 
-    Returns (block_paths, block_sums, total_sumsq) where block_sums[b, g]
-    is the summed per-path event count of block b at grid point g.
+    Returns (block_paths, block_sums) where block_sums[b, g] is the summed
+    per-path event count of block b at grid point g.
 
     A block walks its paths in chunks of _chunk_steps steps, drawing
-    _ROW_BATCH steps at once, and keeps only each path's level and its
-    index p in the block.  A step's bin is the number of grid points
-    below its threshold -S (np.searchsorted side "left"), counted from the
-    top on side "v", and a path's event count at grid point g is its
-    steps in bins up to g's (bin g on side "u", top - 1 - g on side "v").
-    The top bin counts at no grid point, so only the steps taken before
-    their path left whose bin is below it (`_in_grid`) are binned; each
-    adds one int32 key p * 2^s + bin, 2^s the least power of two above
-    the grid size.  At the block's end the keys are sorted once: a path's
-    steps then lie together in bin order, and the step of rank r (its
-    distance from the path's first key) raises the path's squared count
-    from r^2 to (r + 1)^2 at its bin.  So per bin the block
-    tallies the steps and their 2 r + 1, whose cumulative sums are the
-    block's sums and sums of squares per grid point.  A step in the top
-    bin would sort last within its path, so leaving it out changes no
-    other step's rank.
+    _ROW_BATCH steps at once, and keeps only each surviving path's level.
+    A step's bin is the number of grid points below its threshold -S
+    (np.searchsorted side "left"), counted from the top on side "v", and a
+    path's event count at grid point g is its steps in bins up to g's (bin
+    g on side "u", top - 1 - g on side "v").  The top bin counts at no grid
+    point, so only the steps taken before their path left whose bin is
+    below it (`_in_grid`) are binned, into one count row per block whose
+    cumulative sum is the block's sums.
     """
     grid = np.asarray(grid, dtype=float)
     top = grid.size                 # the bin past every grid point, never tallied
-    shift = top.bit_length()        # a key is p << shift | bin
     n_blocks = block_count(m_samples, _WALK_BLOCK)
     block_paths = np.minimum(m_samples - np.arange(0, m_samples, _WALK_BLOCK), _WALK_BLOCK)
-    block_sums = np.zeros((n_blocks, grid.size), dtype=np.int64)
-    block_sumsq = np.zeros((n_blocks, grid.size), dtype=np.int64)
+    block_sums = np.zeros((n_blocks, top), dtype=np.int64)
 
     def run_block(b: int) -> None:
         gen = stream.substream(purpose, b)
         buf = np.empty(_ROW_BATCH)
         level = np.zeros(block_paths[b])  # S at the last chunk's end, per path still on its side
-        path = np.arange(block_paths[b])  # the block index of each path still on its side
-        keys = []
+        steps = np.zeros(top, dtype=np.int64)  # tallied steps per bin
         done = 0
         while level.size and done < horizon:
             k = _chunk_steps(done, horizon)
             batch = _ROW_BATCH // k
             cols = np.arange(k)
-            next_level, next_path = [], []
+            next_level = []
             # row batches draw the stream in the order of one (paths, k) draw
             for lo in range(0, level.size, batch):
                 rows = min(batch, level.size - lo)
@@ -159,37 +150,20 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
                 stay = ~bad[np.arange(rows), first]
                 first[stay] = k
                 next_level.append(seg[stay, k - 1])
-                next_path.append(path[lo:lo + rows][stay])
                 # the steps taken before the path left whose threshold -S is in the grid
                 inside = _in_grid(side, grid, seg)
                 inside &= cols < first[:, None]
                 bins = np.searchsorted(grid, np.negative(seg[inside]))
                 if side == "v":  # count bins from the top
                     np.subtract(top, bins, out=bins)
-                bins += np.broadcast_to(path[lo:lo + rows, None] << shift, (rows, k))[inside]
-                keys.append(bins.astype(np.int32))
-            level, path = np.concatenate(next_level), np.concatenate(next_path)
+                steps += np.bincount(bins, minlength=top)
+            level = np.concatenate(next_level)
             done += k
-        keys = np.concatenate(keys)
-        keys.sort()
-        steps = np.zeros(top, dtype=np.int64)   # tallied steps per bin
-        ranks = np.zeros(top, dtype=np.int64)   # their summed r per bin
-        # path p's keys start at start[p]; a key's rank is its distance from there
-        start = np.searchsorted(keys, np.arange(block_paths[b], dtype=np.int32) << shift)
-        for lo in range(0, keys.size, _ROW_BATCH):
-            part = keys[lo:lo + _ROW_BATCH].astype(np.intp)
-            bins = part & ((1 << shift) - 1)
-            rank = np.arange(lo, lo + part.size) - np.take(start, part >> shift)
-            steps += np.bincount(bins, minlength=top)
-            ranks += np.bincount(bins, rank, minlength=top).astype(np.int64)
-        # per bin the summed 2 r + 1 is 2 * ranks + steps
-        cum_steps, cum_growth = np.cumsum(steps), np.cumsum(2 * ranks + steps)
-        if side == "v":  # grid point g is bin top - 1 - g
-            cum_steps, cum_growth = cum_steps[::-1], cum_growth[::-1]
-        block_sums[b], block_sumsq[b] = cum_steps, cum_growth
+        sums = np.cumsum(steps)
+        block_sums[b] = sums[::-1] if side == "v" else sums  # on "v", g is bin top - 1 - g
 
     map_blocks(run_block, n_blocks, resolve_shards(shards))
-    return block_paths, block_sums, block_sumsq.sum(axis=0)
+    return block_paths, block_sums
 
 
 def _check_count(name: str, value) -> None:
@@ -206,31 +180,27 @@ def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_sam
     side "u" is the staying-negative function on x >= 0, side "v" the
     staying-nonnegative one on x < 0, from `m_samples` walks truncated
     after `horizon` steps; both are positive integers.  The purpose keys
-    the walks' streams and defaults to "assoc_walk.<side>".
+    the walks' streams and defaults to "assoc_walk.<side>".  A nan node is
+    refused; an infinite one counts every step a path takes before it
+    leaves its side.
     """
     if side not in ("u", "v"):
         raise DomainError(f"side must be 'u' or 'v', got {side}")
     _check_count("horizon", horizon)
     _check_count("m_samples", m_samples)
     grid = np.asarray(x_grid, dtype=float)
-    # a scan key p << nodes.bit_length() | bin, with p < _WALK_BLOCK, must fit in an int32
-    if _WALK_BLOCK << grid.size.bit_length() > 2**31:
-        raise DomainError(f"grid has {grid.size} nodes, more than the limit of "
-                          f"{2**31 // _WALK_BLOCK - 1}")
+    if np.any(np.isnan(grid)):
+        raise DomainError("grid must not hold nan")
     if side == "u" and np.any(grid < 0):
         raise DomainError("u-table grid must be nonnegative")
     if side == "v" and np.any(grid >= 0):
         raise DomainError("v-table grid must be strictly negative")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("grid must be strictly increasing")
-    block_paths, block_sums, total_sumsq = _persistence_scan(
+    block_paths, block_sums = _persistence_scan(
         spec, side, grid, horizon, m_samples, stream, purpose or f"assoc_walk.{side}", shards)
-    total = block_sums.sum(axis=0)
-    means = np.array([_indicator(side, x) for x in grid], dtype=float) + total / m_samples
-    # the indicator shifts every path's value equally, so the spread is the counts'
-    var = (total_sumsq / m_samples - (total / m_samples) ** 2) / max(m_samples - 1, 1)
-    stderrs = np.sqrt(np.maximum(var, 0.0))
-    return UVTable(means, stderrs, block_sums, block_paths)
+    ind = np.array([_indicator(side, x) for x in grid], dtype=float)
+    return UVTable(ind + block_sums.sum(axis=0) / m_samples, block_sums, block_paths)
 
 
 @dataclass(frozen=True)
@@ -239,7 +209,6 @@ class HarmonicityPoint:
 
     x: float
     table_value: float
-    table_stderr: float
     expectation_value: float
     residual: float
     stderr: float          # delete-one-group jackknife over paired blocks
@@ -309,6 +278,8 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
         raise DomainError("harmonicity grid must not be empty")
+    if not np.all(np.isfinite(x_grid)):
+        raise DomainError("harmonicity grid must be finite")
     if side == "u" and np.any(x_grid < 0):
         raise DomainError("u-harmonicity grid must be nonnegative")
     if side == "v" and np.any(x_grid > -1e-12):
@@ -385,7 +356,6 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
         se = math.sqrt((groups - 1) / groups * float(np.sum((jk - jk.mean()) ** 2)))
         return HarmonicityPoint(
             x=x, table_value=float(_interpolate(nodes, table.means, x)[0]),
-            table_stderr=float(_interpolate(nodes, table.stderrs, x)[0]),
             expectation_value=expect, residual=abs(res), stderr=se,
             allowance=allowance, bound=3.0 * se + allowance,
         )

@@ -130,7 +130,7 @@ class TestHarmonicSeries:
         spec = EnvironmentSpec.gaussian(1.0)
         # S_n >= 0 contradicts a negative running maximum, so u(0) = 1 exactly
         table = estimate_table(spec, "u", [0.0, 1.0], horizon=200, m_samples=2000, stream=stream)
-        assert table.means[0] == 1.0 and table.stderrs[0] == 0.0
+        assert table.means[0] == 1.0 and not table.block_sums[:, 0].any()
         with pytest.raises(DomainError):
             estimate_table(spec, "u", [-0.5], horizon=50, m_samples=100, stream=stream)
 
@@ -166,7 +166,8 @@ class TestHarmonicSeries:
         spec = EnvironmentSpec.gaussian(1.0)
         a = estimate_table(spec, "u", [1.0], horizon=20, m_samples=np.int64(100), stream=stream)
         b = estimate_table(spec, "u", [1.0], horizon=20, m_samples=100, stream=stream)
-        assert a.means.tolist() == b.means.tolist() and a.stderrs.tolist() == b.stderrs.tolist()
+        assert a.means.tolist() == b.means.tolist()
+        assert np.array_equal(a.block_sums, b.block_sums)
 
     @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.usefixtures("no_draws")
@@ -175,13 +176,31 @@ class TestHarmonicSeries:
             harmonicity_residual(EnvironmentSpec.gaussian(1.0), [], horizon=20, m_samples=5000,
                                  stream=stream, side=side)
 
+    @pytest.mark.parametrize("side, grid", [("u", [np.nan]), ("u", [0.0, np.nan]),
+                                            ("v", [np.nan]), ("v", [-1.0, np.nan])])
     @pytest.mark.usefixtures("no_draws")
-    def test_grid_past_the_scan_key_range_refused(self, stream):
-        # a scan key p << nodes.bit_length() | bin of a 4096-path block must fit in an int32
-        nodes = 2**31 // assoc_walk._WALK_BLOCK
-        with pytest.raises(DomainError, match=f"more than the limit of {nodes - 1}"):
-            estimate_table(EnvironmentSpec.gaussian(1.0), "u", np.arange(nodes) * 1e-3,
-                           horizon=20, m_samples=100, stream=stream)
+    def test_nan_grid_node_refused_before_drawing(self, side, grid, stream):
+        with pytest.raises(DomainError, match="grid must not hold nan"):
+            estimate_table(EnvironmentSpec.gaussian(1.0), side, grid, horizon=20, m_samples=100,
+                           stream=stream)
+
+    @pytest.mark.parametrize("side, x_grid", [("u", [np.nan]), ("u", [0.5, np.inf]),
+                                              ("v", [np.nan]), ("v", [-np.inf, -0.5])])
+    @pytest.mark.usefixtures("no_draws")
+    def test_non_finite_harmonicity_grid_refused_before_drawing(self, side, x_grid, stream):
+        with pytest.raises(DomainError, match="harmonicity grid must be finite"):
+            harmonicity_residual(EnvironmentSpec.gaussian(1.0), x_grid, horizon=20,
+                                 m_samples=5000, stream=stream, side=side)
+
+    @pytest.mark.parametrize("side, grid, far", [("u", [0.0, np.inf], -1),
+                                                 ("v", [-np.inf, -1e-300], 0)])
+    def test_infinite_grid_node_counts_every_step(self, side, grid, far, stream):
+        # u(+inf) and v(-inf) count every step a path takes before it leaves its side
+        spec = EnvironmentSpec.gaussian(1.0)
+        every = estimate_table(spec, side, [1e300] if side == "u" else [-1e300], horizon=50,
+                               m_samples=100, stream=stream)
+        table = estimate_table(spec, side, grid, horizon=50, m_samples=100, stream=stream)
+        assert table.means[far] == every.means[0] > 1.0
 
     def test_integer_horizon_types(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
@@ -195,14 +214,16 @@ class TestHarmonicSeries:
         xs = [1.0, 2.0, 3.0]
         exact = truncated_u_by_dp(1.0, xs, horizon)
         table = estimate_table(spec, "u", xs, horizon=horizon, m_samples=100_000, stream=stream)
-        for x, mean, se in zip(xs, table.means, table.stderrs):
+        ses = reference_stderrs(spec, "u", xs, horizon, 100_000, stream)
+        for x, mean, se in zip(xs, table.means, ses):
             assert abs(mean - exact[x]) <= 3.0 * se, (x, mean, exact[x])
 
     def test_u_truncation_stability(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
         a = estimate_table(spec, "u", [2.0], horizon=10_000, m_samples=20_000, stream=stream)
         b = estimate_table(spec, "u", [2.0], horizon=20_000, m_samples=20_000, stream=stream)
-        band = 3.0 * math.hypot(a.stderrs[0], b.stderrs[0])
+        band = 3.0 * math.hypot(reference_stderrs(spec, "u", [2.0], 10_000, 20_000, stream)[0],
+                                reference_stderrs(spec, "u", [2.0], 20_000, 20_000, stream)[0])
         assert abs(a.means[0] - b.means[0]) <= band
 
     def test_u_table_monotone(self, stream):
@@ -267,10 +288,12 @@ class TestSparreAndersen:
     def test_table_at_the_far_node(self, spec, side, horizon):
         grid = [0.0, 1e300] if side == "u" else [-1e300, -1e-300]
         far = -1 if side == "u" else 0
+        stream = RngStream(27_000 + horizon)
         table = estimate_table(spec, side, grid, horizon=horizon, m_samples=200_000,
-                               stream=RngStream(27_000 + horizon), shards=2)
-        z = (table.means[far] - persistence_total(horizon)) / table.stderrs[far]
-        assert abs(z) <= 4.0, (table.means[far], table.stderrs[far], z)
+                               stream=stream, shards=2)
+        se = reference_stderrs(spec, side, grid, horizon, 200_000, stream)[far]
+        z = (table.means[far] - persistence_total(horizon)) / se
+        assert abs(z) <= 4.0, (table.means[far], se, z)
 
 
 def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
@@ -325,6 +348,26 @@ def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
     return block_paths, block_sums, total_sumsq
 
 
+def reference_stderrs(spec, side, grid, horizon, m_samples, stream):
+    """Standard errors of `estimate_table`'s means, from the per-path squares of `reference_scan`.
+
+    The indicator shifts every path's value equally, so the spread is the
+    event counts'.
+    """
+    _, block_sums, total_sumsq = reference_scan(spec, side, grid, horizon, m_samples, stream,
+                                                f"assoc_walk.{side}")
+    mean = block_sums.sum(axis=0) / m_samples
+    var = (total_sumsq / m_samples - mean ** 2) / max(m_samples - 1, 1)
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+def assert_same_scan(got, want):
+    """The scan's (block_paths, block_sums) against the reference's first two results."""
+    assert len(got) == 2
+    for g, w in zip(got, want[:2]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestPersistenceScan:
     # 4096 + 700 paths: a full block of many row batches and a short last
     # block; a horizon of 300 ends on a chunk of 44 steps
@@ -340,8 +383,7 @@ class TestPersistenceScan:
         got = assoc_walk._persistence_scan(*args, shards=shards)
         want = reference_scan(*args)
         assert got[0].tolist() == [4096, 700]
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert_same_scan(got, want)
         assert want[1].sum() > 0
 
     # horizons that end inside, on and just past the first chunk of 16 steps
@@ -353,8 +395,7 @@ class TestPersistenceScan:
                 f"test.edge.{side}")
         got = assoc_walk._persistence_scan(*args, shards=1)
         want = reference_scan(*args)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert_same_scan(got, want)
         assert want[1].sum() > 0
 
     # the 161-node table of `oracle` over two blocks; two-point walks land on its nodes
@@ -367,8 +408,7 @@ class TestPersistenceScan:
         got = assoc_walk._persistence_scan(*args, shards=2)
         want = reference_scan(*args)
         assert got[0].tolist() == [4096, 700]
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert_same_scan(got, want)
 
     @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
@@ -387,8 +427,8 @@ class TestPersistenceScan:
         monkeypatch.setattr(assoc_walk, "draw_increments", counted)
         paths = 8192
         grid = np.array([1e300 if side == "u" else -1e300])  # every tallied step counts
-        _, block_sums, _ = assoc_walk._persistence_scan(spec, side, grid, 2000, paths, stream,
-                                                        "test.waste", shards=1)
+        _, block_sums = assoc_walk._persistence_scan(spec, side, grid, 2000, paths, stream,
+                                                     "test.waste", shards=1)
         tallied = int(block_sums.sum())
         assert 0 < drawn[0] <= 2 * tallied + assoc_walk._FIRST_CHUNK * paths, (drawn, tallied)
 
@@ -402,8 +442,7 @@ class TestPersistenceScan:
         args = (EnvironmentSpec.gaussian(1.0), side, grid, 2000, 4796, stream, f"test.wide.{side}")
         got = assoc_walk._persistence_scan(*args, shards=2)
         want = reference_scan(*args)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert_same_scan(got, want)
         assert want[1].sum() > 0
 
     def test_block_working_set_bounded(self, stream):
@@ -419,23 +458,25 @@ class TestPersistenceScan:
         assert peak <= 6 * 2**20, peak
 
     def test_block_working_set_flat_in_table_width(self, stream):
-        # a block keeps one int32 key per tallied step, whatever the table:
-        # about 1.7 MiB against 1024 nodes, where per-path bin-count rows took 6 MiB
+        # a block keeps one count per node beside its batch temporaries:
+        # about 0.5 MiB against 1024 nodes, where per-path bin-count rows took 6 MiB
         peak = scan_peak(EnvironmentSpec.gaussian(1.0), "u", np.arange(1024) * 0.05, 2000, 4096,
                          stream, "test.mem", shards=1)
         assert peak <= 3 * 2**20, peak
 
-    def test_block_working_set_follows_tallied_steps(self, stream):
-        # the keys and their one concatenation: at most 8 B per tallied step
-        # plus a fixed 1 MiB; about 4.0 MiB for 0.5 M steps at this horizon
-        spec = EnvironmentSpec.gaussian(1.0)
-        peak = scan_peak(spec, "v", -np.arange(161, 0, -1) * 0.05, 10_000, 4096, stream,
-                         "test.long", shards=1)
-        _, every, _ = assoc_walk._persistence_scan(spec, "v", np.array([-1e300]), 10_000, 4096,
-                                                   stream, "test.long", shards=1)
+    def test_block_working_set_flat_in_tallied_steps(self, stream):
+        # a node above every threshold counts each of the 0.4-0.5 M steps a
+        # block takes at this horizon; one count row and the batch
+        # temporaries peak at about 0.5 MiB, and 4 B per tallied step
+        # would take about 1.8 MiB
+        spec, grid = EnvironmentSpec.gaussian(1.0), np.array([-1e300])
+        assoc_walk._persistence_scan(spec, "v", grid, 16, 64, stream, "test.warm", shards=1)
+        peak = scan_peak(spec, "v", grid, 10_000, 4096, stream, "test.long", shards=1)
+        _, every = assoc_walk._persistence_scan(spec, "v", grid, 10_000, 4096, stream,
+                                                "test.long", shards=1)
         tallied = int(every.sum())
         assert tallied > 300_000, tallied
-        assert peak <= 8 * tallied + 2**20, (peak, tallied)
+        assert peak <= 2**20, (peak, tallied)
 
     # an empty grid has no bin that counts; grids that almost every step
     # overshoots leave a few in-grid steps per block
@@ -448,25 +489,22 @@ class TestPersistenceScan:
                 f"test.over.{side}")
         got = assoc_walk._persistence_scan(*args, shards=2)
         want = reference_scan(*args)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert_same_scan(got, want)
         assert got[1].shape == (2, grid.size)
 
     @pytest.mark.parametrize("side", ["u", "v"])
     def test_bins_only_in_grid_steps(self, side, stream, monkeypatch):
         # the table's last node counts every in-grid step, so the thresholds
-        # the scan bins are exactly the steps some node counts; the block-end
-        # search of the int32 keys passes through unrecorded
+        # the scan bins are exactly the steps some node counts
         binned, searchsorted = [], np.searchsorted
 
         def recorded(a, v, *args, **kwargs):
-            if v.dtype == np.float64:
-                binned.append(v.copy())
+            binned.append(v.copy())
             return searchsorted(a, v, *args, **kwargs)
 
         monkeypatch.setattr(np, "searchsorted", recorded)
         grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
-        _, block_sums, _ = assoc_walk._persistence_scan(
+        _, block_sums = assoc_walk._persistence_scan(
             EnvironmentSpec.gaussian(1.0), side, grid, 2000, 4796, stream, f"test.count.{side}",
             shards=2)
         thresholds = np.concatenate(binned)
@@ -480,9 +518,8 @@ class TestPersistenceScan:
 
     @pytest.mark.parametrize("side", ["u", "v"])
     def test_block_working_set_follows_in_grid_steps(self, side, stream):
-        # at horizon 10 000 a block takes 0.4-0.5 M steps but only about
-        # 50 000 fall in the 161-node table: about 1.1 MiB after one-time
-        # state, where keying every taken step peaked at 3.2-3.7 MiB
+        # at horizon 10 000 a block takes 0.4-0.5 M steps and about 50 000
+        # fall in the 161-node table: about 0.4 MiB after one-time state
         spec = EnvironmentSpec.gaussian(1.0)
         grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
         assoc_walk._persistence_scan(spec, side, grid, 16, 64, stream, "test.warm", shards=1)
@@ -559,7 +596,6 @@ def reference_harmonicity(spec, x_grid, horizon, m_samples, stream, side="u", sh
         se = math.sqrt((groups - 1) / groups * float(np.sum((jk - jk.mean()) ** 2)))
         out.append(assoc_walk.HarmonicityPoint(
             x=float(x), table_value=float(reference_interp_extrap(nodes, full, np.array([x]))[0]),
-            table_stderr=float(reference_interp_extrap(nodes, table.stderrs, np.array([x]))[0]),
             expectation_value=expect, residual=abs(res), stderr=se, allowance=allowance,
             bound=3.0 * se + allowance))
     return out
