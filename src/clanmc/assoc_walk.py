@@ -11,13 +11,12 @@ Monte Carlo, and checks their harmonicity under one step of the walk.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .env_model import EnvironmentSpec, EnvironmentPath, draw_increments
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
 
@@ -166,12 +165,6 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     return block_paths, block_sums
 
 
-def _check_count(name: str, value) -> None:
-    # a bool is an int, but no count
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-
-
 def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_samples: int,
                    stream: RngStream, shards: int | None = None,
                    purpose: str | None = None) -> UVTable:
@@ -186,8 +179,8 @@ def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_sam
     """
     if side not in ("u", "v"):
         raise DomainError(f"side must be 'u' or 'v', got {side}")
-    _check_count("horizon", horizon)
-    _check_count("m_samples", m_samples)
+    check_count("horizon", horizon)
+    check_count("m_samples", m_samples)
     grid = np.asarray(x_grid, dtype=float)
     if np.any(np.isnan(grid)):
         raise DomainError("grid must not hold nan")
@@ -284,7 +277,7 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
         raise DomainError("u-harmonicity grid must be nonnegative")
     if side == "v" and np.any(x_grid > -1e-12):
         raise DomainError("v-harmonicity grid must be strictly negative")
-    _check_count("m_samples", m_samples)
+    check_count("m_samples", m_samples)
     if m_samples <= _WALK_BLOCK:  # one persistence block leaves nothing to jackknife against
         raise DomainError(f"harmonicity jackknife needs at least 2 persistence blocks: "
                           f"m_samples must be >= {_WALK_BLOCK + 1}, got {m_samples}")

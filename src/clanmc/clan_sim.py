@@ -24,7 +24,8 @@ _COUNT_LIMIT = np.int64(2) ** 62
 _MEAN_LIMIT = 1e15
 # Replicates per substream block, small enough that the oracle's 50 000
 # replicates make several blocks to thread, and clan cells reproduced per
-# batch: a batch's living-cell indices, sizes and draws take about 0.8 MB.
+# batch: a batch of living cells traces about 1.27 MiB, its indices, sizes
+# and draws plus the float copy of the sizes negative_binomial makes.
 _SIM_BLOCK = 8192
 _REPRODUCE_CELLS = 32768
 

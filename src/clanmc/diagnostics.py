@@ -140,8 +140,8 @@ def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int,
     # one generation: the only-survivor event is just a positive offspring draw
     path1 = EnvironmentPath(np.array([0.4]))
     w1 = assoc_walk.build_walk(path1)
-    _, _, event = clan_sim.simulate_ensemble(path1, 0, m_reps_single, stream, shards)
-    p_hat = event.mean()
+    # only the event share is kept, so the ensemble's arrays are freed before the n = 8 run
+    p_hat = clan_sim.simulate_ensemble(path1, 0, m_reps_single, stream, shards)[2].mean()
     p_exact = exact_fl.cond_event_prob(w1, 0, 1).value
     se = math.sqrt(p_hat * (1.0 - p_hat) / m_reps_single)
     z = abs(p_hat - p_exact) / se

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
+
+import numbers
 
 
 class ClanMCError(Exception):
@@ -23,3 +25,10 @@ class UnreliableRatioError(NumericalFailureError):
 
 class AssumptionViolationError(ClanMCError):
     """Estimator requested under assumptions the environment law violates."""
+
+
+def check_count(name: str, value) -> None:
+    """Refuse a value that is not a positive integer; numpy integers pass."""
+    # a bool is an int, but no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")

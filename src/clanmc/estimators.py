@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .env_model import EnvironmentSpec, draw_increments
-from .errors import DomainError, NumericalFailureError, UnreliableRatioError
+from .errors import DomainError, NumericalFailureError, UnreliableRatioError, check_count
 from .logdomain import log1m_exp_neg_vec
 from .mcstats import MCEstimate, paired_sums, ratio_with_stderr
 from .parallel import block_count, map_blocks, resolve_shards
@@ -113,8 +113,10 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     _SLAB_BYTES of walk, in order from the block's generator, so it consumes
     its stream as one (rows, n) draw would and row-wise kernels see the same
     numbers.  Each thread reuses one slab buffer for s: a kernel may modify
-    s and must copy what it keeps of it.
+    s and must copy what it keeps of it.  n and m_samples are positive integers.
     """
+    check_count("observation time n", n)
+    check_count("m_samples", m_samples)
     if n > _MAX_N:  # refused before any workspace is allocated
         raise DomainError(f"observation time n exceeds the limit of {_MAX_N}, eight times "
                           f"the largest grid point of the scaling studies")
@@ -344,6 +346,14 @@ def _v_keys(j: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _grid_points(n_values) -> list[int]:
+    """The grid as ints, after refusing a point that is not a positive integer."""
+    n_values = list(n_values)
+    for n in n_values:
+        check_count("grid point n", n)
+    return [int(n) for n in n_values]
+
+
 @dataclass(frozen=True)
 class EventProbResult:
     n: int
@@ -362,7 +372,7 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
     is bit for bit the estimate of a grid that holds only n_max.  Results
     keep the order of n_values, repeats included.
     """
-    n_values = [int(n) for n in n_values]
+    n_values = _grid_points(n_values)
     if not n_values:
         raise DomainError("the n grid must not be empty")
     distinct = sorted(set(n_values))
@@ -543,7 +553,7 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     estimate is statistically indistinguishable from zero are left out of
     the fit and reported in `dropped`; at least four must remain.
     """
-    n_values = sorted(int(n) for n in n_grid)
+    n_values = sorted(_grid_points(n_grid))
     if len(set(n_values)) < 4:
         raise DomainError(f"need at least 4 distinct grid points, got {len(set(n_values))}")
     for n in n_values:  # refuse a bad grid before the sweep, not after it

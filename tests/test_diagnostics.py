@@ -1,6 +1,7 @@
 """The oracle checks' batched closed forms and their failure on a nan closed form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,3 +97,18 @@ class TestNanFails:
         result = diagnostics.reversed_product_check(RngStream(1))
         assert not result.passed
         assert result.detail.startswith("max relative deviation nan")
+
+
+class TestSimulatorCheck:
+    def test_working_set_bounded(self):
+        # the oracle suite's sizes: the one-step ensemble (250 000 replicates)
+        # is reduced to its event share before the n = 8 run's 3.2 MB clan
+        # matrix exists; kept alive through that run, it peaked at 6.4 MiB
+        tracemalloc.start()
+        try:
+            result = diagnostics.simulator_check(RngStream(1), 50_000, 250_000, shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak <= 5.75 * 2**20, peak

@@ -208,6 +208,20 @@ def count_sweeps(monkeypatch):
 
 
 class TestEventProb:
+    def test_grid_points_are_positive_integers(self, stream, monkeypatch):
+        # 16.9 is refused, not read as n = 16; numpy integers stay accepted
+        calls = count_sweeps(monkeypatch)
+        for bad in (16.9, 16.0, True, 0):
+            with pytest.raises(DomainError, match=f"grid point n must be a positive integer, "
+                                                  f"got {bad!r}"):
+                estimate_event_prob_grid(GAUSS, RegimeRule.end_window(3), [bad], 1000, stream, 1)
+        assert calls == []  # refused before the sweep
+        (got,) = estimate_event_prob_grid(GAUSS, RegimeRule.end_window(3), [np.int64(16)], 1000,
+                                          stream, 1)
+        assert type(got.n) is int
+        assert got == estimate_event_prob_grid(GAUSS, RegimeRule.end_window(3), [16], 1000,
+                                               stream, 1)[0]
+
     def test_one_step_symmetry(self, stream):
         # E[1/(1+e^{-X})] = 1/2 for symmetric X; quadrature agrees
         res = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(0), [1], 100_000, stream)[0]
@@ -280,6 +294,14 @@ class TestEventProb:
 
 
 class TestTheta:
+    def test_m_samples_is_a_positive_integer(self, stream):
+        for bad in (1000.0, True):
+            with pytest.raises(DomainError, match=f"m_samples must be a positive integer, "
+                                                  f"got {bad!r}"):
+                estimate_theta(GAUSS, 3, 16, [0.5], bad, stream, 1)
+        assert (estimate_theta(GAUSS, 3, 16, [0.5], np.int64(1000), stream, 1)
+                == estimate_theta(GAUSS, 3, 16, [0.5], 1000, stream, 1))
+
     def test_exact_endpoints_and_monotone(self, stream):
         results = estimate_theta(GAUSS, 3, 64, [0.0, 0.25, 0.5, 0.75, 1.0], 20_000, stream)
         assert results[0].value == 0.0 and results[0].stderr == 0.0
@@ -352,6 +374,11 @@ class TestLambda:
         with pytest.raises(DomainError):
             estimate_lambda(GAUSS, RegimeRule.fixed_i(0), 8, [0.0], 100, stream)
 
+    def test_n_is_an_integer(self, stream):
+        with pytest.raises(DomainError, match="observation time n must be a positive integer, "
+                                              "got 16.5"):
+            estimate_lambda(GAUSS, RegimeRule.end_window(3), 16.5, [1.0], 1000, stream, 1)
+
 
 def synthetic_points(slope, n_values, m, seed):
     rng = np.random.default_rng(seed)
@@ -390,6 +417,13 @@ class TestScaling:
         with pytest.raises(DomainError):
             scaling_study(GAUSS, RegimeRule.end_window(3), [16, 32, 64], 100, stream)
 
+    def test_grid_points_are_integers(self, stream, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        with pytest.raises(DomainError, match="grid point n must be a positive integer, "
+                                              "got 128.5"):
+            scaling_study(GAUSS, RegimeRule.end_window(3), [16, 32, 64, 128.5], 100, stream)
+        assert calls == []
+
     def test_too_few_reliable_points(self):
         points = synthetic_points(-0.5, [64, 128, 256], 1000, seed=12)
         with pytest.raises(Exception):
@@ -417,6 +451,11 @@ class TestScaling:
 
 
 class TestDuality:
+    def test_n_is_an_integer(self, stream):
+        with pytest.raises(DomainError, match="observation time n must be a positive integer, "
+                                              "got 16.0"):
+            duality_check(GAUSS, 3, 16.0, [1.0], 1000, stream, 1)
+
     def test_flat_degenerate_exact(self, stream):
         (res,) = duality_check(FLAT, 2, 6, [1.0], 200, stream)
         assert res.h_form.mean == res.v_form.mean
