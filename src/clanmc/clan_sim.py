@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .env_model import EnvironmentPath, offspring_params
-from .errors import DomainError, NumericalFailureError
+from .errors import NumericalFailureError, check_count, check_index
 from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
 
@@ -65,6 +65,7 @@ def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
     after reproduction and before its immigrant enters, matching the
     only-surviving-clan event definition.
     """
+    check_count("m_reps", m_reps)
     n = path.n
     n_blocks = block_count(m_reps, _SIM_BLOCK)
     clans = np.zeros((m_reps, n), dtype=np.int64)
@@ -87,9 +88,7 @@ def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
 def simulate_ensemble(path: EnvironmentPath, i: int, m_reps: int, stream: RngStream,
                       shards: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z_in, y_minus, event_a) arrays over m_reps independent replicates."""
-    n = path.n
-    if not 0 <= i < n:
-        raise DomainError(f"need 0 <= i < n = {n}, got i = {i}")
+    check_index("clan index i", i, path.n)
     clans = final_clans_ensemble(path, m_reps, stream, shards)
     y_minus = clans.sum(axis=1)
     z_in = clans[:, i]

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import assoc_walk, clan_sim, exact_fl
 from .env_model import EnvironmentPath, EnvironmentSpec
-from .estimators import (_ExpRows, _log_event_prob_cols, _log_extinction_cols, _log_h_cols_from,
-                         _log_survival_cols)
+from .estimators import _ExpRows, _log1ms, _log_extinction_cols, _log_h_cols, _log_survival_cols
 from .streams import RngStream
 
 
@@ -52,26 +51,22 @@ def _survival_closed_rows(paths: list[EnvironmentPath], clans: list[int],
                           s_values: list[float]) -> np.ndarray:
     """exact_fl.survival_closed(w, i, n, s).value per case, w the walk of a path of length n.
 
-    Each row is the scalar call's arithmetic, so each value has its bits; s < 1.
+    Each row is the scalar call's arithmetic, so each value has its bits.
     """
     out = np.empty(len(paths))
     for n, i, rows, neg in _walk_groups(paths, clans):
-        log1ms = np.array([math.log1p(-s_values[r]) for r in rows])
+        log1ms = np.array([_log1ms(s_values[r]) for r in rows])
         out[rows] = _values(_log_survival_cols(neg, i, n, log1ms))
     return out
 
 
 def _h_closed_rows(paths: list[EnvironmentPath], clans: list[int], s_grid) -> tuple:
-    """exact_fl.h_functional(w, i, n, s).value per case and s < 1, and the fsum of
+    """exact_fl.h_functional(w, i, n, s).value per case and s, and the fsum of
     exact_fl.extinction_step_log(w, j, n) over j < n per case, with the scalar calls' bits."""
     h, telescoped = np.empty((len(paths), len(s_grid))), np.empty(len(paths))
     for n, i, rows, neg in _walk_groups(paths, clans):
         for c, s in enumerate(s_grid):
-            log1ms = math.log1p(-s)
-            # s = 0 takes the event probability, as h_functional does
-            cols = (_log_event_prob_cols(neg, i, n) if log1ms == 0.0
-                    else _log_h_cols_from(neg, i, n, log1ms))
-            h[rows, c] = _values(cols)
+            h[rows, c] = _values(_log_h_cols(neg, i, n, s))
         steps = np.array([_log_extinction_cols(neg, j, n) for j in range(n)])
         telescoped[rows] = [math.fsum(col) for col in steps.T.tolist()]
     return h, telescoped

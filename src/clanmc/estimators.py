@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .env_model import EnvironmentSpec, draw_increments
-from .errors import DomainError, NumericalFailureError, UnreliableRatioError, check_count
+from .errors import (DomainError, NumericalFailureError, UnreliableRatioError, check_count,
+                     check_index)
 from .logdomain import log1m_exp_neg_vec
 from .mcstats import MCEstimate, paired_sums, ratio_with_stderr
 from .parallel import block_count, map_blocks, resolve_shards
@@ -83,14 +84,14 @@ class RegimeRule:
         return RegimeRule(PROPORTIONAL, float(rho))
 
     def clan_index(self, n: int) -> int:
+        check_count("observation time n", n)
         if self.kind == FIXED_I:
             i = int(self.param)
         elif self.kind == END_WINDOW:
             i = n - int(self.param)
         else:
             i = int(math.floor(self.param * n))
-        if not 0 <= i < n:
-            raise DomainError(f"regime {self.describe()} gives i={i} outside [0, {n})")
+        check_index(f"clan index i of regime {self.describe()} at n={n}", i, n)
         return i
 
     def describe(self) -> str:
@@ -263,6 +264,10 @@ class _ExpRows:
 # The clan formulas, one column per (i, n), read by key from an _ExpRows or
 # from the dict of buffered columns a chunk stage of _sweep_sums gets.
 # exact_fl evaluates its scalar closed forms as one-row calls of these.
+# _log1ms is the one log(1 - s) rule, and _log_h_cols the one place the
+# h(s) endpoints are decided: s = 0 takes the event-probability form, and
+# s = 1 gives log(1 - s) = -inf, which the formula carries to -inf, the
+# exact zero.  Callers check clan indices with errors.check_index.
 
 
 def _log_event_prob_cols(neg: _ExpRows | dict, i: int, n: int) -> np.ndarray:
@@ -285,6 +290,20 @@ def _log_h_cols_from(neg: _ExpRows | dict, i: int, n: int, log1ms) -> np.ndarray
     """Generic-argument only-surviving-clan values; log1ms is log(1-s), scalar or per-row."""
     return (_log_survival_cols(neg, i, n, log1ms) - _log_extinction_cols(neg, i, n)
             + (neg[n] - neg[0, n + 1]))
+
+
+def _log1ms(s: float) -> float:
+    """log(1 - s) for s in [0, 1]; -inf at s = 1."""
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"argument must lie in [0, 1], got {s}")
+    return -math.inf if s == 1.0 else math.log1p(-s)
+
+
+def _log_h_cols(neg: _ExpRows | dict, i: int, n: int, s: float) -> np.ndarray:
+    """log h_{i,n}(s) for s in [0, 1]: the event probability at s = 0, -inf at s = 1."""
+    if s == 0.0:  # the (1-s)^{-1} weight drops out
+        return _log_event_prob_cols(neg, i, n)
+    return _log_h_cols_from(neg, i, n, _log1ms(s))
 
 
 def _log_yaglom_cols_from(neg: _ExpRows | dict, i: int, n: int, beta: float) -> np.ndarray:
@@ -332,7 +351,7 @@ def _event_keys(i: int, n: int) -> tuple:
 
 
 def _h_keys(i: int, n: int) -> tuple:
-    """The negated-walk inputs of every h-side formula (_log_yaglom_cols_from, _log_h_cols_from)."""
+    """The negated-walk inputs of every h-side formula (_log_yaglom_cols_from, _log_h_cols)."""
     return _event_keys(i, n) + ((i, n), (i, n + 1))
 
 
@@ -352,6 +371,15 @@ def _grid_points(n_values) -> list[int]:
     for n in n_values:
         check_count("grid point n", n)
     return [int(n) for n in n_values]
+
+
+def _beta_grid(beta_grid) -> list[float]:
+    """The grid as floats, after refusing a point outside (0, inf]."""
+    betas = [float(b) for b in beta_grid]
+    for b in betas:
+        if not b > 0:
+            raise DomainError(f"beta grid must lie in (0, inf], got {b}")
+    return betas
 
 
 @dataclass(frozen=True)
@@ -397,19 +425,19 @@ class TransformResult:
 
 def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[float],
                         m_samples: int, stream: RngStream, purpose: str, shards: int | None,
-                        point_col) -> list[TransformResult]:
+                        log_cols) -> list[TransformResult]:
     """1 - E[h(param)] / E[h(0)] per grid point, all over the same environments.
 
     Each chunk of closed-form inputs gives the exact sums of h(0) and, per
-    grid point, of h(param) and its cross sum with h(0); point_col(rows,
-    den, param) is a point's h column on a chunk whose h(0) column is den.
+    grid point, of h(param) and its cross sum with h(0); log_cols(rows, i,
+    n, param) is the kernel of a point's log h column.
     A denominator within three standard errors of zero refuses the grid.
     """
     def chunk_stage(rows):
         den = _exp_cols(_log_event_prob_cols(rows, i, n))
         stats = {"den": MCEstimate.from_values(den)}
-        for k, (num, sum_xy) in enumerate(paired_sums(den, (point_col(rows, den, p)
-                                                            for p in params))):
+        for k, (num, sum_xy) in enumerate(paired_sums(
+                den, (_exp_cols(log_cols(rows, i, n, p)) for p in params))):
             stats[k, "num"], stats[k, "xy"] = num, sum_xy
         return stats
 
@@ -439,16 +467,8 @@ def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_sam
     for sv in s_values:
         if not 0.0 <= sv <= 1.0:
             raise DomainError(f"s grid must lie in [0, 1], got {sv}")
-
-    def point_col(rows, den, sv):
-        if sv == 0.0:
-            return den
-        if sv == 1.0:
-            return np.zeros_like(den)
-        return _exp_cols(_log_h_cols_from(rows, i, n, math.log1p(-sv)))
-
     return _estimate_transform(spec, i, n, s_values, m_samples, stream,
-                               f"theta:N={end_window}:n={n}", shards, point_col)
+                               f"theta:N={end_window}:n={n}", shards, _log_h_cols)
 
 
 def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, m_samples: int,
@@ -459,17 +479,9 @@ def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, 
     pointwise).  Values are nonincreasing in beta replicate by replicate,
     so the estimated transform is monotone without any tolerance.
     """
-    i = rule.clan_index(n)
-    betas = [float(b) for b in beta_grid]
-    for b in betas:
-        if not b > 0:
-            raise DomainError(f"beta grid must lie in (0, inf], got {b}")
-
-    def point_col(rows, den, b):
-        return _exp_cols(_log_yaglom_cols_from(rows, i, n, b))
-
-    return _estimate_transform(spec, i, n, betas, m_samples, stream,
-                               f"lambda:{rule.describe()}:n={n}", shards, point_col)
+    return _estimate_transform(spec, rule.clan_index(n), n, _beta_grid(beta_grid), m_samples,
+                               stream, f"lambda:{rule.describe()}:n={n}", shards,
+                               _log_yaglom_cols_from)
 
 
 @dataclass(frozen=True)
@@ -567,16 +579,6 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     return fit_scaling_points(points, rule, dropped)
 
 
-def _dual_index(i: int, n: int, betas) -> int:
-    """j = n - i, after checking the (i, n, betas) of a dual-form estimate."""
-    if not 0 <= i < n:
-        raise DomainError(f"need 0 <= i < n, got i={i}, n={n}")
-    for beta in betas:
-        if not beta > 0:
-            raise DomainError(f"beta must be positive (inf allowed), got {beta}")
-    return n - i
-
-
 @dataclass(frozen=True)
 class DualityResult:
     """Two-sample agreement of the direct and time-reversed estimators."""
@@ -600,8 +602,8 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
     stage folds each beta's column.  Two forms that differ with zero
     standard error have no finite z and are refused.
     """
-    betas = [float(b) for b in beta_grid]
-    j = _dual_index(i, n, betas)
+    check_index("clan index i", i, n)
+    betas, j = _beta_grid(beta_grid), n - i
 
     def form(side, negate, keys, log_form):
         return _sweep_sums(spec, n, m_samples, stream, f"duality.{side}:n={n}:i={i}", shards,
@@ -649,8 +651,11 @@ def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_w
                          m_samples: int, stream: RngStream,
                          shards: int | None = None) -> StrataReport:
     """Split the dual-form estimate by where the reflected walk first bottoms out."""
-    j = _dual_index(i, n, [beta])
-    if not 1 <= n_window < j / 2:
+    check_index("clan index i", i, n)
+    _beta_grid([beta])
+    check_count("strata window N", n_window)
+    j = n - i
+    if not n_window < j / 2:
         largest = (j - 1) // 2  # the largest integer N < j/2
         fix = (f"the largest valid strata_N is {largest}" if largest >= 1 else
                "no strata_N is valid; choose a regime that leaves n - i >= 3")

@@ -6,7 +6,11 @@ exponential prefix sums of the associated walk.  This module carries both
 routes: brute-force folds over the per-generation generating functions
 (the oracles) and the closed forms in log domain (the production path).
 The closed forms are written once, as the batched kernels of
-`estimators`; the scalar functions here evaluate them on one walk.
+`estimators`; the scalar functions here evaluate them on one walk.  The
+rules around them live there too: `estimators._log1ms` is the one
+log(1 - s) (-inf at s = 1, so survival_closed(..., 1) is the exact zero)
+and `estimators._log_h_cols` decides the h(s) endpoints.  Clan indices and
+counts are checked by `errors.check_index` and `errors.check_count`.
 
 Conventions, for the walk S_0..S_n (an array) built from the environment X_1..X_n:
   survival complement   1 - F_{i,n}(s) = e^{-S_i} / (e^{-S_n}/(1-s) + sum_{k=i}^{n-1} e^{-S_k})
@@ -24,9 +28,9 @@ import math
 import numpy as np
 
 from .env_model import EnvironmentPath, pgf_eval
-from .errors import DomainError
-from .estimators import (_ExpRows, _log_event_prob_cols, _log_extinction_cols,
-                         _log_h_cols_from, _log_survival_cols, _log_v_cols_from,
+from .errors import DomainError, check_index
+from .estimators import (_ExpRows, _log1ms, _log_event_prob_cols, _log_extinction_cols,
+                         _log_h_cols, _log_survival_cols, _log_v_cols_from,
                          _log_yaglom_cols_from)
 from .logdomain import LogValue
 
@@ -68,22 +72,11 @@ def _check_window(length: int, i: int, n: int) -> None:
         raise DomainError(f"need 0 <= i <= n <= path length, got i={i}, n={n}, length={length}")
 
 
-def _check_clan_indices(w: np.ndarray, i: int, n: int) -> None:
-    if not 0 <= i < n < w.size:
-        raise DomainError(f"need 0 <= i < n <= walk length, got i={i}, n={n}, "
-                          f"length={w.size - 1}")
-
-
-def _log1ms(s: float) -> float | None:
-    """log(1 - s); None encodes s = 1 exactly."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"argument must lie in [0, 1], got {s}")
-    return None if s == 1.0 else math.log1p(-s)
-
-
-def _row(w: np.ndarray, n: int) -> np.ndarray:
-    """S_0..S_n as a one-row walk matrix."""
-    return w[None, :n + 1]
+def _neg_row(w: np.ndarray, i: int, n: int) -> _ExpRows:
+    """-S_0..-S_n as a one-row _ExpRows, after checking 0 <= i < n <= walk length."""
+    check_index("observation time n", n, w.size)
+    check_index("clan index i", i, n)
+    return _ExpRows(-w[None, :n + 1])
 
 
 def _first(cols: np.ndarray) -> LogValue:
@@ -92,11 +85,7 @@ def _first(cols: np.ndarray) -> LogValue:
 
 def survival_closed(w: np.ndarray, i: int, n: int, s: float) -> LogValue:
     """Closed form of 1 - F_{i,n}(s) in log domain; s = 1 returns the exact zero."""
-    _check_clan_indices(w, i, n)
-    log1ms = _log1ms(s)
-    if log1ms is None:
-        return LogValue.zero()
-    return _first(_log_survival_cols(_ExpRows(-_row(w, n)), i, n, log1ms))
+    return _first(_log_survival_cols(_neg_row(w, i, n), i, n, _log1ms(s)))
 
 
 def extinction_step(w: np.ndarray, i: int, n: int) -> LogValue:
@@ -106,8 +95,7 @@ def extinction_step(w: np.ndarray, i: int, n: int) -> LogValue:
 
 def extinction_step_log(w: np.ndarray, i: int, n: int) -> float:
     """log F_{i,n}(0)."""
-    _check_clan_indices(w, i, n)
-    return float(_log_extinction_cols(_ExpRows(-_row(w, n)), i, n)[0])
+    return float(_log_extinction_cols(_neg_row(w, i, n), i, n)[0])
 
 
 def h_functional(w: np.ndarray, i: int, n: int, s: float) -> LogValue:
@@ -116,19 +104,12 @@ def h_functional(w: np.ndarray, i: int, n: int, s: float) -> LogValue:
     h(1) = 0 exactly; h(0) is the conditional probability that exactly the
     clan founded at generation i is alive at n.
     """
-    _check_clan_indices(w, i, n)
-    log1ms = _log1ms(s)
-    if log1ms is None:
-        return LogValue.zero()
-    if log1ms == 0.0:  # s = 0: the (1-s)^{-1} weight drops out
-        return cond_event_prob(w, i, n)
-    return _first(_log_h_cols_from(_ExpRows(-_row(w, n)), i, n, log1ms))
+    return _first(_log_h_cols(_neg_row(w, i, n), i, n, s))
 
 
 def cond_event_prob(w: np.ndarray, i: int, n: int) -> LogValue:
     """P(only the clan of generation i survives at n | environment)."""
-    _check_clan_indices(w, i, n)
-    return _first(_log_event_prob_cols(_ExpRows(-_row(w, n)), i, n))
+    return _first(_log_event_prob_cols(_neg_row(w, i, n), i, n))
 
 
 def v_functional(w_reflected: np.ndarray, j: int, n: int, beta: float) -> LogValue:
@@ -144,7 +125,7 @@ def v_functional(w_reflected: np.ndarray, j: int, n: int, beta: float) -> LogVal
     if not beta > 0:
         raise DomainError(f"beta must be positive (inf allowed), got {beta}")
     # the kernel takes the walk before reflection
-    return _first(_log_v_cols_from(_ExpRows(-_row(w_reflected, n)), j, n, beta))
+    return _first(_log_v_cols_from(_ExpRows(-w_reflected[None, :n + 1]), j, n, beta))
 
 
 def yaglom_integrand(w: np.ndarray, i: int, n: int, beta: float) -> LogValue:
@@ -155,12 +136,12 @@ def yaglom_integrand(w: np.ndarray, i: int, n: int, beta: float) -> LogValue:
     beta = 0 gives the exact zero (s = 1); beta = inf gives the event
     probability (s = 0).
     """
-    _check_clan_indices(w, i, n)
+    neg = _neg_row(w, i, n)
     if not beta >= 0:  # refuses nan too
         raise DomainError(f"beta must be nonnegative, got {beta}")
     if beta == 0:
         return LogValue.zero()
-    return _first(_log_yaglom_cols_from(_ExpRows(-_row(w, n)), i, n, beta))
+    return _first(_log_yaglom_cols_from(neg, i, n, beta))
 
 
 # ---------------------------------------------------------------------------

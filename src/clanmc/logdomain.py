@@ -2,7 +2,7 @@
 
 Survival functionals of long walks span e^{+-O(sqrt(n))}, far beyond double
 range, so every product and ratio is kept as a log magnitude and only final
-estimates exit to linear scale.  Exact zero is a first-class state, not a
+estimates exit to linear scale.  Exact zero is the log magnitude -inf, not a
 large negative log.
 """
 
@@ -39,22 +39,23 @@ def log1m_exp_neg_vec(log_t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogValue:
-    """A nonnegative real stored as log magnitude plus an exact-zero flag."""
+    """A nonnegative real stored as its log magnitude; log = -inf is the exact zero."""
 
     log: float
-    is_zero: bool = False
 
     @staticmethod
     def zero() -> "LogValue":
-        return LogValue(-math.inf, True)
+        return LogValue(-math.inf)
 
     @staticmethod
     def from_log(log_magnitude: float) -> "LogValue":
-        return LogValue(float(log_magnitude), False)
+        return LogValue(float(log_magnitude))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.log == -math.inf
 
     @property
     def value(self) -> float:
         """Linear-scale value; may underflow to 0.0 or overflow to inf."""
-        if self.is_zero:
-            return 0.0
         return math.exp(self.log)

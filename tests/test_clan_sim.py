@@ -164,6 +164,17 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate_ensemble(path, 3, 10, stream)
 
+    @pytest.mark.parametrize("m_reps", [1000.0, True, 0])
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda path, m_reps, stream: final_clans_ensemble(path, m_reps, stream),
+                     id="final_clans_ensemble"),
+        pytest.param(lambda path, m_reps, stream: simulate_ensemble(path, 1, m_reps, stream),
+                     id="simulate_ensemble")])
+    def test_m_reps_is_a_positive_integer(self, run, m_reps, stream):
+        with pytest.raises(DomainError, match=f"m_reps must be a positive integer, "
+                                              f"got {m_reps!r}"):
+            run(EnvironmentPath(np.zeros(3)), m_reps, stream)
+
     def test_event_requires_sole_survivor(self, stream):
         z_in, y_minus, event = simulate_ensemble(EnvironmentPath(np.zeros(4)), 2, 20_000, stream)
         assert event.any()

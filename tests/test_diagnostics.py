@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clanmc import (EnvironmentPath, RngStream, build_walk, diagnostics, exact_fl,
+from clanmc import (EnvironmentPath, RngStream, build_walk, diagnostics, estimators, exact_fl,
                     h_functional, survival_closed)
 
 
@@ -74,16 +74,19 @@ class TestNanFails:
         assert not result.passed
         assert result.detail.startswith("max relative deviation nan")
 
-    @pytest.mark.parametrize("kernel", ["_log_h_cols_from", "_log_event_prob_cols",
-                                        "_log_extinction_cols"])
-    def test_definitional_nan_in_one_row(self, kernel, monkeypatch):
-        monkeypatch.setattr(diagnostics, kernel, nan_in_one_row(getattr(diagnostics, kernel)))
+    # estimators._log_h_cols reads the first two; the telescoping sum reads the third
+    @pytest.mark.parametrize("owner, kernel", [
+        pytest.param(estimators, "_log_h_cols_from", id="_log_h_cols_from"),
+        pytest.param(estimators, "_log_event_prob_cols", id="_log_event_prob_cols"),
+        pytest.param(diagnostics, "_log_extinction_cols", id="_log_extinction_cols")])
+    def test_definitional_nan_in_one_row(self, owner, kernel, monkeypatch):
+        monkeypatch.setattr(owner, kernel, nan_in_one_row(getattr(owner, kernel)))
         result = diagnostics.definitional_h_check(RngStream(1))
         assert not result.passed
         assert "nan" in result.detail
 
     def test_definitional_nan_everywhere(self, monkeypatch):
-        monkeypatch.setattr(diagnostics, "_log_h_cols_from",
+        monkeypatch.setattr(estimators, "_log_h_cols_from",
                             lambda neg, i, n, log1ms: np.full(neg.a.shape[0], np.nan))
         assert not diagnostics.definitional_h_check(RngStream(1)).passed
 

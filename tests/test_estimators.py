@@ -12,7 +12,8 @@ from clanmc import (DomainError, EnvironmentPath,
                     EnvironmentSpec, MCEstimate, RegimeRule, RngStream,
                     UnreliableRatioError, build_walk, cond_event_prob,
                     duality_check, estimate_event_prob_grid, estimate_lambda,
-                    estimate_theta, scaling_study, strata_decomposition)
+                    estimate_theta, h_functional, scaling_study, simulate_ensemble,
+                    strata_decomposition)
 from clanmc import estimators
 from clanmc.env_model import draw_increments
 from clanmc.errors import NumericalFailureError
@@ -491,10 +492,41 @@ class TestStrata:
         with pytest.raises(DomainError):
             strata_decomposition(GAUSS, 48, 64, 1.0, 8, 100, stream)  # N >= j/2
 
+    def test_window_is_an_integer(self, stream):
+        with pytest.raises(DomainError, match="strata window N must be a positive integer, "
+                                              "got 2.5"):
+            strata_decomposition(GAUSS, 48, 64, 1.0, 2.5, 100, stream)
+
     def test_middle_mass_shrinks_with_window(self, stream):
         wide = strata_decomposition(GAUSS, 192, 256, 1.0, 5, 20_000, stream)
         narrow = strata_decomposition(GAUSS, 192, 256, 1.0, 20, 20_000, stream)
         assert narrow.middle.mean < wide.middle.mean
+
+
+WALK8 = build_walk(EnvironmentPath(np.linspace(-1.0, 1.0, 8)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: duality_check(GAUSS, 3.0, 16, [1.0], 1000, s, 1), id="duality"),
+    pytest.param(lambda s: strata_decomposition(GAUSS, 3.0, 48, 1.0, 4, 1000, s, 1),
+                 id="strata"),
+    pytest.param(lambda s: simulate_ensemble(EnvironmentPath(np.zeros(8)), 3.0, 50_000, s, 1),
+                 id="simulator"),
+    pytest.param(lambda s: h_functional(WALK8, 1.0, 4, 0.5), id="h_functional"),
+    pytest.param(lambda s: cond_event_prob(WALK8, 1.0, 4), id="cond_event_prob"),
+    pytest.param(lambda s: RegimeRule.end_window(3).clan_index(16.5), id="regime"),
+])
+def test_float_clan_index_refused_before_drawing(call, monkeypatch):
+    drawn = []
+    substream = RngStream.substream
+
+    def counting(self, *args, **kwargs):
+        drawn.append(args)
+        return substream(self, *args, **kwargs)
+    monkeypatch.setattr(RngStream, "substream", counting)
+    with pytest.raises(DomainError):
+        call(RngStream(1))
+    assert drawn == []
 
 
 def simulate_conditional_transform(spec, i, n, beta, m_reps, stream):
@@ -560,13 +592,13 @@ def block_walks(spec, n, m_samples, stream, purpose):
         yield np.hstack([np.zeros((rows, 1)), np.cumsum(x, axis=1)])
 
 
-def per_block_transform(spec, i, n, params, m_samples, stream, purpose, point_col):
+def per_block_transform(spec, i, n, params, m_samples, stream, purpose, log_cols):
     """_estimate_transform with every grid point's column computed per block."""
     den, nums = [], []
     for s_mat in block_walks(spec, n, m_samples, stream, purpose):
         neg = estimators._ExpRows(-s_mat)
         den.append(np.exp(estimators._log_event_prob_cols(neg, i, n)))
-        nums.append([point_col(neg, den[-1], p) for p in params])
+        nums.append([np.exp(log_cols(neg, i, n, p)) for p in params])
     den = np.concatenate(den)
     den_est = MCEstimate.from_values(den)
     assert den_est.mean > 3.0 * den_est.stderr
@@ -580,27 +612,13 @@ def per_block_transform(spec, i, n, params, m_samples, stream, purpose, point_co
 
 
 def per_block_theta(spec, end_window, n, s_values, m_samples, stream):
-    i = n - end_window
-
-    def point_col(neg, den, sv):
-        if sv == 0.0:
-            return den
-        if sv == 1.0:
-            return np.zeros_like(den)
-        return np.exp(estimators._log_h_cols_from(neg, i, n, math.log1p(-sv)))
-
-    return per_block_transform(spec, i, n, s_values, m_samples, stream,
-                               f"theta:N={end_window}:n={n}", point_col)
+    return per_block_transform(spec, n - end_window, n, s_values, m_samples, stream,
+                               f"theta:N={end_window}:n={n}", estimators._log_h_cols)
 
 
 def per_block_lambda(spec, rule, n, betas, m_samples, stream):
-    i = rule.clan_index(n)
-
-    def point_col(neg, den, b):
-        return np.exp(estimators._log_yaglom_cols_from(neg, i, n, b))
-
-    return per_block_transform(spec, i, n, betas, m_samples, stream,
-                               f"lambda:{rule.describe()}:n={n}", point_col)
+    return per_block_transform(spec, rule.clan_index(n), n, betas, m_samples, stream,
+                               f"lambda:{rule.describe()}:n={n}", estimators._log_yaglom_cols_from)
 
 
 def per_block_duality(spec, i, n, betas, m_samples, stream):

@@ -5,6 +5,7 @@ the brute-force folds here test the production code itself, row by row.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from clanmc import EnvironmentPath, compose_pgf_bruteforce, estimators, survival_bruteforce
-from clanmc.estimators import (_ExpRows, _log_event_prob_cols, _log_h_cols_from,
+from clanmc.estimators import (_ExpRows, _log_event_prob_cols, _log_h_cols, _log_h_cols_from,
                                _log_survival_cols, _log_v_cols_from, _log_yaglom_cols_from)
 
 
@@ -109,6 +110,25 @@ class TestLogsumexpFallback:
         for lo, hi in FALLBACK_SLICES:
             neg.lse(lo, hi)
         assert sum(seen) > 0
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("i", [0, 256, 509])
+def test_h_kernel_endpoints_on_fallback_walks(i):
+    # s = 0 is the event-probability form and s = 1 the exact zero; between
+    # them the generic form at log1p(-s).  i = 509 reads FALLBACK_SLICES.
+    neg, n = _ExpRows(-wide_walk()), 512
+    assert np.array_equal(bits(_log_h_cols(neg, i, n, 0.0)), bits(_log_event_prob_cols(neg, i, n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_one = _log_h_cols(neg, i, n, 1.0)
+    assert np.all(at_one == -np.inf)
+    for s in (1e-300, 0.3, 0.5, 1.0 - 2.0**-53):
+        assert np.array_equal(bits(_log_h_cols(neg, i, n, s)),
+                              bits(_log_h_cols_from(neg, i, n, math.log1p(-s))))
 
 
 class TestPrefixColumns:

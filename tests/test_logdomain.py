@@ -22,6 +22,12 @@ def test_zero_flag():
     assert not tiny.is_zero and tiny.value == 0.0
 
 
+def test_one_exact_zero():
+    z = LogValue.from_log(-math.inf)
+    assert z == LogValue.zero()
+    assert z.is_zero and z.value == 0.0
+
+
 @pytest.mark.parametrize("log_t", [-750.0, -300.0, -37.0, -5.0, -1.0, 0.0, 1.0, 3.0, 6.0, 700.0])
 def test_log1m_exp_neg_against_mpmath(log_t):
     with mpmath.workdps(300):
