@@ -1,11 +1,11 @@
-"""The associated random walk and its renewal-type harmonic functions.
+"""The associated random walk and its renewal-type harmonic function u.
 
 The walk S has increments X (log mean offspring), S_0 = 0.  Everything the
 closed-form survival machinery needs is a slice sum of e^{-S} over it,
 which the batched kernels of `estimators` take from the walk itself.  The
-module also estimates the two renewal-type harmonic functions of the walk
-(series over staying-negative and staying-nonnegative events) by truncated
-Monte Carlo, and checks their harmonicity under one step of the walk.
+module also estimates the renewal-type harmonic function u of the walk (a
+series over staying-negative events) by truncated Monte Carlo, and checks
+its harmonicity under one step of the walk.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ def build_walk(path: EnvironmentPath) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Renewal-type harmonic functions of the walk, by truncated Monte Carlo.
+# The renewal-type harmonic function u of the walk, by truncated Monte Carlo.
 #
-# u(x) = 1{x>=0} + sum_{n>=1} P(S_n >= -x, max(S_1..S_n) <  0)
-# v(x) = 1{x<0}  + sum_{n>=1} P(S_n <  -x, min(S_0..S_n) >= 0)
+# u(x) = 1 + sum_{n>=1} P(S_n >= -x, max(S_1..S_n) < 0),  x >= 0
 #
-# Each path contributes events only while it persists on one side of 0, so
-# simulation stops at the first sign violation (or at the horizon).  The
-# summand decays faster than the persistence probability ~ n^{-1/2}, so the
+# Each path contributes events only while it stays negative, so simulation
+# stops at its first nonnegative step (or at the horizon).  The summand
+# decays faster than the persistence probability ~ n^{-1/2}, so the
 # truncated tail is small; stability under horizon doubling is the
 # practical bias check.
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ def build_walk(path: EnvironmentPath) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UVTable:
-    """A harmonic-function estimate on a grid, with per-block sums for resampling.
+    """A u estimate on a grid, with per-block sums for resampling.
 
     Its uncertainty is the delete-one-group jackknife's over the blocks
     (see `harmonicity_residual`).
@@ -76,7 +75,7 @@ class UVTable:
 def _chunk_steps(done: int, horizon: int) -> int:
     """Steps of the scan chunk that starts after `done` steps: 16, 16, 32, 64, 128, 128, ...
 
-    A path stays on its side past step n with probability of order
+    A path stays negative past step n with probability of order
     n^{-1/2}, so most paths leave within a few steps.  A path that leaves
     in the chunk starting at `done` has tallied at least `done` steps and
     drew at most max(_FIRST_CHUNK, done) steps it does not tally.
@@ -84,29 +83,21 @@ def _chunk_steps(done: int, horizon: int) -> int:
     return min(_WALK_CHUNK, max(_FIRST_CHUNK, done), horizon - done)
 
 
-def _indicator(side: str, x: float) -> int:
-    return int(x >= 0) if side == "u" else int(x < 0)
-
-
-def _in_grid(side: str, grid: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def _in_grid(grid: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Where the threshold -seg has a bin that counts at some grid point.
 
-    That bin (np.searchsorted side "left", counted from the top on side
-    "v") is below the last one: -seg <= grid[-1] on side "u", and not
-    -seg <= grid[0] on side "v".  numpy sorts a nan last, so a nan
-    threshold is in the top bin: out on side "u" and in on side "v".  An
-    empty grid has no bin that counts.
+    That bin (np.searchsorted side "left") is below the last one:
+    -seg <= grid[-1].  numpy sorts a nan last, so a nan threshold is in the
+    top bin and out.  An empty grid has no bin that counts.
     """
     if not grid.size:
         return np.zeros(seg.shape, dtype=bool)
-    if side == "u":
-        return seg >= -grid[-1]
-    return ~(seg >= -grid[0])
+    return seg >= -grid[-1]
 
 
-def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizon: int,
-                      m_samples: int, stream: RngStream, purpose: str, shards: int | None = None):
-    """Count per-path side-persistence events against a threshold grid.
+def _persistence_scan(spec: EnvironmentSpec, grid: np.ndarray, horizon: int, m_samples: int,
+                      stream: RngStream, purpose: str, shards: int | None = None):
+    """Count per-path staying-negative events against a threshold grid.
 
     Returns (block_paths, block_sums) where block_sums[b, g] is the summed
     per-path event count of block b at grid point g.
@@ -114,12 +105,11 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     A block walks its paths in chunks of _chunk_steps steps, drawing
     _ROW_BATCH steps at once, and keeps only each surviving path's level.
     A step's bin is the number of grid points below its threshold -S
-    (np.searchsorted side "left"), counted from the top on side "v", and a
-    path's event count at grid point g is its steps in bins up to g's (bin
-    g on side "u", top - 1 - g on side "v").  The top bin counts at no grid
-    point, so only the steps taken before their path left whose bin is
-    below it (`_in_grid`) are binned, into one count row per block whose
-    cumulative sum is the block's sums.
+    (np.searchsorted side "left"), and a path's event count at grid point g
+    is its steps in bins up to g.  The top bin counts at no grid point, so
+    only the steps taken before their path left whose bin is below it
+    (`_in_grid`) are binned, into one count row per block whose cumulative
+    sum is the block's sums.
     """
     grid = np.asarray(grid, dtype=float)
     top = grid.size                 # the bin past every grid point, never tallied
@@ -130,7 +120,7 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
     def run_block(b: int) -> None:
         gen = stream.substream(purpose, b)
         buf = np.empty(_ROW_BATCH)
-        level = np.zeros(block_paths[b])  # S at the last chunk's end, per path still on its side
+        level = np.zeros(block_paths[b])  # S at the last chunk's end, per path still negative
         steps = np.zeros(top, dtype=np.int64)  # tallied steps per bin
         done = 0
         while level.size and done < horizon:
@@ -144,61 +134,52 @@ def _persistence_scan(spec: EnvironmentSpec, side: str, grid: np.ndarray, horizo
                 seg = draw_increments(spec, gen, buf[:rows * k].reshape(rows, k))
                 np.cumsum(seg, axis=1, out=seg)
                 seg += level[lo:lo + rows, None]
-                bad = seg >= 0.0 if side == "u" else seg < 0.0
+                bad = seg >= 0.0
                 first = bad.argmax(axis=1)
                 stay = ~bad[np.arange(rows), first]
                 first[stay] = k
                 next_level.append(seg[stay, k - 1])
                 # the steps taken before the path left whose threshold -S is in the grid
-                inside = _in_grid(side, grid, seg)
+                inside = _in_grid(grid, seg)
                 inside &= cols < first[:, None]
                 bins = np.searchsorted(grid, np.negative(seg[inside]))
-                if side == "v":  # count bins from the top
-                    np.subtract(top, bins, out=bins)
                 steps += np.bincount(bins, minlength=top)
             level = np.concatenate(next_level)
             done += k
-        sums = np.cumsum(steps)
-        block_sums[b] = sums[::-1] if side == "v" else sums  # on "v", g is bin top - 1 - g
+        block_sums[b] = np.cumsum(steps)
 
     map_blocks(run_block, n_blocks, resolve_shards(shards))
     return block_paths, block_sums
 
 
-def estimate_table(spec: EnvironmentSpec, side: str, x_grid, horizon: int, m_samples: int,
+def estimate_table(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int,
                    stream: RngStream, shards: int | None = None,
-                   purpose: str | None = None) -> UVTable:
-    """Estimate a harmonic function on a strictly increasing grid.
+                   purpose: str = "assoc_walk.u") -> UVTable:
+    """Estimate u on a strictly increasing, nonnegative grid.
 
-    side "u" is the staying-negative function on x >= 0, side "v" the
-    staying-nonnegative one on x < 0, from `m_samples` walks truncated
-    after `horizon` steps; both are positive integers.  The purpose keys
-    the walks' streams and defaults to "assoc_walk.<side>".  A nan node is
+    From `m_samples` walks truncated after `horizon` steps; both are
+    positive integers.  The purpose keys the walks' streams.  A nan node is
     refused; an infinite one counts every step a path takes before it
-    leaves its side.
+    leaves the negative half-line.
     """
-    if side not in ("u", "v"):
-        raise DomainError(f"side must be 'u' or 'v', got {side}")
     check_count("horizon", horizon)
     check_count("m_samples", m_samples)
     grid = np.asarray(x_grid, dtype=float)
     if np.any(np.isnan(grid)):
         raise DomainError("grid must not hold nan")
-    if side == "u" and np.any(grid < 0):
+    if np.any(grid < 0):
         raise DomainError("u-table grid must be nonnegative")
-    if side == "v" and np.any(grid >= 0):
-        raise DomainError("v-table grid must be strictly negative")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("grid must be strictly increasing")
-    block_paths, block_sums = _persistence_scan(
-        spec, side, grid, horizon, m_samples, stream, purpose or f"assoc_walk.{side}", shards)
-    ind = np.array([_indicator(side, x) for x in grid], dtype=float)
-    return UVTable(ind + block_sums.sum(axis=0) / m_samples, block_sums, block_paths)
+    block_paths, block_sums = _persistence_scan(spec, grid, horizon, m_samples, stream, purpose,
+                                                shards)
+    # u(x) = 1 + the mean event count: the indicator 1{x >= 0} is 1 on the grid
+    return UVTable(1.0 + block_sums.sum(axis=0) / m_samples, block_sums, block_paths)
 
 
 @dataclass(frozen=True)
 class HarmonicityPoint:
-    """One grid point of the harmonicity check E[f(x + X); side] = f(x)."""
+    """One grid point of the harmonicity check E[u(x + X); x + X >= 0] = u(x)."""
 
     x: float
     table_value: float
@@ -247,58 +228,42 @@ def _x_padding(spec: EnvironmentSpec) -> float:
 
 
 def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int,
-                         stream: RngStream, side: str = "u",
-                         shards: int | None = None) -> list[HarmonicityPoint]:
-    """Residuals of the one-step harmonicity identity on a grid.
+                         stream: RngStream, shards: int | None = None) -> list[HarmonicityPoint]:
+    """Residuals of the one-step harmonicity identity on a grid x >= 0.
 
-    side "u": checks E[u(x + X); x + X >= 0] = u(x) on x >= 0.
-    side "v": checks E[v(x + X); x + X <  0] = v(x) on x < 0 only; the
-      identity does not extend to x = 0 under this series convention
-      (v(0) = 0 while the one-step expectation is positive), so x = 0 is
-      rejected rather than checked.
-
-    A single table on a uniform grid of step 0.05 serves every x
-    (piecewise-linear interpolation, linear extrapolation at the ends).
-    The combined uncertainty of table noise, draw noise and their
-    correlation is estimated by a delete-one-group jackknife over 20 paired
-    (path-block, draw-block) groups, or one per block when there are fewer.
-    Each x searches its draws' interpolation brackets once; each group then
-    costs one multiply-add and one sum over them.
+    The identity is E[u(x + X); x + X >= 0] = u(x).  A single table on a
+    uniform grid of step 0.05 serves every x (piecewise-linear
+    interpolation, linear extrapolation at the ends).  The combined
+    uncertainty of table noise, draw noise and their correlation is
+    estimated by a delete-one-group jackknife over 20 paired (path-block,
+    draw-block) groups, or one per block when there are fewer.  Each x
+    searches its draws' interpolation brackets once; each group then costs
+    one multiply-add and one sum over them.
     """
     grid_step, n_jackknife = 0.05, 20
-    if side not in ("u", "v"):
-        raise DomainError(f"side must be 'u' or 'v', got {side}")
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
         raise DomainError("harmonicity grid must not be empty")
     if not np.all(np.isfinite(x_grid)):
         raise DomainError("harmonicity grid must be finite")
-    if side == "u" and np.any(x_grid < 0):
+    if np.any(x_grid < 0):
         raise DomainError("u-harmonicity grid must be nonnegative")
-    if side == "v" and np.any(x_grid > -1e-12):
-        raise DomainError("v-harmonicity grid must be strictly negative")
     check_count("m_samples", m_samples)
     if m_samples <= _WALK_BLOCK:  # one persistence block leaves nothing to jackknife against
         raise DomainError(f"harmonicity jackknife needs at least 2 persistence blocks: "
                           f"m_samples must be >= {_WALK_BLOCK + 1}, got {m_samples}")
 
-    pad = _x_padding(spec)
-    reach = float(x_grid.max()) if side == "u" else -float(x_grid.min())
-    span = (reach + pad) / grid_step   # inf or nan when the environment scale overflows
+    # inf or nan when the environment scale overflows
+    span = (float(x_grid.max()) + _x_padding(spec)) / grid_step
     if not span <= _MAX_TABLE_NODES - 1:
         raise DomainError(f"harmonicity table needs about {span + 1:.3g} nodes of step "
                           f"{grid_step}, more than the limit of {_MAX_TABLE_NODES}; use a "
                           f"smaller environment scale or x grid")
-    k_max = int(math.ceil(span))
-    if side == "u":
-        nodes = np.arange(0, k_max + 1, dtype=float) * grid_step
-    else:
-        nodes = -np.arange(k_max, 0, -1, dtype=float) * grid_step  # excludes 0: f jumps there
-    table = estimate_table(spec, side, nodes, horizon, m_samples, stream, shards,
-                           purpose=f"assoc_walk.harmonicity.{side}")
+    nodes = np.arange(0, int(math.ceil(span)) + 1, dtype=float) * grid_step
+    table = estimate_table(spec, nodes, horizon, m_samples, stream, shards,
+                           purpose="assoc_walk.harmonicity.u")
 
-    ind = np.array([_indicator(side, x) for x in nodes], dtype=float)
-    gen = stream.substream(f"assoc_walk.harmonicity.{side}.draws", 0)
+    gen = stream.substream("assoc_walk.harmonicity.u.draws", 0)
     draws = draw_increments(spec, gen, np.empty(m_samples))
 
     n_blocks = table.block_paths.size
@@ -307,7 +272,7 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
 
     def table_means(excluded: int) -> np.ndarray:
         keep = block_group != excluded
-        return ind + table.block_sums[keep].sum(axis=0) / int(table.block_paths[keep].sum())
+        return 1.0 + table.block_sums[keep].sum(axis=0) / int(table.block_paths[keep].sum())
 
     # the full table (None) and the table without each group
     means_of = {None: table.means, **{g: table_means(g) for g in range(groups)}}
@@ -320,10 +285,7 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
 
     def jackknife_point(x: float) -> HarmonicityPoint:
         np.add(x, draws, out=y)
-        if side == "u":
-            np.greater_equal(y, 0.0, out=keep)
-        else:
-            np.less(y, 0.0, out=keep)
+        np.greater_equal(y, 0.0, out=keep)
         # the kept draws' brackets serve every group: a group leaves out one
         # contiguous range kept[lo:hi] of them, which its sum skips
         a, sj, d = _brackets(nodes, y[keep])

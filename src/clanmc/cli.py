@@ -22,7 +22,7 @@ from .env_model import EnvironmentSpec, validate_spec
 from .errors import (AssumptionViolationError, ClanMCError, ConfigurationError,
                      DomainError, NumericalFailureError)
 from .estimators import RegimeRule
-from .parallel import _MAX_SHARDS, resolve_shards
+from .parallel import resolve_shards
 from .streams import RngStream
 
 _RESULT_KEYS = ("quantity", "n", "i", "param", "mean", "stderr", "count", "tag")
@@ -93,8 +93,10 @@ class RunConfig:
 
     Each field is one config key, in echo order, declared with its default
     text, parser and echo formatter.  Each key is also the flag "--" + key
-    with "_" turned into "-".  An empty shards resolves once, for every
-    subcommand, to parallel.resolve_shards: the usable CPUs, at most 64.
+    with "_" turned into "-".  The shards key goes through
+    parallel.resolve_shards once, for every subcommand: an empty one
+    resolves to the usable CPUs, at most 64, and a given one must lie in
+    [1, 64].
     """
 
     family: str = _key("gaussian", _word)
@@ -126,10 +128,7 @@ class RunConfig:
                                      f"got {self.m_samples}")
         if not self.n_grid or not self.s_grid or not self.beta_grid:
             raise ConfigurationError("grids must be nonempty")
-        if self.shards is None:
-            object.__setattr__(self, "shards", resolve_shards(None))
-        if not 1 <= self.shards <= _MAX_SHARDS:
-            raise ConfigurationError(f"shards must be between 1 and {_MAX_SHARDS}, got {self.shards}")
+        object.__setattr__(self, "shards", resolve_shards(self.shards))
 
     @staticmethod
     def from_strings(values: dict[str, str]) -> "RunConfig":

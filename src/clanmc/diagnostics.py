@@ -162,8 +162,7 @@ def harmonicity_check(spec: EnvironmentSpec, stream: RngStream, m_samples: int,
                       shards: int | None = None) -> CheckResult:
     """One-step harmonicity of the estimated staying-negative renewal function."""
     pts = assoc_walk.harmonicity_residual(
-        spec, [0.0, 1.0, 2.0], horizon=2000, m_samples=m_samples, stream=stream, side="u",
-        shards=shards)
+        spec, [0.0, 1.0, 2.0], horizon=2000, m_samples=m_samples, stream=stream, shards=shards)
     ok = all(p.passed for p in pts)
     detail = ", ".join(f"x={p.x:g}: residual {p.residual:.4f} vs bound {p.bound:.4f}" for p in pts)
     return CheckResult("u-harmonicity", ok, detail)

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .env_model import EnvironmentPath, pgf_eval
-from .errors import DomainError, check_index
+from .errors import DomainError, check_count, check_index
 from .estimators import (_ExpRows, _log1ms, _log_event_prob_cols, _log_extinction_cols,
                          _log_h_cols, _log_survival_cols, _log_v_cols_from,
                          _log_yaglom_cols_from)
@@ -41,7 +41,8 @@ def compose_pgf_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> f
     Evaluates the composition of generations i+1..n at s; i = n returns s.
     This is the oracle the closed forms are tested against.
     """
-    _check_window(path.n, i, n)
+    check_index("observation time n", n, path.n + 1)
+    check_index("clan index i", i, n + 1)
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {s}")
     t = s
@@ -57,7 +58,8 @@ def survival_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> floa
     written without forming 1 - F, so a tiny survival keeps full relative
     precision.
     """
-    _check_window(path.n, i, n)
+    check_index("observation time n", n, path.n + 1)
+    check_index("clan index i", i, n + 1)
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {s}")
     u = 1.0 - s
@@ -65,11 +67,6 @@ def survival_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> floa
         mu = math.exp(path.x[k - 1]) * u
         u = mu / (1.0 + mu)
     return u
-
-
-def _check_window(length: int, i: int, n: int) -> None:
-    if not 0 <= i <= n <= length:
-        raise DomainError(f"need 0 <= i <= n <= path length, got i={i}, n={n}, length={length}")
 
 
 def _neg_row(w: np.ndarray, i: int, n: int) -> _ExpRows:
@@ -120,8 +117,9 @@ def v_functional(w_reflected: np.ndarray, j: int, n: int, beta: float) -> LogVal
     first-class case and reduces to the product of the first-step ratio and
     the full prefix weight.
     """
-    if not 1 <= j <= n < w_reflected.size:
-        raise DomainError(f"need 1 <= j <= n <= walk length, got j={j}, n={n}")
+    check_index("observation time n", n, w_reflected.size)
+    check_count("dual index j", j)
+    check_index("dual index j", j, n + 1)
     if not beta > 0:
         raise DomainError(f"beta must be positive (inf allowed), got {beta}")
     # the kernel takes the walk before reflection
@@ -154,12 +152,18 @@ def yaglom_integrand(w: np.ndarray, i: int, n: int, beta: float) -> LogValue:
 # ---------------------------------------------------------------------------
 
 
-def reversed_product_bruteforce(path: EnvironmentPath, i: int, z: float) -> float:
-    """prod_{k=1}^{i-1} of reversed compositions under the sign-flipped environment."""
-    if not 2 <= i <= path.n + 1:
-        raise DomainError(f"need 2 <= i <= path length + 1, got i={i}")
+def _check_product(path: EnvironmentPath, i: int, z: float) -> None:
+    """Refuse a product index outside 2 <= i <= path length + 1, or z outside [0, 1)."""
+    check_index("product index i", i, path.n + 2)
+    if i < 2:
+        raise DomainError(f"product index i must be at least 2, got {i}")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"z must lie in [0, 1), got {z}")
+
+
+def reversed_product_bruteforce(path: EnvironmentPath, i: int, z: float) -> float:
+    """prod_{k=1}^{i-1} of reversed compositions under the sign-flipped environment."""
+    _check_product(path, i, z)
     out = 1.0
     for k in range(1, i):
         t = z
@@ -171,10 +175,7 @@ def reversed_product_bruteforce(path: EnvironmentPath, i: int, z: float) -> floa
 
 def reversed_product_closed(path: EnvironmentPath, i: int, z: float) -> float:
     """Closed form of the same product from the original walk's prefix sums."""
-    if not 2 <= i <= path.n + 1:
-        raise DomainError(f"need 2 <= i <= path length + 1, got i={i}")
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"z must lie in [0, 1), got {z}")
+    _check_product(path, i, z)
     s = np.cumsum(path.x)
     w_weight = 1.0 / (1.0 - z)
     return w_weight / (w_weight + float(np.exp(-s[:i - 1]).sum()))

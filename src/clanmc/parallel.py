@@ -12,6 +12,8 @@ import os
 import threading
 from typing import Callable
 
+from .errors import DomainError, _is_integer
+
 # Most worker threads a run may ask for.  The shard count never changes a
 # number, so more threads than this only cost memory.
 _MAX_SHARDS = 64
@@ -28,11 +30,14 @@ def usable_cpus() -> int:
 def resolve_shards(shards: int | None) -> int:
     """The worker-thread count of a run: `shards` when given, else the default.
 
+    A given count is an integer in [1, _MAX_SHARDS]; numpy integers pass.
     The default is the usable CPUs, at most _MAX_SHARDS, and at least one.
     """
-    if shards is not None:
-        return shards
-    return max(1, min(usable_cpus(), _MAX_SHARDS))
+    if shards is None:
+        return max(1, min(usable_cpus(), _MAX_SHARDS))
+    if not _is_integer(shards) or not 1 <= shards <= _MAX_SHARDS:
+        raise DomainError(f"shards must be between 1 and {_MAX_SHARDS}, got {shards!r}")
+    return shards
 
 
 def block_count(total: int, block: int) -> int:

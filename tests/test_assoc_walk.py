@@ -12,9 +12,8 @@ from clanmc.env_model import draw_increments
 from clanmc.estimators import _ExpRows
 
 
-# the node tables `oracle` builds for the u and v harmonicity checks
-ORACLE_U_TABLE = np.arange(161) * 0.05
-ORACLE_V_TABLE = -np.arange(160, 0, -1) * 0.05
+# the node table `oracle` builds for the harmonicity check
+ORACLE_TABLE = np.arange(161) * 0.05
 
 
 @pytest.fixture
@@ -129,18 +128,10 @@ class TestHarmonicSeries:
     def test_u_trivial_values(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
         # S_n >= 0 contradicts a negative running maximum, so u(0) = 1 exactly
-        table = estimate_table(spec, "u", [0.0, 1.0], horizon=200, m_samples=2000, stream=stream)
+        table = estimate_table(spec, [0.0, 1.0], horizon=200, m_samples=2000, stream=stream)
         assert table.means[0] == 1.0 and not table.block_sums[:, 0].any()
         with pytest.raises(DomainError):
-            estimate_table(spec, "u", [-0.5], horizon=50, m_samples=100, stream=stream)
-
-    def test_v_trivial_values(self, stream):
-        spec = EnvironmentSpec.gaussian(1.0)
-        table = estimate_table(spec, "v", [-1.0], horizon=2000, m_samples=4000, stream=stream)
-        assert table.means[0] >= 1.0
-        for bad in ([0.0], [0.5]):
-            with pytest.raises(DomainError):
-                estimate_table(spec, "v", bad, horizon=50, m_samples=100, stream=stream)
+            estimate_table(spec, [-0.5], horizon=50, m_samples=100, stream=stream)
 
     @pytest.mark.parametrize("horizon", [0, -3, 2.5, 10.0, True, "10", None])
     def test_bad_horizon_refused_before_drawing(self, horizon, stream, monkeypatch):
@@ -149,7 +140,7 @@ class TestHarmonicSeries:
         monkeypatch.setattr(assoc_walk, "draw_increments", no_draw)
         spec = EnvironmentSpec.gaussian(1.0)
         with pytest.raises(DomainError, match="horizon must be a positive integer"):
-            estimate_table(spec, "u", [0.0, 1.0], horizon=horizon, m_samples=100, stream=stream)
+            estimate_table(spec, [0.0, 1.0], horizon=horizon, m_samples=100, stream=stream)
         with pytest.raises(DomainError, match="horizon must be a positive integer"):
             harmonicity_residual(spec, [0.0], horizon=horizon, m_samples=5000, stream=stream)
 
@@ -158,54 +149,65 @@ class TestHarmonicSeries:
     def test_bad_m_samples_refused_before_drawing(self, m_samples, stream):
         spec = EnvironmentSpec.gaussian(1.0)
         with pytest.raises(DomainError, match="m_samples must be a positive integer"):
-            estimate_table(spec, "u", [0.0, 1.0], horizon=20, m_samples=m_samples, stream=stream)
+            estimate_table(spec, [0.0, 1.0], horizon=20, m_samples=m_samples, stream=stream)
         with pytest.raises(DomainError, match="m_samples must be a positive integer"):
             harmonicity_residual(spec, [0.0], horizon=20, m_samples=m_samples, stream=stream)
 
     def test_integer_m_samples_types(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        a = estimate_table(spec, "u", [1.0], horizon=20, m_samples=np.int64(100), stream=stream)
-        b = estimate_table(spec, "u", [1.0], horizon=20, m_samples=100, stream=stream)
+        a = estimate_table(spec, [1.0], horizon=20, m_samples=np.int64(100), stream=stream)
+        b = estimate_table(spec, [1.0], horizon=20, m_samples=100, stream=stream)
         assert a.means.tolist() == b.means.tolist()
         assert np.array_equal(a.block_sums, b.block_sums)
 
-    @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.usefixtures("no_draws")
-    def test_empty_harmonicity_grid_refused_before_drawing(self, side, stream):
+    def test_empty_harmonicity_grid_refused_before_drawing(self, stream):
         with pytest.raises(DomainError, match="must not be empty"):
             harmonicity_residual(EnvironmentSpec.gaussian(1.0), [], horizon=20, m_samples=5000,
-                                 stream=stream, side=side)
+                                 stream=stream)
 
-    @pytest.mark.parametrize("side, grid", [("u", [np.nan]), ("u", [0.0, np.nan]),
-                                            ("v", [np.nan]), ("v", [-1.0, np.nan])])
+    @pytest.mark.parametrize("grid", [[np.nan], [0.0, np.nan]])
     @pytest.mark.usefixtures("no_draws")
-    def test_nan_grid_node_refused_before_drawing(self, side, grid, stream):
+    def test_nan_grid_node_refused_before_drawing(self, grid, stream):
         with pytest.raises(DomainError, match="grid must not hold nan"):
-            estimate_table(EnvironmentSpec.gaussian(1.0), side, grid, horizon=20, m_samples=100,
+            estimate_table(EnvironmentSpec.gaussian(1.0), grid, horizon=20, m_samples=100,
                            stream=stream)
 
-    @pytest.mark.parametrize("side, x_grid", [("u", [np.nan]), ("u", [0.5, np.inf]),
-                                              ("v", [np.nan]), ("v", [-np.inf, -0.5])])
+    @pytest.mark.parametrize("grid, message", [
+        ([0.5, 0.5], "grid must be strictly increasing"),
+        ([1.0, 0.5], "grid must be strictly increasing"),
+        ([-0.5, 1.0], "u-table grid must be nonnegative"),
+    ])
     @pytest.mark.usefixtures("no_draws")
-    def test_non_finite_harmonicity_grid_refused_before_drawing(self, side, x_grid, stream):
+    def test_bad_grid_refused_before_drawing(self, grid, message, stream):
+        with pytest.raises(DomainError, match=message):
+            estimate_table(EnvironmentSpec.gaussian(1.0), grid, horizon=20, m_samples=100,
+                           stream=stream)
+
+    @pytest.mark.parametrize("x_grid", [[np.nan], [0.5, np.inf]])
+    @pytest.mark.usefixtures("no_draws")
+    def test_non_finite_harmonicity_grid_refused_before_drawing(self, x_grid, stream):
         with pytest.raises(DomainError, match="harmonicity grid must be finite"):
             harmonicity_residual(EnvironmentSpec.gaussian(1.0), x_grid, horizon=20,
-                                 m_samples=5000, stream=stream, side=side)
+                                 m_samples=5000, stream=stream)
 
-    @pytest.mark.parametrize("side, grid, far", [("u", [0.0, np.inf], -1),
-                                                 ("v", [-np.inf, -1e-300], 0)])
-    def test_infinite_grid_node_counts_every_step(self, side, grid, far, stream):
-        # u(+inf) and v(-inf) count every step a path takes before it leaves its side
+    @pytest.mark.usefixtures("no_draws")
+    def test_negative_harmonicity_x_refused_before_drawing(self, stream):
+        with pytest.raises(DomainError, match="u-harmonicity grid must be nonnegative"):
+            harmonicity_residual(EnvironmentSpec.gaussian(1.0), [1.0, -0.5], horizon=20,
+                                 m_samples=5000, stream=stream)
+
+    def test_infinite_grid_node_counts_every_step(self, stream):
+        # u(+inf) counts every step a path takes before it leaves the negative half-line
         spec = EnvironmentSpec.gaussian(1.0)
-        every = estimate_table(spec, side, [1e300] if side == "u" else [-1e300], horizon=50,
-                               m_samples=100, stream=stream)
-        table = estimate_table(spec, side, grid, horizon=50, m_samples=100, stream=stream)
-        assert table.means[far] == every.means[0] > 1.0
+        every = estimate_table(spec, [1e300], horizon=50, m_samples=100, stream=stream)
+        table = estimate_table(spec, [0.0, np.inf], horizon=50, m_samples=100, stream=stream)
+        assert table.means[-1] == every.means[0] > 1.0
 
     def test_integer_horizon_types(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        a = estimate_table(spec, "u", [1.0], horizon=np.int64(20), m_samples=100, stream=stream)
-        b = estimate_table(spec, "u", [1.0], horizon=20, m_samples=100, stream=stream)
+        a = estimate_table(spec, [1.0], horizon=np.int64(20), m_samples=100, stream=stream)
+        b = estimate_table(spec, [1.0], horizon=20, m_samples=100, stream=stream)
         assert a.means.tolist() == b.means.tolist()
 
     def test_u_against_lattice_dp(self, stream):
@@ -213,23 +215,23 @@ class TestHarmonicSeries:
         horizon = 2000
         xs = [1.0, 2.0, 3.0]
         exact = truncated_u_by_dp(1.0, xs, horizon)
-        table = estimate_table(spec, "u", xs, horizon=horizon, m_samples=100_000, stream=stream)
-        ses = reference_stderrs(spec, "u", xs, horizon, 100_000, stream)
+        table = estimate_table(spec, xs, horizon=horizon, m_samples=100_000, stream=stream)
+        ses = reference_stderrs(spec, xs, horizon, 100_000, stream)
         for x, mean, se in zip(xs, table.means, ses):
             assert abs(mean - exact[x]) <= 3.0 * se, (x, mean, exact[x])
 
     def test_u_truncation_stability(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
-        a = estimate_table(spec, "u", [2.0], horizon=10_000, m_samples=20_000, stream=stream)
-        b = estimate_table(spec, "u", [2.0], horizon=20_000, m_samples=20_000, stream=stream)
-        band = 3.0 * math.hypot(reference_stderrs(spec, "u", [2.0], 10_000, 20_000, stream)[0],
-                                reference_stderrs(spec, "u", [2.0], 20_000, 20_000, stream)[0])
+        a = estimate_table(spec, [2.0], horizon=10_000, m_samples=20_000, stream=stream)
+        b = estimate_table(spec, [2.0], horizon=20_000, m_samples=20_000, stream=stream)
+        band = 3.0 * math.hypot(reference_stderrs(spec, [2.0], 10_000, 20_000, stream)[0],
+                                reference_stderrs(spec, [2.0], 20_000, 20_000, stream)[0])
         assert abs(a.means[0] - b.means[0]) <= band
 
     def test_u_table_monotone(self, stream):
         spec = EnvironmentSpec.gaussian(1.0)
         xs = np.arange(0, 41, dtype=float) * 0.05
-        table = estimate_table(spec, "u", xs, horizon=500, m_samples=5000, stream=stream)
+        table = estimate_table(spec, xs, horizon=500, m_samples=5000, stream=stream)
         assert np.all(np.diff(table.means) >= 0.0)
 
     def test_u_harmonicity_on_lattice_walk(self, stream):
@@ -240,16 +242,6 @@ class TestHarmonicSeries:
         for p in pts:
             assert p.passed, (p.x, p.residual, p.bound)
 
-    def test_v_harmonicity_strictly_negative_grid(self, stream):
-        spec = EnvironmentSpec.gaussian(1.0)
-        pts = harmonicity_residual(spec, [-1.0, -0.5], horizon=2000,
-                                   m_samples=30_000, stream=stream, side="v")
-        for p in pts:
-            assert p.passed, (p.x, p.residual, p.bound)
-        with pytest.raises(DomainError):
-            harmonicity_residual(spec, [0.0], horizon=100, m_samples=100,
-                                 stream=stream, side="v")
-
 
 
 def persistence_total(horizon):
@@ -257,7 +249,7 @@ def persistence_total(horizon):
 
     For i.i.d. steps of a continuous symmetric law, Sparre Andersen's
     theorem gives P(S_1 < 0, ..., S_k < 0) = C(2k, k) / 4^k whatever the
-    law, and P(S_1 >= 0, ..., S_k >= 0) is the same by symmetry.
+    law.
     """
     total, u_k = 1.0, 1.0
     for k in range(1, horizon + 1):
@@ -270,7 +262,7 @@ class TestSparreAndersen:
     """The scan against a distribution-free exact value.
 
     A node above every threshold counts each step a path takes before it
-    leaves its side, so the table there is one plus the mean persistence
+    leaves the negative half-line, so the table there is one plus the mean persistence
     time: 1 + sum_{k<=H} C(2k, k) / 4^k for any continuous symmetric law.
     It checks the chunk schedule, the leave test, the in-grid mask, the
     bins and the block-end tally at once.
@@ -281,28 +273,26 @@ class TestSparreAndersen:
         assert persistence_total(2000) == pytest.approx(50.4721, abs=1e-4)
 
     @pytest.mark.parametrize("horizon", [16, 2000])
-    @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
                                       EnvironmentSpec.uniform_symmetric(1.5)],
                              ids=["gaussian", "uniform"])
-    def test_table_at_the_far_node(self, spec, side, horizon):
-        grid = [0.0, 1e300] if side == "u" else [-1e300, -1e-300]
-        far = -1 if side == "u" else 0
+    def test_table_at_the_far_node(self, spec, horizon):
+        grid = [0.0, 1e300]
         stream = RngStream(27_000 + horizon)
-        table = estimate_table(spec, side, grid, horizon=horizon, m_samples=200_000,
-                               stream=stream, shards=2)
-        se = reference_stderrs(spec, side, grid, horizon, 200_000, stream)[far]
-        z = (table.means[far] - persistence_total(horizon)) / se
+        table = estimate_table(spec, grid, horizon=horizon, m_samples=200_000, stream=stream,
+                               shards=2)
+        se = reference_stderrs(spec, grid, horizon, 200_000, stream)[-1]
+        z = (table.means[-1] - persistence_total(horizon)) / se
         assert abs(z) <= 4.0, (table.means[far], se, z)
 
 
-def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
+def reference_scan(spec, grid, horizon, m_samples, stream, purpose):
     """The dense per-chunk persistence scan, one block after another.
 
     Each chunk draws and cumsums every surviving path at once and tallies
     its steps into dense (paths, grid + 1) counts of the whole block.  The
     production scan draws in row batches and adds each path to the sums
-    when it leaves its side; it must give the same integers.
+    when it leaves the negative half-line; it must give the same integers.
     """
     grid = np.asarray(grid, dtype=float)
     ngrid = grid.size
@@ -319,7 +309,7 @@ def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
             k = assoc_walk._chunk_steps(done, horizon)
             seg = np.cumsum(draw_increments(spec, gen, np.empty((alive.size, k))), axis=1)
             seg += s_cur[alive, None]
-            bad = seg >= 0.0 if side == "u" else seg < 0.0
+            bad = seg >= 0.0
             has_bad = bad.any(axis=1)
             first = np.where(has_bad, bad.argmax(axis=1), k)
             valid = np.arange(k)[None, :] < first[:, None]
@@ -336,11 +326,7 @@ def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
                 s_cur[alive[keep]] = seg[keep, k - 1]
             alive = alive[keep]
             done += k
-        if side == "u":
-            per_path = np.cumsum(counts[:, :ngrid], axis=1, dtype=np.int64)
-        else:
-            totals = counts.sum(axis=1, dtype=np.int64)[:, None]
-            per_path = totals - np.cumsum(counts[:, :ngrid], axis=1, dtype=np.int64)
+        per_path = np.cumsum(counts[:, :ngrid], axis=1, dtype=np.int64)
         results.append((rows, per_path.sum(axis=0), (per_path.astype(np.int64) ** 2).sum(axis=0)))
     block_paths = np.array([r[0] for r in results], dtype=np.int64)
     block_sums = np.stack([r[1] for r in results])
@@ -348,14 +334,14 @@ def reference_scan(spec, side, grid, horizon, m_samples, stream, purpose):
     return block_paths, block_sums, total_sumsq
 
 
-def reference_stderrs(spec, side, grid, horizon, m_samples, stream):
+def reference_stderrs(spec, grid, horizon, m_samples, stream):
     """Standard errors of `estimate_table`'s means, from the per-path squares of `reference_scan`.
 
     The indicator shifts every path's value equally, so the spread is the
     event counts'.
     """
-    _, block_sums, total_sumsq = reference_scan(spec, side, grid, horizon, m_samples, stream,
-                                                f"assoc_walk.{side}")
+    _, block_sums, total_sumsq = reference_scan(spec, grid, horizon, m_samples, stream,
+                                                "assoc_walk.u")
     mean = block_sums.sum(axis=0) / m_samples
     var = (total_sumsq / m_samples - mean ** 2) / max(m_samples - 1, 1)
     return np.sqrt(np.maximum(var, 0.0))
@@ -372,14 +358,12 @@ class TestPersistenceScan:
     # 4096 + 700 paths: a full block of many row batches and a short last
     # block; a horizon of 300 ends on a chunk of 44 steps
     @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
                                       EnvironmentSpec.uniform_symmetric(1.5),
                                       EnvironmentSpec.two_point(1.0)],
                              ids=["gaussian", "uniform", "twopoint"])
-    def test_same_integers_as_dense_reference(self, spec, side, shards, stream):
-        grid = np.arange(0, 41) * 0.1 if side == "u" else -np.arange(40, 0, -1) * 0.1
-        args = (spec, side, grid, 300, 4796, stream, f"test.scan.{side}")
+    def test_same_integers_as_dense_reference(self, spec, shards, stream):
+        args = (spec, np.arange(0, 41) * 0.1, 300, 4796, stream, "test.scan.u")
         got = assoc_walk._persistence_scan(*args, shards=shards)
         want = reference_scan(*args)
         assert got[0].tolist() == [4096, 700]
@@ -388,34 +372,29 @@ class TestPersistenceScan:
 
     # horizons that end inside, on and just past the first chunk of 16 steps
     @pytest.mark.parametrize("horizon", [1, 15, 16, 17])
-    @pytest.mark.parametrize("side", ["u", "v"])
-    def test_same_integers_at_edge_horizons(self, side, horizon, stream):
-        grid = np.arange(0, 41) * 0.1 if side == "u" else -np.arange(40, 0, -1) * 0.1
-        args = (EnvironmentSpec.gaussian(1.0), side, grid, horizon, 4796, stream,
-                f"test.edge.{side}")
+    def test_same_integers_at_edge_horizons(self, horizon, stream):
+        args = (EnvironmentSpec.gaussian(1.0), np.arange(0, 41) * 0.1, horizon, 4796, stream,
+                "test.edge.u")
         got = assoc_walk._persistence_scan(*args, shards=1)
         want = reference_scan(*args)
         assert_same_scan(got, want)
         assert want[1].sum() > 0
 
     # the 161-node table of `oracle` over two blocks; two-point walks land on its nodes
-    @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0), EnvironmentSpec.two_point(1.0)],
                              ids=["gaussian", "twopoint"])
-    def test_same_integers_on_oracle_table(self, spec, side, stream):
-        grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
-        args = (spec, side, grid, 2000, 4796, stream, f"test.table.{side}")
+    def test_same_integers_on_oracle_table(self, spec, stream):
+        args = (spec, ORACLE_TABLE, 2000, 4796, stream, "test.table.u")
         got = assoc_walk._persistence_scan(*args, shards=2)
         want = reference_scan(*args)
         assert got[0].tolist() == [4096, 700]
         assert_same_scan(got, want)
 
-    @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
                                       EnvironmentSpec.uniform_symmetric(1.5),
                                       EnvironmentSpec.two_point(1.0)],
                              ids=["gaussian", "uniform", "twopoint"])
-    def test_draws_bounded_by_tallied_steps(self, spec, side, stream, monkeypatch):
+    def test_draws_bounded_by_tallied_steps(self, spec, stream, monkeypatch):
         # a path that leaves in the chunk starting at step `done` has tallied
         # at least `done` steps and drew at most max(_FIRST_CHUNK, done) more
         drawn, draw = [0], assoc_walk.draw_increments
@@ -426,20 +405,18 @@ class TestPersistenceScan:
 
         monkeypatch.setattr(assoc_walk, "draw_increments", counted)
         paths = 8192
-        grid = np.array([1e300 if side == "u" else -1e300])  # every tallied step counts
-        _, block_sums = assoc_walk._persistence_scan(spec, side, grid, 2000, paths, stream,
-                                                     "test.waste", shards=1)
+        grid = np.array([1e300])  # every tallied step counts
+        _, block_sums = assoc_walk._persistence_scan(spec, grid, 2000, paths, stream, "test.waste",
+                                                     shards=1)
         tallied = int(block_sums.sum())
         assert 0 < drawn[0] <= 2 * tallied + assoc_walk._FIRST_CHUNK * paths, (drawn, tallied)
 
     # a 1024-node table, the widest `oracle` builds, and an uneven grid
-    @pytest.mark.parametrize("side", ["u", "v"])
     @pytest.mark.parametrize("nodes", [np.arange(1024) * 0.05,
                                        np.array([0.05, 0.1, 0.15, 1.0, 7.5, 7.5000001, 300.0])],
                              ids=["1024-node", "uneven"])
-    def test_same_integers_on_wide_and_uneven_grids(self, nodes, side, stream):
-        grid = nodes if side == "u" else -nodes[::-1]
-        args = (EnvironmentSpec.gaussian(1.0), side, grid, 2000, 4796, stream, f"test.wide.{side}")
+    def test_same_integers_on_wide_and_uneven_grids(self, nodes, stream):
+        args = (EnvironmentSpec.gaussian(1.0), nodes, 2000, 4796, stream, "test.wide.u")
         got = assoc_walk._persistence_scan(*args, shards=2)
         want = reference_scan(*args)
         assert_same_scan(got, want)
@@ -451,7 +428,7 @@ class TestPersistenceScan:
         spec, grid = EnvironmentSpec.gaussian(1.0), np.arange(161) * 0.05
         tracemalloc.start()
         try:
-            assoc_walk._persistence_scan(spec, "u", grid, 2000, 4096, stream, "test.mem", shards=1)
+            assoc_walk._persistence_scan(spec, grid, 2000, 4096, stream, "test.mem", shards=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -460,8 +437,8 @@ class TestPersistenceScan:
     def test_block_working_set_flat_in_table_width(self, stream):
         # a block keeps one count per node beside its batch temporaries:
         # about 0.5 MiB against 1024 nodes, where per-path bin-count rows took 6 MiB
-        peak = scan_peak(EnvironmentSpec.gaussian(1.0), "u", np.arange(1024) * 0.05, 2000, 4096,
-                         stream, "test.mem", shards=1)
+        peak = scan_peak(EnvironmentSpec.gaussian(1.0), np.arange(1024) * 0.05, 2000, 4096, stream,
+                         "test.mem", shards=1)
         assert peak <= 3 * 2**20, peak
 
     def test_block_working_set_flat_in_tallied_steps(self, stream):
@@ -469,31 +446,27 @@ class TestPersistenceScan:
         # block takes at this horizon; one count row and the batch
         # temporaries peak at about 0.5 MiB, and 4 B per tallied step
         # would take about 1.8 MiB
-        spec, grid = EnvironmentSpec.gaussian(1.0), np.array([-1e300])
-        assoc_walk._persistence_scan(spec, "v", grid, 16, 64, stream, "test.warm", shards=1)
-        peak = scan_peak(spec, "v", grid, 10_000, 4096, stream, "test.long", shards=1)
-        _, every = assoc_walk._persistence_scan(spec, "v", grid, 10_000, 4096, stream,
-                                                "test.long", shards=1)
+        spec, grid = EnvironmentSpec.gaussian(1.0), np.array([1e300])
+        assoc_walk._persistence_scan(spec, grid, 16, 64, stream, "test.warm", shards=1)
+        peak = scan_peak(spec, grid, 10_000, 4096, stream, "test.long", shards=1)
+        _, every = assoc_walk._persistence_scan(spec, grid, 10_000, 4096, stream, "test.long",
+                                                shards=1)
         tallied = int(every.sum())
         assert tallied > 300_000, tallied
         assert peak <= 2**20, (peak, tallied)
 
     # an empty grid has no bin that counts; grids that almost every step
     # overshoots leave a few in-grid steps per block
-    @pytest.mark.parametrize("side, grid, horizon", [
-        ("u", np.array([]), 300), ("v", np.array([]), 300),
-        ("u", np.array([0.0, 0.05]), 2000), ("v", np.array([-0.05]), 2000),
-    ], ids=["u-empty", "v-empty", "u-overshot", "v-overshot"])
-    def test_same_integers_on_empty_and_overshot_grids(self, side, grid, horizon, stream):
-        args = (EnvironmentSpec.gaussian(1.0), side, grid, horizon, 4796, stream,
-                f"test.over.{side}")
+    @pytest.mark.parametrize("grid, horizon", [(np.array([]), 300), (np.array([0.0, 0.05]), 2000)],
+                             ids=["u-empty", "u-overshot"])
+    def test_same_integers_on_empty_and_overshot_grids(self, grid, horizon, stream):
+        args = (EnvironmentSpec.gaussian(1.0), grid, horizon, 4796, stream, "test.over.u")
         got = assoc_walk._persistence_scan(*args, shards=2)
         want = reference_scan(*args)
         assert_same_scan(got, want)
         assert got[1].shape == (2, grid.size)
 
-    @pytest.mark.parametrize("side", ["u", "v"])
-    def test_bins_only_in_grid_steps(self, side, stream, monkeypatch):
+    def test_bins_only_in_grid_steps(self, stream, monkeypatch):
         # the table's last node counts every in-grid step, so the thresholds
         # the scan bins are exactly the steps some node counts
         binned, searchsorted = [], np.searchsorted
@@ -503,27 +476,20 @@ class TestPersistenceScan:
             return searchsorted(a, v, *args, **kwargs)
 
         monkeypatch.setattr(np, "searchsorted", recorded)
-        grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
         _, block_sums = assoc_walk._persistence_scan(
-            EnvironmentSpec.gaussian(1.0), side, grid, 2000, 4796, stream, f"test.count.{side}",
+            EnvironmentSpec.gaussian(1.0), ORACLE_TABLE, 2000, 4796, stream, "test.count.u",
             shards=2)
         thresholds = np.concatenate(binned)
-        if side == "u":
-            assert np.all(thresholds <= grid[-1])
-            assert thresholds.size == block_sums[:, -1].sum()
-        else:
-            assert not np.any(thresholds <= grid[0])
-            assert thresholds.size == block_sums[:, 0].sum()
+        assert np.all(thresholds <= ORACLE_TABLE[-1])
+        assert thresholds.size == block_sums[:, -1].sum()
         assert thresholds.size > 0
 
-    @pytest.mark.parametrize("side", ["u", "v"])
-    def test_block_working_set_follows_in_grid_steps(self, side, stream):
+    def test_block_working_set_follows_in_grid_steps(self, stream):
         # at horizon 10 000 a block takes 0.4-0.5 M steps and about 50 000
         # fall in the 161-node table: about 0.4 MiB after one-time state
         spec = EnvironmentSpec.gaussian(1.0)
-        grid = ORACLE_U_TABLE if side == "u" else ORACLE_V_TABLE
-        assoc_walk._persistence_scan(spec, side, grid, 16, 64, stream, "test.warm", shards=1)
-        peak = scan_peak(spec, side, grid, 10_000, 4096, stream, "test.long", shards=1)
+        assoc_walk._persistence_scan(spec, ORACLE_TABLE, 16, 64, stream, "test.warm", shards=1)
+        peak = scan_peak(spec, ORACLE_TABLE, 10_000, 4096, stream, "test.long", shards=1)
         assert peak <= 2 * 2**20, peak
 
 
@@ -552,24 +518,19 @@ def reference_interp_extrap(xs, ys, q):
     return out
 
 
-def reference_harmonicity(spec, x_grid, horizon, m_samples, stream, side="u", shards=None):
+def reference_harmonicity(spec, x_grid, horizon, m_samples, stream, shards=None):
     """The harmonicity check with one interpolation per x and per left-out group.
 
     Same table, draws and groups as the production check; each group's
     value interpolates the draws outside that group afresh.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    pad = assoc_walk._x_padding(spec)
-    reach = float(x_grid.max()) if side == "u" else -float(x_grid.min())
-    k_max = int(math.ceil((reach + pad) / 0.05))
-    if side == "u":
-        nodes = np.arange(0, k_max + 1, dtype=float) * 0.05
-    else:
-        nodes = -np.arange(k_max, 0, -1, dtype=float) * 0.05
-    table = estimate_table(spec, side, nodes, horizon, m_samples, stream, shards,
-                           purpose=f"assoc_walk.harmonicity.{side}")
-    ind = np.array([1.0 if (x >= 0 if side == "u" else x < 0) else 0.0 for x in nodes])
-    gen = stream.substream(f"assoc_walk.harmonicity.{side}.draws", 0)
+    k_max = int(math.ceil((float(x_grid.max()) + assoc_walk._x_padding(spec)) / 0.05))
+    nodes = np.arange(0, k_max + 1, dtype=float) * 0.05
+    table = estimate_table(spec, nodes, horizon, m_samples, stream, shards,
+                           purpose="assoc_walk.harmonicity.u")
+    ind = np.ones(nodes.size)  # 1{x >= 0} on the nonnegative nodes
+    gen = stream.substream("assoc_walk.harmonicity.u.draws", 0)
     draws = draw_increments(spec, gen, np.empty(m_samples))
     n_blocks = table.block_paths.size
     groups = min(20, n_blocks)
@@ -582,7 +543,7 @@ def reference_harmonicity(spec, x_grid, horizon, m_samples, stream, side="u", sh
 
     def residual_for(x, means, dmask):
         y = x + draws[dmask]
-        keep = y >= 0.0 if side == "u" else y < 0.0
+        keep = y >= 0.0
         expect = float(reference_interp_extrap(nodes, means, y[keep]).sum()) / y.size
         return expect, expect - float(reference_interp_extrap(nodes, means, np.array([x]))[0])
 
@@ -606,10 +567,10 @@ def scan_once(monkeypatch):
     """Let a check and its reference share each persistence scan they both ask for."""
     scan, done = assoc_walk._persistence_scan, {}
 
-    def shared(spec, side, grid, horizon, m_samples, stream, purpose, shards=None):
-        key = (side, grid.tobytes(), horizon, m_samples, purpose)
+    def shared(spec, grid, horizon, m_samples, stream, purpose, shards=None):
+        key = (grid.tobytes(), horizon, m_samples, purpose)
         if key not in done:
-            done[key] = scan(spec, side, grid, horizon, m_samples, stream, purpose, shards)
+            done[key] = scan(spec, grid, horizon, m_samples, stream, purpose, shards)
         return done[key]
     monkeypatch.setattr(assoc_walk, "_persistence_scan", shared)
 
@@ -621,26 +582,23 @@ class TestHarmonicityJackknife:
     @pytest.mark.parametrize("m_samples,shards", [(19 * 4096 + 700, 2), (2 * 4096 + 700, 1),
                                                   (2 * 4096 + 700, 2)],
                              ids=["20-groups-shards2", "3-groups-shards1", "3-groups-shards2"])
-    @pytest.mark.parametrize("side,x_grid", [("u", [0.0, 0.33, 1.0, 2.0]),
-                                             ("v", [-1.0, -0.47, -0.05])], ids=["u", "v"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
                                       EnvironmentSpec.gaussian(0.3),
                                       EnvironmentSpec.uniform_symmetric(1.5),
                                       EnvironmentSpec.two_point(1.0)],
                              ids=["gaussian", "gaussian-0.3", "uniform", "twopoint"])
-    def test_same_points_as_reference(self, spec, side, x_grid, shards, m_samples):
-        args = (spec, x_grid, 300, m_samples, RngStream(4242))
-        got = harmonicity_residual(*args, side=side, shards=shards)
-        want = reference_harmonicity(*args, side=side, shards=shards)
+    def test_same_points_as_reference(self, spec, shards, m_samples):
+        args = (spec, [0.0, 0.33, 1.0, 2.0], 300, m_samples, RngStream(4242))
+        got = harmonicity_residual(*args, shards=shards)
+        want = reference_harmonicity(*args, shards=shards)
         assert got == want
 
     def test_single_node_table(self):
-        # step 0.02 and x = -0.01 need one node at -0.05: np.interp returns
-        # that node's value for every query
-        spec = EnvironmentSpec.two_point(0.02)
-        args = (spec, [-0.01], 300, 2 * 4096 + 700, RngStream(4243))
-        got = harmonicity_residual(*args, side="v")
-        want = reference_harmonicity(*args, side="v")
+        # step 0 and x = 0 need one node at 0: np.interp returns that node's
+        # value for every query
+        args = (EnvironmentSpec.two_point(0.0), [0.0], 300, 2 * 4096 + 700, RngStream(4243))
+        got = harmonicity_residual(*args)
+        want = reference_harmonicity(*args)
         assert got == want
         assert got[0].allowance == 0.0
 

@@ -220,3 +220,22 @@ class TestReversedProduct:
                 lhs = reversed_product_bruteforce(path, i, z)
                 rhs = reversed_product_closed(path, i, z)
                 assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+EIGHT_STEPS, EIGHT_WALK = random_case(41, 8)
+INDEXED_ORACLES = {
+    "compose_pgf_bruteforce": lambda i: compose_pgf_bruteforce(EIGHT_STEPS, i, 8, 0.5),
+    "survival_bruteforce": lambda i: survival_bruteforce(EIGHT_STEPS, i, 8, 0.5),
+    "reversed_product_bruteforce": lambda i: reversed_product_bruteforce(EIGHT_STEPS, i, 0.5),
+    "reversed_product_closed": lambda i: reversed_product_closed(EIGHT_STEPS, i, 0.5),
+    "v_functional": lambda j: v_functional(-EIGHT_WALK, j, 8, 1.0),
+}
+
+
+@pytest.mark.parametrize("index", [3.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", sorted(INDEXED_ORACLES))
+def test_oracle_index_must_be_an_integer(name, index):
+    # the integer 3 is a valid index of each; 3.0 and True are not integers
+    INDEXED_ORACLES[name](3)
+    with pytest.raises(DomainError, match="integer"):
+        INDEXED_ORACLES[name](index)

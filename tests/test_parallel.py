@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clanmc import EnvironmentSpec, RngStream, assoc_walk, estimators, parallel
+from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RegimeRule, RngStream,
+                    assoc_walk, estimators, parallel, simulate_ensemble)
 from clanmc.cli import RunConfig
 from clanmc.estimators import (_MAX_N, _SLAB_BYTES, _event_keys, _log_event_prob_cols,
                                _sweep, _sweep_sums)
@@ -157,6 +158,22 @@ def test_library_default_is_the_resolved_count(monkeypatch):
         monkeypatch.setattr(mod, "map_blocks", counting)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     spec, stream = EnvironmentSpec.gaussian(1.0), RngStream(5)
-    assoc_walk.estimate_table(spec, "u", [0.0, 1.0], horizon=50, m_samples=5000, stream=stream)
+    assoc_walk.estimate_table(spec, [0.0, 1.0], horizon=50, m_samples=5000, stream=stream)
     estimators._sweep(spec, 8, 600, stream, "test.default", lambda s: {"end": s[:, -1].copy()})
     assert seen == [3, 3]
+
+
+@pytest.mark.parametrize("shards", [0, 2.5, True, 65, 10**6])
+@pytest.mark.parametrize("run", [
+    lambda shards: estimators.estimate_event_prob_grid(
+        GAUSS, RegimeRule("end_window", 3), [8, 16], 600, RngStream(1), shards),
+    lambda shards: assoc_walk.harmonicity_residual(GAUSS, [0.0], 50, 5000, RngStream(1), shards),
+    lambda shards: simulate_ensemble(EnvironmentPath(np.zeros(4)), 1, 100, RngStream(1), shards),
+], ids=["estimator", "harmonicity_residual", "simulate_ensemble"])
+def test_library_shard_count_refused_before_drawing(run, shards, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("a stream or thread started before the shard-count refusal")
+    monkeypatch.setattr(parallel.threading, "Thread", started)
+    monkeypatch.setattr(RngStream, "substream", started)
+    with pytest.raises(DomainError, match=f"shards must be between 1 and {_MAX_SHARDS}"):
+        run(shards)
