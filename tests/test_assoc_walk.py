@@ -283,7 +283,7 @@ class TestSparreAndersen:
                                shards=2)
         se = reference_stderrs(spec, grid, horizon, 200_000, stream)[-1]
         z = (table.means[-1] - persistence_total(horizon)) / se
-        assert abs(z) <= 4.0, (table.means[far], se, z)
+        assert abs(z) <= 4.0, (table.means[-1], se, z)
 
 
 def reference_scan(spec, grid, horizon, m_samples, stream, purpose):
@@ -379,6 +379,29 @@ class TestPersistenceScan:
         want = reference_scan(*args)
         assert_same_scan(got, want)
         assert want[1].sum() > 0
+
+    # blocks of one path, of exactly one and just over one first-chunk row
+    # batch (_ROW_BATCH // 16 = 1024 paths), and a full block beside a block
+    # of one path
+    @pytest.mark.parametrize("m_samples, block_paths", [(1, [1]), (1024, [1024]), (1025, [1025]),
+                                                        (4097, [4096, 1])],
+                             ids=["1", "1024", "1025", "4097"])
+    def test_same_integers_at_block_and_batch_edges(self, m_samples, block_paths, stream):
+        args = (EnvironmentSpec.gaussian(1.0), np.arange(0, 41) * 0.1, 300, m_samples, stream,
+                "test.batch.u")
+        got = assoc_walk._persistence_scan(*args, shards=2)
+        want = reference_scan(*args)
+        assert got[0].tolist() == block_paths
+        assert_same_scan(got, want)
+
+    def test_walk_that_never_goes_negative_tallies_nothing(self, stream):
+        # zero steps put every path at S_1 = 0, so each leaves at its first step
+        spec, grid = EnvironmentSpec.two_point(0.0), np.arange(0, 41) * 0.1
+        got = assoc_walk._persistence_scan(spec, grid, 300, 4796, stream, "test.flat.u", shards=2)
+        assert_same_scan(got, reference_scan(spec, grid, 300, 4796, stream, "test.flat.u"))
+        assert not got[1].any()
+        table = estimate_table(spec, grid, horizon=300, m_samples=4796, stream=stream)
+        assert np.all(table.means == 1.0)
 
     # the 161-node table of `oracle` over two blocks; two-point walks land on its nodes
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0), EnvironmentSpec.two_point(1.0)],
@@ -578,10 +601,16 @@ def scan_once(monkeypatch):
 @pytest.mark.usefixtures("scan_once")
 class TestHarmonicityJackknife:
     # 19 * 4096 + 700 paths give 20 blocks and 20 groups; 2 * 4096 + 700
-    # give three blocks and three groups.  A horizon of 300 keeps it fast.
+    # give three blocks and three groups.  20 * 4096 + 700 paths give 21
+    # blocks, so group 0 holds two of them; 4097 paths, the fewest the check
+    # takes, give two groups whose second block holds one path; 3 * 4096
+    # give three full blocks.  A horizon of 300 keeps it fast.
     @pytest.mark.parametrize("m_samples,shards", [(19 * 4096 + 700, 2), (2 * 4096 + 700, 1),
-                                                  (2 * 4096 + 700, 2)],
-                             ids=["20-groups-shards2", "3-groups-shards1", "3-groups-shards2"])
+                                                  (2 * 4096 + 700, 2), (20 * 4096 + 700, 2),
+                                                  (4097, 1), (3 * 4096, 2)],
+                             ids=["20-groups-shards2", "3-groups-shards1", "3-groups-shards2",
+                                  "21-blocks-shards2", "one-path-block-shards1",
+                                  "full-blocks-shards2"])
     @pytest.mark.parametrize("spec", [EnvironmentSpec.gaussian(1.0),
                                       EnvironmentSpec.gaussian(0.3),
                                       EnvironmentSpec.uniform_symmetric(1.5),
