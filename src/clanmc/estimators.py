@@ -28,17 +28,26 @@ from .streams import RngStream
 
 _SWEEP_BLOCK = 256
 # Most bytes of walk in one row slab: a block's rows are drawn, cumsummed
-# and handed to the kernel slab by slab, so a sweep thread holds about
-# three slabs (increments, walk, the kernel's exponentials) at any n.
+# and handed to the kernel slab by slab, so a sweep thread holds two slab
+# arrays (the walk, then the kernel's exponentials in the memory the
+# increments left) at any n.
 _SLAB_BYTES = 2 * 2**20
 # Largest observation time a sweep accepts, eight times the largest grid
 # point the scaling studies use; a slab there holds 3 rows.
 _MAX_N = 65536
 # Values a sweep thread buffers (_sweep_sums), six columns of 16 384 rows:
-# a sweep of k keys buffers the budget's k-th part in rows, never less than
-# a block, so a chunk stage's temporaries stay small whatever M is, and each
-# exact-sum call gets enough values to amortise its fixed cost.
+# a sweep of k keys buffers the budget's k-th part in rows, at most
+# _CHUNK_ROWS and never less than a block, so a chunk stage's temporaries
+# stay small whatever M is, and each exact-sum call gets enough values to
+# amortise its fixed cost.
 _COLUMN_CHUNK = 6 * 16384
+# Most rows of a chunk; binds on sweeps of fewer than 12 keys.  The chunk
+# stage's temporaries grow with its rows: at 8192 rows in place of 16 384,
+# nine-beta estimate_lambda at n = 256 peaks at about 1.8 MiB a thread in
+# place of 2.9 MiB.  mcstats._fold's word packing pays for the extra
+# exact-sum calls: 65 536 values sum in 2.4 ms as 8192-value calls, where
+# the bucket-by-bucket fold took 2.65 ms as 16 384-value calls.
+_CHUNK_ROWS = 8192
 # Smallest relative error a scaling fit weights: 1/rel^2 and the weighted
 # sums of log n and log mean stay finite above it.
 _MIN_REL_ERR = 1e-150
@@ -114,7 +123,10 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
     _SLAB_BYTES of walk, in order from the block's generator, so it consumes
     its stream as one (rows, n) draw would and row-wise kernels see the same
     numbers.  Each thread reuses one slab buffer for s: a kernel may modify
-    s and must copy what it keeps of it.  n and m_samples are positive integers.
+    s and must copy what it keeps of it.  Each slab's increments are drawn
+    into a fresh array and released once cumsummed into s, before kernel(s)
+    runs, so the kernel's slab-sized arrays can take their memory and a
+    thread holds two slab arrays.  n and m_samples are positive integers.
     """
     check_count("observation time n", n)
     check_count("m_samples", m_samples)
@@ -131,16 +143,13 @@ def _sweep(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream,
         # an increment or partial sum that overflows stays +-inf or nan to the
         # end of its row, so the check below catches every such row without the warning
         with np.errstate(over="ignore", invalid="ignore"):
-            x = draw_increments(spec, gen, local.x[:rows])
-            np.cumsum(x, axis=1, out=s[:, 1:])
+            np.cumsum(draw_increments(spec, gen, np.empty((rows, n))), axis=1, out=s[:, 1:])
         if not np.isfinite(s[:, n]).all():
             raise NumericalFailureError("environment walk overflowed the double range")
         kernel(s)
 
     def run_block(b: int) -> None:
-        if not hasattr(local, "x"):
-            # a short slab is a row slice, which stays C-contiguous for the in-place draw
-            local.x = np.empty((slab, n))
+        if not hasattr(local, "s"):
             local.s = np.empty((slab, n + 1))
         gen = stream.substream(purpose, b)
         rows = min(_SWEEP_BLOCK, m_samples - b * _SWEEP_BLOCK)
@@ -156,8 +165,9 @@ def _sweep_sums(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream
 
     Each slab's walk (negated in place when `negate`) becomes one _ExpRows,
     read at each of `keys` into the sweep thread's buffers, one per key.
-    The buffers hold _COLUMN_CHUNK values over all keys, and never fewer
-    rows than a block, so a slab always fits.  Before a slab would overflow
+    The buffers hold _COLUMN_CHUNK values over all keys, in at most
+    _CHUNK_ROWS rows and never fewer than a block, so a slab always fits
+    and a chunk stage's temporaries stay small.  Before a slab would overflow
     them, chunk_stage(rows) reduces the filled rows to a dict of exact
     statistics (MCEstimate, Fraction cross sums), added key by key to the
     sweep's totals; rows is a dict that answers the same keys, so the
@@ -167,7 +177,7 @@ def _sweep_sums(spec: EnvironmentSpec, n: int, m_samples: int, stream: RngStream
     count or chunk boundary changes a bit, and no array grows with M.
     """
     keys = tuple(dict.fromkeys(keys))
-    rows = min(max(_COLUMN_CHUNK // len(keys), _SWEEP_BLOCK), m_samples)
+    rows = min(max(min(_COLUMN_CHUNK // len(keys), _CHUNK_ROWS), _SWEEP_BLOCK), m_samples)
     local, lock = threading.local(), threading.Lock()
     folds, total = [], {}  # folds: each thread's buffers; list.append is atomic
 

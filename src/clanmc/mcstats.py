@@ -38,6 +38,10 @@ _MIN_EXP = -1126
 # a2, b2 < 2**17) below 2**37, so 2**16 values per chunk keep every bucket
 # below 2**53.
 _CHUNK = 1 << 16
+# _fold's split of an aligned bucket total, and the powers one int64 word packs
+_HALF = 28
+_WORD = 32
+_WORD_SHIFTS = np.arange(_WORD, dtype=np.int64)
 _ONE = 1 << -_MIN_EXP  # 1.0 in units of the lowest bucket's bit
 _TINY = Fraction(np.finfo(float).tiny)  # smallest normal double
 
@@ -47,15 +51,23 @@ def _fold(groups) -> int:
 
     The float64 bucket totals are exact integers below 2**53, so the int64
     conversion is exact, and at most five of them meet at one power of two,
-    so the aligned int64 sum stays below 2**56.  The nonzero powers are then
-    added up in a Python int.
+    so the aligned int64 sum c_j stays below 2**56.  Each c_j is cut into a
+    low part c_j mod 2**28, kept at power j, and a high part c_j >> 28, moved
+    to power j + 28, so each power then holds a d_j with |d_j| < 2**29.
+    32 consecutive powers pack into one int64 word, sum over t < 32 of
+    d_(32 w + t) * 2**t, below 2**61 in magnitude, and the Python loop adds
+    the nonzero words, not the nonzero buckets, which may be 32 times as many.
     """
     width = len(groups[0])
-    acc = np.zeros(width + _LIMB * (len(groups) - 1), dtype=np.int64)
+    size = width + _LIMB * (len(groups) - 1) + _HALF  # room for the top high part
+    acc = np.zeros(-(-size // _WORD) * _WORD, dtype=np.int64)
     for k, counts in enumerate(groups):
         acc[_LIMB * k:_LIMB * k + width] += counts.astype(np.int64)
-    nz = np.flatnonzero(acc)
-    return sum(c << j for j, c in zip(nz.tolist(), acc[nz].tolist()))
+    high = acc >> _HALF  # arithmetic shift: the low part below is nonnegative
+    acc &= (1 << _HALF) - 1
+    acc[_HALF:] += high[:-_HALF]
+    words = (acc.reshape(-1, _WORD) << _WORD_SHIFTS).sum(axis=1).tolist()
+    return sum(c << (_WORD * w) for w, c in enumerate(words) if c)
 
 
 def _splits(values: np.ndarray):

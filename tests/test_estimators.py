@@ -86,8 +86,9 @@ class TestSweep:
     def test_row_slabs_draw_each_block_as_one_walk(self, stream, monkeypatch, spec, draw,
                                                    shards):
         # 100-row slabs: each full block runs as 100 + 100 + 56 rows and the
-        # short last block of 188 as 100 + 88, all drawn into one thread's
-        # slab buffers from the block's one generator
+        # short last block of 188 as 100 + 88, each drawn into a fresh
+        # increment array from the block's one generator and cumsummed into
+        # one thread's walk buffer
         n, sizes = 9, [256, 256, 188]
         monkeypatch.setattr(estimators, "_SLAB_BYTES", 100 * 8 * (n + 1))
         seen = []
@@ -133,6 +134,54 @@ class TestSweepSums:
         assert all(rows <= 400 and dtype == np.intp for rows, dtype in chunks)
         if shards == 1:
             assert [rows for rows, _ in chunks] == [356, 344]
+
+
+def record_chunk_rows(monkeypatch):
+    """Route estimators._sweep_sums through a wrapper; the returned list gets each chunk's rows."""
+    seen, sweep_sums = [], estimators._sweep_sums
+
+    def recording(*args):
+        *head, chunk_stage = args
+
+        def stage(rows):
+            seen.append(len(next(iter(rows.values()))))
+            return chunk_stage(rows)
+        return sweep_sums(*head, stage)
+    monkeypatch.setattr(estimators, "_sweep_sums", recording)
+    return seen
+
+
+# Each estimator with a chunk stage of its own, at n = 16; each sweep reads
+# fewer than 12 keys, so the row cap sets its chunks
+CHUNK_M = 3 * 8192 + 100
+CHUNK_STAGES = {
+    "theta": lambda stream, shards: estimate_theta(GAUSS, 3, 16, [0.0, 0.3, 0.9, 1.0], CHUNK_M,
+                                                   stream, shards),
+    "lambda": lambda stream, shards: estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 16,
+                                                     NINE_BETAS, CHUNK_M, stream, shards),
+    "duality": lambda stream, shards: duality_check(GAUSS, 8, 16, NINE_BETAS, CHUNK_M, stream,
+                                                    shards),
+    "strata": lambda stream, shards: strata_decomposition(GAUSS, 4, 16, 1.0, 2, CHUNK_M, stream,
+                                                          shards),
+    "strata-inf": lambda stream, shards: strata_decomposition(GAUSS, 4, 16, math.inf, 2,
+                                                              CHUNK_M, stream, shards),
+}
+
+
+class TestChunkStages:
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CHUNK_STAGES))
+    def test_one_block_chunks_change_no_bit(self, stream, monkeypatch, name, shards):
+        # 8192-row chunks at the default cap (some thread fills one, and a
+        # short one follows), 256-row chunks with the cap at one block
+        seen = record_chunk_rows(monkeypatch)
+        whole = CHUNK_STAGES[name](stream, shards)
+        default = seen[:]
+        seen.clear()
+        monkeypatch.setattr(estimators, "_CHUNK_ROWS", estimators._SWEEP_BLOCK)
+        assert CHUNK_STAGES[name](stream, shards) == whole
+        assert max(default) == 8192 and max(seen) == estimators._SWEEP_BLOCK
+        assert sum(seen) == sum(default) == CHUNK_M * (2 if name == "duality" else 1)
 
 
 def arcsine_law(n):
@@ -264,12 +313,22 @@ class TestEventProb:
 
     def test_grid_memory_flat_in_m(self, stream):
         # 19 buffered inputs of 5173 rows and the chunk stage's temporaries
-        # peak at about 1.9 MiB at both sizes; nothing is held per block
+        # peak at about 1.2 MiB at both sizes; nothing is held per block
         low, high = peaks(lambda m: estimate_event_prob_grid(
             GAUSS, RegimeRule.fixed_i(0), [1, 2, 4, 8, 16, 32], m, stream, shards=1),
             [10**5, 10**6])
         assert max(low, high) <= 3 * 2**20, (low, high)
         assert abs(high - low) <= 2**14, (low, high)
+
+    def test_long_grid_working_set_holds_two_slab_arrays(self, stream):
+        # the benchmark's scaling grid: at n = 8192 a slab of 31 rows is 2 MiB
+        # of walk, and the walk and the exponentials peak at about 4.25 MiB
+        # with the 24 buffered inputs; an idle increment buffer beside them
+        # peaked at about 6.19 MiB
+        (peak,) = peaks(lambda m: estimate_event_prob_grid(
+            GAUSS, RegimeRule.end_window(3), [256, 512, 1024, 2048, 4096, 8192], m, stream,
+            shards=1), [2000])
+        assert peak <= 5 * 2**20, peak
 
     def test_buffers_never_shorter_than_a_block(self, stream, monkeypatch):
         # 128 points read 385 inputs: the budget alone gives 255 rows, and a
@@ -338,8 +397,8 @@ class TestLambda:
         assert res.value >= 0.99
 
     def test_nine_beta_working_set_bounded(self, stream):
-        # the benchmark's grid at n = 256: six buffered columns of 16 384 rows,
-        # the slab arrays and the chunk stage peak at about 3.5 MiB after a
+        # the benchmark's grid at n = 256: six buffered columns of 8192 rows,
+        # the slab arrays and the chunk stage peak at about 1.8 MiB after a
         # warm-up (a cold first call adds about 0.7 MiB of one-time state; at
         # n = 256, 300 samples leave the denominator indistinguishable from zero);
         # columns per beta and block (one per beta plus the denominator)
@@ -349,11 +408,22 @@ class TestLambda:
             [20_000], warm=2000)
         assert peak <= 4 * 2**20, peak
 
+    def test_nine_beta_working_set_holds_two_slab_arrays(self, stream):
+        # the run above, bounded near its working set: the walk and the
+        # exponentials (each 0.5 MiB at 256 x 257 doubles) with no increment
+        # buffer beside them, and chunks of 8192 rows; an idle increment
+        # buffer and 16 384-row chunks peaked at about 3.45 MiB
+        (peak,) = peaks(lambda m: estimate_lambda(
+            GAUSS, RegimeRule.proportional(0.5), 256, NINE_BETAS, m, stream, shards=1),
+            [20_000], warm=2000)
+        assert peak <= 2.25 * 2**20, peak
+
     @pytest.mark.parametrize("betas", [NINE_BETAS, [1.0]], ids=["nine", "one"])
     def test_benchmark_size_working_set_bounded(self, stream, betas):
-        # the benchmark's lst at n = 256 and M = 100 000 peaks at about 3.8 MiB
-        # (nine beta) and 3.6 MiB (one); six gathered M-row columns and
-        # whole-column sums peaked at about 8.4 MiB
+        # the benchmark's lst at n = 256 and M = 100 000 peaks at about 2.4 MiB
+        # (nine beta or one) as a fresh process's first call, 4.1 MiB with an
+        # idle increment buffer and 16 384-row chunks; six gathered M-row
+        # columns and whole-column sums peaked at about 8.4 MiB
         tracemalloc.start()
         try:
             estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, betas, 100_000, stream,
@@ -364,7 +434,7 @@ class TestLambda:
         assert peak <= 9 * 2**20, peak
 
     def test_nine_beta_memory_flat_in_m(self, stream):
-        # about 2.9 MiB at both sizes; see test_grid_memory_flat_in_m
+        # about 1.3 MiB at both sizes; see test_grid_memory_flat_in_m
         low, high = peaks(lambda m: estimate_lambda(
             GAUSS, RegimeRule.proportional(0.5), 16, NINE_BETAS, m, stream, shards=1),
             [10**5, 10**6])

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clanmc.errors import NumericalFailureError
-from clanmc.mcstats import _CHUNK, MCEstimate, _sqrt, paired_sums, ratio_with_stderr
+from clanmc.mcstats import (_CHUNK, _LIMB, MCEstimate, _fold, _sqrt, paired_sums,
+                            ratio_with_stderr)
 
 
 def test_exact_float_sum_is_exact():
@@ -45,6 +46,56 @@ def test_exact_sums_equal_fraction_sums(pool, size, seed):
     assert est.sum == sum(c * Fraction(x) for x, c in counts.items())
     assert est.sum_sq == sum(c * Fraction(x) ** 2 for x, c in counts.items())
     assert est.count == size
+
+
+def reference_fold(groups) -> int:
+    """The bucket-by-bucket fold: every nonzero aligned total shifted into a Python int."""
+    width = len(groups[0])
+    acc = np.zeros(width + _LIMB * (len(groups) - 1), dtype=np.int64)
+    for k, counts in enumerate(groups):
+        acc[_LIMB * k:_LIMB * k + width] += counts.astype(np.int64)
+    nz = np.flatnonzero(acc)
+    return sum(c << j for j, c in zip(nz.tolist(), acc[nz].tolist()))
+
+
+TOP = 2 ** 53 - 1  # the largest bucket total a float64 bincount keeps exact
+
+
+def aligned(width, signs):
+    """Groups whose totals of +-TOP meet at every power that all of them reach."""
+    groups = [np.zeros(width) for _ in signs]
+    for k, (group, sign) in enumerate(zip(groups, signs)):
+        group[_LIMB * (len(signs) - 1 - k):width - _LIMB * k] = sign * TOP
+    return groups
+
+
+@pytest.mark.parametrize("width", [1, 31, 32, 33, 2203])
+@pytest.mark.parametrize("n_groups", [1, 3, 5])
+def test_fold_equals_the_bucket_by_bucket_fold(width, n_groups):
+    # word edges at every width, mixed signs at every magnitude a bucket
+    # total may take, and groups or whole sets of groups that are all zero
+    rng = np.random.default_rng(width * 10 + n_groups)
+    for trial in range(20):
+        groups = [rng.integers(-2 ** int(rng.integers(1, 54)) + 1, 2 ** int(rng.integers(1, 54)),
+                               width).astype(float) * (rng.random(width) < rng.random())
+                  for _ in range(n_groups)]
+        if trial % 4 == 1:
+            groups[int(rng.integers(n_groups))][:] = 0.0
+        if trial % 4 == 2:
+            groups = [np.zeros(width) for _ in groups]
+        assert _fold(groups) == reference_fold(groups)
+
+
+@pytest.mark.parametrize("signs", [(1,) * 5, (-1,) * 5, (1, -1, 1, -1, 1), (-1, -1, 1, 1, -1)])
+@pytest.mark.parametrize("width", [4 * _LIMB + 1, 100, 2203])
+def test_fold_of_five_aligned_extreme_groups(width, signs):
+    # five totals of +-(2**53 - 1) meet at one power: the aligned sum nears
+    # the 2**56 that _fold's int64 words are sized for
+    groups = aligned(width, signs)
+    assert _fold(groups) == reference_fold(groups)
+    if set(signs) == {1}:
+        assert _fold(groups) == sum(TOP << (j + _LIMB * k) for k, g in enumerate(groups)
+                                    for j in np.flatnonzero(g).tolist())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

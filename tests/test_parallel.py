@@ -62,8 +62,10 @@ class TestResolveShards:
 
 class TestSweepWorkspace:
     def test_peak_memory_bounded_at_the_largest_walk(self):
-        # three slab arrays (increments, walk, exponentials) of 3 x 65537
-        # doubles each, about 4.5 MiB, and four buffered inputs of m rows
+        # two slab arrays of 3 x 65537 doubles each (the walk, and the
+        # increments or the exponentials in turn) and four buffered inputs of
+        # m rows: about 3 MiB once warm, 3.7 MiB as a fresh process's first
+        # call (4.5 and 5.2 MiB with an idle increment buffer)
         n, m = _MAX_N, 512
 
         def chunk_stage(rows):
