@@ -10,7 +10,7 @@ from .assoc_walk import build_walk, estimate_table, harmonicity_residual
 from .exact_fl import (compose_pgf_bruteforce, cond_event_prob, extinction_step,
                        h_functional, survival_bruteforce, survival_closed, v_functional,
                        yaglom_integrand)
-from .clan_sim import simulate_ensemble
+from .clan_sim import final_clans_ensemble
 from .estimators import (DualityResult, EventProbResult, MCEstimate, RegimeRule,
                          ScalingFit, StrataReport, TransformResult, duality_check,
                          estimate_event_prob_grid, estimate_lambda, estimate_theta,

@@ -290,7 +290,7 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
         # contiguous range kept[lo:hi] of them, which its sum skips
         a, sj, d = _brackets(nodes, y[keep])
         kept = np.cumsum([0] + [np.count_nonzero(keep[e:f]) for e, f in zip(edges, edges[1:])])
-        vals, tmp = np.empty_like(d), np.empty_like(d)
+        vals, tmp = y[:d.size], np.empty_like(d)  # y is spent once d is taken
 
         def residual(g: int | None) -> tuple[float, float]:
             means, slopes = means_of[g], slopes_of[g]

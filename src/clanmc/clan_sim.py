@@ -4,9 +4,10 @@ One immigrant enters per generation; the initial individual is the
 generation-0 immigrant.  Each clan reproduces as a sum of i.i.d. geometric
 offspring, drawn as a single negative-binomial variate per clan, which is
 exact in distribution and keeps conditioned population sizes (order
-e^{sqrt(n)}) tractable.  Replicates run side by side as the rows of one
-clan matrix.  This simulator is the definitional oracle for the
-closed-form clan functionals at small n; production estimates never use it.
+e^{sqrt(n)}) tractable.  Replicates run side by side as the rows of a clan
+matrix per block, which its thread reduces to sole-survivor counts.  This
+simulator is the definitional oracle for the closed-form clan functionals
+at small n; production estimates never use it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .env_model import EnvironmentPath, offspring_params
-from .errors import NumericalFailureError, check_count, check_index
+from .errors import NumericalFailureError, check_count
 from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
 
@@ -34,11 +35,10 @@ def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> None:
     """Replace every clan size by its size one mean-m geometric generation later.
 
     The sum of y i.i.d. geometrics is negative binomial with y successes:
-    one draw per living clan, in row-major order, rather than per
-    individual.  clans (replicates along the first axis) is updated in
-    place, _REPRODUCE_CELLS cells at a time; the batches draw the stream in
-    the order of one draw over the whole matrix.  Sizes are nonnegative,
-    so the living clans are the nonzero cells.
+    one draw per living (nonzero) clan, in row-major order, rather than per
+    individual.  clans is updated in place, _REPRODUCE_CELLS cells at a
+    time; the batches draw the stream in the order of one draw over the
+    whole matrix.
     """
     if not clans.flags.c_contiguous:
         raise ValueError("clans must be C-contiguous to be updated in place")
@@ -56,41 +56,47 @@ def _reproduce(clans: np.ndarray, m: float, rng: np.random.Generator) -> None:
             cells[alive] = draws
 
 
-def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
-                         shards: int | None = None) -> np.ndarray:
-    """Pre-immigration clan matrix at time n for m_reps independent runs.
-
-    Row r holds the clan sizes (columns = founding generation) of replicate
-    r after the final reproduction step: the final generation is observed
-    after reproduction and before its immigrant enters, matching the
-    only-surviving-clan event definition.
-    """
-    check_count("m_reps", m_reps)
-    n = path.n
-    n_blocks = block_count(m_reps, _SIM_BLOCK)
-    clans = np.zeros((m_reps, n), dtype=np.int64)
-
-    def run_block(b: int) -> None:
-        rng = stream.substream("clan_sim.ensemble", b)
-        block = clans[b * _SIM_BLOCK:(b + 1) * _SIM_BLOCK]
-        block[:, 0] = 1
-        # the clans founded after generation t - 1 are still 0, so reproducing
-        # the whole contiguous block draws what block[:, :t] would
-        for t in range(1, n + 1):
-            _reproduce(block, float(np.exp(path.x[t - 1])), rng)
-            if t < n:
-                block[:, t] = 1
-
-    map_blocks(run_block, n_blocks, resolve_shards(shards))
+def _block_clans(path: EnvironmentPath, m_reps: int, stream: RngStream, b: int) -> np.ndarray:
+    """Block b of the clan sizes at time n of m_reps replicates (columns = founding
+    generation), observed after reproduction and before the immigrant of
+    generation n enters, matching the only-surviving-clan event definition."""
+    rng = stream.substream("clan_sim.ensemble", b)
+    clans = np.zeros((min(_SIM_BLOCK, m_reps - b * _SIM_BLOCK), path.n), dtype=np.int64)
+    clans[:, 0] = 1
+    # clans not founded yet are 0 and draw nothing: the draws of clans[:, :t]
+    for t, x in enumerate(path.x, start=1):
+        _reproduce(clans, float(np.exp(x)), rng)
+        clans[:, t:t + 1] = 1  # generation t's immigrant; the slice is empty at t = n
     return clans
 
 
-def simulate_ensemble(path: EnvironmentPath, i: int, m_reps: int, stream: RngStream,
-                      shards: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z_in, y_minus, event_a) arrays over m_reps independent replicates."""
-    check_index("clan index i", i, path.n)
-    clans = final_clans_ensemble(path, m_reps, stream, shards)
-    y_minus = clans.sum(axis=1)
-    z_in = clans[:, i]
-    event_a = (y_minus > 0) & (z_in == y_minus)
-    return z_in, y_minus, event_a
+def _tally(clan: np.ndarray, size: np.ndarray, count: np.ndarray):
+    """count summed over equal (clan, size) pairs, sorted by clan, then size."""
+    order = np.lexsort((size, clan))
+    clan, size, count = clan[order], size[order], count[order]
+    first = np.flatnonzero(np.diff(clan, prepend=-1) | np.diff(size, prepend=-1))
+    return clan[first], size[first], np.add.reduceat(count, first)
+
+
+def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
+                         shards: int | None = None) -> tuple:
+    """(clan, size, count, none): of m_reps independent runs, count[k] end with clan[k]
+    the only clan alive at time n, at size size[k]; `none` end with no sole survivor.
+
+    Each block of _SIM_BLOCK replicates draws its clan matrix (_block_clans)
+    from its own substream, and its thread reduces it to these counts,
+    sparse since sizes reach 2**62: no replicate-length array exists.
+    """
+    check_count("m_reps", m_reps)
+    parts = [None] * block_count(m_reps, _SIM_BLOCK)
+
+    def run_block(b: int) -> None:
+        clans = _block_clans(path, m_reps, stream, b).reshape(-1)
+        alive = np.flatnonzero(clans)  # sizes are nonnegative
+        row = alive // path.n
+        sole = alive[np.bincount(row)[row] == 1]  # the only living clan of its replicate
+        parts[b] = _tally(sole % path.n, clans[sole], np.ones(sole.size, dtype=np.int64))
+
+    map_blocks(run_block, len(parts), resolve_shards(shards))
+    clan, size, count = _tally(*(np.concatenate(col) for col in zip(*parts)))
+    return clan, size, count, m_reps - int(count.sum())

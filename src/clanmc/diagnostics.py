@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import assoc_walk, clan_sim, exact_fl
 from .env_model import EnvironmentPath, EnvironmentSpec
 from .estimators import _ExpRows, _log1ms, _log_extinction_cols, _log_h_cols, _log_survival_cols
+from .mcstats import MCEstimate
 from .streams import RngStream
 
 
@@ -33,13 +35,14 @@ def _worst(deviations) -> float:
     return float(np.max(deviations))
 
 
-def _walk_groups(paths: list[EnvironmentPath], clans: list[int]):
-    """(n, i, case indices, _ExpRows of the negated walks) per (path length n, clan i) group."""
+def _walk_groups(xs: list[np.ndarray], clans: list[int]):
+    """(n, i, case indices, _ExpRows of the negated walks) per (length n, clan i) group."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for r, (path, i) in enumerate(zip(paths, clans)):
-        groups.setdefault((path.n, i), []).append(r)
+    for r, (x, i) in enumerate(zip(xs, clans)):
+        groups.setdefault((x.size, i), []).append(r)
     for (n, i), rows in groups.items():
-        walks = np.stack([assoc_walk.build_walk(paths[r]) for r in rows])
+        walks = np.zeros((len(rows), n + 1))
+        np.cumsum([xs[r] for r in rows], axis=1, out=walks[:, 1:])  # build_walk's bits
         yield n, i, rows, _ExpRows(np.negative(walks, out=walks))
 
 
@@ -47,24 +50,24 @@ def _values(log_cols: np.ndarray) -> list[float]:
     return [math.exp(v) for v in log_cols.tolist()]  # as LogValue.value
 
 
-def _survival_closed_rows(paths: list[EnvironmentPath], clans: list[int],
+def _survival_closed_rows(xs: list[np.ndarray], clans: list[int],
                           s_values: list[float]) -> np.ndarray:
-    """exact_fl.survival_closed(w, i, n, s).value per case, w the walk of a path of length n.
+    """exact_fl.survival_closed(w, i, n, s).value per case, w the walk of the n increments x.
 
     Each row is the scalar call's arithmetic, so each value has its bits.
     """
-    out = np.empty(len(paths))
-    for n, i, rows, neg in _walk_groups(paths, clans):
+    out = np.empty(len(xs))
+    for n, i, rows, neg in _walk_groups(xs, clans):
         log1ms = np.array([_log1ms(s_values[r]) for r in rows])
         out[rows] = _values(_log_survival_cols(neg, i, n, log1ms))
     return out
 
 
-def _h_closed_rows(paths: list[EnvironmentPath], clans: list[int], s_grid) -> tuple:
+def _h_closed_rows(xs: list[np.ndarray], clans: list[int], s_grid) -> tuple:
     """exact_fl.h_functional(w, i, n, s).value per case and s, and the fsum of
     exact_fl.extinction_step_log(w, j, n) over j < n per case, with the scalar calls' bits."""
-    h, telescoped = np.empty((len(paths), len(s_grid))), np.empty(len(paths))
-    for n, i, rows, neg in _walk_groups(paths, clans):
+    h, telescoped = np.empty((len(xs), len(s_grid))), np.empty(len(xs))
+    for n, i, rows, neg in _walk_groups(xs, clans):
         for c, s in enumerate(s_grid):
             h[rows, c] = _values(_log_h_cols(neg, i, n, s))
         steps = np.array([_log_extinction_cols(neg, j, n) for j in range(n)])
@@ -77,15 +80,15 @@ def mobius_equivalence_check(stream: RngStream) -> CheckResult:
     tuples, max_n, tol = 1000, 20, 1e-10
     gen = stream.substream("diagnostics.mobius", 0)
     s_grid = (0.0, 0.25, 0.5, 0.9)
-    paths, clans, s_values = [], [], []
+    xs, clans, s_values = [], [], []
     for _ in range(tuples):
         n = int(gen.integers(1, max_n + 1))
         clans.append(int(gen.integers(0, n)))
-        paths.append(EnvironmentPath(gen.normal(0.0, 1.0, n)))
+        xs.append(gen.normal(0.0, 1.0, n))
         s_values.append(s_grid[int(gen.integers(0, len(s_grid)))])
-    direct = np.array([exact_fl.survival_bruteforce(path, i, path.n, s)
-                       for path, i, s in zip(paths, clans, s_values)])
-    closed = _survival_closed_rows(paths, clans, s_values)
+    direct = np.array([exact_fl.survival_bruteforce(x, i, x.size, s)
+                       for x, i, s in zip(xs, clans, s_values)])
+    closed = _survival_closed_rows(xs, clans, s_values)
     worst = _worst(np.abs(closed - direct) / np.maximum(np.abs(direct), 1e-300))
     return CheckResult(
         "mobius-equivalence", worst <= tol,
@@ -101,18 +104,15 @@ def definitional_h_check(stream: RngStream) -> CheckResult:
     for trial in range(trials):
         n = int(gen.integers(1, max_n + 1))
         clans.append(int(gen.integers(0, n)))
-        if trial % 3 == 0:
-            paths.append(EnvironmentPath(np.zeros(n)))  # flat environment
-        else:
-            paths.append(EnvironmentPath(gen.normal(0.0, 1.0, n)))
-    closed, telescoped = _h_closed_rows(paths, clans, s_grid)
+        paths.append(EnvironmentPath(np.zeros(n) if trial % 3 == 0 else gen.normal(0.0, 1.0, n)))
+    closed, telescoped = _h_closed_rows([path.x for path in paths], clans, s_grid)
     direct = np.empty_like(closed)
     direct_log = np.empty(trials)
     for r, (path, i) in enumerate(zip(paths, clans)):
         n = path.n
         extinct = [exact_fl.compose_pgf_bruteforce(path, jj, n, 0.0) for jj in range(n) if jj != i]
         for c, s in enumerate(s_grid):
-            direct[r, c] = exact_fl.survival_bruteforce(path, i, n, s)
+            direct[r, c] = exact_fl.survival_bruteforce(path.x, i, n, s)
             for f in extinct:
                 direct[r, c] *= f
         w = assoc_walk.build_walk(path)
@@ -128,34 +128,28 @@ def definitional_h_check(stream: RngStream) -> CheckResult:
 
 def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int,
                     shards: int | None = None) -> CheckResult:
-    """Individual-based simulator against the closed forms (three-sigma agreement)."""
-    details = []
-    ok = True
-
+    """Individual-based simulator against the closed forms (three-sigma agreement),
+    by exact sums over the counts of sole surviving clans and sizes, each rounded once."""
     # one generation: the only-survivor event is just a positive offspring draw
     path1 = EnvironmentPath(np.array([0.4]))
-    w1 = assoc_walk.build_walk(path1)
-    # only the event share is kept, so the ensemble's arrays are freed before the n = 8 run
-    p_hat = clan_sim.simulate_ensemble(path1, 0, m_reps_single, stream, shards)[2].mean()
-    p_exact = exact_fl.cond_event_prob(w1, 0, 1).value
-    se = math.sqrt(p_hat * (1.0 - p_hat) / m_reps_single)
-    z = abs(p_hat - p_exact) / se
-    ok &= z <= 3.0
-    details.append(f"one-step event z={z:.2f}")
+    clan, _, count, _ = clan_sim.final_clans_ensemble(path1, m_reps_single, stream, shards)
+    p_hat = int(count[clan == 0].sum()) / m_reps_single
+    p_exact = exact_fl.cond_event_prob(assoc_walk.build_walk(path1), 0, 1).value
+    zs = {"one-step event": abs(p_hat - p_exact) / math.sqrt(p_hat * (1 - p_hat) / m_reps_single)}
 
     # flat environment, n=8, designated clan 3, at s in {0, 0.5}
     path8 = EnvironmentPath(np.zeros(8))
     w8 = assoc_walk.build_walk(path8)
-    z_in, _, event = clan_sim.simulate_ensemble(path8, 3, m_reps, stream, shards)
+    clan, size, count, _ = clan_sim.final_clans_ensemble(path8, m_reps, stream, shards)
+    size, count = size[clan == 3], count[clan == 3].tolist()
     for s in (0.0, 0.5):
-        vals = np.where(event, 1.0 - s ** z_in, 0.0)
-        target = exact_fl.h_functional(w8, 3, 8, s).value
-        se = vals.std(ddof=1) / math.sqrt(m_reps)
-        z = abs(vals.mean() - target) / se
-        ok &= z <= 3.0
-        details.append(f"h(s={s}) z={z:.2f}")
+        vals = [(c, Fraction(v)) for c, v in zip(count, (1.0 - s ** size).tolist())]
+        est = MCEstimate(sum(c * v for c, v in vals), sum(c * v * v for c, v in vals), m_reps)
+        zs[f"h(s={s})"] = abs(est.mean - exact_fl.h_functional(w8, 3, 8, s).value) / est.stderr
 
-    return CheckResult("simulator-vs-formula", bool(ok), ", ".join(details) + " (all must be <= 3)")
+    detail = ", ".join(f"{name} z={z:.2f}" for name, z in zs.items())
+    return CheckResult("simulator-vs-formula", all(z <= 3.0 for z in zs.values()),
+                       detail + " (all must be <= 3)")
 
 
 def harmonicity_check(spec: EnvironmentSpec, stream: RngStream, m_samples: int,

@@ -51,20 +51,20 @@ def compose_pgf_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> f
     return t
 
 
-def survival_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> float:
+def survival_bruteforce(x: np.ndarray, i: int, n: int, s: float) -> float:
     """1 - F_{i,n}(s) by folding the complement u -> m u / (1 + m u) from u = 1 - s.
 
     The same geometric generating functions as compose_pgf_bruteforce,
     written without forming 1 - F, so a tiny survival keeps full relative
-    precision.
+    precision.  x holds a path's increments (EnvironmentPath.x).
     """
-    check_index("observation time n", n, path.n + 1)
+    check_index("observation time n", n, len(x) + 1)
     check_index("clan index i", i, n + 1)
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {s}")
     u = 1.0 - s
     for k in range(n, i, -1):
-        mu = math.exp(path.x[k - 1]) * u
+        mu = math.exp(x[k - 1]) * u
         u = mu / (1.0 + mu)
     return u
 

@@ -80,20 +80,22 @@ def test_criterion_3_individual_based_oracle():
     # fixed flat environment, n = 8, designated clan 3, two transform points
     path8 = c.EnvironmentPath(np.zeros(8))
     w8 = c.build_walk(path8)
-    z_in, _, event = c.simulate_ensemble(path8, 3, 200_000, st)
+    # replicates by sole surviving clan and its size
+    clan, size, count, _ = c.final_clans_ensemble(path8, 200_000, st)
     zs = []
     for s in (0.0, 0.5):
-        vals = np.where(event, 1.0 - s**z_in, 0.0)
+        vals, weights = 1.0 - s ** size[clan == 3], count[clan == 3]
+        mean = float(np.dot(weights, vals)) / 200_000
+        var = (float(np.dot(weights, vals * vals)) - 200_000 * mean**2) / (200_000 - 1)
         target = c.h_functional(w8, 3, 8, s).value
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        zs.append(abs(vals.mean() - target) / se)
+        zs.append(abs(mean - target) / math.sqrt(var / 200_000))
     # one generation: event probability is m/(1+m)
     x1 = 0.4
     path1 = c.EnvironmentPath(np.array([x1]))
-    _, _, event1 = c.simulate_ensemble(path1, 0, 1_000_000, st)
+    clan1, _, count1, _ = c.final_clans_ensemble(path1, 1_000_000, st)
     p_exact = math.exp(x1) / (1.0 + math.exp(x1))
-    se1 = math.sqrt(p_exact * (1 - p_exact) / event1.size)
-    zs.append(abs(event1.mean() - p_exact) / se1)
+    se1 = math.sqrt(p_exact * (1 - p_exact) / 1_000_000)
+    zs.append(abs(int(count1[clan1 == 0].sum()) / 1_000_000 - p_exact) / se1)
     elapsed = time.perf_counter() - began
     ok = all(z <= 3.0 for z in zs) and elapsed < 60.0
     assert report(3, ok, "z-scores " + ", ".join(f"{z:.2f}" for z in zs)

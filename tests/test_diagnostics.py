@@ -30,7 +30,7 @@ class TestBatchedClosedForms:
     def test_survival_rows_are_the_scalar_calls(self):
         paths, clans = random_cases(5, 600, 20)
         s_values = [(0.0, 0.25, 0.5, 0.9, 0.999)[r % 5] for r in range(len(paths))]
-        got = diagnostics._survival_closed_rows(paths, clans, s_values)
+        got = diagnostics._survival_closed_rows([p.x for p in paths], clans, s_values)
         want = [survival_closed(build_walk(p), i, p.n, s).value
                 for p, i, s in zip(paths, clans, s_values)]
         assert np.array_equal(bits(got), bits(want))
@@ -38,13 +38,25 @@ class TestBatchedClosedForms:
     def test_h_rows_and_telescoped_steps_are_the_scalar_calls(self):
         paths, clans = random_cases(6, 300, 12)
         s_grid = (0.0, 0.3, 0.5, 0.9)
-        h, telescoped = diagnostics._h_closed_rows(paths, clans, s_grid)
+        h, telescoped = diagnostics._h_closed_rows([p.x for p in paths], clans, s_grid)
         for r, (p, i) in enumerate(zip(paths, clans)):
             w = build_walk(p)
             want = [h_functional(w, i, p.n, s).value for s in s_grid]
             assert np.array_equal(bits(h[r]), bits(want)), r
             fsum = math.fsum(exact_fl.extinction_step_log(w, j, p.n) for j in range(p.n))
             assert bits(telescoped[r]) == bits(fsum), r
+
+    def test_mobius_check_builds_no_path(self, monkeypatch):
+        # its increments go to the fold and the walks as drawn
+        built = []
+        post_init = EnvironmentPath.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(EnvironmentPath, "__post_init__", counting)
+        assert diagnostics.mobius_equivalence_check(RngStream(1)).passed
+        assert built == []
 
 
 def nan_in_one_row(kernel):
@@ -104,9 +116,12 @@ class TestNanFails:
 
 class TestSimulatorCheck:
     def test_working_set_bounded(self):
-        # the oracle suite's sizes: the one-step ensemble (250 000 replicates)
-        # is reduced to its event share before the n = 8 run's 3.2 MB clan
-        # matrix exists; kept alive through that run, it peaked at 6.4 MiB
+        # the oracle suite's sizes (250 000 replicates at n = 1, 50 000 at
+        # n = 8): each block reduces its 8192-row clan matrix to counts, so
+        # one block and its batch temporaries make the peak; the 0.25 x 1
+        # and 0.05 x 8 million-cell matrices with their replicate-length
+        # arrays peaked at 4.6 MiB
+        diagnostics.simulator_check(RngStream(1), 10, 10, shards=1)
         tracemalloc.start()
         try:
             result = diagnostics.simulator_check(RngStream(1), 50_000, 250_000, shards=1)
@@ -114,4 +129,4 @@ class TestSimulatorCheck:
         finally:
             tracemalloc.stop()
         assert result.passed
-        assert peak <= 5.75 * 2**20, peak
+        assert peak <= 1.5 * 2**20, peak

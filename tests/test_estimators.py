@@ -12,8 +12,7 @@ from clanmc import (DomainError, EnvironmentPath,
                     EnvironmentSpec, MCEstimate, RegimeRule, RngStream,
                     UnreliableRatioError, build_walk, cond_event_prob,
                     duality_check, estimate_event_prob_grid, estimate_lambda,
-                    estimate_theta, h_functional, scaling_study, simulate_ensemble,
-                    strata_decomposition)
+                    estimate_theta, h_functional, scaling_study, strata_decomposition)
 from clanmc import estimators
 from clanmc.env_model import draw_increments
 from clanmc.errors import NumericalFailureError
@@ -580,8 +579,6 @@ WALK8 = build_walk(EnvironmentPath(np.linspace(-1.0, 1.0, 8)))
     pytest.param(lambda s: duality_check(GAUSS, 3.0, 16, [1.0], 1000, s, 1), id="duality"),
     pytest.param(lambda s: strata_decomposition(GAUSS, 3.0, 48, 1.0, 4, 1000, s, 1),
                  id="strata"),
-    pytest.param(lambda s: simulate_ensemble(EnvironmentPath(np.zeros(8)), 3.0, 50_000, s, 1),
-                 id="simulator"),
     pytest.param(lambda s: h_functional(WALK8, 1.0, 4, 0.5), id="h_functional"),
     pytest.param(lambda s: cond_event_prob(WALK8, 1.0, 4), id="cond_event_prob"),
     pytest.param(lambda s: RegimeRule.end_window(3).clan_index(16.5), id="regime"),

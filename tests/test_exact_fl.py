@@ -33,7 +33,8 @@ class TestComposition:
         path, _ = random_case(31, 12)
         for s in (0.0, 0.3, 0.8, 1.0):
             direct = 1.0 - compose_pgf_bruteforce(path, 2, 12, s)
-            assert survival_bruteforce(path, 2, 12, s) == pytest.approx(direct, rel=1e-12, abs=0.0)
+            got = survival_bruteforce(path.x, 2, 12, s)
+            assert got == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_complement_fold_keeps_tiny_survival(self):
         # a falling walk makes survival ~ 1e-8, where 1 - F keeps only half the digits
@@ -43,7 +44,7 @@ class TestComposition:
             for x in path.x[::-1]:
                 u = mpmath.exp(x) * u / (1 + mpmath.exp(x) * u)
             ref = float(u)
-        assert survival_bruteforce(path, 0, 6, 0.25) == pytest.approx(ref, rel=1e-14)
+        assert survival_bruteforce(path.x, 0, 6, 0.25) == pytest.approx(ref, rel=1e-14)
         assert survival_closed(build_walk(path), 0, 6, 0.25).value == pytest.approx(ref, rel=1e-12)
 
     def test_oracle_check_passes_where_complement_cancels(self):
@@ -225,7 +226,7 @@ class TestReversedProduct:
 EIGHT_STEPS, EIGHT_WALK = random_case(41, 8)
 INDEXED_ORACLES = {
     "compose_pgf_bruteforce": lambda i: compose_pgf_bruteforce(EIGHT_STEPS, i, 8, 0.5),
-    "survival_bruteforce": lambda i: survival_bruteforce(EIGHT_STEPS, i, 8, 0.5),
+    "survival_bruteforce": lambda i: survival_bruteforce(EIGHT_STEPS.x, i, 8, 0.5),
     "reversed_product_bruteforce": lambda i: reversed_product_bruteforce(EIGHT_STEPS, i, 0.5),
     "reversed_product_closed": lambda i: reversed_product_closed(EIGHT_STEPS, i, 0.5),
     "v_functional": lambda j: v_functional(-EIGHT_WALK, j, 8, 1.0),

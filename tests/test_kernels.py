@@ -202,9 +202,9 @@ def test_kernel_rows_against_folds(case, s_values, betas):
         path = EnvironmentPath(x[r])
         others = math.prod(compose_pgf_bruteforce(path, j, n, 0.0) for j in range(n) if j != i)
         assert math.exp(event[r]) == pytest.approx(
-            survival_bruteforce(path, i, n, 0.0) * others, rel=1e-9)
+            survival_bruteforce(x[r], i, n, 0.0) * others, rel=1e-9)
         for k, sv in enumerate(s_values):
-            surv = survival_bruteforce(path, i, n, sv)
+            surv = survival_bruteforce(x[r], i, n, sv)
             assert math.exp(_log_survival_cols(neg, i, n, math.log1p(-sv))[r]) == pytest.approx(
                 surv, rel=1e-10)
             assert math.exp(h[k, r]) == pytest.approx(surv * others, rel=1e-9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RegimeRule, RngStream,
-                    assoc_walk, estimators, parallel, simulate_ensemble)
+                    assoc_walk, estimators, final_clans_ensemble, parallel)
 from clanmc.cli import RunConfig
 from clanmc.estimators import (_MAX_N, _SLAB_BYTES, _event_keys, _log_event_prob_cols,
                                _sweep, _sweep_sums)
@@ -170,7 +170,7 @@ def test_library_default_is_the_resolved_count(monkeypatch):
     lambda shards: estimators.estimate_event_prob_grid(
         GAUSS, RegimeRule("end_window", 3), [8, 16], 600, RngStream(1), shards),
     lambda shards: assoc_walk.harmonicity_residual(GAUSS, [0.0], 50, 5000, RngStream(1), shards),
-    lambda shards: simulate_ensemble(EnvironmentPath(np.zeros(4)), 1, 100, RngStream(1), shards),
+    lambda shards: final_clans_ensemble(EnvironmentPath(np.zeros(4)), 100, RngStream(1), shards),
 ], ids=["estimator", "harmonicity_residual", "simulate_ensemble"])
 def test_library_shard_count_refused_before_drawing(run, shards, monkeypatch):
     def started(*args, **kwargs):

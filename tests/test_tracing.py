@@ -7,7 +7,10 @@ counted work and that uninstalling restores every attribute, so renaming a
 traced name fails here and not only in a traced benchmark run.  The
 wrappers rebind `_sweep` by position, so every sweep route also runs
 traced and must give the untraced results: a parameter added to `_sweep`
-would otherwise be taken as its shard count without any error.
+would otherwise be taken as its shard count without any error.  The
+oracle's simulator check runs traced too: the tracer counts replicates
+where the check enters `clan_sim.final_clans_ensemble`, so a renamed or
+bypassed entry point would read 0 replicates.
 """
 
 import importlib.util
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from clanmc import (EnvironmentPath, EnvironmentSpec, RegimeRule, RngStream, assoc_walk,
-                    estimators, exact_fl)
+                    diagnostics, estimators, exact_fl)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -77,3 +80,20 @@ def test_traced_routes_give_untraced_results(route):
         tracer.uninstall()
     assert traced == untraced
     assert metrics["estimators.sweep_cells"] > 0 and metrics["mcstats.exact_sum_values"] > 0
+
+
+def test_traced_simulator_check_counts_its_replicates():
+    def run():  # two blocks at n = 8, three at n = 1
+        return diagnostics.simulator_check(RngStream(3), 10_000, 20_000, shards=2)
+
+    untraced = run()
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        traced = run()
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert metrics["clan_sim.replicates"] == 10_000 + 20_000
+    assert metrics["clan_sim.ensemble_s"] > 0
