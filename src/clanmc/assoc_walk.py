@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env_model import EnvironmentSpec, EnvironmentPath, draw_increments
+from .env_model import EnvironmentSpec, EnvironmentPath, _increment_bound, draw_increments
 from .errors import DomainError, check_count
 from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
@@ -220,13 +220,6 @@ def _interpolate(nodes: np.ndarray, ys: np.ndarray, q) -> np.ndarray:
     return _slopes(nodes, ys)[sj] * d + ys[a]
 
 
-def _x_padding(spec: EnvironmentSpec) -> float:
-    # generous upper quantile of one increment
-    if spec.family == "gaussian":
-        return 6.0 * spec.param
-    return spec.param
-
-
 def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples: int,
                          stream: RngStream, shards: int | None = None) -> list[HarmonicityPoint]:
     """Residuals of the one-step harmonicity identity on a grid x >= 0.
@@ -254,7 +247,7 @@ def harmonicity_residual(spec: EnvironmentSpec, x_grid, horizon: int, m_samples:
                           f"m_samples must be >= {_WALK_BLOCK + 1}, got {m_samples}")
 
     # inf or nan when the environment scale overflows
-    span = (float(x_grid.max()) + _x_padding(spec)) / grid_step
+    span = (float(x_grid.max()) + _increment_bound(spec)) / grid_step
     if not span <= _MAX_TABLE_NODES - 1:
         raise DomainError(f"harmonicity table needs about {span + 1:.3g} nodes of step "
                           f"{grid_step}, more than the limit of {_MAX_TABLE_NODES}; use a "

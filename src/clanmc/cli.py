@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import __version__, diagnostics, estimators
-from .env_model import EnvironmentSpec, validate_spec
+from .env_model import _PARAM_NAME, EnvironmentSpec, validate_spec
 from .errors import (AssumptionViolationError, ClanMCError, ConfigurationError,
                      DomainError, NumericalFailureError)
 from .estimators import RegimeRule
@@ -149,20 +149,14 @@ class RunConfig:
         return RunConfig(**parsed)
 
     def env_spec(self) -> EnvironmentSpec:
-        if self.family == "gaussian":
-            return EnvironmentSpec.gaussian(self.sigma)
-        if self.family == "uniform":
-            return EnvironmentSpec.uniform_symmetric(self.halfwidth)
-        if self.family == "twopoint":
-            return EnvironmentSpec.two_point(self.step)
-        raise ConfigurationError(f"unknown family {self.family!r}")
+        """The environment law: the family and the config key env_model names as its parameter."""
+        if self.family not in _PARAM_NAME:
+            raise ConfigurationError(f"unknown family {self.family!r}")
+        return EnvironmentSpec(self.family, float(getattr(self, _PARAM_NAME[self.family])))
 
     def rule(self) -> RegimeRule:
         """The regime; a proportional one needs a continuous law unless violations are allowed."""
-        try:
-            rule = RegimeRule(self.regime, self.regime_param)
-        except DomainError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        rule = RegimeRule(self.regime, self.regime_param)
         # the intermediate regime's limit needs a continuous increment law
         if (rule.kind == estimators.PROPORTIONAL and not self.allow_assumption_violations
                 and not validate_spec(self.env_spec()).continuous):

@@ -28,7 +28,7 @@ class AssumptionViolationError(ClanMCError):
 
 
 def _is_integer(value) -> bool:
-    # a bool is an int, but no count or index
+    # a bool is an int, but no count, index or seed; int() would truncate a float
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

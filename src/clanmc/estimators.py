@@ -21,7 +21,6 @@ import numpy as np
 from .env_model import EnvironmentSpec, draw_increments
 from .errors import (DomainError, NumericalFailureError, UnreliableRatioError, check_count,
                      check_index)
-from .logdomain import log1m_exp_neg_vec
 from .mcstats import MCEstimate, paired_sums, ratio_with_stderr
 from .parallel import block_count, map_blocks, resolve_shards
 from .streams import RngStream
@@ -274,7 +273,8 @@ class _ExpRows:
 # The clan formulas, one column per (i, n), read by key from an _ExpRows or
 # from the dict of buffered columns a chunk stage of _sweep_sums gets.
 # exact_fl evaluates its scalar closed forms as one-row calls of these.
-# _log1ms is the one log(1 - s) rule, and _log_h_cols the one place the
+# _log1ms is the one log(1 - s) rule, log1m_exp_neg_vec the one log(1 - e^{-t})
+# rule for a Laplace point s = e^{-t}, and _log_h_cols the one place the
 # h(s) endpoints are decided: s = 0 takes the event-probability form, and
 # s = 1 gives log(1 - s) = -inf, which the formula carries to -inf, the
 # exact zero.  Callers check clan indices with errors.check_index.
@@ -307,6 +307,30 @@ def _log1ms(s: float) -> float:
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {s}")
     return -math.inf if s == 1.0 else math.log1p(-s)
+
+
+_LOG_TINY = -700.0  # below this, exp underflows and 1 - e^{-t} ~ t to full precision
+_LOG2 = math.log(2.0)
+
+
+def log1m_exp_neg_vec(log_t: np.ndarray) -> np.ndarray:
+    """log(1 - exp(-t)) for t = exp(log_t) > 0, elementwise and stable over the whole range.
+
+    For tiny t the result is ~ log_t; for large t it approaches 0 from below.
+    """
+    log_t = np.asarray(log_t, dtype=float)
+    out = np.empty_like(log_t)
+    tiny = log_t < _LOG_TINY
+    out[tiny] = log_t[tiny]
+    rest = ~tiny
+    with np.errstate(over="ignore"):
+        t = np.exp(log_t[rest])
+    big = t > _LOG2
+    r = np.empty_like(t)
+    r[big] = np.log1p(-np.exp(-t[big]))
+    r[~big] = np.log(-np.expm1(-t[~big]))
+    out[rest] = r
+    return out
 
 
 def _log_h_cols(neg: _ExpRows | dict, i: int, n: int, s: float) -> np.ndarray:

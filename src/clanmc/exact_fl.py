@@ -6,11 +6,12 @@ exponential prefix sums of the associated walk.  This module carries both
 routes: brute-force folds over the per-generation generating functions
 (the oracles) and the closed forms in log domain (the production path).
 The closed forms are written once, as the batched kernels of
-`estimators`; the scalar functions here evaluate them on one walk.  The
-rules around them live there too: `estimators._log1ms` is the one
-log(1 - s) (-inf at s = 1, so survival_closed(..., 1) is the exact zero)
-and `estimators._log_h_cols` decides the h(s) endpoints.  Clan indices and
-counts are checked by `errors.check_index` and `errors.check_count`.
+`estimators`; the scalar functions here evaluate them on one walk and
+return a LogValue.  The rules around them live there too:
+`estimators._log1ms` is the one log(1 - s) (-inf at s = 1, so
+survival_closed(..., 1) is the exact zero) and `estimators._log_h_cols`
+decides the h(s) endpoints.  Clan indices and counts are checked by
+`errors.check_index` and `errors.check_count`.
 
 Conventions, for the walk S_0..S_n (an array) built from the environment X_1..X_n:
   survival complement   1 - F_{i,n}(s) = e^{-S_i} / (e^{-S_n}/(1-s) + sum_{k=i}^{n-1} e^{-S_k})
@@ -24,6 +25,7 @@ with j = n - i playing the role of i.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,23 @@ from .errors import DomainError, check_count, check_index
 from .estimators import (_ExpRows, _log1ms, _log_event_prob_cols, _log_extinction_cols,
                          _log_h_cols, _log_survival_cols, _log_v_cols_from,
                          _log_yaglom_cols_from)
-from .logdomain import LogValue
+
+
+@dataclass(frozen=True)
+class LogValue:
+    """A nonnegative real stored as its log magnitude; log = -inf is the exact zero.
+
+    Survival functionals of long walks span e^{+-O(sqrt(n))}, far beyond
+    double range, so every product and ratio stays a log magnitude and only
+    final estimates exit to linear scale.
+    """
+
+    log: float
+
+    @property
+    def value(self) -> float:
+        """Linear-scale value; may underflow to 0.0 or overflow to inf."""
+        return math.exp(self.log)
 
 
 def compose_pgf_bruteforce(path: EnvironmentPath, i: int, n: int, s: float) -> float:
@@ -77,7 +95,7 @@ def _neg_row(w: np.ndarray, i: int, n: int) -> _ExpRows:
 
 
 def _first(cols: np.ndarray) -> LogValue:
-    return LogValue.from_log(float(cols[0]))
+    return LogValue(float(cols[0]))
 
 
 def survival_closed(w: np.ndarray, i: int, n: int, s: float) -> LogValue:
@@ -87,7 +105,7 @@ def survival_closed(w: np.ndarray, i: int, n: int, s: float) -> LogValue:
 
 def extinction_step(w: np.ndarray, i: int, n: int) -> LogValue:
     """F_{i,n}(0) as the log-domain ratio of adjacent tail sums."""
-    return LogValue.from_log(extinction_step_log(w, i, n))
+    return LogValue(extinction_step_log(w, i, n))
 
 
 def extinction_step_log(w: np.ndarray, i: int, n: int) -> float:
@@ -138,7 +156,7 @@ def yaglom_integrand(w: np.ndarray, i: int, n: int, beta: float) -> LogValue:
     if not beta >= 0:  # refuses nan too
         raise DomainError(f"beta must be nonnegative, got {beta}")
     if beta == 0:
-        return LogValue.zero()
+        return LogValue(-math.inf)
     return _first(_log_yaglom_cols_from(neg, i, n, beta))
 
 

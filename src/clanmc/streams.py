@@ -9,23 +9,17 @@ reproduce bit for bit at any parallelism degree.
 from __future__ import annotations
 
 import hashlib
-import numbers
 
 import numpy as np
 
-from .errors import ConfigurationError
-
-
-def _is_int(value) -> bool:
-    # a bool is an int, but no seed or index; int() would truncate a float
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .errors import ConfigurationError, _is_integer
 
 
 class RngStream:
     """Derives independent numpy generators from (purpose, index) labels."""
 
     def __init__(self, master_seed: int):
-        if not _is_int(master_seed) or not 0 <= master_seed < 2**64:
+        if not _is_integer(master_seed) or not 0 <= master_seed < 2**64:
             raise ConfigurationError(f"master seed must be a 64-bit unsigned integer, "
                                      f"got {master_seed!r}")
         self.master_seed = int(master_seed)
@@ -40,7 +34,7 @@ class RngStream:
         """
         if not isinstance(purpose, str):
             raise ConfigurationError(f"substream purpose must be a str, got {purpose!r}")
-        if not _is_int(index) or not 0 <= index < 2**64:
+        if not _is_integer(index) or not 0 <= index < 2**64:
             raise ConfigurationError(f"substream index must be a 64-bit unsigned integer, "
                                      f"got {index!r}")
         try:

@@ -1,9 +1,12 @@
-"""Test-session header: numpy's version and the SIMD paths it dispatches to.
+"""Test-session header: numpy's version and the SIMD paths it dispatches to;
+and the tracemalloc peak the working-set tests bound.
 
 numpy picks its exp/log kernels by CPU feature at run time, and the golden
 files hold the bits of one dispatch path, so a golden failure log should
 name the path it ran on.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -19,3 +22,13 @@ def simd_dispatch() -> list[str]:
 
 def pytest_report_header(config):
     return f"numpy {np.__version__}, SIMD dispatch: {' '.join(simd_dispatch()) or 'baseline only'}"
+
+
+def traced_peak(call, *args, **kwargs):
+    """call(*args, **kwargs) under tracemalloc: its return value and the peak bytes traced."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

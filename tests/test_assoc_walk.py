@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +7,10 @@ from hypothesis import strategies as st
 
 from clanmc import (DomainError, EnvironmentPath, EnvironmentSpec, RngStream, assoc_walk,
                     build_walk, estimate_table, harmonicity_residual)
-from clanmc.env_model import draw_increments
+from clanmc.env_model import _increment_bound, draw_increments
 from clanmc.estimators import _ExpRows
+
+from conftest import traced_peak
 
 
 # the node table `oracle` builds for the harmonicity check
@@ -449,12 +450,7 @@ class TestPersistenceScan:
         # a full block against a 161-node table: the dense per-chunk tallies
         # of the reference peak at about 13 MB
         spec, grid = EnvironmentSpec.gaussian(1.0), np.arange(161) * 0.05
-        tracemalloc.start()
-        try:
-            assoc_walk._persistence_scan(spec, grid, 2000, 4096, stream, "test.mem", shards=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = scan_peak(spec, grid, 2000, 4096, stream, "test.mem", shards=1)
         assert peak <= 6 * 2**20, peak
 
     def test_block_working_set_flat_in_table_width(self, stream):
@@ -518,12 +514,7 @@ class TestPersistenceScan:
 
 def scan_peak(*args, **kwargs):
     """The tracemalloc peak of one persistence scan."""
-    tracemalloc.start()
-    try:
-        assoc_walk._persistence_scan(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(assoc_walk._persistence_scan, *args, **kwargs)[1]
 
 
 def reference_interp_extrap(xs, ys, q):
@@ -548,7 +539,7 @@ def reference_harmonicity(spec, x_grid, horizon, m_samples, stream, shards=None)
     value interpolates the draws outside that group afresh.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    k_max = int(math.ceil((float(x_grid.max()) + assoc_walk._x_padding(spec)) / 0.05))
+    k_max = int(math.ceil((float(x_grid.max()) + _increment_bound(spec)) / 0.05))
     nodes = np.arange(0, k_max + 1, dtype=float) * 0.05
     table = estimate_table(spec, nodes, horizon, m_samples, stream, shards,
                            purpose="assoc_walk.harmonicity.u")
@@ -640,12 +631,7 @@ class TestHarmonicityJackknife:
         # values reuse the shifted draws (2.7 MiB with a vector of their own)
         args = (EnvironmentSpec.gaussian(1.0), [0.0, 1.0, 2.0], 300, 50_000, RngStream(4244))
         harmonicity_residual(*args, shards=1)
-        tracemalloc.start()
-        try:
-            harmonicity_residual(*args, shards=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(harmonicity_residual, *args, shards=1)
         assert peak <= 2.5 * 2**20, peak
 
 

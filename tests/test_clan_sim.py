@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +10,8 @@ from clanmc import (DomainError, EnvironmentPath, NumericalFailureError, RngStre
 from clanmc import clan_sim
 from clanmc.clan_sim import _block_clans, _reproduce
 from clanmc.env_model import offspring_params
+
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -209,12 +210,7 @@ class TestBatchedGenerations:
         # whole 3.2 MB matrix the counts replace peaked at about 4.3 MiB
         path = EnvironmentPath(np.zeros(8))
         final_clans_ensemble(path, 10, stream, shards=1)
-        tracemalloc.start()
-        try:
-            final_clans_ensemble(path, 50_000, stream, shards=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(final_clans_ensemble, path, 50_000, stream, shards=1)
         assert peak <= 1.5 * 2**20, peak
 
 

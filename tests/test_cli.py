@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from clanmc import assoc_walk, clan_sim, cli, diagnostics, estimators, parallel
 from clanmc.cli import RunConfig, parse_config_file
+from clanmc.env_model import EnvironmentSpec
 from clanmc.errors import ConfigurationError
 
 
@@ -90,6 +91,16 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith(f"configuration error: cannot read config "
                                                    f"file {p}: ")
         assert not (tmp_path / "x.ndjson").exists()
+
+    @pytest.mark.parametrize("family, param", [("gaussian", 5.0), ("uniform", 2.5),
+                                               ("twopoint", 0.25)])
+    def test_env_spec_reads_only_its_family_key(self, family, param):
+        cfg = make_config(family=family, sigma="5", halfwidth="2.5", step="0.25")
+        assert cfg.env_spec() == EnvironmentSpec(family, param)
+
+    def test_unknown_family_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown family 'cauchy'"):
+            make_config(family="cauchy").env_spec()
 
     def test_single_n_defaults_to_grid_max(self):
         cfg = make_config(n_grid="8,64,32")
@@ -528,6 +539,31 @@ class TestSubcommands:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: n_grid: expected an integer, got '1e3'"]
+
+    def test_bad_regime_param_exit_two(self, tmp_path, capsys):
+        rc = cli.main(["prob", "--seed", "1", "--regime", "fixed_i", "--regime-param", "1.5",
+                       "--out", str(tmp_path / "x.ndjson")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: fixed i must be a nonnegative integer, got 1.5"]
+
+    # the printed reports no golden file holds
+    @pytest.mark.parametrize("args, report", [
+        ([], ["family: gaussian", "param: 1.0", "geometric_offspring: True",
+              "nonlattice: True", "mean_zero: True", "exp_moment_finite: True",
+              "continuous: True", "exp_moment_value: 3.2974425414002564", "conforms: True",
+              "notes: []"]),
+        (["--family", "twopoint", "--step", "0"],
+         ["family: twopoint", "param: 0.0", "geometric_offspring: True", "nonlattice: False",
+          "mean_zero: True", "exp_moment_finite: True", "continuous: False",
+          "exp_moment_value: 2.0", "conforms: False",
+          "notes: ['two-point support is a lattice and carries atoms', "
+          "'step 0: degenerate constant environment']"]),
+    ], ids=["gaussian-1", "twopoint-0"])
+    def test_validate_report_lines(self, args, report, tmp_path, capsys):
+        rc = cli.main(["validate", "--seed", "1", *args, "--out", str(tmp_path / "v.ndjson")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == report
 
     def test_prob_grid_records(self, tmp_path):
         def records(grid):

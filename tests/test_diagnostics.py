@@ -1,13 +1,14 @@
 """The oracle checks' batched closed forms and their failure on a nan closed form."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from clanmc import (EnvironmentPath, RngStream, build_walk, diagnostics, estimators, exact_fl,
                     h_functional, survival_closed)
+
+from conftest import traced_peak
 
 
 def random_cases(seed, count, max_n):
@@ -122,11 +123,7 @@ class TestSimulatorCheck:
         # and 0.05 x 8 million-cell matrices with their replicate-length
         # arrays peaked at 4.6 MiB
         diagnostics.simulator_check(RngStream(1), 10, 10, shards=1)
-        tracemalloc.start()
-        try:
-            result = diagnostics.simulator_check(RngStream(1), 50_000, 250_000, shards=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(diagnostics.simulator_check, RngStream(1), 50_000, 250_000,
+                                   shards=1)
         assert result.passed
         assert peak <= 1.5 * 2**20, peak

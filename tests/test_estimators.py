@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +18,8 @@ from clanmc.errors import NumericalFailureError
 from clanmc.estimators import (DualityResult, EventProbResult, TransformResult, _sweep,
                                fit_scaling_points)
 from clanmc.mcstats import ratio_with_stderr
+
+from conftest import traced_peak
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
 FLAT = EnvironmentSpec.two_point(0.0)
@@ -234,15 +235,7 @@ class TestArcsineLaw:
 def peaks(run, sizes, warm=300):
     """tracemalloc peak of run(m) for each m, after one small run run(warm) that warms up."""
     run(warm)
-    out = []
-    for m in sizes:
-        tracemalloc.start()
-        try:
-            run(m)
-            out.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return out
+    return [traced_peak(run, m)[1] for m in sizes]
 
 
 def count_sweeps(monkeypatch):
@@ -423,13 +416,8 @@ class TestLambda:
         # (nine beta or one) as a fresh process's first call, 4.1 MiB with an
         # idle increment buffer and 16 384-row chunks; six gathered M-row
         # columns and whole-column sums peaked at about 8.4 MiB
-        tracemalloc.start()
-        try:
-            estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 256, betas, 100_000, stream,
-                            shards=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(estimate_lambda, GAUSS, RegimeRule.proportional(0.5), 256, betas,
+                              100_000, stream, shards=1)
         assert peak <= 9 * 2**20, peak
 
     def test_nine_beta_memory_flat_in_m(self, stream):

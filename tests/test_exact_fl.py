@@ -71,7 +71,7 @@ class TestSurvivalClosed:
         _, w = random_case(32, 10)
         vals = [survival_closed(w, 2, 10, s).value for s in np.linspace(0.0, 0.999, 30)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert survival_closed(w, 2, 10, 1.0).is_zero
+        assert survival_closed(w, 2, 10, 1.0).log == -math.inf
 
 
 class TestExtinctionStep:
@@ -115,7 +115,7 @@ class TestHFunctional:
 
     def test_boundary_values(self):
         _, w = random_case(36, 9)
-        assert h_functional(w, 4, 9, 1.0).is_zero
+        assert h_functional(w, 4, 9, 1.0).log == -math.inf
         assert h_functional(w, 4, 9, 0.0).log == cond_event_prob(w, 4, 9).log
 
     def test_nonincreasing_in_s(self):
@@ -176,7 +176,7 @@ class TestVFunctional:
 class TestYaglomIntegrand:
     def test_beta_limits(self):
         _, w = random_case(40, 10)
-        assert yaglom_integrand(w, 3, 10, 0.0).is_zero
+        assert yaglom_integrand(w, 3, 10, 0.0).log == -math.inf
         inf_val = yaglom_integrand(w, 3, 10, math.inf)
         assert inf_val.log == cond_event_prob(w, 3, 10).log
 

@@ -53,3 +53,25 @@ def test_every_private_name_has_a_caller():
     unused = [name for k, stmt in enumerate(statements) for name in _top_level_private(stmt)
               if not any(name in r for j, r in enumerate(reached) if j != k)]
     assert not unused, unused
+
+
+FAMILY_NAMES = {"gaussian", "uniform", "twopoint"}
+FAMILY_CONSTANTS = {"GAUSSIAN", "UNIFORM", "TWOPOINT"}
+
+
+def _names_a_family(node) -> bool:
+    return ((isinstance(node, ast.Constant) and node.value in FAMILY_NAMES)
+            or (isinstance(node, ast.Name) and node.id in FAMILY_CONSTANTS)
+            or (isinstance(node, ast.Attribute) and node.attr in FAMILY_CONSTANTS))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "env_model.py"],
+                         ids=lambda p: p.name)
+def test_family_names_compared_only_in_env_model(path):
+    # the environment laws are env_model's decision: no other module branches
+    # on a family name, so a new law touches one module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(_names_a_family(sub) for operand in (node.left, *node.comparators)
+                        for sub in ast.walk(operand))]
+    assert not compared, compared

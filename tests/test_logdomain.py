@@ -1,31 +1,37 @@
+"""The log-domain rules: LogValue (exact_fl) and log(1 - e^{-t}) (estimators)."""
+
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from clanmc import LogValue
-from clanmc.logdomain import log1m_exp_neg_vec
+from clanmc import (EnvironmentPath, LogValue, build_walk, h_functional, survival_closed,
+                    yaglom_integrand)
+from clanmc.estimators import log1m_exp_neg_vec
 
 
 def test_linear_round_trip():
-    v = LogValue.from_log(math.log(0.125))
+    v = LogValue(math.log(0.125))
     assert v.value == pytest.approx(0.125, rel=1e-15)
-    assert not v.is_zero
+    assert v.log > -math.inf
 
 
 def test_zero_flag():
-    z = LogValue.zero()
-    assert z.is_zero and z.value == 0.0
+    z = LogValue(-math.inf)
+    assert z.log == -math.inf and z.value == 0.0
     # a log magnitude far below the double range is still a positive value
-    tiny = LogValue.from_log(-1e4)
-    assert not tiny.is_zero and tiny.value == 0.0
+    tiny = LogValue(-1e4)
+    assert tiny.log > -math.inf and tiny.value == 0.0
 
 
 def test_one_exact_zero():
-    z = LogValue.from_log(-math.inf)
-    assert z == LogValue.zero()
-    assert z.is_zero and z.value == 0.0
+    # s = 1 and beta = 0 give the same exact zero, log = -inf
+    w = build_walk(EnvironmentPath(np.array([0.3, -0.2, 0.5, 0.1])))
+    zeros = {survival_closed(w, 1, 4, 1.0), h_functional(w, 1, 4, 1.0),
+             yaglom_integrand(w, 1, 4, 0.0)}
+    assert zeros == {LogValue(-math.inf)}
+    assert LogValue(-math.inf).value == 0.0
 
 
 @pytest.mark.parametrize("log_t", [-750.0, -300.0, -37.0, -5.0, -1.0, 0.0, 1.0, 3.0, 6.0, 700.0])

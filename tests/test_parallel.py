@@ -1,6 +1,5 @@
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from clanmc.estimators import (_MAX_N, _SLAB_BYTES, _event_keys, _log_event_prob
                                _sweep, _sweep_sums)
 from clanmc.mcstats import MCEstimate
 from clanmc.parallel import _MAX_SHARDS, map_blocks, resolve_shards
+
+from conftest import traced_peak
 
 
 GAUSS = EnvironmentSpec.gaussian(1.0)
@@ -71,13 +72,8 @@ class TestSweepWorkspace:
         def chunk_stage(rows):
             return {"p": MCEstimate.from_values(np.exp(_log_event_prob_cols(rows, n // 2, n))),
                     "end": MCEstimate.from_values(rows[n])}
-        tracemalloc.start()
-        try:
-            stats = _sweep_sums(GAUSS, n, m, RngStream(3), "test.peak", 1, True,
-                                _event_keys(n // 2, n), chunk_stage)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        stats, peak = traced_peak(_sweep_sums, GAUSS, n, m, RngStream(3), "test.peak", 1, True,
+                                  _event_keys(n // 2, n), chunk_stage)
         assert stats["p"].count == stats["end"].count == m
         assert peak < 4 * _SLAB_BYTES + 2 * 8 * m
 
@@ -101,12 +97,7 @@ class TestMapBlocks:
     def test_no_per_block_state_held(self):
         # workers claim block indices from one counter and no result is kept,
         # so nothing grows with the block count
-        tracemalloc.start()
-        try:
-            map_blocks(lambda b: None, 1_000_000, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(map_blocks, lambda b: None, 1_000_000, 2)
         assert peak < 64 << 10
 
     def test_lowest_failing_block_reaches_the_caller(self):
