@@ -80,8 +80,9 @@ def _tally(clan: np.ndarray, size: np.ndarray, count: np.ndarray):
 
 def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
                          shards: int | None = None) -> tuple:
-    """(clan, size, count, none): of m_reps independent runs, count[k] end with clan[k]
-    the only clan alive at time n, at size size[k]; `none` end with no sole survivor.
+    """(clan, size, count): of m_reps independent runs, count[k] end with clan[k]
+    the only clan alive at time n, at size size[k]; the other m_reps - count.sum()
+    end with no sole survivor.
 
     Each block of _SIM_BLOCK replicates draws its clan matrix (_block_clans)
     from its own substream, and its thread reduces it to these counts,
@@ -98,5 +99,4 @@ def final_clans_ensemble(path: EnvironmentPath, m_reps: int, stream: RngStream,
         parts[b] = _tally(sole % path.n, clans[sole], np.ones(sole.size, dtype=np.int64))
 
     map_blocks(run_block, len(parts), resolve_shards(shards))
-    clan, size, count = _tally(*(np.concatenate(col) for col in zip(*parts)))
-    return clan, size, count, m_reps - int(count.sum())
+    return _tally(*(np.concatenate(col) for col in zip(*parts)))

@@ -230,25 +230,14 @@ def _run_prob(config: RunConfig, stream: RngStream) -> RunOutcome:
     return RunOutcome([_record("prob", n=res.n, i=res.i, est=res.estimate) for res in results])
 
 
-def _transform_outcome(quantity: str, n: int, i: int, results) -> RunOutcome:
-    return RunOutcome([_record(quantity, n=n, i=i, param=r.param, mean=r.value,
-                               stderr=r.stderr, count=r.count) for r in results])
-
-
-def _run_pgf(config: RunConfig, stream: RngStream) -> RunOutcome:
-    if config.regime != estimators.END_WINDOW:
-        raise ConfigurationError("the pgf subcommand is defined for the end_window regime")
-    n, end_window = config.single_n(), int(config.rule().param)
-    return _transform_outcome("pgf", n, n - end_window, estimators.estimate_theta(
-        config.env_spec(), end_window, n, config.s_grid, config.m_samples, stream,
-        config.shards))
-
-
-def _run_lst(config: RunConfig, stream: RngStream) -> RunOutcome:
-    spec, rule = config.env_spec(), config.rule()
-    n = config.single_n()
-    return _transform_outcome("lst", n, rule.clan_index(n), estimators.estimate_lambda(
-        spec, rule, n, config.beta_grid, config.m_samples, stream, config.shards))
+def _transform_runner(quantity: str, estimate, grid: str):
+    """The runner of pgf or lst: one record per point of the config's named grid."""
+    def run_transform(config: RunConfig, stream: RngStream) -> RunOutcome:
+        results = estimate(config.env_spec(), config.rule(), config.single_n(),
+                           getattr(config, grid), config.m_samples, stream, config.shards)
+        return RunOutcome([_record(quantity, n=r.n, i=r.i, param=r.param, mean=r.value,
+                                   stderr=r.stderr, count=r.count) for r in results])
+    return run_transform
 
 
 def _run_scaling(config: RunConfig, stream: RngStream) -> RunOutcome:
@@ -270,29 +259,27 @@ def _run_scaling(config: RunConfig, stream: RngStream) -> RunOutcome:
 
 
 def _run_duality(config: RunConfig, stream: RngStream) -> RunOutcome:
-    spec, rule = config.env_spec(), config.rule()
-    n = config.single_n()
-    i = rule.clan_index(n)
     records = []
-    for res in estimators.duality_check(spec, i, n, config.beta_grid, config.m_samples, stream,
+    for res in estimators.duality_check(config.env_spec(), config.rule(), config.single_n(),
+                                        config.beta_grid, config.m_samples, stream,
                                         config.shards):
-        records.append(_record("duality-h", n=n, i=i, param=res.beta, est=res.h_form))
-        records.append(_record("duality-v", n=n, i=i, param=res.beta, est=res.v_form))
-        records.append(_record("duality-z", n=n, i=i, param=res.beta, mean=res.z_score))
+        key = {"n": res.n, "i": res.i, "param": res.beta}
+        records.append(_record("duality-h", est=res.h_form, **key))
+        records.append(_record("duality-v", est=res.v_form, **key))
+        records.append(_record("duality-z", mean=res.z_score, **key))
     return RunOutcome(records)
 
 
 def _run_strata(config: RunConfig, stream: RngStream) -> RunOutcome:
     spec, rule = config.env_spec(), config.rule()
-    n = config.single_n()
-    i = rule.clan_index(n)
     records = []
     for beta in config.beta_grid:
         rep = estimators.strata_decomposition(
-            spec, i, n, beta, config.strata_N, config.m_samples, stream, config.shards)
-        for name, est in (("total", rep.total), ("early", rep.early), ("middle", rep.middle),
-                          ("before_j", rep.before_j), ("after_j", rep.after_j)):
-            records.append(_record(f"strata-{name}", n=n, i=i, param=beta, est=est))
+            spec, rule, config.single_n(), beta, config.strata_N, config.m_samples, stream,
+            config.shards)
+        for name in ("total", "early", "middle", "before_j", "after_j"):
+            records.append(_record(f"strata-{name}", n=rep.n, i=rep.i, param=beta,
+                                   est=getattr(rep, name)))
     return RunOutcome(records)
 
 
@@ -313,8 +300,8 @@ def _run_oracle(config: RunConfig, stream: RngStream) -> RunOutcome:
 _RUNNERS = {
     "validate": _run_validate,
     "prob": _run_prob,
-    "pgf": _run_pgf,
-    "lst": _run_lst,
+    "pgf": _transform_runner("pgf", estimators.estimate_theta, "s_grid"),
+    "lst": _transform_runner("lst", estimators.estimate_lambda, "beta_grid"),
     "scaling": _run_scaling,
     "duality": _run_duality,
     "strata": _run_strata,
@@ -406,14 +393,16 @@ def main(argv=None) -> int:
             for line in outcome.report_lines:
                 print(line)
             sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-        except BrokenPipeError:
-            # the reader closed stdout: send what is still buffered to devnull,
+        except OSError as exc:
+            # a closed or full output: send what stdout still buffers to devnull,
             # so that the flush at interpreter exit cannot fail again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            print("error: standard output closed before the run finished writing",
-                  file=sys.stderr)
+            reason = ("standard output closed before the run finished writing"
+                      if isinstance(exc, BrokenPipeError)
+                      else f"cannot write the results: {exc.strerror or exc}")
+            print(f"error: {reason}", file=sys.stderr)
             return 1
         return outcome.exit_code
     except (ConfigurationError, DomainError) as exc:

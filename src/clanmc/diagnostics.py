@@ -1,6 +1,6 @@
 """Small-n oracle suite: every closed form checked against an independent route.
 
-Four families of checks: brute-force generating-function composition versus
+Five families of checks: brute-force generating-function composition versus
 the closed survival form, the definitional product construction of the
 only-surviving-clan functional, the individual-based simulator versus the
 formulas, the one-step harmonicity of the estimated renewal-type function,
@@ -132,7 +132,7 @@ def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int,
     by exact sums over the counts of sole surviving clans and sizes, each rounded once."""
     # one generation: the only-survivor event is just a positive offspring draw
     path1 = EnvironmentPath(np.array([0.4]))
-    clan, _, count, _ = clan_sim.final_clans_ensemble(path1, m_reps_single, stream, shards)
+    clan, _, count = clan_sim.final_clans_ensemble(path1, m_reps_single, stream, shards)
     p_hat = int(count[clan == 0].sum()) / m_reps_single
     p_exact = exact_fl.cond_event_prob(assoc_walk.build_walk(path1), 0, 1).value
     zs = {"one-step event": abs(p_hat - p_exact) / math.sqrt(p_hat * (1 - p_hat) / m_reps_single)}
@@ -140,7 +140,7 @@ def simulator_check(stream: RngStream, m_reps: int, m_reps_single: int,
     # flat environment, n=8, designated clan 3, at s in {0, 0.5}
     path8 = EnvironmentPath(np.zeros(8))
     w8 = assoc_walk.build_walk(path8)
-    clan, size, count, _ = clan_sim.final_clans_ensemble(path8, m_reps, stream, shards)
+    clan, size, count = clan_sim.final_clans_ensemble(path8, m_reps, stream, shards)
     size, count = size[clan == 3], count[clan == 3].tolist()
     for s in (0.0, 0.5):
         vals = [(c, Fraction(v)) for c, v in zip(count, (1.0 - s ** size).tolist())]

@@ -102,6 +102,18 @@ class RegimeRule:
         check_index(f"clan index i of regime {self.describe()} at n={n}", i, n)
         return i
 
+    def log_compensator(self, n: int) -> float:
+        """log of the factor that should flatten the decay under this regime."""
+        if self.kind == END_WINDOW:
+            return 0.5 * math.log(n)
+        if self.kind == FIXED_I:
+            return 1.5 * math.log(n)
+        i = self.clan_index(n)
+        if i == 0:
+            raise DomainError(f"regime {self.describe()} gives i=0 at n={n}, where the "
+                              f"compensator i^(1/2) (n-i)^(3/2) vanishes")
+        return 0.5 * math.log(i) + 1.5 * math.log(n - i)
+
     def describe(self) -> str:
         if self.kind == PROPORTIONAL:
             return f"{self.kind}({self.param})"
@@ -451,6 +463,8 @@ def estimate_event_prob_grid(spec: EnvironmentSpec, rule: RegimeRule, n_values, 
 class TransformResult:
     """Conditional transform 1 - E[h(param)] / E[h(0)] at one grid point (s or beta)."""
 
+    n: int
+    i: int
     param: float
     value: float
     stderr: float
@@ -484,25 +498,29 @@ def _estimate_transform(spec: EnvironmentSpec, i: int, n: int, params: list[floa
     results = []
     for k, p in enumerate(params):
         ratio, se = ratio_with_stderr(stats[k, "num"], den, stats[k, "xy"])
-        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.count))
+        results.append(TransformResult(n=n, i=i, param=p, value=1.0 - ratio, stderr=se,
+                                       count=den.count))
     return results
 
 
-def estimate_theta(spec: EnvironmentSpec, end_window: int, n: int, s_grid, m_samples: int,
+def estimate_theta(spec: EnvironmentSpec, rule: RegimeRule, n: int, s_grid, m_samples: int,
                    stream: RngStream, shards: int | None = None) -> list[TransformResult]:
-    """Conditional generating function of the clan size for i = n - end_window.
+    """Conditional generating function of the clan size for an end_window rule, i = n - N.
 
     theta(s) = 1 - E[h(s)] / E[h(0)], numerator and denominator averaged
     over the same environments.  theta(0) = 0 and theta(1) = 1 hold exactly
     because the paired arrays coincide (or vanish) pointwise.
     """
-    i = RegimeRule.end_window(end_window).clan_index(n)
+    if rule.kind != END_WINDOW:
+        raise DomainError(f"the generating function theta is defined for the end_window "
+                          f"regime, got {rule.describe()}")
+    i = rule.clan_index(n)
     s_values = [float(sv) for sv in s_grid]
     for sv in s_values:
         if not 0.0 <= sv <= 1.0:
             raise DomainError(f"s grid must lie in [0, 1], got {sv}")
     return _estimate_transform(spec, i, n, s_values, m_samples, stream,
-                               f"theta:N={end_window}:n={n}", shards, _log_h_cols)
+                               f"theta:N={n - i}:n={n}", shards, _log_h_cols)
 
 
 def estimate_lambda(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, m_samples: int,
@@ -530,19 +548,6 @@ class ScalingFit:
     points: tuple[EventProbResult, ...]
     regime: str
     dropped: tuple[EventProbResult, ...] = ()  # grid points indistinguishable from zero
-
-
-def _compensator(rule: RegimeRule, n: int) -> float:
-    """log of the factor that should flatten the decay under the stated regime."""
-    if rule.kind == END_WINDOW:
-        return 0.5 * math.log(n)
-    if rule.kind == FIXED_I:
-        return 1.5 * math.log(n)
-    i = rule.clan_index(n)
-    if i == 0:
-        raise DomainError(f"regime {rule.describe()} gives i=0 at n={n}, where the "
-                          f"compensator i^(1/2) (n-i)^(3/2) vanishes")
-    return 0.5 * math.log(i) + 1.5 * math.log(n - i)
 
 
 def fit_scaling_points(points, rule: RegimeRule, dropped=()) -> ScalingFit:
@@ -579,7 +584,7 @@ def fit_scaling_points(points, rule: RegimeRule, dropped=()) -> ScalingFit:
     intercept = ybar - slope * xbar
     slope_stderr = math.sqrt(1.0 / sxx)
 
-    comp = np.array([_compensator(rule, p.n) for p in points])
+    comp = np.array([rule.log_compensator(p.n) for p in points])
     level = y + comp
     plateau = math.exp(float(np.sum(w * level) / np.sum(w)))
     ratios = tuple(float(math.exp(level[k] - level[k - 1])) for k in range(1, len(level)))
@@ -603,8 +608,7 @@ def scaling_study(spec: EnvironmentSpec, rule: RegimeRule, n_grid, m_samples: in
     if len(set(n_values)) < 4:
         raise DomainError(f"need at least 4 distinct grid points, got {len(set(n_values))}")
     for n in n_values:  # refuse a bad grid before the sweep, not after it
-        rule.clan_index(n)
-        _compensator(rule, n)
+        rule.log_compensator(n)
 
     points, dropped = [], []
     for res in estimate_event_prob_grid(spec, rule, n_values, m_samples, stream, shards):
@@ -625,7 +629,7 @@ class DualityResult:
     z_score: float
 
 
-def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: int,
+def duality_check(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta_grid, m_samples: int,
                   stream: RngStream, shards: int | None = None) -> list[DualityResult]:
     """Estimate the same expectation through both walk orientations, per beta.
 
@@ -636,7 +640,7 @@ def duality_check(spec: EnvironmentSpec, i: int, n: int, beta_grid, m_samples: i
     stage folds each beta's column.  Two forms that differ with zero
     standard error have no finite z and are refused.
     """
-    check_index("clan index i", i, n)
+    i = rule.clan_index(n)
     betas, j = _beta_grid(beta_grid), n - i
 
     def form(side, negate, keys, log_form):
@@ -681,11 +685,11 @@ class StrataReport:
     after_j: MCEstimate     # (j, j + N)
 
 
-def strata_decomposition(spec: EnvironmentSpec, i: int, n: int, beta: float, n_window: int,
-                         m_samples: int, stream: RngStream,
+def strata_decomposition(spec: EnvironmentSpec, rule: RegimeRule, n: int, beta: float,
+                         n_window: int, m_samples: int, stream: RngStream,
                          shards: int | None = None) -> StrataReport:
     """Split the dual-form estimate by where the reflected walk first bottoms out."""
-    check_index("clan index i", i, n)
+    i = rule.clan_index(n)
     _beta_grid([beta])
     check_count("strata window N", n_window)
     j = n - i

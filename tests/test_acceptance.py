@@ -81,7 +81,7 @@ def test_criterion_3_individual_based_oracle():
     path8 = c.EnvironmentPath(np.zeros(8))
     w8 = c.build_walk(path8)
     # replicates by sole surviving clan and its size
-    clan, size, count, _ = c.final_clans_ensemble(path8, 200_000, st)
+    clan, size, count = c.final_clans_ensemble(path8, 200_000, st)
     zs = []
     for s in (0.0, 0.5):
         vals, weights = 1.0 - s ** size[clan == 3], count[clan == 3]
@@ -92,7 +92,7 @@ def test_criterion_3_individual_based_oracle():
     # one generation: event probability is m/(1+m)
     x1 = 0.4
     path1 = c.EnvironmentPath(np.array([x1]))
-    clan1, _, count1, _ = c.final_clans_ensemble(path1, 1_000_000, st)
+    clan1, _, count1 = c.final_clans_ensemble(path1, 1_000_000, st)
     p_exact = math.exp(x1) / (1.0 + math.exp(x1))
     se1 = math.sqrt(p_exact * (1 - p_exact) / 1_000_000)
     zs.append(abs(int(count1[clan1 == 0].sum()) / 1_000_000 - p_exact) / se1)
@@ -143,7 +143,8 @@ def test_criterion_7_transform_behavior(lambda_results):
         "nonincreasing": all(a >= b for a, b in zip(lams, lams[1:])),
         "lam(inf)==0": lambda_results[-1].value == 0.0,
     }
-    thetas = c.estimate_theta(GAUSS, 3, 1024, [0.0, 0.25, 0.5, 0.75, 1.0], M, stream())
+    thetas = c.estimate_theta(GAUSS, c.RegimeRule.end_window(3), 1024,
+                              [0.0, 0.25, 0.5, 0.75, 1.0], M, stream())
     tvals = [r.value for r in thetas]
     checks["theta(0)==0"] = thetas[0].value == 0.0
     checks["theta(1)==1"] = thetas[-1].value == 1.0
@@ -168,7 +169,8 @@ def test_criterion_7_properness_threshold(lambda_results):
 
 
 def test_criterion_8_duality():
-    zs = [res.z_score for res in c.duality_check(GAUSS, 48, 64, [1.0, math.inf], M, stream())]
+    zs = [res.z_score for res in c.duality_check(GAUSS, c.RegimeRule.fixed_i(48), 64,
+                                                 [1.0, math.inf], M, stream())]
     ok = all(abs(z) <= 3.0 for z in zs)
     assert report(8, ok, "duality z-scores " + ", ".join(f"{z:.2f}" for z in zs) + " (|z| <= 3)")
 
@@ -184,8 +186,8 @@ def test_criterion_9_harmonicity():
 
 def test_criterion_10_strata_negligibility():
     st = stream()
-    wide = c.strata_decomposition(GAUSS, 192, 256, 1.0, 5, M, st)
-    narrow = c.strata_decomposition(GAUSS, 192, 256, 1.0, 20, M, st)
+    wide = c.strata_decomposition(GAUSS, c.RegimeRule.fixed_i(192), 256, 1.0, 5, M, st)
+    narrow = c.strata_decomposition(GAUSS, c.RegimeRule.fixed_i(192), 256, 1.0, 20, M, st)
     for rep in (wide, narrow):
         pieces = rep.early.sum + rep.middle.sum + rep.before_j.sum + rep.after_j.sum
         assert pieces == rep.total.sum  # exact partition of samples

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -163,6 +164,21 @@ class TestSubcommands:
         assert proc.returncode == 1, err
         assert err == "error: standard output closed before the run finished writing\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("out", [True, False], ids=["out-file", "stdout"])
+    def test_full_device_exits_one_without_traceback(self, out, tmp_path):
+        # every write to /dev/full fails with ENOSPC: the results file, or stdout
+        argv = ["validate", "--seed", "1"] + (["--out", "/dev/full"] if out else [])
+        src = Path(__file__).resolve().parents[1] / "src"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-c",
+                                   f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                                   f"from clanmc import cli; sys.exit(cli.main({argv!r}))"],
+                                  cwd=tmp_path, stdout=subprocess.PIPE if out else full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: cannot write the results: No space left on device\n"
+
     def test_validate_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "v.ndjson"
         rc = cli.main(["validate", "--seed", "1", "--out", str(out)])
@@ -178,10 +194,22 @@ class TestSubcommands:
         rec = json.loads(result_lines(out)[0])
         assert abs(rec["mean"] - 0.5) <= 3 * rec["stderr"]
 
-    def test_pgf_requires_end_window(self, tmp_path):
+    def test_pgf_requires_end_window(self, tmp_path, capsys):
         rc = cli.main(["pgf", "--seed", "3", "--regime", "fixed_i", "--regime-param", "2",
                        "--n", "16", "--m-samples", "100", "--out", str(tmp_path / "t.ndjson")])
         assert rc == 2
+        assert capsys.readouterr().err == ("configuration error: the generating function theta "
+                                           "is defined for the end_window regime, got "
+                                           "fixed_i(2)\n")
+
+    def test_pgf_checks_assumptions_before_its_regime(self, tmp_path):
+        # as in every subcommand that reads the regime, a lattice law refuses the
+        # proportional regime first; allowed, the regime is still not end_window
+        argv = ["pgf", "--seed", "5", "--family", "twopoint", "--regime", "proportional",
+                "--regime-param", "0.5", "--n", "16", "--m-samples", "200",
+                "--out", str(tmp_path / "t.ndjson")]
+        assert cli.main(argv) == 4
+        assert cli.main(argv + ["--allow-assumption-violations", "true"]) == 2
 
     def test_pgf_endpoints_exact(self, tmp_path):
         out = tmp_path / "t.ndjson"

@@ -119,9 +119,7 @@ class TestSimulatorCheck:
     def test_working_set_bounded(self):
         # the oracle suite's sizes (250 000 replicates at n = 1, 50 000 at
         # n = 8): each block reduces its 8192-row clan matrix to counts, so
-        # one block and its batch temporaries make the peak; the 0.25 x 1
-        # and 0.05 x 8 million-cell matrices with their replicate-length
-        # arrays peaked at 4.6 MiB
+        # one block and its batch temporaries make the peak
         diagnostics.simulator_check(RngStream(1), 10, 10, shards=1)
         result, peak = traced_peak(diagnostics.simulator_check, RngStream(1), 50_000, 250_000,
                                    shards=1)

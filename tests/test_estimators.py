@@ -24,6 +24,7 @@ from conftest import traced_peak
 GAUSS = EnvironmentSpec.gaussian(1.0)
 FLAT = EnvironmentSpec.two_point(0.0)
 NINE_BETAS = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, math.inf]
+END3 = RegimeRule.end_window(3)
 FAMILIES = {"gaussian": GAUSS, "uniform": EnvironmentSpec.uniform_symmetric(1.5),
             "twopoint": EnvironmentSpec.two_point(0.7)}
 
@@ -155,16 +156,16 @@ def record_chunk_rows(monkeypatch):
 # fewer than 12 keys, so the row cap sets its chunks
 CHUNK_M = 3 * 8192 + 100
 CHUNK_STAGES = {
-    "theta": lambda stream, shards: estimate_theta(GAUSS, 3, 16, [0.0, 0.3, 0.9, 1.0], CHUNK_M,
+    "theta": lambda stream, shards: estimate_theta(GAUSS, END3, 16, [0.0, 0.3, 0.9, 1.0], CHUNK_M,
                                                    stream, shards),
     "lambda": lambda stream, shards: estimate_lambda(GAUSS, RegimeRule.proportional(0.5), 16,
                                                      NINE_BETAS, CHUNK_M, stream, shards),
-    "duality": lambda stream, shards: duality_check(GAUSS, 8, 16, NINE_BETAS, CHUNK_M, stream,
-                                                    shards),
-    "strata": lambda stream, shards: strata_decomposition(GAUSS, 4, 16, 1.0, 2, CHUNK_M, stream,
-                                                          shards),
-    "strata-inf": lambda stream, shards: strata_decomposition(GAUSS, 4, 16, math.inf, 2,
-                                                              CHUNK_M, stream, shards),
+    "duality": lambda stream, shards: duality_check(GAUSS, RegimeRule.fixed_i(8), 16, NINE_BETAS,
+                                                    CHUNK_M, stream, shards),
+    "strata": lambda stream, shards: strata_decomposition(GAUSS, RegimeRule.fixed_i(4), 16, 1.0, 2,
+                                                          CHUNK_M, stream, shards),
+    "strata-inf": lambda stream, shards: strata_decomposition(
+        GAUSS, RegimeRule.fixed_i(4), 16, math.inf, 2, CHUNK_M, stream, shards),
 }
 
 
@@ -350,12 +351,12 @@ class TestTheta:
         for bad in (1000.0, True):
             with pytest.raises(DomainError, match=f"m_samples must be a positive integer, "
                                                   f"got {bad!r}"):
-                estimate_theta(GAUSS, 3, 16, [0.5], bad, stream, 1)
-        assert (estimate_theta(GAUSS, 3, 16, [0.5], np.int64(1000), stream, 1)
-                == estimate_theta(GAUSS, 3, 16, [0.5], 1000, stream, 1))
+                estimate_theta(GAUSS, END3, 16, [0.5], bad, stream, 1)
+        assert (estimate_theta(GAUSS, END3, 16, [0.5], np.int64(1000), stream, 1)
+                == estimate_theta(GAUSS, END3, 16, [0.5], 1000, stream, 1))
 
     def test_exact_endpoints_and_monotone(self, stream):
-        results = estimate_theta(GAUSS, 3, 64, [0.0, 0.25, 0.5, 0.75, 1.0], 20_000, stream)
+        results = estimate_theta(GAUSS, END3, 64, [0.0, 0.25, 0.5, 0.75, 1.0], 20_000, stream)
         assert results[0].value == 0.0 and results[0].stderr == 0.0
         assert results[-1].value == 1.0 and results[-1].stderr == 0.0
         assert [r.param for r in results] == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -364,14 +365,14 @@ class TestTheta:
         assert all(0.0 <= t <= 1.0 for t in thetas)
 
     def test_stability_across_n(self, stream):
-        a = estimate_theta(GAUSS, 3, 256, [0.5], 20_000, stream)[0]
-        b = estimate_theta(GAUSS, 3, 512, [0.5], 20_000, stream)[0]
+        a = estimate_theta(GAUSS, END3, 256, [0.5], 20_000, stream)[0]
+        b = estimate_theta(GAUSS, END3, 512, [0.5], 20_000, stream)[0]
         band = 3.0 * math.hypot(a.stderr, b.stderr)
         assert abs(a.value - b.value) <= band
 
     def test_unreliable_denominator_raises(self, stream):
         with pytest.raises(UnreliableRatioError):
-            estimate_theta(GAUSS, 3, 2048, [0.5], 40, stream)
+            estimate_theta(GAUSS, END3, 2048, [0.5], 40, stream)
 
 
 class TestLambda:
@@ -512,10 +513,10 @@ class TestDuality:
     def test_n_is_an_integer(self, stream):
         with pytest.raises(DomainError, match="observation time n must be a positive integer, "
                                               "got 16.0"):
-            duality_check(GAUSS, 3, 16.0, [1.0], 1000, stream, 1)
+            duality_check(GAUSS, RegimeRule.fixed_i(3), 16.0, [1.0], 1000, stream, 1)
 
     def test_flat_degenerate_exact(self, stream):
-        (res,) = duality_check(FLAT, 2, 6, [1.0], 200, stream)
+        (res,) = duality_check(FLAT, RegimeRule.fixed_i(2), 6, [1.0], 200, stream)
         assert res.h_form.mean == res.v_form.mean
         assert res.z_score == 0.0
 
@@ -523,14 +524,15 @@ class TestDuality:
         # at this seed both samples of each form share one walk step, so both
         # standard errors vanish while the two means differ: no finite z exists
         with pytest.raises(NumericalFailureError, match="zero standard error"):
-            duality_check(EnvironmentSpec.two_point(0.7), 0, 1, [1.0], 2, RngStream(1))
+            duality_check(EnvironmentSpec.two_point(0.7), RegimeRule.fixed_i(0), 1, [1.0], 2,
+                          RngStream(1))
 
     def test_agreement_small_case(self, stream):
-        (res,) = duality_check(GAUSS, 12, 16, [1.0], 50_000, stream)
+        (res,) = duality_check(GAUSS, RegimeRule.fixed_i(12), 16, [1.0], 50_000, stream)
         assert abs(res.z_score) <= 4.0
 
     def test_infinite_beta_matches_event_prob(self, stream):
-        (res,) = duality_check(GAUSS, 12, 16, [math.inf], 50_000, stream)
+        (res,) = duality_check(GAUSS, RegimeRule.fixed_i(12), 16, [math.inf], 50_000, stream)
         prob = estimate_event_prob_grid(GAUSS, RegimeRule.fixed_i(12), [16], 50_000, stream)[0]
         z = abs(res.v_form.mean - prob.estimate.mean) / math.hypot(
             res.v_form.stderr, prob.estimate.stderr)
@@ -539,7 +541,7 @@ class TestDuality:
 
 class TestStrata:
     def test_masses_partition_exactly(self, stream):
-        rep = strata_decomposition(GAUSS, 48, 64, 1.0, 3, 10_000, stream)
+        rep = strata_decomposition(GAUSS, RegimeRule.fixed_i(48), 64, 1.0, 3, 10_000, stream)
         total = rep.early.sum + rep.middle.sum + rep.before_j.sum + rep.after_j.sum
         assert total == rep.total.sum  # exact rational identity
         masses = (rep.early.mean, rep.middle.mean, rep.before_j.mean, rep.after_j.mean)
@@ -547,16 +549,17 @@ class TestStrata:
 
     def test_window_validation(self, stream):
         with pytest.raises(DomainError):
-            strata_decomposition(GAUSS, 48, 64, 1.0, 8, 100, stream)  # N >= j/2
+            # N >= j/2
+            strata_decomposition(GAUSS, RegimeRule.fixed_i(48), 64, 1.0, 8, 100, stream)
 
     def test_window_is_an_integer(self, stream):
         with pytest.raises(DomainError, match="strata window N must be a positive integer, "
                                               "got 2.5"):
-            strata_decomposition(GAUSS, 48, 64, 1.0, 2.5, 100, stream)
+            strata_decomposition(GAUSS, RegimeRule.fixed_i(48), 64, 1.0, 2.5, 100, stream)
 
     def test_middle_mass_shrinks_with_window(self, stream):
-        wide = strata_decomposition(GAUSS, 192, 256, 1.0, 5, 20_000, stream)
-        narrow = strata_decomposition(GAUSS, 192, 256, 1.0, 20, 20_000, stream)
+        wide = strata_decomposition(GAUSS, RegimeRule.fixed_i(192), 256, 1.0, 5, 20_000, stream)
+        narrow = strata_decomposition(GAUSS, RegimeRule.fixed_i(192), 256, 1.0, 20, 20_000, stream)
         assert narrow.middle.mean < wide.middle.mean
 
 
@@ -564,9 +567,6 @@ WALK8 = build_walk(EnvironmentPath(np.linspace(-1.0, 1.0, 8)))
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda s: duality_check(GAUSS, 3.0, 16, [1.0], 1000, s, 1), id="duality"),
-    pytest.param(lambda s: strata_decomposition(GAUSS, 3.0, 48, 1.0, 4, 1000, s, 1),
-                 id="strata"),
     pytest.param(lambda s: h_functional(WALK8, 1.0, 4, 0.5), id="h_functional"),
     pytest.param(lambda s: cond_event_prob(WALK8, 1.0, 4), id="cond_event_prob"),
     pytest.param(lambda s: RegimeRule.end_window(3).clan_index(16.5), id="regime"),
@@ -662,7 +662,8 @@ def per_block_transform(spec, i, n, params, m_samples, stream, purpose, log_cols
         num = np.concatenate([cols[k] for cols in nums])
         sum_xy = sum(Fraction(x) * Fraction(y) for x, y in zip(num.tolist(), den.tolist()))
         ratio, se = ratio_with_stderr(MCEstimate.from_values(num), den_est, sum_xy)
-        results.append(TransformResult(param=p, value=1.0 - ratio, stderr=se, count=den.size))
+        results.append(TransformResult(n=n, i=i, param=p, value=1.0 - ratio, stderr=se,
+                                       count=den.size))
     return results
 
 
@@ -702,7 +703,7 @@ class TestTransformsMatchPerBlockKernels:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_theta(self, family, shards, stream):
         spec, s_values = FAMILIES[family], [0.0, 0.5, 1.0]
-        got = estimate_theta(spec, 3, 40, s_values, 700, stream, shards)
+        got = estimate_theta(spec, END3, 40, s_values, 700, stream, shards)
         assert got == per_block_theta(spec, 3, 40, s_values, 700, stream)
 
     @pytest.mark.parametrize("shards", [1, 2])
@@ -716,5 +717,5 @@ class TestTransformsMatchPerBlockKernels:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_duality(self, family, shards, stream):
         spec = FAMILIES[family]
-        got = duality_check(spec, 20, 40, NINE_BETAS, 700, stream, shards)
+        got = duality_check(spec, RegimeRule.fixed_i(20), 40, NINE_BETAS, 700, stream, shards)
         assert got == per_block_duality(spec, 20, 40, NINE_BETAS, 700, stream)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from clanmc import (DomainError, EnvironmentPath, RngStream, build_walk,
+from clanmc import (DomainError, EnvironmentPath, LogValue, RngStream, build_walk,
                     compose_pgf_bruteforce, cond_event_prob, extinction_step,
                     h_functional, survival_bruteforce, survival_closed,
                     v_functional, yaglom_integrand)
@@ -240,3 +240,26 @@ def test_oracle_index_must_be_an_integer(name, index):
     INDEXED_ORACLES[name](3)
     with pytest.raises(DomainError, match="integer"):
         INDEXED_ORACLES[name](index)
+
+
+def test_linear_round_trip():
+    v = LogValue(math.log(0.125))
+    assert v.value == pytest.approx(0.125, rel=1e-15)
+    assert v.log > -math.inf
+
+
+def test_zero_flag():
+    z = LogValue(-math.inf)
+    assert z.log == -math.inf and z.value == 0.0
+    # a log magnitude far below the double range is still a positive value
+    tiny = LogValue(-1e4)
+    assert tiny.log > -math.inf and tiny.value == 0.0
+
+
+def test_one_exact_zero():
+    # s = 1 and beta = 0 give the same exact zero, log = -inf
+    w = build_walk(EnvironmentPath(np.array([0.3, -0.2, 0.5, 0.1])))
+    zeros = {survival_closed(w, 1, 4, 1.0), h_functional(w, 1, 4, 1.0),
+             yaglom_integrand(w, 1, 4, 0.0)}
+    assert zeros == {LogValue(-math.inf)}
+    assert LogValue(-math.inf).value == 0.0

@@ -75,3 +75,13 @@ def test_family_names_compared_only_in_env_model(path):
                 and any(_names_a_family(sub) for operand in (node.left, *node.comparators)
                         for sub in ast.walk(operand))]
     assert not compared, compared
+
+
+def test_clan_index_called_only_in_estimators():
+    # the clan is named by a RegimeRule, and each estimator derives its own
+    # index from it: no other module turns a rule into an index
+    calls = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "estimators.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "clan_index"]
+    assert not calls, calls

@@ -16,7 +16,8 @@ from scipy.special import logsumexp
 
 from clanmc import EnvironmentPath, compose_pgf_bruteforce, estimators, survival_bruteforce
 from clanmc.estimators import (_ExpRows, _log_event_prob_cols, _log_h_cols, _log_h_cols_from,
-                               _log_survival_cols, _log_v_cols_from, _log_yaglom_cols_from)
+                               _log_survival_cols, _log_v_cols_from, _log_yaglom_cols_from,
+                               log1m_exp_neg_vec)
 
 
 def walk_matrix(x: np.ndarray) -> np.ndarray:
@@ -208,3 +209,20 @@ def test_kernel_rows_against_folds(case, s_values, betas):
             assert math.exp(_log_survival_cols(neg, i, n, math.log1p(-sv))[r]) == pytest.approx(
                 surv, rel=1e-10)
             assert math.exp(h[k, r]) == pytest.approx(surv * others, rel=1e-9)
+
+
+@pytest.mark.parametrize("log_t", [-750.0, -300.0, -37.0, -5.0, -1.0, 0.0, 1.0, 3.0, 6.0, 700.0])
+def test_log1m_exp_neg_against_mpmath(log_t):
+    with mpmath.workdps(300):
+        t = mpmath.exp(log_t)
+        expected = float(mpmath.log(-mpmath.expm1(-t)))
+    got = float(log1m_exp_neg_vec(np.array([log_t]))[0])
+    assert got == pytest.approx(expected, rel=1e-12, abs=5e-324)
+
+
+def test_log1m_exp_neg_vec_matches_scalar():
+    # a mixed-branch array gives each element what a one-element call gives it
+    xs = np.array([-750.0, -37.0, -1.0, 0.5, 4.0, 700.0])
+    vec = log1m_exp_neg_vec(xs)
+    for x, v in zip(xs, vec):
+        assert v == log1m_exp_neg_vec(np.array([x]))[0]

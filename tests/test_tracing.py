@@ -60,11 +60,11 @@ ROUTES = {
     "prob-grid": lambda stream: estimators.estimate_event_prob_grid(
         GAUSS, RegimeRule.fixed_i(2), [32, 8, 16, 8], 700, stream, shards=2),
     "strata": lambda stream: estimators.strata_decomposition(
-        GAUSS, 48, 64, 1.0, 3, 700, stream, shards=2),
+        GAUSS, RegimeRule.fixed_i(48), 64, 1.0, 3, 700, stream, shards=2),
     "duality": lambda stream: estimators.duality_check(
-        GAUSS, 12, 16, [0.5, math.inf], 700, stream, shards=2),
+        GAUSS, RegimeRule.fixed_i(12), 16, [0.5, math.inf], 700, stream, shards=2),
     "pgf": lambda stream: estimators.estimate_theta(
-        GAUSS, 3, 32, [0.0, 0.5, 1.0], 700, stream, shards=2),
+        GAUSS, RegimeRule.end_window(3), 32, [0.0, 0.5, 1.0], 700, stream, shards=2),
 }
 
 
